@@ -29,6 +29,7 @@ from ._linalg import (
     singular_cut,
 )
 from .causal_order import (
+    EXHAUSTIVE_POINT_LIMIT,
     CausalOrder,
     Region,
     all_regions,
@@ -41,8 +42,8 @@ from .decoherence import DecoherenceFunctional
 from .hilbert import event_vector, history_factor, region_vectors
 from .histories import Event, is_partition, region_algebra
 
-FACTORIZABILITY_BUDGET = 200_000_000  # residual evaluations
-FACTORIZABILITY_SAMPLES = 200_000
+# residual evaluations one screening-off scan may run
+FACTORIZABILITY_LIMIT = 1_000_000_000
 
 
 def _check_alignment(dcf: DecoherenceFunctional, order: CausalOrder) -> None:
@@ -146,7 +147,9 @@ def check_poz(
     tol = tol or dcf.tol
     if regions == "exhaustive":
         regions = (
-            all_regions(order) if order.size <= 12 else down_sets(order)
+            all_regions(order)
+            if order.size <= EXHAUSTIVE_POINT_LIMIT
+            else down_sets(order)
         )
     results = []
     skipped = 0
@@ -339,11 +342,11 @@ def check_lon(
             continue
         _, vz = region_vectors(dcf, z.point_names())
         _, vd = region_vectors(dcf, dom.point_names())
-        if vz.shape[1]:
-            sol, _, _, _ = np.linalg.lstsq(vz, vd, rcond=None)
-            resid = np.linalg.norm(vz @ sol - vd, axis=0)
-        else:
-            resid = np.linalg.norm(vd, axis=0)
+        # residual of projecting vd onto the span of vz, with the singular
+        # value cut of lstsq(rcond=None)
+        u, s, _ = np.linalg.svd(vz, full_matrices=False)
+        u = u[:, s > np.finfo(float).eps * max(vz.shape) * s.max(initial=0.0)]
+        resid = np.linalg.norm(vd - u @ (u.conj().T @ vd), axis=0)
         scale = np.maximum(1.0, np.linalg.norm(vd, axis=0))
         max_resid = float((resid / scale).max(initial=0.0))
         results.append(
@@ -464,64 +467,21 @@ class FactorizabilityReport:
         }
 
 
-def _separable_final(matf: np.ndarray):
-    """Split a (a, b) -> final-configuration table into independent row and
-    column classes, if the equality pattern factorizes; else None."""
-    n_a, n_b = matf.shape
-    _, row_cls = np.unique(matf, axis=0, return_inverse=True)
-    _, col_cls = np.unique(matf.T, axis=0, return_inverse=True)
-    seen = {}
-    for ia in range(n_a):
-        for ib in range(n_b):
-            key = (int(row_cls[ia]), int(col_cls[ib]))
-            val = int(matf[ia, ib])
-            if seen.setdefault(key, val) != val:
-                return None
-    if len(set(seen.values())) != len(seen):
-        return None
-    return row_cls.reshape(-1), col_cls.reshape(-1)
-
-
-def _qfactor_delta_path(amp_t, row_cls, col_cls, tol, chunk=24):
-    """Exact full-coverage residual when each (past, wing, wing) triple is a
-    single history and the truncation delta splits over the wings."""
-    n_z, n_a, n_b = amp_t.shape
-    n_fa = int(row_cls.max()) + 1
-    n_fb = int(col_cls.max()) + 1
-    # branch vectors of past atoms / wing-past conjunctions
-    zv = np.zeros((n_z, n_fa * n_fb), dtype=complex)
-    av = np.zeros((n_z, n_a, n_fb), dtype=complex)
-    bv = np.zeros((n_z, n_b, n_fa), dtype=complex)
-    for a in range(n_a):
-        np.add.at(zv, (slice(None), row_cls[a] * n_fb + col_cls), amp_t[:, a, :])
-        np.add.at(av, (slice(None), a, col_cls), amp_t[:, a, :])
-        bv[:, :, row_cls[a]] += amp_t[:, a, :]
-    s_z = zv.conj() @ zv.T
-    a_pairs = [(i, j) for i in range(n_a) for j in range(n_a) if row_cls[i] == row_cls[j]]
-    b_pairs = [(i, j) for i in range(n_b) for j in range(n_b) if col_cls[i] == col_cls[j]]
-    ai = np.array([p[0] for p in a_pairs])
-    aj = np.array([p[1] for p in a_pairs])
-    bi = np.array([p[0] for p in b_pairs])
-    bj = np.array([p[1] for p in b_pairs])
-    av_i = av[:, ai, :]
-    av_j = av[:, aj, :]
-    bv_i = bv[:, bi, :]
-    bv_j = bv[:, bj, :]
-    amp_i = amp_t[:, ai[:, None], bi[None, :]]  # (n_z, nA-pairs, nB-pairs)
-    amp_j = amp_t[:, aj[:, None], bj[None, :]]
-    worst = 0.0
-    for g0 in range(0, n_z, chunk):
-        gs = slice(g0, min(g0 + chunk, n_z))
-        hs = slice(g0, n_z)  # hermitian symmetry: residual grid for (h, g)
-        # is the conjugate of the grid for (g, h) with paired slots swapped
-        da = np.einsum("gpf,hpf->ghp", av_i[gs].conj(), av_j[hs])
-        db = np.einsum("gpf,hpf->ghp", bv_i[gs].conj(), bv_j[hs])
-        lhs = np.einsum("gpq,hpq->ghpq", amp_i[gs].conj(), amp_j[hs])
-        lhs *= s_z[gs, hs][:, :, None, None]
-        lhs -= da[:, :, :, None] * db[:, :, None, :]
-        worst = max(worst, float(np.abs(lhs).max(initial=0.0)))
-    total = (n_a * n_b * n_z) ** 2
-    return worst, total
+def _shared_row_components(fac: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Label the n atoms (column j of `fac` lies in atom index[j]) by the
+    connected components of the relation "share a nonzero row of fac"."""
+    d = fac.shape[0]
+    rows, cols = np.nonzero(fac)
+    atom, row = np.divmod(np.unique(index[cols] * d + rows), d)
+    label = np.arange(n)
+    while True:
+        row_min = np.full(d, n)
+        np.minimum.at(row_min, row, label[atom])
+        new = label.copy()
+        np.minimum.at(new, atom, row_min[row])
+        if (new == label).all():
+            return np.unique(label, return_inverse=True)[1]
+        label = new
 
 
 def check_quantum_factorizability(
@@ -531,8 +491,6 @@ def check_quantum_factorizability(
     a: Region,
     b: Region,
     tol: Tolerance | None = None,
-    budget: int = FACTORIZABILITY_BUDGET,
-    seed: int = 0,
 ) -> FactorizabilityReport:
     """Residual of the doubled screening-off identity
 
@@ -540,78 +498,86 @@ def check_quantum_factorizability(
 
     over atoms of the wing algebras and past history-events.  Atom-level
     coverage suffices: both sides are separately additive in each of the
-    four wing slots.  Falls back to seeded sampling above the budget and
-    flags the report as non-exhaustive.
+    four wing slots.  Both sides vanish when an atom carries no amplitude,
+    and when the two A atoms (or the two B atoms) lie in different
+    components of the relation "share a final configuration": their
+    vectors are then orthogonal.  The scan therefore runs exhaustively over
+    the amplitude-carrying atoms within each pair of an A and a B component,
+    and counts the rest as checked.  Raises when that scan exceeds
+    FACTORIZABILITY_LIMIT residual evaluations.
     """
     _check_alignment(dcf, order)
     tol = tol or dcf.tol
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    space = dcf.space
-    alg_z = region_algebra(space, z.point_names())
-    alg_a = region_algebra(space, a.point_names())
-    alg_b = region_algebra(space, b.point_names())
-    n_z, n_a, n_b = alg_z.n_atoms, alg_a.n_atoms, alg_b.n_atoms
-    total = (n_a * n_b * n_z) ** 2
-
-    triple = (alg_z.atom_index.astype(np.int64) * n_a + alg_a.atom_index) * n_b + alg_b.atom_index
-    counts = np.bincount(triple, minlength=n_z * n_a * n_b)
-    singleton = bool((counts == 1).all()) and space.size == n_z * n_a * n_b
-
-    if singleton and not dcf.is_dense:
-        amp_t = np.zeros(n_z * n_a * n_b, dtype=complex)
-        amp_t[triple] = dcf.branch.amplitudes
-        fin_t = np.zeros(n_z * n_a * n_b, dtype=np.int64)
-        fin_t[triple] = dcf.branch.final_index
-        matf_full = fin_t.reshape(n_z, n_a, n_b)
-        # the final configuration must depend on the wing labels alone
-        if (matf_full == matf_full[:1]).all():
-            split = _separable_final(matf_full[0])
-            if split is not None:
-                worst, tot = _qfactor_delta_path(
-                    amp_t.reshape(n_z, n_a, n_b), split[0], split[1], tol
-                )
-                return FactorizabilityReport(worst, tot, tot, True, tol)
-
-    # general path over triple branch vectors
     fac = history_factor(dcf)
-    d = fac.shape[0]
-    grid = n_z * n_a * n_b
-    if grid * d > 400_000_000:
-        raise ValueError("atom grid too large for the general factorizability path")
-    br = np.zeros((grid, d), dtype=complex)
-    np.add.at(br, triple, fac.T)
-    br = br.reshape(n_z, n_a, n_b, d)
-    zv = br.sum(axis=(1, 2))
-    av = br.sum(axis=2)
-    bv = br.sum(axis=1)
-    s_z = zv.conj() @ zv.T
+    live = fac.any(axis=0)
+    fac = fac[np.ix_(fac.any(axis=1), live)]
+    total = 1
+    local = []
+    for region in (z, a, b):
+        alg = region_algebra(dcf.space, region.point_names())
+        kept, index = np.unique(alg.atom_index[live], return_inverse=True)
+        total *= alg.n_atoms
+        local.append((len(kept), index))
+    total **= 2
+    (n_z, iz), (n_a, ia), (n_b, ib) = local
+    comp_a = _shared_row_components(fac, ia, n_a)
+    comp_b = _shared_row_components(fac, ib, n_b)
+    size_a, size_b = np.bincount(comp_a), np.bincount(comp_b)
+    evaluations = int(((n_z * np.outer(size_a, size_b)) ** 2).sum())
+    if evaluations > FACTORIZABILITY_LIMIT:
+        raise ValueError(
+            f"{evaluations} screening-off residuals exceed the factorizability "
+            f"limit {FACTORIZABILITY_LIMIT}"
+        )
+    zv = scatter_columns(fac, iz, n_z)
+    s_z = zv.conj().T @ zv
 
-    if total <= budget:
-        worst = 0.0
-        for g in range(n_z):
-            da = np.einsum("pf,hqf->hpq", av[g].conj(), av)
-            db = np.einsum("pf,hqf->hpq", bv[g].conj(), bv)
-            lhs = np.einsum("pqf,hrsf->hpqrs", br[g].conj(), br)
-            lhs *= s_z[g][:, None, None, None, None]
-            lhs -= da[:, :, None, :, None] * db[:, None, :, None, :]
-            worst = max(worst, float(np.abs(lhs).max(initial=0.0)))
-        return FactorizabilityReport(worst, total, total, True, tol)
+    def vectors(sel, labels, n):
+        """Sums of the selected history columns into n vectors, on the
+        final configurations that any of them reaches."""
+        v = scatter_columns(fac[:, sel], labels, n)
+        return v[v.any(axis=1)]
 
-    rng = np.random.default_rng(seed)
-    n_samples = int(min(FACTORIZABILITY_SAMPLES, budget, total))
+    def wing(comp, iw, c):
+        """Histories in wing component c, the position of each wing atom
+        within c, and the past-wing atom vectors of c, ordered (g, p)."""
+        members = comp == c
+        pos = np.cumsum(members) - 1
+        sel = members[iw]
+        n_c = int(members.sum())
+        return sel, pos, vectors(sel, iz[sel] * n_c + pos[iw[sel]], n_z * n_c)
+
+    wings_b = [wing(comp_b, ib, c) for c in range(len(size_b))]
     worst = 0.0
-    gs = rng.integers(0, n_z, n_samples)
-    hs = rng.integers(0, n_z, n_samples)
-    pa = rng.integers(0, n_a, n_samples)
-    qa = rng.integers(0, n_a, n_samples)
-    pb = rng.integers(0, n_b, n_samples)
-    qb = rng.integers(0, n_b, n_samples)
-    lhs = np.einsum("sf,sf->s", br[gs, pa, pb].conj(), br[hs, qa, qb]) * s_z[gs, hs]
-    rhs = (
-        np.einsum("sf,sf->s", av[gs, pa].conj(), av[hs, qa])
-        * np.einsum("sf,sf->s", bv[gs, pb].conj(), bv[hs, qb])
-    )
-    worst = float(np.abs(lhs - rhs).max(initial=0.0))
-    return FactorizabilityReport(worst, n_samples, total, False, tol)
+    for alpha, na in enumerate(size_a):
+        sel_a, pos_a, av = wing(comp_a, ia, alpha)
+        for (sel_b, pos_b, bv), nb in zip(wings_b, size_b):
+            sel = sel_a & sel_b
+            m = na * nb
+            x = vectors(
+                sel, (iz[sel] * na + pos_a[ia[sel]]) * nb + pos_b[ib[sel]], n_z * m
+            )
+            # rows i = (g, p, q) of the residual, in blocks; it is symmetric
+            # under swapping the primed and unprimed slots, so each block
+            # meets only the columns (h, r, s) with h at or after its first g
+            step = max(1, 2 ** 16 // (n_z * m))
+            for i0 in range(0, n_z * m, step):
+                i = np.arange(i0, min(i0 + step, n_z * m))
+                g, gp, q = i // m, i // nb, i % nb
+                h0 = g[0]
+                lhs = np.einsum("fi,fj->ij", x[:, i].conj(), x[:, h0 * m:])
+                lhs = lhs.reshape(len(i), -1, m) * s_z[g, h0:][:, :, None]
+                da = np.einsum(
+                    "fi,fj->ij", av[:, gp[0]: gp[-1] + 1].conj(), av[:, h0 * na:]
+                )[gp - gp[0]]
+                db = np.einsum(
+                    "fi,fj->ij", bv[:, h0 * nb: (g[-1] + 1) * nb].conj(), bv[:, h0 * nb:]
+                )[(g - h0) * nb + q]
+                lhs -= (
+                    da.reshape(len(i), -1, na, 1) * db.reshape(len(i), -1, 1, nb)
+                ).reshape(lhs.shape)
+                worst = max(worst, float(np.abs(lhs).max(initial=0.0)))
+    return FactorizabilityReport(worst, total, total, True, tol)

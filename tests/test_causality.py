@@ -262,21 +262,6 @@ class TestQuantumFactorizability:
         assert rep.exhaustive
         assert rep.max_residual > 1e-4
 
-    def test_sampling_budget_flagged(self):
-        rng = np.random.default_rng(47)
-        space, order, dcf = _product_theory(rng, nk=4, na=2, nb=2)
-        rep = check_quantum_factorizability(
-            dcf,
-            order,
-            order.region(["z"]),
-            order.region(["wa"]),
-            order.region(["wb"]),
-            budget=10,
-        )
-        assert not rep.exhaustive
-        assert rep.combinations_checked < rep.combinations_total
-        assert rep.max_residual < 1e-12
-
 
 class TestPozProperties:
     def test_random_gram_models_safe_regions(self):

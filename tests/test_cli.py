@@ -115,6 +115,29 @@ class TestSkCommands:
         )
         assert code == 0
 
+    def test_factorizability_full_support_circuit(self, workdir, capsys):
+        # superposed initial state and a generic first-layer gate: every
+        # history carries amplitude, and the decoupled wings still pass
+        from qmeasure import SkCircuitConfig, SkGate, decoupled_demo_config
+        from qmeasure.serialization import dump_json, sk_config_to_json
+
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        cfg = decoupled_demo_config(steps=3)
+        cfg = SkCircuitConfig(
+            sites=4, steps=3, psi=psi / np.linalg.norm(psi),
+            gates=(SkGate(1, (0, 1, 2, 3), u),)
+            + tuple(g for g in cfg.gates if g.layer > 1),
+            regions=cfg.regions,
+        )
+        dump_json(sk_config_to_json(cfg), "sk.json")
+        code, out = run(capsys, "sk", "factorizability", "sk.json")
+        report = json.loads(out)
+        assert code == 0
+        assert report["passed"] is True and report["exhaustive"] is True
+        assert report["combinations_checked"] == 65536 ** 2
+
     def test_validate_bare_skmodel(self, workdir, capsys):
         run(capsys, "sk", "fixture", "--steps", "2", "--out", "sk.json")
         code, out = run(capsys, "validate", "sk.json")

@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    CausalOrder,
+    DecoherenceFunctional,
+    HistorySpace,
     SkCircuitConfig,
     SkGate,
     check_lon,
     check_poz,
+    check_quantum_factorizability,
     check_spacelike_commutation,
     check_truncation_independence,
     cylinder_event,
     decoupled_demo_config,
     gen_sk_circuit,
+    region_algebra,
     sk_factorizability_demo,
     subspace_dim,
 )
+from qmeasure._linalg import scatter_columns
+from qmeasure.hilbert import history_factor
 from qmeasure.sk_model import CNOT, HADAMARD, bell_pair_gate
 
 
@@ -235,50 +242,141 @@ class TestCaps:
         assert es.rank >= 1
 
 
-class TestDeltaPathCrossCheck:
-    def _paths(self, dcf, order, z, a, b):
-        import qmeasure.causality as qc
+def _brute_force_residual(dcf, z, a, b):
+    """Doubled screening-off residual over every (past, wing, wing) atom
+    combination, amplitude-free atoms included, from Gram matrices of the
+    atom-triple, past-atom and wing-past atom vectors."""
+    fac = history_factor(dcf)
+    algs = [region_algebra(dcf.space, r.point_names()) for r in (z, a, b)]
+    n_z, n_a, n_b = (alg.n_atoms for alg in algs)
+    grid = n_z * n_a * n_b
+    triple = (algs[0].atom_index * n_a + algs[1].atom_index) * n_b + algs[2].atom_index
+    x = scatter_columns(fac, triple, grid).T
+    gz, ga, gb = np.unravel_index(np.arange(grid), (n_z, n_a, n_b))
+    za, zb = gz * n_a + ga, gz * n_b + gb
+    vz = scatter_columns(fac, algs[0].atom_index, n_z).T
+    va = scatter_columns(fac, algs[0].atom_index * n_a + algs[1].atom_index, n_z * n_a).T
+    vb = scatter_columns(fac, algs[0].atom_index * n_b + algs[2].atom_index, n_z * n_b).T
+    d_z, d_a, d_b = (v.conj() @ v.T for v in (vz, va, vb))
+    worst = 0.0
+    for rows in np.array_split(np.arange(grid), n_z):
+        lhs = (x[rows].conj() @ x.T) * d_z[gz[rows]][:, gz]
+        rhs = d_a[za[rows]][:, za] * d_b[zb[rows]][:, zb]
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst, grid ** 2
 
-        fast = qc.check_quantum_factorizability(dcf, order, z, a, b)
-        orig = qc._separable_final
-        qc._separable_final = lambda m: None  # force the general route
-        try:
-            slow = qc.check_quantum_factorizability(
-                dcf, order, z, a, b, budget=10 ** 9
+
+def _coupled_config(cfg):
+    """`cfg` with its last wing gates replaced by one gate that couples
+    the wings through a CNOT across the middle sites."""
+    last_a, last_b = [g for g in cfg.gates if g.layer == cfg.steps]
+    coupling = np.kron(np.eye(2), np.kron(CNOT, np.eye(2))) @ np.kron(
+        last_a.matrix, last_b.matrix
+    )
+    return SkCircuitConfig(
+        sites=cfg.sites, steps=cfg.steps, q=cfg.q,
+        gates=tuple(g for g in cfg.gates if g.layer < cfg.steps)
+        + (SkGate(cfg.steps, (0, 1, 2, 3), coupling),),
+        regions=cfg.regions,
+    )
+
+
+def _generic_amplitudes(model, seed, mix_final=False):
+    """Same lattice, amplitudes with no product structure and none of them
+    zero.  With `mix_final` the final configurations are drawn at random,
+    so that every pair of wing atoms shares some final configuration."""
+    rng = np.random.default_rng(seed)
+    n = model.space.size
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    dim = model.dcf.branch.dim
+    fin = rng.integers(0, dim, n) if mix_final else model.dcf.branch.final_index
+    norm = np.zeros(dim, dtype=complex)
+    np.add.at(norm, fin, amps)
+    amps /= np.sqrt(np.vdot(norm, norm).real)
+    return DecoherenceFunctional.from_amplitudes(model.space, amps, fin, dim)
+
+
+class TestFactorizabilityBruteForce:
+    def _compare(self, model, dcf):
+        regions = [model.region(r) for r in "ZAB"]
+        rep = check_quantum_factorizability(dcf, model.order, *regions)
+        worst, total = _brute_force_residual(dcf, *regions)
+        assert rep.exhaustive
+        assert rep.combinations_checked == rep.combinations_total == total
+        return rep, worst
+
+    def test_decoupled_circuit_matches_brute_force(self):
+        model = gen_sk_circuit(decoupled_demo_config(steps=2))
+        rep, worst = self._compare(model, model.dcf)
+        assert rep.passed
+        assert rep.max_residual < 1e-12 and worst < 1e-12
+
+    def test_coupled_circuit_matches_brute_force(self):
+        cfg = decoupled_demo_config(steps=2)
+        model = gen_sk_circuit(_coupled_config(cfg))
+        live = history_factor(model.dcf).any(axis=0)
+        alg_z = region_algebra(model.space, model.region("Z").point_names())
+        assert len(np.unique(alg_z.atom_index[live])) < alg_z.n_atoms
+        rep, worst = self._compare(model, model.dcf)
+        assert not rep.passed and rep.max_residual > 1e-6
+        assert rep.max_residual == pytest.approx(worst, rel=1e-9)
+
+    def test_generic_amplitudes_match_brute_force(self):
+        model = gen_sk_circuit(decoupled_demo_config(steps=2))
+        rep, worst = self._compare(model, _generic_amplitudes(model, 71))
+        assert rep.max_residual > 1e-6
+        assert rep.max_residual == pytest.approx(worst, rel=1e-9)
+
+    def test_mixed_final_configurations_match_brute_force(self):
+        # every pair of wing atoms shares a final configuration, so the
+        # scan runs as one block over all atoms
+        model = gen_sk_circuit(decoupled_demo_config(steps=2))
+        rep, worst = self._compare(model, _generic_amplitudes(model, 72, True))
+        assert rep.max_residual > 1e-6
+        assert rep.max_residual == pytest.approx(worst, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "histories, amps, finals, expected",
+        [
+            # A atom 1 and B atom 1 reach disjoint final configurations, so
+            # no history carries both; the largest residual is there, at
+            # |D(A1, A1)| |D(B1, B1)| = 1/2 * 3/4
+            (
+                ((0, 1, 0), (0, 0, 1), (0, 2, 1), (0, 2, 2)),
+                [np.sqrt(0.5), 0.5, np.sqrt(0.5), -0.5],
+                [1, 0, 2, 0],
+                0.375,
+            ),
+            # B atoms 0 and 1 share final configuration 0; the largest
+            # residual pairs them: |D(A1 B0, A1 B1) - D(A1, A1) D(B0, B1)|
+            # = 0.3 * 0.6 * 0.55
+            (
+                ((0, 0, 1), (0, 1, 0), (0, 1, 1)),
+                [np.sqrt(0.55), 0.3, 0.6j],
+                [1, 0, 0],
+                0.099,
+            ),
+        ],
+    )
+    def test_wing_components_by_hand(self, histories, amps, finals, expected):
+        order = CausalOrder.from_covers(("z", "a", "b"), [("z", "a"), ("z", "b")])
+        space = HistorySpace(points=("z", "a", "b"), histories=histories)
+        dcf = DecoherenceFunctional.from_amplitudes(
+            space, np.array(amps, dtype=complex), np.array(finals), max(finals) + 1
+        )
+        regions = [order.region([p]) for p in ("z", "a", "b")]
+        rep = check_quantum_factorizability(dcf, order, *regions)
+        worst, total = _brute_force_residual(dcf, *regions)
+        assert rep.combinations_checked == total
+        assert rep.max_residual == pytest.approx(expected, abs=1e-12)
+        assert worst == pytest.approx(expected, abs=1e-12)
+
+    def test_scan_over_limit_refused(self):
+        # no atom is amplitude-free and every pair of wing atoms shares a
+        # final configuration, so all 65536^2 combinations remain
+        model = gen_sk_circuit(decoupled_demo_config(steps=3))
+        dcf = _generic_amplitudes(model, 73, True)
+        with pytest.raises(ValueError, match="factorizability limit"):
+            check_quantum_factorizability(
+                dcf, model.order, *(model.region(r) for r in "ZAB")
             )
-        finally:
-            qc._separable_final = orig
-        return fast, slow
-
-    def test_decoupled_amplitudes_exact_both_routes(self):
-        model = gen_sk_circuit(decoupled_demo_config(steps=2))
-        fast, slow = self._paths(
-            model.dcf, model.order,
-            model.region("Z"), model.region("A"), model.region("B"),
-        )
-        assert fast.exhaustive and slow.exhaustive
-        assert fast.max_residual < 1e-12
-        assert fast.max_residual == slow.max_residual
-
-    def test_generic_amplitudes_fail_identically_on_both_routes(self):
-        # same lattice and causal order, but amplitudes with no product
-        # structure: the identity must fail, and the collapsed and general
-        # routes must report the same worst residual
-        from qmeasure import DecoherenceFunctional
-
-        model = gen_sk_circuit(decoupled_demo_config(steps=2))
-        rng = np.random.default_rng(71)
-        n = model.space.size
-        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-        fin = model.dcf.branch.final_index
-        dim = model.dcf.branch.dim
-        norm = np.zeros(dim, dtype=complex)
-        np.add.at(norm, fin, amps)
-        amps /= np.sqrt(np.vdot(norm, norm).real)
-        dcf = DecoherenceFunctional.from_amplitudes(model.space, amps, fin, dim)
-        fast, slow = self._paths(
-            dcf, model.order,
-            model.region("Z"), model.region("A"), model.region("B"),
-        )
-        assert fast.max_residual > 1e-6
-        assert fast.max_residual == pytest.approx(slow.max_residual, rel=1e-9)
