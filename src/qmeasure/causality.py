@@ -40,7 +40,7 @@ from .causal_order import (
 )
 from .decoherence import DecoherenceFunctional
 from .hilbert import event_vector, history_factor, region_vectors
-from .histories import Event, is_partition, region_algebra
+from .histories import Event, RegionAlgebra, is_partition, region_algebra
 
 # residual evaluations one screening-off scan may run
 FACTORIZABILITY_LIMIT = 1_000_000_000
@@ -51,11 +51,12 @@ def _check_alignment(dcf: DecoherenceFunctional, order: CausalOrder) -> None:
         raise ValueError("history space and causal order use different points")
 
 
-def _event_in_algebra(event: Event, atom_index: np.ndarray) -> bool:
+def _event_in_algebra(event: Event, alg: RegionAlgebra) -> bool:
+    """True iff no atom of the algebra has histories on both sides of the event."""
     flags = event.to_bool()
-    inside = set(atom_index[flags].tolist())
-    outside = set(atom_index[~flags].tolist())
-    return not (inside & outside)
+    inside = np.zeros(alg.n_atoms, dtype=bool)
+    inside[alg.atom_index[flags]] = True
+    return not inside[alg.atom_index[~flags]].any()
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +120,8 @@ def _poz_region(dcf, order, region: Region, tol: Tolerance) -> PozRegionResult |
         )
     alg_r = region_algebra(dcf.space, region.point_names())
     worst = 0.0
-    for atom in alg_r.atoms:
-        flags = atom.to_bool()
+    for a in range(alg_r.n_atoms):
+        flags = alg_r.atom_index == a
         w = scatter_columns(
             fac[:, flags], alg_bar.atom_index[flags], alg_bar.n_atoms
         )
@@ -185,7 +186,6 @@ class EventOperator:
     matrix: np.ndarray
     frame_matrix: np.ndarray
     basis: np.ndarray
-    domain_atoms: tuple[Event, ...]
     consistency_residual: float
     codomain_residual: float
     universal_residual: float
@@ -235,7 +235,7 @@ def event_operator(
     region_names = tuple(region.point_names()) if isinstance(region, Region) else tuple(region)
     domain_names = tuple(domain.point_names()) if isinstance(domain, Region) else tuple(domain)
     alg_r = region_algebra(dcf.space, region_names)
-    if not _event_in_algebra(event, alg_r.atom_index):
+    if not _event_in_algebra(event, alg_r):
         raise ValueError("event is not in the region's algebra")
     alg_d, v = region_vectors(dcf, domain_names)
     basis = orthonormal_basis(v, tol)
@@ -264,7 +264,6 @@ def event_operator(
         matrix=x,
         frame_matrix=frame,
         basis=basis,
-        domain_atoms=alg_d.atoms,
         consistency_residual=consistency,
         codomain_residual=codomain,
         universal_residual=universal_residual,

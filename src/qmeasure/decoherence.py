@@ -167,7 +167,7 @@ class DecoherenceFunctional:
         flags = []
         for p in self.space.points:
             alg = region_algebra(self.space, (p,))
-            flags.extend(a.to_bool() for a in alg.atoms)
+            flags.extend(alg.atom_index == a for a in range(alg.n_atoms))
             if len(flags) >= DENSE_ATOM_CAP:
                 break
         rng = np.random.default_rng(seed)
@@ -262,7 +262,7 @@ def check_agreement(
     r2 = d2.restrict(points)
     if r1.space.points != r2.space.points:
         return False
-    if r1.space.histories != r2.space.histories:
+    if not np.array_equal(r1.space.value_matrix, r2.space.value_matrix):
         return False
     floor = d1.tol.matrix_floor(r1.matrix)
     return bool(np.abs(r1.matrix - r2.matrix).max(initial=0.0) <= floor)

@@ -155,9 +155,7 @@ def build_event_space(dcf: DecoherenceFunctional, points=None) -> EventHilbertSp
                 "pass a region"
             )
         fac = history_factor(dcf)
-        atoms = tuple(
-            dcf.space.event_from_indices([i]) for i in range(dcf.space.size)
-        )
+        atoms = tuple(Event(dcf.space, 1 << i) for i in range(dcf.space.size))
         vecs = fac
     else:
         alg, vecs = region_vectors(dcf, points)

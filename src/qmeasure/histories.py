@@ -2,13 +2,14 @@
 
 A history space is a finite list of value assignments over named points;
 events are subsets of histories stored as bitmasks.  The full event
-algebra (2^n sets) is never materialized: only region-algebra atoms and
-user-constructed events exist as objects.
+algebra (2^n sets) is never materialized: a region algebra is an atom id
+per history, and only user-constructed events and atoms asked for by
+name exist as Event objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from ._linalg import bool_from_mask, mask_from_bool
 
 MAX_HISTORIES = 65536
+MAX_VALUE = 65535  # history values are stored as uint16
 
 
 def _as_point_names(space: "HistorySpace", points) -> tuple[str, ...]:
@@ -33,58 +35,60 @@ def _as_point_names(space: "HistorySpace", points) -> tuple[str, ...]:
 class HistorySpace:
     """Ordered points plus one value vector per history.
 
-    Values are small nonnegative integers; the per-point alphabet sizes
-    are declared (or inferred as max value + 1).  Immutable.
+    `histories` is any (n_histories, n_points) integer array-like, stored
+    only as the uint16 `value_matrix` (values lie in 0..65535).
+    Alphabet sizes are declared (or inferred as max value + 1).  Immutable.
     """
 
     points: tuple[str, ...]
-    histories: tuple[tuple[int, ...], ...]
+    histories: InitVar[object]
     labels: tuple[str, ...] | None = None
     alphabets: Mapping[str, int] | None = None
+    value_matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, histories):
         points = tuple(self.points)
-        histories = tuple(tuple(int(v) for v in h) for h in self.histories)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "histories", histories)
-        if not histories:
-            raise ValueError("history space must contain at least one history")
-        if len(histories) > MAX_HISTORIES:
-            raise ValueError(f"too many histories ({len(histories)} > {MAX_HISTORIES})")
         if len(set(points)) != len(points):
             raise ValueError("duplicate point names")
-        for h in histories:
-            if len(h) != len(points):
-                raise ValueError("history length does not match number of points")
-        if len(set(histories)) != len(histories):
-            raise ValueError("histories must be pairwise distinct")
+        values = np.asarray(histories)
+        if values.shape[:1] == (0,):
+            raise ValueError("history space must contain at least one history")
+        if values.ndim != 2 or values.shape[1] != len(points):
+            raise ValueError("history length does not match number of points")
+        if len(values) > MAX_HISTORIES:
+            raise ValueError(f"too many histories ({len(values)} > {MAX_HISTORIES})")
+        if values.size and (
+            values.dtype.kind not in "iu" or values.min() < 0 or values.max() > MAX_VALUE
+        ):
+            raise ValueError(f"history values must be integers in 0..{MAX_VALUE}")
+        values = values.astype(np.uint16)
         if self.labels is not None:
             labels = tuple(self.labels)
-            if len(labels) != len(histories):
+            if len(labels) != len(values):
                 raise ValueError("labels length does not match number of histories")
             object.__setattr__(self, "labels", labels)
-        values = np.asarray(histories, dtype=np.int64).reshape(len(histories), len(points))
-        if values.size and values.min() < 0:
-            raise ValueError("history values must be nonnegative")
+        top = dict(zip(points, values.max(axis=0).tolist()))
         if self.alphabets is None:
-            alphabets = {p: int(values[:, i].max()) + 1 for i, p in enumerate(points)}
+            alphabets = {p: top[p] + 1 for p in points}
         else:
             alphabets = {p: int(self.alphabets[p]) for p in points}
-            for i, p in enumerate(points):
-                if values[:, i].max() >= alphabets[p]:
-                    raise ValueError(f"value out of declared alphabet at point {p!r}")
+            for p in points:
+                if not top[p] < alphabets[p] <= MAX_VALUE + 1:
+                    raise ValueError(
+                        f"alphabet at point {p!r} must exceed its values and be "
+                        f"at most {MAX_VALUE + 1}"
+                    )
         object.__setattr__(self, "alphabets", alphabets)
-        object.__setattr__(self, "_values", values.astype(np.uint16))
+        object.__setattr__(self, "value_matrix", values)
         object.__setattr__(self, "_point_index", {p: i for i, p in enumerate(points)})
+        keys = np.sort(_row_keys(values, alphabets.values()))
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("histories must be pairwise distinct")
 
     @property
     def size(self) -> int:
-        return len(self.histories)
-
-    @property
-    def value_matrix(self) -> np.ndarray:
-        """(n_histories, n_points) uint16 array of history values."""
-        return self._values
+        return len(self.value_matrix)
 
     def point_index(self, point: str) -> int:
         try:
@@ -96,8 +100,7 @@ class HistorySpace:
         return [self.point_index(p) for p in _as_point_names(self, points)]
 
     def restrict_history(self, index: int, points) -> tuple[int, ...]:
-        cols = self.columns(points)
-        return tuple(int(v) for v in self._values[index, cols])
+        return tuple(self.value_matrix[index, self.columns(points)].tolist())
 
     # -- event constructors ------------------------------------------------
 
@@ -119,7 +122,7 @@ class HistorySpace:
     def value_event(self, point: str, value: int) -> "Event":
         """All histories whose value at `point` equals `value`."""
         col = self.point_index(point)
-        return Event(self, mask_from_bool(self._values[:, col] == value))
+        return Event(self, mask_from_bool(self.value_matrix[:, col] == value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,43 +227,51 @@ class RegionAlgebra:
 
     Atoms are the fibers of the restriction map: two histories share an
     atom iff their value vectors agree on the region's points.  Atoms are
-    ordered canonically by restricted value vector.
+    ordered canonically by restricted value vector; `representatives`
+    holds those vectors, one uint16 row per atom.
     """
 
     space: HistorySpace
     points: tuple[str, ...]
-    atoms: tuple[Event, ...]
-    representatives: tuple[tuple[int, ...], ...]
+    representatives: np.ndarray = field(repr=False)
     atom_index: np.ndarray = field(repr=False)  # atom id per history
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.representatives)
 
-    def atom_of(self, rep: tuple[int, ...]) -> Event:
-        try:
-            pos = self.representatives.index(tuple(rep))
-        except ValueError:
-            raise ValueError(f"no atom with restriction {rep!r}") from None
-        return self.atoms[pos]
+    @property
+    def atoms(self) -> tuple[Event, ...]:
+        """The atoms as Events, built on each request."""
+        return tuple(
+            Event(self.space, mask_from_bool(self.atom_index == a))
+            for a in range(self.n_atoms)
+        )
+
+
+def _row_keys(values: np.ndarray, radices) -> np.ndarray:
+    """One int64 key per row that orders and equates rows as their value
+    vectors do lexicographically: the mixed-radix number with digit j below
+    radices[j].  Where the next digit could overflow, the key is first
+    replaced by its rank among the distinct keys."""
+    key = np.zeros(len(values), dtype=np.int64)
+    bound = 1  # every key lies below bound
+    for col, radix in zip(values.T, radices):
+        if bound * radix >= 1 << 63:  # beyond int64
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * radix + col
+        bound *= radix
+    return key
 
 
 def region_algebra(space: HistorySpace, points) -> RegionAlgebra:
     names = _as_point_names(space, points)
-    cols = [space.point_index(p) for p in names]
-    values = space.value_matrix[:, cols]
-    if values.shape[1] == 0:
-        reps = (np.zeros((1, 0), dtype=np.uint16),)
-        inverse = np.zeros(space.size, dtype=np.int64)
-        uniq = np.zeros((1, 0), dtype=np.uint16)
-    else:
-        uniq, inverse = np.unique(values, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-    atoms = tuple(
-        Event(space, mask_from_bool(inverse == a)) for a in range(len(uniq))
-    )
-    reps = tuple(tuple(int(v) for v in row) for row in uniq)
-    return RegionAlgebra(space, names, atoms, reps, inverse)
+    radices = [space.alphabets[p] for p in names]
+    values = space.value_matrix[:, space.columns(names)]
+    keys = _row_keys(values, radices)
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return RegionAlgebra(space, names, values[first], index)
 
 
 def cylinder_event(space: HistorySpace, points, rep: Sequence[int]) -> Event:
@@ -276,10 +287,7 @@ def cylinder_event(space: HistorySpace, points, rep: Sequence[int]) -> Event:
     for p, v in zip(names, rep):
         if not 0 <= v < space.alphabets[p]:
             raise ValueError(f"value {v} outside alphabet of point {p!r}")
-    cols = [space.point_index(p) for p in names]
-    flags = np.ones(space.size, dtype=bool)
-    for c, v in zip(cols, rep):
-        flags &= space.value_matrix[:, c] == v
+    flags = np.all(space.value_matrix[:, space.columns(names)] == rep, axis=1)
     return Event(space, mask_from_bool(flags))
 
 

@@ -539,14 +539,12 @@ def converse_model(
     theories = {}
     for sa in (0, 1):
         for sb in (0, 1):
-            histories = []
-            for key in range(nkey):
-                for i in range(na):
-                    for j in range(nb):
-                        histories.append((key, sa * na + i, sb * nb + j))
+            histories = (
+                np.indices((nkey, na, nb)).reshape(3, -1).T + (0, sa * na, sb * nb)
+            ).tolist()
             space = HistorySpace(
                 points=points,
-                histories=tuple(histories),
+                histories=histories,
                 alphabets={"z": nkey, "wa": 2 * na, "wb": 2 * nb},
             )
             n = space.size
@@ -634,23 +632,28 @@ class FeasibilityReport:
 
 
 class _HermitianCoords:
-    """Real coordinates for Hermitian n x n matrices."""
+    """Real coordinates for Hermitian n x n matrices.
+
+    Each off-diagonal pair is stored once, scaled by sqrt(2), so the
+    Euclidean norm of the coordinates is the Frobenius norm of the matrix
+    and a least-squares projection in coordinates is orthogonal in the
+    metric of the PSD projection.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.iu = np.triu_indices(n, 1)
 
     def to_vec(self, m: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [np.diag(m).real, m[self.iu].real, m[self.iu].imag]
-        )
+        off = np.sqrt(2) * m[self.iu]
+        return np.concatenate([np.diag(m).real, off.real, off.imag])
 
     def from_vec(self, v: np.ndarray) -> np.ndarray:
         n = self.n
         k = self.iu[0].size
         m = np.zeros((n, n), dtype=complex)
         np.fill_diagonal(m, v[:n])
-        off = v[n:n + k] + 1j * v[n + k:]
+        off = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2)
         m[self.iu] = off
         m[(self.iu[1], self.iu[0])] = off.conj()
         return m

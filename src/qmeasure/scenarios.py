@@ -135,15 +135,9 @@ def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> Se
     theories = {}
     for sa in (0, 1):
         for sb in (0, 1):
-            histories = tuple(
-                (k, sa * 2 + i, sb * 2 + j)
-                for k in range(4)
-                for i in range(2)
-                for j in range(2)
-            )
             space = HistorySpace(
                 points=EPRB_POINTS,
-                histories=histories,
+                histories=np.indices((4, 2, 2)).reshape(3, 16).T + (0, sa * 2, sb * 2),
                 alphabets={"z": 4, "wa": 4, "wb": 4},
             )
             vectors = np.zeros((16, 4), dtype=complex)

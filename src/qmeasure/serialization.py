@@ -101,7 +101,7 @@ def space_to_json(space: HistorySpace) -> dict:
     doc = {
         "points": list(space.points),
         "alphabets": {p: int(space.alphabets[p]) for p in space.points},
-        "histories": [list(map(int, h)) for h in space.histories],
+        "histories": space.value_matrix.tolist(),
     }
     if space.labels is not None:
         doc["labels"] = list(space.labels)
@@ -111,7 +111,7 @@ def space_to_json(space: HistorySpace) -> dict:
 def space_from_json(doc: dict) -> HistorySpace:
     return HistorySpace(
         points=tuple(doc["points"]),
-        histories=tuple(tuple(int(v) for v in h) for h in doc["histories"]),
+        histories=doc["histories"],
         labels=tuple(doc["labels"]) if doc.get("labels") else None,
         alphabets=doc.get("alphabets"),
     )

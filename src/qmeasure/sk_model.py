@@ -188,11 +188,8 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
         points.append("rho")
     points += [cell_name(s, t) for t in range(t_f + 1) for s in range(L)]
     # enumerate value vectors, purification label first when present
-    values = np.zeros((nhist, len(points)), dtype=np.uint16)
     alpha = [r] * (1 if r > 1 else 0) + [q] * ncell
-    for c in range(len(points)):
-        period = int(np.prod(alpha[c + 1:], dtype=np.int64)) if c + 1 < len(points) else 1
-        values[:, c] = (np.arange(nhist) // period) % alpha[c]
+    values = np.indices(alpha, dtype=np.uint16).reshape(len(alpha), nhist).T
     offset = 1 if r > 1 else 0
 
     def cols_at(t: int) -> list[int]:
@@ -226,7 +223,7 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
                 covers.append((cell_name(s, t - 1), cell_name(s, t)))
     space = HistorySpace(
         points=tuple(points),
-        histories=tuple(tuple(int(v) for v in row) for row in values),
+        histories=values,
         alphabets={p: a for p, a in zip(points, alpha)},
     )
     order = CausalOrder.from_covers(tuple(points), covers)
@@ -298,7 +295,7 @@ def check_truncation_independence(
     for reg in chosen:
         r1 = model1.dcf.restrict(reg)
         r2 = model2.dcf.restrict(reg)
-        if r1.space.histories != r2.space.histories:
+        if not np.array_equal(r1.space.value_matrix, r2.space.value_matrix):
             raise RuntimeError("restricted history sets differ between truncations")
         worst = max(worst, float(np.abs(r1.matrix - r2.matrix).max()))
     return TruncationReport(lo, hi, worst, len(chosen), tol)

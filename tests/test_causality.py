@@ -236,7 +236,7 @@ class TestQuantumFactorizability:
         rng = np.random.default_rng(43)
         space, order, dcf = _product_theory(rng)
         corr = np.zeros(space.size)
-        for h, (k, i, j) in enumerate(space.histories):
+        for h, (k, i, j) in enumerate(space.value_matrix.tolist()):
             if k == 0 and i == j:
                 corr[h] = 0.5
         m = 0.8 * dcf.matrix + 0.2 * np.diag(corr / corr.sum()).astype(complex)

@@ -174,6 +174,68 @@ class TestCaps:
         with pytest.raises(ValueError):
             HistorySpace(points=("p",), histories=((0,), (0,)))
 
+    def test_values_outside_uint16_rejected(self):
+        # stored as uint16: 70000 must not wrap onto 4464
+        for bad in (
+            ((0,), (70000,), (4464,)),
+            np.array([[0], [70000]]),
+            ((0,), (-1,)),
+            ((0,), (1.5,)),
+        ):
+            with pytest.raises(ValueError):
+                HistorySpace(points=("p",), histories=bad)
+        with pytest.raises(ValueError):
+            HistorySpace(points=("p",), histories=((0,),), alphabets={"p": 70000})
+        top = HistorySpace(points=("p",), histories=((0,), (65535,)))
+        assert top.value_matrix.tolist() == [[0], [65535]]
+        assert top.alphabets == {"p": 65536}
+
+
+def unique_rows(rows):
+    """Reference grouping: (atom id per row, distinct rows in sorted order)."""
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype=np.int64), rows[:1]
+    reps, index = np.unique(rows, axis=0, return_inverse=True)
+    return index.reshape(-1), reps
+
+
+class TestAtomGrouping:
+    def check(self, space, points):
+        alg = region_algebra(space, points)
+        cols = [space.point_index(p) for p in points]
+        index, reps = unique_rows(space.value_matrix[:, cols])
+        assert np.array_equal(alg.atom_index, index)
+        assert alg.representatives.dtype == np.uint16
+        assert np.array_equal(alg.representatives, reps)
+        assert alg.n_atoms == len(reps)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_spaces(self, seed):
+        from conftest import random_space
+
+        rng = np.random.default_rng(seed)
+        space = random_space(rng, n_points=5, max_alpha=4)
+        for size in range(6):
+            self.check(space, tuple(rng.permutation(space.points)[:size]))
+
+    def test_zero_point_region(self, four_space):
+        self.check(four_space, ())
+
+    def test_alphabet_product_beyond_int64(self):
+        # six points of alphabet 65536 (product 2^96): the key must be
+        # re-ranked before it overflows; many rows agree on the last four
+        # points and differ only on the first two
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 65536, size=(500, 6))
+        rows[:, 2:] = rng.choice([0, 65535], size=(500, 4))
+        rows = rng.permutation(np.unique(rows, axis=0))
+        points = tuple(f"p{i}" for i in range(6))
+        space = HistorySpace(
+            points=points, histories=rows, alphabets={p: 65536 for p in points}
+        )
+        for region in (points, points[::-1], points[2:], points[:2]):
+            self.check(space, region)
+
 
 class TestPrEvent:
     def setup_method(self):
@@ -214,7 +276,7 @@ class TestPrEvent:
     def test_membership_by_enumeration(self):
         # independent oracle: walk all 16 histories and apply the rule
         epr = self.pr()
-        for h, (a, b) in enumerate(self.space.histories):
+        for h, (a, b) in enumerate(self.space.value_matrix.tolist()):
             s1, i = divmod(a, 2)
             s2, j = divmod(b, 2)
             if (s1, s2) == (1, 1):
@@ -224,18 +286,18 @@ class TestPrEvent:
             assert (h in epr) == expected
 
     def test_s2s2_uu_excluded(self):
-        h = self.space.histories.index((2, 2))  # both primed setting, both up
+        h = self.space.value_matrix.tolist().index([2, 2])  # both primed setting, both up
         assert h not in self.pr()
 
     def test_s1s1_uu_included(self):
-        h = self.space.histories.index((0, 0))
+        h = self.space.value_matrix.tolist().index([0, 0])
         assert h in self.pr()
 
     def test_pr_consistent_subspace_gives_full(self):
         # keep only the box-consistent histories: the event becomes the
         # whole space
         keep = []
-        for a, b in self.space.histories:
+        for a, b in self.space.value_matrix.tolist():
             s1, i = divmod(a, 2)
             s2, j = divmod(b, 2)
             ok = (i != j) if (s1, s2) == (1, 1) else (i == j)
@@ -258,7 +320,7 @@ class TestGhzEvent:
             vals = tuple(
                 2 * s + o for s, o in zip(settings, outcomes)
             )
-            return sp.histories.index((0,) + vals)
+            return sp.value_matrix.tolist().index([0, *vals])
 
         # all-x setting with even beam parity is included
         assert hist_index((0, 0, 0), (0, 0, 0)) in event

@@ -248,6 +248,24 @@ class TestFeasibility:
         assert report.verdict == "undecided-infeasible"
         assert report.gap > 1e-3
 
+    def test_generic_spin_pairs_feasible(self):
+        # draws 1 and 2 of this family stalled at the budget while the
+        # affine projection weighed off-diagonal entries half as much as
+        # the Frobenius metric of the PSD projection
+        from qmeasure import EprbConfig, gen_eprb
+
+        rng = np.random.default_rng(1)
+        draws = []
+        for _ in range(3):
+            raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            basis, _ = np.linalg.qr(raw)
+            angles = tuple(float(a) for a in rng.uniform(0.0, np.pi, size=4))
+            draws.append(EprbConfig(angles=angles, resolution_basis=basis))
+        for cfg in draws[1:]:
+            report = joint_feasibility(gen_eprb(cfg).beam_dcfs())
+            assert report.verdict == "feasible"
+            assert report.gap < 1e-6
+
     def test_deterministic(self, eprb_scenario):
         r1 = joint_feasibility(eprb_scenario.beam_dcfs(), seed=0)
         r2 = joint_feasibility(eprb_scenario.beam_dcfs(), seed=0)

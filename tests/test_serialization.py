@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmeasure import serialization as io
-from qmeasure import gen_pr_box, gen_sk_circuit, quantum_patch
+from qmeasure import HistorySpace, gen_pr_box, gen_sk_circuit, quantum_patch
 from qmeasure.patching import SETTING_KEYS
 from qmeasure.sk_model import decoupled_demo_config
 
@@ -13,11 +13,19 @@ from qmeasure.sk_model import decoupled_demo_config
 class TestSpaceRoundTrip:
     def test_double_slit(self, double_slit):
         space, _, _ = double_slit
-        back = io.space_from_json(io.space_to_json(space))
-        assert back.points == space.points
-        assert back.histories == space.histories
-        assert back.labels == space.labels
-        assert back.alphabets == space.alphabets
+        from_array = HistorySpace(
+            points=space.points,
+            histories=np.array(space.value_matrix.tolist(), dtype=np.uint16),
+            labels=space.labels,
+        )
+        assert np.array_equal(from_array.value_matrix, space.value_matrix)
+        assert from_array.alphabets == space.alphabets
+        for sp in (space, from_array):
+            back = io.space_from_json(json.loads(json.dumps(io.space_to_json(sp))))
+            assert back.points == sp.points
+            assert back.value_matrix.tolist() == sp.value_matrix.tolist()
+            assert back.labels == sp.labels
+            assert back.alphabets == sp.alphabets
 
     def test_events(self, double_slit):
         space, _, _ = double_slit
@@ -49,7 +57,7 @@ class TestDcfRoundTrip:
         _, _, dcf = double_slit
         back = io.dcf_from_json(io.dcf_to_json(dcf))
         assert np.allclose(back.matrix, dcf.matrix)
-        assert back.space.histories == dcf.space.histories
+        assert back.space.value_matrix.tolist() == dcf.space.value_matrix.tolist()
 
     def test_lazy_serializes_as_circuit(self):
         cfg = decoupled_demo_config(steps=2)
