@@ -8,7 +8,7 @@ models in double-path-sum form.
 
 __version__ = "0.1.0"
 
-from ._linalg import Tolerance
+from ._linalg import CheckViolation, Tolerance
 from .causal_order import (
     CausalOrder,
     Region,

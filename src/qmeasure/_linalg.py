@@ -9,6 +9,11 @@ import numpy as np
 DEFAULT_RTOL = 1e-9
 
 
+class CheckViolation(ValueError):
+    """A physics check failed on well-formed input (strong positivity,
+    persistence of zero, lack of novelty, factorizability)."""
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Relative tolerance policy for all matrix-level checks.
@@ -34,7 +39,7 @@ class Tolerance:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def psd_factor(m: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -48,7 +53,7 @@ def psd_factor(m: np.ndarray, tol: Tolerance) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian_part(m))
     eig_max = float(w.max(initial=0.0))
     if w.min(initial=0.0) < tol.psd_floor(eig_max):
-        raise ValueError(
+        raise CheckViolation(
             f"matrix is not positive semi-definite: min eigenvalue {w.min():.3e} "
             f"below floor {tol.psd_floor(eig_max):.3e}"
         )
@@ -61,7 +66,12 @@ def numerical_rank(a: np.ndarray, tol: Tolerance) -> int:
     their squared singular value clears rel times the largest."""
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def rank_from_singular_values(s: np.ndarray, tol: Tolerance) -> int:
+    """The Gram-scale rank rule of `numerical_rank`, applied to singular
+    values already computed (descending)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int((s ** 2 > tol.rank_cut(float(s[0]) ** 2)).sum())
@@ -88,6 +98,10 @@ def selection_violation(v: np.ndarray, w: np.ndarray, tol: Tolerance) -> float:
     Both matrices hold column vectors.  Returns sigma_max(w restricted to
     ker v)^2, which is zero exactly when ker v is contained in ker w,
     i.e. when x -> w x is a consistent linear image of x -> v x.
+
+    `w` may also be a stack of such matrices, shape (..., d, n) against
+    `v` of shape (d, n); the result is then the largest value over the
+    stack, with `pinv(v)` taken once.
     """
     if v.shape[1] == 0:
         return 0.0
@@ -95,7 +109,7 @@ def selection_violation(v: np.ndarray, w: np.ndarray, tol: Tolerance) -> float:
     p = w - (w @ vpinv) @ v
     if p.size == 0:
         return 0.0
-    g = p @ p.conj().T
+    g = p @ p.conj().swapaxes(-1, -2)
     return float(np.linalg.eigvalsh(hermitian_part(g)).max(initial=0.0))
 
 

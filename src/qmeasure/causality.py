@@ -21,9 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import (
+    CheckViolation,
     Tolerance,
     numerical_rank,
     orthonormal_basis,
+    rank_from_singular_values,
     scatter_columns,
     selection_violation,
     singular_cut,
@@ -119,12 +121,22 @@ def _poz_region(dcf, order, region: Region, tol: Tolerance) -> PozRegionResult |
             region.point_names(), bar.point_names(), 0, 0.0
         )
     alg_r = region_algebra(dcf.space, region.point_names())
+    n_r, n_bar = alg_r.n_atoms, alg_bar.n_atoms
+    # histories grouped by region atom, keeping their order within an atom,
+    # so each (region atom, shadow atom) column sums in the same order
+    by_atom = np.argsort(alg_r.atom_index, kind="stable")
+    starts = np.searchsorted(alg_r.atom_index[by_atom], np.arange(n_r + 1))
+    # region atoms per block: the stacked (block, d, max(d, n_bar))
+    # temporaries hold no more entries than the factor
+    d, n = fac.shape
+    block = max(1, n // max(d, n_bar))
     worst = 0.0
-    for a in range(alg_r.n_atoms):
-        flags = alg_r.atom_index == a
-        w = scatter_columns(
-            fac[:, flags], alg_bar.atom_index[flags], alg_bar.n_atoms
-        )
+    for a0 in range(0, n_r, block):
+        a1 = min(a0 + block, n_r)
+        cols = by_atom[starts[a0]:starts[a1]]
+        labels = (alg_r.atom_index[cols] - a0) * n_bar + alg_bar.atom_index[cols]
+        w = scatter_columns(fac[:, cols], labels, (a1 - a0) * n_bar)
+        w = w.reshape(d, a1 - a0, n_bar).swapaxes(0, 1)
         worst = max(worst, selection_violation(v, w, tol))
     return PozRegionResult(
         region.point_names(), bar.point_names(), kernel_dim, worst
@@ -244,12 +256,12 @@ def event_operator(
     )
     if not force:
         if consistency > tol.rel * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError(
+            raise CheckViolation(
                 f"event operator inconsistent (residual {consistency:.3e}); "
                 "persistence of zero fails on this domain"
             )
         if codomain > tol.rel * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError(
+            raise CheckViolation(
                 f"event image leaves the domain span (residual {codomain:.3e})"
             )
     # universal vector = sum of domain atom vectors; its image must be the
@@ -344,6 +356,7 @@ def check_lon(
         # residual of projecting vd onto the span of vz, with the singular
         # value cut of lstsq(rcond=None)
         u, s, _ = np.linalg.svd(vz, full_matrices=False)
+        dim_z = rank_from_singular_values(s, tol)
         u = u[:, s > np.finfo(float).eps * max(vz.shape) * s.max(initial=0.0)]
         resid = np.linalg.norm(vd - u @ (u.conj().T @ vd), axis=0)
         scale = np.maximum(1.0, np.linalg.norm(vd, axis=0))
@@ -352,7 +365,7 @@ def check_lon(
             LonRegionResult(
                 z.point_names(),
                 dom.point_names(),
-                numerical_rank(vz, tol),
+                dim_z,
                 numerical_rank(vd, tol),
                 max_resid,
             )

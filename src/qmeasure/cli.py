@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._linalg import Tolerance
+from ._linalg import CheckViolation, Tolerance
 from . import serialization as io
 from .causality import (
     check_lon,
@@ -64,9 +64,11 @@ def _load_doc(path: str):
     return io.load_json(path), os.path.dirname(path)
 
 
-def _load_model(path: str):
+def _load_model(path: str, need_order: bool = True):
     """A model is a directory holding dcf.json and order.json, or a single
-    JSON file with 'dcf' and 'order' fields (or an skmodel document)."""
+    JSON file with 'dcf' and 'order' fields (or an skmodel document).  A
+    lone dcf document gives the functional with order None, which only
+    commands that take no order (need_order=False) accept."""
     if os.path.isdir(path):
         dcf_doc, base = _load_doc(os.path.join(path, "dcf.json"))
         order_doc, _ = _load_doc(os.path.join(path, "order.json"))
@@ -80,7 +82,9 @@ def _load_model(path: str):
         order_doc, _ = io._resolve(doc["order"], base)
         return io.dcf_from_json(dcf_doc, dbase), io.order_from_json(order_doc)
     if "matrix" in doc or "skmodel" in doc:
-        raise InputError("dcf document given; an order.json is also needed")
+        if need_order:
+            raise InputError("dcf document given; an order.json is also needed")
+        return io.dcf_from_json(doc, base), None
     raise InputError(f"cannot interpret {path} as a model")
 
 
@@ -120,7 +124,7 @@ def _parse_region_list(spec: str | None):
 # -- command handlers ---------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    dcf, _ = _load_model(args.input)
+    dcf, _ = _load_model(args.input, need_order=False)
     dcf = DecoherenceFunctional(
         dcf.space, matrix=dcf.matrix, branch=dcf.branch, tol=_tol(args)
     )
@@ -132,7 +136,7 @@ def cmd_validate(args) -> int:
 def cmd_hilbert(args) -> int:
     from .hilbert import build_event_space
 
-    dcf, order = _load_model(args.input)
+    dcf, _ = _load_model(args.input, need_order=False)
     points = tuple(args.region.split(",")) if args.region else None
     es = build_event_space(dcf, points)
     eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
@@ -532,6 +536,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
+    except CheckViolation as exc:
+        sys.stderr.write(f"violation: {exc}\n")
+        return VIOLATION
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR

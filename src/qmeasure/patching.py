@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import Tolerance, hermitian_part
+from ._linalg import CheckViolation, Tolerance, hermitian_part
 from .causal_order import CausalOrder, validate_scenario_geometry
 from .causality import check_lon, check_poz, event_operator
 from .decoherence import DecoherenceFunctional, check_agreement
@@ -271,7 +271,7 @@ def classical_patch(
         raise ValueError(f"scenario clauses fail: {report.as_dict()}")
     resid = classical_factorizability_residual(scenario, tol)
     if resid > tol.rel:
-        raise ValueError(f"theories are not factorizable (residual {resid:.3e})")
+        raise CheckViolation(f"theories are not factorizable (residual {resid:.3e})")
     na, nb = scenario.n_outcomes
     # wing-setting masses come from a fixed theory containing that setting;
     # agreement makes the choice immaterial
@@ -419,13 +419,13 @@ def quantum_patch(
         for key, t in scenario.theories.items():
             poz = check_poz(t.dcf, t.order, tol=tol)
             if not poz.passed:
-                raise ValueError(
+                raise CheckViolation(
                     f"theory {key} fails persistence of zero "
                     f"(violation {poz.max_violation:.3e})"
                 )
             lon = check_lon(t.dcf, t.order, tol=tol)
             if not lon.passed:
-                raise ValueError(
+                raise CheckViolation(
                     f"theory {key} fails lack of novelty "
                     f"(residual {lon.max_residual:.3e})"
                 )
@@ -440,7 +440,7 @@ def quantum_patch(
         for y in ops[ys]
     )
     if validate and comm_worst > 1e3 * tol.rel:
-        raise ValueError(
+        raise CheckViolation(
             f"wing operators do not commute (residual {comm_worst:.3e})"
         )
     ref = scenario.theory(0, 0)

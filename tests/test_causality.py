@@ -6,6 +6,7 @@ from conftest import random_psd_dcf, random_space
 from qmeasure import (
     DecoherenceFunctional,
     HistorySpace,
+    Tolerance,
     check_lon,
     check_partition_identity,
     check_poz,
@@ -13,10 +14,15 @@ from qmeasure import (
     check_spacelike_commutation,
     eprb_computational_basis_fixture,
     event_operator,
+    decoupled_demo_config,
     gen_double_slit,
+    gen_sk_circuit,
     region_algebra,
+    shadow,
 )
-from qmeasure.causal_order import CausalOrder
+from qmeasure._linalg import selection_violation
+from qmeasure.causal_order import CausalOrder, all_regions
+from qmeasure.hilbert import history_factor
 
 
 class TestPoz:
@@ -275,3 +281,147 @@ class TestPozProperties:
             for row in rep.results:
                 if row.kernel_dim == 0:
                     assert row.violation == 0.0
+
+
+def per_atom_poz(dcf, order, region):
+    """Reference PoZ of one region: one pinv of the shadow atom matrix per
+    region atom, with every atom vector summed by a one-hot matmul.
+    Returns (kernel_dim, violation), or None when the shadow is empty."""
+    bar = shadow(order, region)
+    if bar.is_empty():
+        return None
+    fac = history_factor(dcf)
+    bar_idx = region_algebra(dcf.space, bar.point_names()).atom_index
+    r_idx = region_algebra(dcf.space, region.point_names()).atom_index
+    onehot = np.eye(bar_idx.max() + 1)[bar_idx]
+    v = fac @ onehot
+    s = np.linalg.svd(v, compute_uv=False)
+    rank = int((s ** 2 > dcf.tol.rel * s[0] ** 2).sum()) if s[0] > 0 else 0
+    kernel_dim = v.shape[1] - rank
+    if kernel_dim == 0:
+        return 0, 0.0
+    worst = 0.0
+    for a in range(r_idx.max() + 1):
+        cols = r_idx == a
+        w = fac[:, cols] @ onehot[cols]
+        p = w - (w @ np.linalg.pinv(v, rcond=np.sqrt(dcf.tol.rel))) @ v
+        worst = max(worst, float(np.linalg.eigvalsh(p @ p.conj().T).max()))
+    return kernel_dim, worst
+
+
+def n_blocks(dcf, order, region):
+    """Blocks the batched route splits the region's atoms into: at most
+    n // max(d, n_bar) atoms each, for a d x n history factor."""
+    d, n = history_factor(dcf).shape
+    n_bar = region_algebra(dcf.space, shadow(order, region).point_names()).n_atoms
+    n_r = region_algebra(dcf.space, region.point_names()).n_atoms
+    return -(-n_r // max(1, n // max(d, n_bar)))
+
+
+def assert_matches_per_atom(dcf, order, regions):
+    rep = check_poz(dcf, order, regions)
+    rows = iter(rep.results)
+    for region in regions:
+        ref = per_atom_poz(dcf, order, region)
+        if ref is None:
+            continue
+        row = next(rows)
+        assert row.region_points == region.point_names()
+        assert row.kernel_dim == ref[0]
+        assert row.violation == pytest.approx(ref[1], abs=1e-12)
+    assert next(rows, None) is None
+
+
+def random_branch_dcf(rng, space, dim):
+    """Lazy functional with random amplitudes on `dim` final configurations,
+    so the history factor has few rows and the region blocks hold many atoms."""
+    amp = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+    final = rng.integers(0, dim, size=space.size)
+    fac = np.zeros((dim, space.size), dtype=complex)
+    fac[final, np.arange(space.size)] = amp
+    amp /= np.linalg.norm(fac.sum(axis=1))
+    return DecoherenceFunctional.from_amplitudes(space, amp, final, dim)
+
+
+class TestBatchedPoz:
+    def test_random_sparse_spaces_match_per_atom_loop(self):
+        rng = np.random.default_rng(17)
+        split = 0
+        for trial in range(6):
+            space = random_space(rng, n_points=4, max_alpha=4)
+            points = space.points
+            order = (
+                CausalOrder.antichain(points)
+                if trial % 2 == 0
+                else CausalOrder.from_covers(points, [(points[0], points[1])])
+            )
+            regions = all_regions(order)
+            lazy = random_branch_dcf(rng, space, dim=int(rng.integers(2, 4)))
+            for dcf in (lazy, random_psd_dcf(rng, space)):
+                assert_matches_per_atom(dcf, order, regions)
+            split += sum(
+                n_blocks(lazy, order, r) > 1
+                for r in regions
+                if not shadow(order, r).is_empty()
+            )
+        # the few factor rows of a lazy functional give blocks of many
+        # atoms, and some region still spans several of them
+        assert split > 0
+
+    def test_stacked_temporaries_within_factor_size(self, monkeypatch):
+        import qmeasure.causality as causality
+
+        model = gen_sk_circuit(decoupled_demo_config(steps=2))
+        fac = history_factor(model.dcf)
+        shapes = []
+
+        def recording(v, w, tol):
+            shapes.append((w.shape, v.shape[1]))
+            return selection_violation(v, w, tol)
+
+        monkeypatch.setattr(causality, "selection_violation", recording)
+        order = model.order
+        regions = [
+            r
+            for r in all_regions(order)
+            if len(r.point_names()) >= 10 and not shadow(order, r).is_empty()
+        ][:3]
+        assert check_poz(model.dcf, order, regions).skipped_vacuous == 0
+        assert len(shapes) > len(regions)  # some region took several blocks
+        for (atoms, d, n_bar), n_v in shapes:
+            assert n_bar == n_v
+            assert atoms * d * max(d, n_bar) <= fac.size
+
+    def test_circuit_regions_match_per_atom_loop(self):
+        model = gen_sk_circuit(decoupled_demo_config(steps=2))
+        order = model.order
+        by_size = {}
+        for region in all_regions(order):
+            if not shadow(order, region).is_empty():
+                by_size.setdefault(len(region.point_names()), []).append(region)
+        rng = np.random.default_rng(5)
+        regions = [
+            by_size[size][i]
+            for size in (1, 6, 11)
+            for i in rng.choice(len(by_size[size]), size=2, replace=False)
+        ]
+        assert_matches_per_atom(model.dcf, order, regions)
+
+    def test_reversed_double_slit_matches_per_atom_loop(self):
+        _, order, dcf = gen_double_slit(time_reversed=True)
+        regions = all_regions(order)
+        assert_matches_per_atom(dcf, order, regions)
+        row = check_poz(dcf, order, [order.region(["slit"])]).results[0]
+        assert row.violation == pytest.approx(0.25, abs=1e-12)
+
+    def test_stacked_selection_violation_is_max_over_slices(self):
+        rng = np.random.default_rng(3)
+        tol = Tolerance()
+        v = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        w = rng.normal(size=(5, 4, 6)) + 1j * rng.normal(size=(5, 4, 6))
+        per_slice = [selection_violation(v, w[i], tol) for i in range(5)]
+        assert selection_violation(v, w, tol) == max(per_slice)
+        # a stack whose slices are strided views, as the PoZ blocks are
+        flat = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(4, 30)
+        view = flat.reshape(4, 5, 6).swapaxes(0, 1)
+        assert selection_violation(v, view, tol) == max(per_slice)

@@ -257,3 +257,107 @@ class TestInputEdges:
         report = json.loads(out)
         assert report["regions_tested"] == 1
         assert report["max_violation"] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestLoneDcfDocument:
+    def test_validate_and_hilbert_take_a_lone_dcf(self, workdir, capsys):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        code, out = run(capsys, "validate", "ds/dcf.json")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        code, lone = run(capsys, "hilbert", "ds/dcf.json", "--region", "slit")
+        assert code == 0
+        code, model = run(capsys, "hilbert", "ds", "--region", "slit")
+        assert code == 0
+        assert lone == model
+
+    @pytest.mark.parametrize("command", ["poz", "lon"])
+    def test_order_commands_refuse_a_lone_dcf(self, workdir, capsys, command):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        code = main([command, "ds/dcf.json"])
+        assert code == 2
+        assert "an order.json is also needed" in capsys.readouterr().err
+
+
+def correlated_classical_scenario():
+    """Four diagonal theories whose outcomes are correlated (0.4 on equal
+    outcomes, 0.1 otherwise) under a one-valued past: the marginals agree
+    across settings, but no past event screens the correlation off."""
+    from qmeasure import (
+        CausalOrder,
+        DecoherenceFunctional,
+        HistorySpace,
+        SettingScenario,
+        SettingTheory,
+    )
+
+    points = ("z", "wa", "wb")
+    order = CausalOrder.from_covers(points, [("z", "wa"), ("z", "wb")])
+    theories = {}
+    for sa in (0, 1):
+        for sb in (0, 1):
+            space = HistorySpace(
+                points=points,
+                histories=[(0, 2 * sa + i, 2 * sb + j) for i in (0, 1) for j in (0, 1)],
+                alphabets={"z": 1, "wa": 4, "wb": 4},
+            )
+            diag = [0.4 if i == j else 0.1 for i in (0, 1) for j in (0, 1)]
+            dcf = DecoherenceFunctional(space, matrix=np.diag(diag).astype(complex))
+            theories[(sa, sb)] = SettingTheory(
+                space,
+                order,
+                dcf,
+                tuple(space.value_event("wa", 2 * sa + i) for i in (0, 1)),
+                tuple(space.value_event("wb", 2 * sb + j) for j in (0, 1)),
+            )
+    return SettingScenario(theories, ("z",), ("wa",), ("wb",))
+
+
+class TestCheckViolationExitCodes:
+    """A physics check failing on well-formed input exits 3, not 2."""
+
+    def test_quantum_patch_without_lack_of_novelty(self, workdir, capsys):
+        from qmeasure import eprb_computational_basis_fixture
+        from qmeasure import serialization as io
+
+        io.dump_json(
+            io.scenario_to_json(eprb_computational_basis_fixture()), "cb.json"
+        )
+        code = main(["patch", "quantum", "cb.json"])
+        assert code == 3
+        assert "fails lack of novelty" in capsys.readouterr().err
+
+    def test_classical_patch_of_non_factorizable_theories(self, workdir, capsys):
+        from qmeasure import serialization as io
+
+        io.dump_json(io.scenario_to_json(correlated_classical_scenario()), "c.json")
+        code = main(["patch", "classical", "c.json"])
+        assert code == 3
+        assert "theories are not factorizable" in capsys.readouterr().err
+
+    def test_poz_on_a_functional_that_is_not_strongly_positive(self, workdir, capsys):
+        from qmeasure import DecoherenceFunctional, gen_double_slit
+        from qmeasure import serialization as io
+
+        space, order, dcf = gen_double_slit()
+        matrix = dcf.matrix.copy()
+        matrix[0, 0] -= 0.1  # min eigenvalue about -0.055
+        os.makedirs("bad")
+        io.dump_json(
+            io.dcf_to_json(DecoherenceFunctional(space, matrix=matrix)), "bad/dcf.json"
+        )
+        io.dump_json(io.order_to_json(order), "bad/order.json")
+        code = main(["poz", "bad"])
+        assert code == 3
+        assert "not positive semi-definite" in capsys.readouterr().err
+
+    def test_inconsistent_event_operator_is_a_check_violation(self):
+        # no command builds an operator whose PoZ check has not already
+        # passed, so this case is pinned at the library boundary
+        from qmeasure import CheckViolation, event_operator, gen_double_slit
+
+        _, order, dcf = gen_double_slit(time_reversed=True)
+        left = dcf.space.value_event("slit", 0)
+        with pytest.raises(CheckViolation, match="inconsistent"):
+            event_operator(dcf, order, ("slit",), left, ("screen",))
+        assert issubclass(CheckViolation, ValueError)
