@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success or check passed, 2 input error, 3 check violation,
-4 feasibility undecided at its iteration budget.  Reports are deterministic
+Exit codes: 0 success or check passed, 2 input error, 3 check violation
+(including joint feasibility disproved by a Farkas certificate), 4
+feasibility undecided at its iteration budget.  Reports are deterministic
 given identical inputs, tolerances, and seeds, and always embed the
 tolerance and library version.
 """
@@ -267,83 +268,66 @@ def cmd_patch(args) -> int:
     return OK if resid <= tol.rel else VIOLATION
 
 
-def _table_from_input(path: str) -> CorrelationTable:
-    if os.path.isdir(path) or path.endswith("scenario.json"):
-        return _load_scenario(path).correlation_table()
-    doc, _ = _load_doc(path)
+def _load_beam_dcfs(path: str) -> dict:
+    """Beam functionals keyed by setting, from any two-wing input: a
+    scenario (a directory, or a document with 'theories'), beam functionals
+    or probability tables keyed by setting name, or a joint functional
+    ('matrix' and 'slots').  Tables become diagonal functionals, their
+    outcomes read as classical records; a joint functional gives its
+    setting marginals with the past summed out."""
+    if os.path.isdir(path):
+        return _load_scenario(path).beam_dcfs()
+    doc, base = _load_doc(path)
+    if "theories" in doc:
+        return io.scenario_from_json(doc, base).beam_dcfs()
     if "matrix" in doc and "slots" in doc:
         jdcf = io.joint_dcf_from_json(doc)
-        tables = {}
-        for key in SETTING_KEYS:
-            marg = jdcf.setting_marginal(*key).sum(axis=(2, 5))
-            na, nb = marg.shape[0], marg.shape[1]
-            tab = np.zeros((na, nb))
-            for i in range(na):
-                for j in range(nb):
-                    tab[i, j] = marg[i, j, i, j].real
-            tables[key] = tab
-        return CorrelationTable(tables)
-    if "theories" in doc:
-        return _load_scenario(path).correlation_table()
-    return io.table_from_json(doc)
+        return {k: jdcf.setting_marginal(*k).sum(axis=(2, 5)) for k in SETTING_KEYS}
+    if all(name in doc for name in io.SETTING_NAMES):
+        functionals = [isinstance(doc[name], dict) for name in io.SETTING_NAMES]
+        if all(functionals):
+            return io.beam_dcfs_from_json(doc)
+        if any(functionals):
+            raise InputError(f"{path} mixes beam functionals and probability tables")
+        beam = {}
+        for key, tab in io.table_from_json(doc).tables.items():
+            i, j = np.indices(tab.shape)
+            beam[key] = np.zeros(tab.shape + tab.shape, dtype=complex)
+            beam[key][i, j, i, j] = tab
+        return beam
+    raise InputError(f"cannot interpret {path} as two-wing correlations")
 
 
 def cmd_chsh(args) -> int:
-    table = _table_from_input(args.input)
+    tables = {}
+    for key, arr in _load_beam_dcfs(args.input).items():
+        i, j = np.indices(arr.shape[:2])
+        tables[key] = arr[i, j, i, j].real
+    table = CorrelationTable(tables)
     value = chsh_value(table)
     _emit({"chsh": value, "table": io.table_to_json(table)}, args)
     return OK
 
 
 def cmd_nosignalling(args) -> int:
-    path = args.input
-    if os.path.isdir(path) or path.endswith("scenario.json"):
-        source = _load_scenario(path)
-    else:
-        doc, _ = _load_doc(path)
-        if "theories" in doc:
-            source = _load_scenario(path)
-        elif all(name in doc for name in io.SETTING_NAMES):
-            first = doc[next(iter(io.SETTING_NAMES))]
-            if isinstance(first, dict):
-                source = io.beam_dcfs_from_json(doc)
-            else:
-                source = io.table_from_json(doc)
-        else:
-            raise InputError("cannot interpret input for no-signalling check")
-    resid = check_no_signalling(source)
+    resid = check_no_signalling(_load_beam_dcfs(args.input))
     passed = resid <= args.tol
     _emit({"max_residual": resid, "passed": passed, "tolerance": args.tol}, args)
     return OK if passed else VIOLATION
 
 
 def cmd_feasibility(args) -> int:
-    path = args.input
-    if os.path.isdir(path) or path.endswith("scenario.json"):
-        beam = _load_scenario(path).beam_dcfs()
-    else:
-        doc, _ = _load_doc(path)
-        if "theories" in doc:
-            beam = _load_scenario(path).beam_dcfs()
-        elif any(isinstance(v, dict) for v in doc.values()):
-            beam = io.beam_dcfs_from_json(doc)
-        else:
-            # probability tables: treat outcomes as classical records, so
-            # the beam functionals are the diagonal embeddings
-            table = io.table_from_json(doc)
-            beam = {}
-            for key, tab in table.tables.items():
-                na, nb = tab.shape
-                arr = np.zeros((na, nb, na, nb), dtype=complex)
-                for i in range(na):
-                    for j in range(nb):
-                        arr[i, j, i, j] = tab[i, j]
-                beam[key] = arr
     report = joint_feasibility(
-        beam, budget=args.budget, gap_tol=args.gap_tol, tol=_tol(args), seed=args.seed
+        _load_beam_dcfs(args.input),
+        budget=args.budget,
+        gap_tol=args.gap_tol,
+        tol=_tol(args),
+        seed=args.seed,
     )
     _emit(report.as_dict(), args)
-    return OK if report.feasible else BUDGET
+    if report.feasible:
+        return OK
+    return VIOLATION if report.verdict == "infeasible" else BUDGET
 
 
 def cmd_gen(args) -> int:

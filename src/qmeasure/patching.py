@@ -8,11 +8,12 @@ space into a joint decoherence functional whose setting marginals are
 the four theories.  A converse construction rebuilds a (formally
 factorizable) scenario from any joint functional over the beam slots,
 and a projection-based search probes whether four beam functionals
-admit any PSD joint at all.
+admit any PSD joint at all, with a Farkas certificate when none does.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -170,6 +171,8 @@ class CorrelationTable:
         for k in SETTING_KEYS:
             if k not in tabs:
                 raise ValueError(f"missing table for setting {k}")
+            if not np.isfinite(tabs[k]).all():
+                raise ValueError("non-finite probability entry")
             if tabs[k].min() < -1e-12:
                 raise ValueError("negative probability entry")
             if abs(tabs[k].sum() - 1.0) > 1e-9:
@@ -609,54 +612,154 @@ def check_no_signalling(source) -> float:
     return no_signalling_residual(source)
 
 
+@dataclass(frozen=True, eq=False)
+class FarkasCertificate:
+    """Proof that no PSD joint functional has the given marginals.
+
+    `witness` S lies in the row space of the marginal map, so <S, X> is
+    `value` for every X with those marginals.  Let c run over the cell
+    indicators (labels with a_sa = i, b_sb = j) of all four settings and
+    C = sum c c^T.  C is in the row space too, with <C, X> the summed trace
+    of the inputs, and S and C are carried by the span V of the c.  Since
+    S + delta C is PSD on V, a PSD joint X would give
+    value + slack_term = <S + delta C, X> >= 0; the certificate holds
+    because that sum is negative by more than the rounding slack.
+    """
+
+    witness: np.ndarray
+    delta: float
+    value: float
+    slack_term: float
+    step: int
+
+    def as_dict(self) -> dict:
+        return {"value": self.value, "slack_term": self.slack_term, "step": self.step}
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
-    verdict: str  # "feasible" or "undecided-infeasible"
+    verdict: str  # "feasible", "infeasible" or "undecided-infeasible"
     gap: float
     iterations: int
     no_signalling_residual: float
     seed: int
+    certificate: FarkasCertificate | None = None
 
     @property
     def feasible(self) -> bool:
         return self.verdict == "feasible"
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "verdict": self.verdict,
             "gap": self.gap,
             "iterations": self.iterations,
             "no_signalling_residual": self.no_signalling_residual,
             "seed": self.seed,
         }
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.as_dict()
+        return out
 
 
-class _HermitianCoords:
-    """Real coordinates for Hermitian n x n matrices.
+class _ConstraintMaps:
+    """The marginal map of joint functionals over the n beam labels
+    (i, i', j, j'), in real coordinates of Hermitian n x n matrices.
 
-    Each off-diagonal pair is stored once, scaled by sqrt(2), so the
-    Euclidean norm of the coordinates is the Frobenius norm of the matrix
-    and a least-squares projection in coordinates is orthogonal in the
-    metric of the PSD projection.
+    A coordinate vector holds the diagonal, then sqrt(2) times the real
+    and then the imaginary parts of the upper triangle, so its Euclidean
+    norm is the Frobenius norm and the least-squares affine projection is
+    orthogonal in the metric of the PSD projection.  Matrices are read and
+    written at flat positions of the float view of a complex array.  One
+    instance serves every call with the same outcome counts, so nothing
+    here is written after construction.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, na: int, nb: int):
+        n = na * na * nb * nb
+        m = na * nb
+        r2 = np.sqrt(2.0)
+        row, col = np.triu_indices(n, 1)
+        diag = np.arange(n) * (n + 1)
+        upper = row * n + col
+        lower = col * n + row
+        k = upper.size
         self.n = n
-        self.iu = np.triu_indices(n, 1)
+        self._read = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+        self._read_scale = np.concatenate([np.ones(n), np.full(2 * k, r2)])
+        # eigh(UPLO="L") reads only the lower triangle
+        self._lower = np.concatenate([2 * diag, 2 * lower, 2 * lower + 1])
+        self._lower_scale = np.concatenate(
+            [np.ones(n), np.full(k, 1 / r2), np.full(k, -1 / r2)]
+        )
 
-    def to_vec(self, m: np.ndarray) -> np.ndarray:
-        off = np.sqrt(2) * m[self.iu]
-        return np.concatenate([np.diag(m).real, off.real, off.imag])
+        labels = np.indices((na, na, nb, nb)).reshape(4, n)
+        # cells[s, (i, j), label] = 1 where the label reads i on wing A and
+        # j on wing B under setting s
+        cells = np.stack([
+            labels[sa] * nb + labels[2 + sb] == np.arange(m)[:, None]
+            for sa, sb in SETTING_KEYS
+        ]).astype(float)
+        # marginal entry [(i, j), (i2, j2)] is c_ij^T X c_i2j2, and
+        # kron(f, f)[(a, b), (k, l)] = f[a, k] f[b, l] weighs X[k, l]
+        rows = []
+        zeros = np.zeros((m * m, k))
+        for f in cells:
+            kf = np.kron(f, f)
+            up, low = kf[:, upper], kf[:, lower]
+            rows.append(np.hstack([kf[:, diag], (up + low) / r2, zeros]))
+            rows.append(np.hstack([np.zeros((m * m, n)), zeros, (up - low) / r2]))
+        self.amat = np.vstack(rows)
+        self.apinv = np.linalg.pinv(self.amat, rcond=1e-12)
+        # V = span of the cell indicators, with orthonormal basis Q = vt[:r]^T;
+        # Q^T C Q = diag(sv^2), so its Cholesky factor is diag(sv) and the
+        # pencil (Q^T S Q, Q^T C Q) has the eigenvalues of P^T S P with
+        # P = Q diag(sv)^-1
+        _, sv, vt = np.linalg.svd(cells.reshape(-1, n), full_matrices=False)
+        r = int((sv > 1e-12 * sv[0]).sum())
+        self.pencil = vt[:r].T / sv[:r]
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
-    def from_vec(self, v: np.ndarray) -> np.ndarray:
-        n = self.n
-        k = self.iu[0].size
-        m = np.zeros((n, n), dtype=complex)
-        np.fill_diagonal(m, v[:n])
-        off = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2)
-        m[self.iu] = off
-        m[(self.iu[1], self.iu[0])] = off.conj()
-        return m
+    def to_vec(self, mat: np.ndarray) -> np.ndarray:
+        """Coordinates of a C-contiguous complex Hermitian matrix."""
+        return mat.reshape(-1).view(np.float64)[self._read] * self._read_scale
+
+    def lower(self, v: np.ndarray) -> np.ndarray:
+        """The matrix with coordinates v, lower triangle only."""
+        buf = np.zeros(2 * self.n * self.n)
+        buf[self._lower] = v * self._lower_scale
+        return buf.view(np.complex128).reshape(self.n, self.n)
+
+    def matrix(self, v: np.ndarray) -> np.ndarray:
+        """The full Hermitian matrix with coordinates v."""
+        low = self.lower(v)
+        return low + np.tril(low, -1).conj().T
+
+    def farkas(self, s_vec, x, y, trace, tol, step) -> FarkasCertificate | None:
+        """Try S = A+(Ay - b), the affine correction of the step that moved
+        the PSD point y to x, as a certificate of infeasibility.
+
+        The slack is tol.rel times max(1, |y|) (|x| + trace), the scale of
+        the rounded products it absorbs: S is computed from y, and the
+        value and the slack term weigh S against x and against C.
+        """
+        value = float(s_vec @ x)
+        witness = self.matrix(s_vec)
+        compressed = self.pencil.T @ witness @ self.pencil
+        delta = max(0.0, -float(np.linalg.eigvalsh(compressed).min()))
+        slack = tol.rel * max(1.0, float(np.linalg.norm(y))) * (
+            float(np.linalg.norm(x)) + trace
+        )
+        if value + delta * trace < -slack:
+            return FarkasCertificate(witness, delta, value, delta * trace, step)
+        return None
+
+
+@functools.lru_cache(maxsize=4)
+def _constraint_maps(na: int, nb: int) -> _ConstraintMaps:
+    return _ConstraintMaps(na, nb)
 
 
 def joint_feasibility(
@@ -671,68 +774,46 @@ def joint_feasibility(
     marginals.
 
     A gap below `gap_tol` certifies feasibility (the midpoint is an
-    explicit near-witness).  Exhausting the budget is reported as
-    undecided-infeasible: the residual gap estimates the distance between
-    the PSD cone and the marginal-constraint plane but is not a proof.
+    explicit near-witness).  At steps 1, 2, 4, 8, ... the step's affine
+    correction is tried as a Farkas certificate (`FarkasCertificate`);
+    once one holds, the verdict is infeasible.  Exhausting the budget
+    first is reported as undecided-infeasible: the residual gap estimates
+    the distance between the PSD cone and the marginal-constraint plane
+    but is not a proof.
+
+    The correction of the affine projection, which Dykstra's method would
+    carry from step to step, lies in the row space of the marginal map and
+    so never moves that projection; only the PSD correction is kept.
     """
     d = {k: np.asarray(v, dtype=complex) for k, v in beam_dcfs.items()}
     ns = no_signalling_residual(d)
     if ns > 1e-6:
         raise ValueError(f"inputs violate no-signalling (residual {ns:.3e})")
     na, nb = d[(0, 0)].shape[0], d[(0, 0)].shape[1]
-    n = na * na * nb * nb
-    coords = _HermitianCoords(n)
-    dim = n * n
-
-    def marginal(x: np.ndarray, sa: int, sb: int) -> np.ndarray:
-        xr = x.reshape(na, na, nb, nb, na, na, nb, nb)
-        keep_a = sa  # axis 0 or 1
-        keep_b = 2 + sb
-        drop = tuple(
-            ax for ax in range(8) if ax not in (keep_a, keep_b, 4 + keep_a, 4 + keep_b)
-        )
-        return xr.sum(axis=drop)
-
-    # constraint matrix over real coordinates, built column by column
-    amat = []
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        m = coords.from_vec(e)
-        cols = []
-        for key in SETTING_KEYS:
-            marg = marginal(m, *key).ravel()
-            cols.append(marg.real)
-            cols.append(marg.imag)
-        amat.append(np.concatenate(cols))
-    amat = np.array(amat).T  # (n_constraints, dim)
+    maps = _constraint_maps(na, nb)
     bvec = np.concatenate(
         [np.concatenate([d[key].ravel().real, d[key].ravel().imag])
          for key in SETTING_KEYS]
     )
-    apinv = np.linalg.pinv(amat, rcond=1e-12)
-
-    def proj_affine(m: np.ndarray) -> np.ndarray:
-        v = coords.to_vec(m)
-        v = v - apinv @ (amat @ v - bvec)
-        return coords.from_vec(v)
-
-    def proj_psd(m: np.ndarray) -> np.ndarray:
-        w, u = np.linalg.eigh(hermitian_part(m))
-        w = np.clip(w, 0.0, None)
-        return (u * w) @ u.conj().T
-
-    x = proj_affine(np.zeros((n, n), dtype=complex))
+    trace = sum(
+        float(np.trace(d[key].reshape(na * nb, na * nb)).real) for key in SETTING_KEYS
+    )
+    x = maps.apinv @ bvec
     p = np.zeros_like(x)
-    q = np.zeros_like(x)
     gap = float("inf")
     for it in range(1, budget + 1):
-        y = proj_psd(x + p)
-        p = x + p - y
-        x_new = proj_affine(y + q)
-        q = y + q - x_new
-        gap = float(np.linalg.norm(x_new - y))
-        x = x_new
+        # y is the PSD part of x + p, and the new p its negative part
+        z = x + p
+        w, u = np.linalg.eigh(maps.lower(z), UPLO="L")
+        p = maps.to_vec((u * np.minimum(w, 0.0)) @ u.conj().T)
+        y = z - p
+        corr = maps.apinv @ (maps.amat @ y - bvec)
+        x = y - corr
+        gap = float(np.linalg.norm(corr))
         if gap < gap_tol:
             return FeasibilityReport("feasible", gap, it, ns, seed)
+        if it & (it - 1) == 0:
+            cert = maps.farkas(corr, x, y, trace, tol, it)
+            if cert is not None:
+                return FeasibilityReport("infeasible", gap, it, ns, seed, cert)
     return FeasibilityReport("undecided-infeasible", gap, budget, ns, seed)

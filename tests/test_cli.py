@@ -99,8 +99,21 @@ class TestTablesAndFeasibility:
         code, out = run(
             capsys, "feasibility", "pr/beamdcfs.json", "--budget", "500"
         )
+        assert code == 3
+        report = json.loads(out)
+        assert report["verdict"] == "infeasible"
+        cert = report["certificate"]
+        assert cert["value"] + cert["slack_term"] < 0
+        assert cert["step"] == report["iterations"] <= 500
+
+    def test_feasibility_undecided_below_certifying_step(self, workdir, capsys):
+        run(capsys, "gen", "pr", "--out", "pr")
+        code, out = run(capsys, "feasibility", "pr/beamdcfs.json", "--budget", "8")
         assert code == 4
-        assert json.loads(out)["verdict"] == "undecided-infeasible"
+        report = json.loads(out)
+        assert report["verdict"] == "undecided-infeasible"
+        assert report["iterations"] == 8
+        assert "certificate" not in report
 
 
 class TestSkCommands:
@@ -247,8 +260,22 @@ class TestInputEdges:
     def test_feasibility_from_probability_table(self, workdir, capsys):
         run(capsys, "gen", "pr", "--out", "pr")
         code, out = run(capsys, "feasibility", "pr/table.json", "--budget", "300")
-        assert code == 4
-        assert json.loads(out)["verdict"] == "undecided-infeasible"
+        assert code == 3
+        report = json.loads(out)
+        assert report["verdict"] == "infeasible"
+        cert = report["certificate"]
+        assert cert["value"] + cert["slack_term"] < 0
+
+    def test_mixed_functionals_and_tables_refused(self, workdir, capsys):
+        run(capsys, "gen", "pr", "--out", "pr")
+        with open("pr/beamdcfs.json") as fh:
+            doc = json.load(fh)
+        with open("pr/table.json") as fh:
+            doc["ab"] = json.load(fh)["ab"]
+        with open("mixed.json", "w") as fh:
+            json.dump(doc, fh)
+        for command in ("chsh", "nosignalling", "feasibility"):
+            assert main([command, "mixed.json"]) == 2
 
     def test_poz_with_explicit_region_list(self, workdir, capsys):
         run(capsys, "gen", "double-slit", "--time-reversed", "--out", "dsr")

@@ -126,6 +126,10 @@ class TestChsh:
     def test_malformed_table_rejected(self):
         with pytest.raises(ValueError):
             CorrelationTable({k: np.full((2, 2), 0.3) for k in SETTING_KEYS})
+        # NaN passes both the sign and the sum test
+        nan = np.array([[np.nan, 0.5], [0.0, 0.5]])
+        with pytest.raises(ValueError):
+            CorrelationTable({k: nan for k in SETTING_KEYS})
 
 
 class TestQuantumPatch:
@@ -235,6 +239,86 @@ class TestNoSignalling:
         assert resid == pytest.approx(0.25, abs=1e-12)
 
 
+def _noisy_box(p):
+    """p * box + (1 - p) * uniform, as diagonal beam functionals."""
+    model, _ = gen_pr_box()
+    uniform = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            uniform[i, j, i, j] = 0.25
+    return {k: p * model.beam_dcfs[k] + (1 - p) * uniform for k in SETTING_KEYS}
+
+
+def _diagonal_table(beam):
+    return CorrelationTable(
+        {k: np.array([[v[i, j, i, j].real for j in range(2)] for i in range(2)])
+         for k, v in beam.items()}
+    )
+
+
+def _to_vec(m):
+    """Real coordinates of a Hermitian matrix: the diagonal, then sqrt(2)
+    times the real and imaginary parts of the upper triangle."""
+    iu = np.triu_indices(m.shape[0], 1)
+    off = np.sqrt(2) * m[iu]
+    return np.concatenate([np.diag(m).real, off.real, off.imag])
+
+
+def _marginal_map_by_columns(na, nb):
+    """The four setting marginals (real then imaginary parts) as a matrix
+    over real Hermitian coordinates, one coordinate column at a time."""
+    n = na * na * nb * nb
+    iu = np.triu_indices(n, 1)
+    k = iu[0].size
+    cols = []
+    for c in range(n * n):
+        v = np.zeros(n * n)
+        v[c] = 1.0
+        m = np.zeros((n, n), dtype=complex)
+        np.fill_diagonal(m, v[:n])
+        m[iu] = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2)
+        m[(iu[1], iu[0])] = m[iu].conj()
+        col = []
+        for sa, sb in SETTING_KEYS:
+            keep = (sa, 2 + sb, 4 + sa, 6 + sb)
+            drop = tuple(ax for ax in range(8) if ax not in keep)
+            marg = m.reshape(na, na, nb, nb, na, na, nb, nb).sum(axis=drop).ravel()
+            col += [marg.real, marg.imag]
+        cols.append(np.concatenate(col))
+    return np.array(cols).T
+
+
+def _check_certificate(beam, report):
+    """Re-check a Farkas certificate from its definition, for 2 x 2 outcomes."""
+    cert = report.certificate
+    assert cert.step == report.iterations
+    witness = cert.witness
+    assert np.abs(witness - witness.conj().T).max() < 1e-15
+    amat = _marginal_map_by_columns(2, 2)
+    bvec = np.concatenate(
+        [np.concatenate([beam[k].ravel().real, beam[k].ravel().imag])
+         for k in SETTING_KEYS]
+    )
+    # the witness lies in the row space of the marginal map ...
+    s_vec = _to_vec(witness)
+    coef = np.linalg.lstsq(amat.T, s_vec, rcond=None)[0]
+    assert np.linalg.norm(amat.T @ coef - s_vec) < 1e-12 * np.linalg.norm(s_vec)
+    # ... so it takes the certified value on every point of the plane
+    x_plane = np.linalg.lstsq(amat, bvec, rcond=None)[0]
+    assert np.linalg.norm(amat @ x_plane - bvec) < 1e-12
+    assert s_vec @ x_plane == pytest.approx(cert.value, rel=1e-9)
+    # C = sum over cells of c c^T: how many settings put two labels in one cell
+    labels = np.indices((2, 2, 2, 2)).reshape(4, -1)
+    cells = np.zeros((16, 16))
+    for sa, sb in SETTING_KEYS:
+        a, b = labels[sa], labels[2 + sb]
+        cells += (a[:, None] == a[None, :]) & (b[:, None] == b[None, :])
+    trace = sum(np.trace(beam[k].reshape(4, 4)).real for k in SETTING_KEYS)
+    assert cert.slack_term == pytest.approx(cert.delta * trace, rel=1e-12)
+    assert np.linalg.eigvalsh(witness + cert.delta * cells).min() > -1e-12
+    assert cert.value + cert.delta * trace < 0
+
+
 class TestFeasibility:
     def test_quantum_joint_feasible(self, eprb_scenario):
         report = joint_feasibility(eprb_scenario.beam_dcfs())
@@ -242,11 +326,52 @@ class TestFeasibility:
         assert report.gap < 1e-6
         assert report.iterations < 20000
 
-    def test_box_undecided_at_budget(self):
+    def test_box_certified_infeasible(self):
         model, _ = gen_pr_box()
         report = joint_feasibility(model.beam_dcfs, budget=2000)
-        assert report.verdict == "undecided-infeasible"
+        assert report.verdict == "infeasible"
         assert report.gap > 1e-3
+        assert report.iterations < 100
+        _check_certificate(model.beam_dcfs, report)
+
+    def test_box_undecided_below_certifying_step(self):
+        model, _ = gen_pr_box()
+        report = joint_feasibility(model.beam_dcfs, budget=8)
+        assert report.verdict == "undecided-infeasible"
+        assert report.iterations == 8
+        assert report.certificate is None
+        assert "certificate" not in report.as_dict()
+
+    @pytest.mark.parametrize("p", [0.6, 0.7])
+    def test_noisy_box_below_tsirelson_feasible(self, p):
+        beam = _noisy_box(p)
+        assert chsh_value(_diagonal_table(beam)) == pytest.approx(4 * p)
+        report = joint_feasibility(beam)
+        assert report.verdict == "feasible"
+        assert report.gap < 1e-6
+        assert report.certificate is None
+
+    @pytest.mark.parametrize("p", [0.75, 0.9])
+    def test_noisy_box_above_tsirelson_certified(self, p):
+        beam = _noisy_box(p)
+        assert chsh_value(_diagonal_table(beam)) == pytest.approx(4 * p)
+        report = joint_feasibility(beam)
+        assert report.verdict == "infeasible"
+        assert report.as_dict()["certificate"] == {
+            "value": report.certificate.value,
+            "slack_term": report.certificate.slack_term,
+            "step": report.iterations,
+        }
+        _check_certificate(beam, report)
+
+    @pytest.mark.parametrize("na, nb", [(2, 2), (3, 2)])
+    def test_constraint_map_matches_column_build(self, na, nb):
+        from qmeasure.patching import _constraint_maps
+
+        amat = _constraint_maps(na, nb).amat
+        np.testing.assert_allclose(
+            amat, _marginal_map_by_columns(na, nb), rtol=0, atol=1e-15
+        )
 
     def test_generic_spin_pairs_feasible(self):
         # draws 1 and 2 of this family stalled at the budget while the
