@@ -34,9 +34,6 @@ class Tolerance:
     def rank_cut(self, s_max: float) -> float:
         return self.rel * s_max
 
-    def abs_floor(self) -> float:
-        return self.rel
-
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
@@ -114,14 +111,17 @@ def selection_violation(v: np.ndarray, w: np.ndarray, tol: Tolerance) -> float:
 
 
 def scatter_columns(fac: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
-    """Sum the columns of `fac` (d x n) into m groups given by `labels`."""
+    """Sum the columns of `fac` (d x n) into m groups given by `labels`.
+
+    One `bincount` over the interleaved real and imaginary parts: bin
+    (row, group, part) adds its terms in column order, as a per-row sum
+    would.
+    """
     d = fac.shape[0]
-    out = np.empty((d, m), dtype=complex)
-    for r in range(d):
-        out[r] = np.bincount(labels, weights=fac[r].real, minlength=m) + 1j * (
-            np.bincount(labels, weights=fac[r].imag, minlength=m)
-        )
-    return out
+    parts = np.ascontiguousarray(fac, dtype=complex).view(float)
+    bins = ((np.arange(d)[:, None] * m + labels) * 2)[:, :, None] + (0, 1)
+    sums = np.bincount(bins.ravel(), weights=parts.ravel(), minlength=2 * d * m)
+    return sums.view(complex).reshape(d, m)
 
 
 def mask_from_bool(flags: np.ndarray) -> int:

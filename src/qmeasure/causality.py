@@ -41,7 +41,7 @@ from .causal_order import (
     validate_scenario_geometry,
 )
 from .decoherence import DecoherenceFunctional
-from .hilbert import event_vector, history_factor, region_vectors
+from .hilbert import event_vector, history_factor, region_vectors, scatter_live
 from .histories import Event, RegionAlgebra, is_partition, region_algebra
 
 # residual evaluations one screening-off scan may run
@@ -112,9 +112,10 @@ def _poz_region(dcf, order, region: Region, tol: Tolerance) -> PozRegionResult |
     bar = shadow(order, region)
     if bar.is_empty():
         return None
-    fac = history_factor(dcf)
+    live, fac = history_factor(dcf)
     alg_bar = region_algebra(dcf.space, bar.point_names())
-    v = scatter_columns(fac, alg_bar.atom_index, alg_bar.n_atoms)
+    bar_index = alg_bar.atom_index[live]
+    v = scatter_columns(fac, bar_index, alg_bar.n_atoms)
     kernel_dim = alg_bar.n_atoms - numerical_rank(v, tol)
     if kernel_dim == 0:
         return PozRegionResult(
@@ -122,19 +123,20 @@ def _poz_region(dcf, order, region: Region, tol: Tolerance) -> PozRegionResult |
         )
     alg_r = region_algebra(dcf.space, region.point_names())
     n_r, n_bar = alg_r.n_atoms, alg_bar.n_atoms
-    # histories grouped by region atom, keeping their order within an atom,
-    # so each (region atom, shadow atom) column sums in the same order
-    by_atom = np.argsort(alg_r.atom_index, kind="stable")
-    starts = np.searchsorted(alg_r.atom_index[by_atom], np.arange(n_r + 1))
+    # live histories grouped by region atom, keeping their order within an
+    # atom, so each (region atom, shadow atom) column sums in the same order
+    r_index = alg_r.atom_index[live]
+    by_atom = np.argsort(r_index, kind="stable")
+    starts = np.searchsorted(r_index[by_atom], np.arange(n_r + 1))
     # region atoms per block: the stacked (block, d, max(d, n_bar))
-    # temporaries hold no more entries than the factor
-    d, n = fac.shape
+    # temporaries hold no more entries than a full-width factor
+    d, n = fac.shape[0], dcf.space.size
     block = max(1, n // max(d, n_bar))
     worst = 0.0
     for a0 in range(0, n_r, block):
         a1 = min(a0 + block, n_r)
         cols = by_atom[starts[a0]:starts[a1]]
-        labels = (alg_r.atom_index[cols] - a0) * n_bar + alg_bar.atom_index[cols]
+        labels = (r_index[cols] - a0) * n_bar + bar_index[cols]
         w = scatter_columns(fac[:, cols], labels, (a1 - a0) * n_bar)
         w = w.reshape(d, a1 - a0, n_bar).swapaxes(0, 1)
         worst = max(worst, selection_violation(v, w, tol))
@@ -205,11 +207,7 @@ class EventOperator:
 
 def _operator_pieces(dcf, v, basis, event, alg_domain, tol):
     """Least-squares operator on the domain basis plus residuals."""
-    fac = history_factor(dcf)
-    flags = event.to_bool()
-    w = scatter_columns(
-        fac[:, flags], alg_domain.atom_index[flags], alg_domain.n_atoms
-    )
+    w = scatter_live(dcf, alg_domain.atom_index, alg_domain.n_atoms, event.to_bool())
     coords_v = basis.conj().T @ v
     coords_w = basis.conj().T @ w
     codomain = float(
@@ -422,10 +420,8 @@ def check_spacelike_commutation(
     basis = op_a.basis
     composed = basis @ (op_b.matrix @ op_a.matrix @ (basis.conj().T @ vz))
     alg_z = region_algebra(dcf.space, z.point_names())
-    fac = history_factor(dcf)
-    flags = (event_a & event_b).to_bool()
-    direct = scatter_columns(
-        fac[:, flags], alg_z.atom_index[flags], alg_z.n_atoms
+    direct = scatter_live(
+        dcf, alg_z.atom_index, alg_z.n_atoms, (event_a & event_b).to_bool()
     )
     action = float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
     return CommutationReport(comm_norm, action, tol)
@@ -523,9 +519,8 @@ def check_quantum_factorizability(
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    fac = history_factor(dcf)
-    live = fac.any(axis=0)
-    fac = fac[np.ix_(fac.any(axis=1), live)]
+    live, fac = history_factor(dcf)
+    fac = fac[fac.any(axis=1)]
     total = 1
     local = []
     for region in (z, a, b):

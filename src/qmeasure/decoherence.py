@@ -12,7 +12,7 @@ matrix entry [g, h] is the conjugated-g value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,11 +25,16 @@ DENSE_ATOM_CAP = 1024
 @dataclass(frozen=True, eq=False)
 class BranchRep:
     """Lazy double-path-sum data: per-history amplitude plus the index of
-    its configuration on the truncation surface."""
+    its configuration on the truncation surface.
+
+    `live` lists, in history order, the histories whose amplitude is not
+    zero; only they add to an event vector, so every sum runs over them.
+    """
 
     amplitudes: np.ndarray  # complex, one per history
     final_index: np.ndarray  # int, one per history
     dim: int  # number of distinct truncation-surface configurations
+    live: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -40,14 +45,13 @@ class BranchRep:
             raise ValueError("final_index out of range")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "final_index", fin)
+        object.__setattr__(self, "live", np.flatnonzero(amps))
 
     def event_vector(self, flags: np.ndarray) -> np.ndarray:
-        idx = self.final_index[flags]
-        amp = self.amplitudes[flags]
-        return (
-            np.bincount(idx, weights=amp.real, minlength=self.dim)
-            + 1j * np.bincount(idx, weights=amp.imag, minlength=self.dim)
-        )
+        cols = self.live[flags[self.live]]
+        return scatter_columns(
+            self.amplitudes[None, cols], self.final_index[cols], self.dim
+        )[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +121,15 @@ class DecoherenceFunctional:
         return complex(np.vdot(be, bf))
 
     def measure(self, e: Event) -> float:
-        """The quantum measure mu(E) = D(E, E)."""
-        val = self.evaluate(e, e)
+        """The quantum measure mu(E) = D(E, E), with the event's mask or
+        branch vector built once."""
+        self._own(e)
+        flags = e.to_bool()
+        if self.is_dense:
+            val = complex(self.matrix[np.ix_(flags, flags)].sum())
+        else:
+            be = self.branch.event_vector(flags)
+            val = complex(np.vdot(be, be))
         scale = 1.0 if not self.is_dense else float(max(1.0, np.abs(self.matrix).max()))
         if abs(val.imag) > self.tol.rel * scale:
             raise ValueError(
@@ -243,12 +254,12 @@ class DecoherenceFunctional:
             ind[alg.atom_index, np.arange(self.space.size)] = 1.0
             mat = ind @ self.matrix @ ind.T
         else:
-            combined = alg.atom_index * self.branch.dim + self.branch.final_index
+            b = self.branch
             vecs = scatter_columns(
-                self.branch.amplitudes[None, :],
-                combined,
-                alg.n_atoms * self.branch.dim,
-            ).reshape(alg.n_atoms, self.branch.dim)
+                b.amplitudes[None, b.live],
+                alg.atom_index[b.live] * b.dim + b.final_index[b.live],
+                alg.n_atoms * b.dim,
+            ).reshape(alg.n_atoms, b.dim)
             mat = vecs.conj() @ vecs.T
         return DecoherenceFunctional(sub, matrix=mat, tol=self.tol)
 

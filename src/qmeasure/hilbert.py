@@ -5,6 +5,13 @@ through a PSD factorization of the atom matrix, for a lazy one directly
 through its branch vectors.  Inner products of event vectors reproduce
 the functional, so span or membership questions become ordinary least
 squares in the factor coordinates.
+
+A history whose factor column is identically zero adds nothing to any
+event vector.  The factor therefore keeps only its live columns, the
+histories that carry amplitude, and every kernel gathers the atom labels
+and event flags of those histories alone.  Sums over the live columns add
+the same nonzero terms in the same order as sums over all histories, so
+the results are bit-identical to the full-width computation.
 """
 
 from __future__ import annotations
@@ -38,9 +45,17 @@ class LinearCombination:
         return cls(tuple(pairs))
 
 
-def history_factor(dcf: DecoherenceFunctional) -> np.ndarray:
-    """Columns are per-history vectors whose inner products give the
-    functional; cached on the functional after first use.
+def history_factor(dcf: DecoherenceFunctional) -> tuple[np.ndarray, np.ndarray]:
+    """The functional's live columns and its factor on them, cached on the
+    functional after first use.
+
+    Returns `(live, fac)`: `live` holds, in history order, the histories
+    whose factor column is not identically zero, and column k of the
+    `d x len(live)` matrix `fac` is the vector of history `live[k]`.  Inner
+    products of the columns give the functional; the omitted columns are
+    zero.  A lazy functional's live histories are those with nonzero
+    amplitude, and its factor is built from them alone, never at full
+    width.
 
     Raises when a dense matrix fails positive semi-definiteness at the
     tolerance (a strong-positivity violation).
@@ -50,22 +65,42 @@ def history_factor(dcf: DecoherenceFunctional) -> np.ndarray:
         return cached
     if dcf.is_dense:
         fac = psd_factor(dcf.matrix, dcf.tol)
+        live = np.flatnonzero(fac.any(axis=0))
+        fac = fac[:, live]
     else:
-        n = dcf.space.size
-        fac = np.zeros((dcf.branch.dim, n), dtype=complex)
-        fac[dcf.branch.final_index, np.arange(n)] = dcf.branch.amplitudes
-    object.__setattr__(dcf, "_factor", fac)
-    return fac
+        b = dcf.branch
+        live = b.live
+        fac = np.zeros((b.dim, live.size), dtype=complex)
+        fac[b.final_index[live], np.arange(live.size)] = b.amplitudes[live]
+    object.__setattr__(dcf, "_factor", (live, fac))
+    return live, fac
+
+
+def scatter_live(
+    dcf: DecoherenceFunctional,
+    labels: np.ndarray,
+    m: int,
+    flags: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sums of the history vectors into m groups by the per-history
+    `labels`, over the live histories (those with `flags` set, if given)."""
+    live, fac = history_factor(dcf)
+    labels = labels[live]
+    if flags is not None:
+        keep = flags[live]
+        fac, labels = fac[:, keep], labels[keep]
+    return scatter_columns(fac, labels, m)
 
 
 def event_vector(dcf: DecoherenceFunctional, event: Event) -> np.ndarray:
     if event.space is not dcf.space:
         raise ValueError("event belongs to a different history space")
-    return history_factor(dcf)[:, event.to_bool()].sum(axis=1)
+    one_group = np.zeros(dcf.space.size, dtype=np.int64)
+    return scatter_live(dcf, one_group, 1, event.to_bool())[:, 0]
 
 
 def combo_vector(dcf: DecoherenceFunctional, combo: LinearCombination) -> np.ndarray:
-    fac = history_factor(dcf)
+    _, fac = history_factor(dcf)
     out = np.zeros(fac.shape[0], dtype=complex)
     for e, c in combo.terms:
         out += c * event_vector(dcf, e)
@@ -94,8 +129,7 @@ def is_null(dcf: DecoherenceFunctional, combo: LinearCombination) -> bool:
 def region_vectors(dcf: DecoherenceFunctional, points) -> tuple[RegionAlgebra, np.ndarray]:
     """Atom vectors of the region algebra, as factor-space columns."""
     alg = region_algebra(dcf.space, points)
-    fac = history_factor(dcf)
-    return alg, scatter_columns(fac, alg.atom_index, alg.n_atoms)
+    return alg, scatter_live(dcf, alg.atom_index, alg.n_atoms)
 
 
 def subspace_dim(dcf: DecoherenceFunctional, points) -> int:
@@ -154,9 +188,10 @@ def build_event_space(dcf: DecoherenceFunctional, points=None) -> EventHilbertSp
                 f"full event space needs at most {DENSE_ATOM_CAP} histories; "
                 "pass a region"
             )
-        fac = history_factor(dcf)
+        live, fac = history_factor(dcf)
         atoms = tuple(Event(dcf.space, 1 << i) for i in range(dcf.space.size))
-        vecs = fac
+        vecs = np.zeros((fac.shape[0], dcf.space.size), dtype=complex)
+        vecs[:, live] = fac
     else:
         alg, vecs = region_vectors(dcf, points)
         if alg.n_atoms > DENSE_ATOM_CAP:

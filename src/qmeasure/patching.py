@@ -571,25 +571,18 @@ def converse_model(
 # ---------------------------------------------------------------------------
 # No-signalling and joint feasibility
 
+def _worst_gap(pairs) -> float:
+    """Largest entry of |x - y| over the pairs; NaN if any entry is NaN."""
+    return float(np.max([np.abs(x - y).max() for x, y in pairs]))
+
+
 def no_signalling_residual(beam_dcfs: Mapping[tuple[int, int], np.ndarray]) -> float:
     """Worst mismatch between wing marginals that share a local setting."""
     d = {k: np.asarray(v) for k, v in beam_dcfs.items()}
-    worst = 0.0
-    for sa in (0, 1):
-        worst = max(
-            worst,
-            float(np.abs(
-                d[(sa, 0)].sum(axis=(1, 3)) - d[(sa, 1)].sum(axis=(1, 3))
-            ).max()),
-        )
-    for sb in (0, 1):
-        worst = max(
-            worst,
-            float(np.abs(
-                d[(0, sb)].sum(axis=(0, 2)) - d[(1, sb)].sum(axis=(0, 2))
-            ).max()),
-        )
-    return worst
+    return _worst_gap(
+        [(d[(sa, 0)].sum(axis=(1, 3)), d[(sa, 1)].sum(axis=(1, 3))) for sa in (0, 1)]
+        + [(d[(0, sb)].sum(axis=(0, 2)), d[(1, sb)].sum(axis=(0, 2))) for sb in (0, 1)]
+    )
 
 
 def check_no_signalling(source) -> float:
@@ -598,17 +591,11 @@ def check_no_signalling(source) -> float:
     if isinstance(source, SettingScenario):
         return no_signalling_residual(source.beam_dcfs())
     if isinstance(source, CorrelationTable):
-        tabs = source.tables
-        worst = 0.0
-        for sa in (0, 1):
-            worst = max(worst, float(np.abs(
-                tabs[(sa, 0)].sum(axis=1) - tabs[(sa, 1)].sum(axis=1)
-            ).max()))
-        for sb in (0, 1):
-            worst = max(worst, float(np.abs(
-                tabs[(0, sb)].sum(axis=0) - tabs[(1, sb)].sum(axis=0)
-            ).max()))
-        return worst
+        t = source.tables
+        return _worst_gap(
+            [(t[(sa, 0)].sum(axis=1), t[(sa, 1)].sum(axis=1)) for sa in (0, 1)]
+            + [(t[(0, sb)].sum(axis=0), t[(1, sb)].sum(axis=0)) for sb in (0, 1)]
+        )
     return no_signalling_residual(source)
 
 

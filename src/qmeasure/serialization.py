@@ -82,9 +82,20 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array(
-        [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-    )
+    """A complex matrix from rows of [re, im] pairs; refuses ragged or
+    malformed rows and non-finite entries."""
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged rows
+        pairs = np.array(None)
+    if pairs.ndim >= 1 and pairs.size == 0:
+        return np.zeros((len(pairs), 0), dtype=complex)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError("a matrix must be rows of [re, im] number pairs")
+    pairs = pairs.astype(float)
+    if not np.isfinite(pairs).all():
+        raise ValueError("matrix has a non-finite entry")
+    return pairs.view(complex)[..., 0]
 
 
 def _resolve(doc, base_dir: str):
@@ -276,8 +287,21 @@ def joint_dcf_to_json(jdcf: JointDcf) -> dict:
     }
 
 
+def _slots(value, count: int, owner: str) -> tuple[int, ...]:
+    """Outcome counts: a list of `count` positive integers."""
+    if not (
+        isinstance(value, list)
+        and len(value) == count
+        and all(type(s) is int and s > 0 for s in value)
+    ):
+        raise ValueError(
+            f"{owner}: slots must be {count} positive integers, got {value!r}"
+        )
+    return tuple(value)
+
+
 def joint_dcf_from_json(doc: dict) -> JointDcf:
-    slots = tuple(int(s) for s in doc["slots"])
+    slots = _slots(doc["slots"], 5, "joint functional")
     flat = matrix_from_json(doc["matrix"])
     return JointDcf(
         flat.reshape(slots + slots), tuple(doc.get("ordering", []) or
@@ -298,12 +322,24 @@ def beam_dcfs_to_json(beam: dict) -> dict:
 
 
 def beam_dcfs_from_json(doc: dict) -> dict:
+    """Beam functionals keyed by setting.  Each entry's `slots` must be two
+    positive integers (na, nb), shared by all four settings, and its
+    matrix square of size na * nb."""
     out = {}
     for name, key in SETTING_NAMES.items():
         entry = doc[name]
-        na, nb = (int(s) for s in entry["slots"])
+        na, nb = _slots(entry["slots"], 2, name)
         m = matrix_from_json(entry["matrix"])
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"{name}: matrix is not square")
+        if m.shape[0] != na * nb:
+            raise ValueError(
+                f"{name}: a {m.shape[0]} x {m.shape[0]} matrix does not fit "
+                f"slots [{na}, {nb}]"
+            )
         out[key] = m.reshape(na, nb, na, nb)
+    if len({v.shape for v in out.values()}) > 1:
+        raise ValueError("the four settings must share one outcome shape")
     return out
 
 

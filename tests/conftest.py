@@ -42,6 +42,21 @@ def random_psd_dcf(rng, space, dim=None):
     raise RuntimeError("failed to draw a normalizable vector family")
 
 
+def full_width_factor(dcf):
+    """The d x n history factor with a column for every history, zero
+    columns included, built from the functional's own data: the branch
+    amplitudes at their final configurations for a lazy functional, the
+    PSD factor of the matrix for a dense one."""
+    from qmeasure._linalg import psd_factor
+
+    if dcf.is_dense:
+        return psd_factor(dcf.matrix, dcf.tol)
+    b = dcf.branch
+    fac = np.zeros((b.dim, dcf.space.size), dtype=complex)
+    fac[b.final_index, np.arange(dcf.space.size)] = b.amplitudes
+    return fac
+
+
 def random_events(rng, space, count=3, disjoint=False):
     n = space.size
     if disjoint:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_psd_dcf, random_space
+from conftest import full_width_factor, random_psd_dcf, random_space
 
 from qmeasure import (
     DecoherenceFunctional,
@@ -22,7 +22,6 @@ from qmeasure import (
 )
 from qmeasure._linalg import selection_violation
 from qmeasure.causal_order import CausalOrder, all_regions
-from qmeasure.hilbert import history_factor
 
 
 class TestPoz:
@@ -290,7 +289,7 @@ def per_atom_poz(dcf, order, region):
     bar = shadow(order, region)
     if bar.is_empty():
         return None
-    fac = history_factor(dcf)
+    fac = full_width_factor(dcf)
     bar_idx = region_algebra(dcf.space, bar.point_names()).atom_index
     r_idx = region_algebra(dcf.space, region.point_names()).atom_index
     onehot = np.eye(bar_idx.max() + 1)[bar_idx]
@@ -312,7 +311,7 @@ def per_atom_poz(dcf, order, region):
 def n_blocks(dcf, order, region):
     """Blocks the batched route splits the region's atoms into: at most
     n // max(d, n_bar) atoms each, for a d x n history factor."""
-    d, n = history_factor(dcf).shape
+    d, n = full_width_factor(dcf).shape
     n_bar = region_algebra(dcf.space, shadow(order, region).point_names()).n_atoms
     n_r = region_algebra(dcf.space, region.point_names()).n_atoms
     return -(-n_r // max(1, n // max(d, n_bar)))
@@ -372,7 +371,7 @@ class TestBatchedPoz:
         import qmeasure.causality as causality
 
         model = gen_sk_circuit(decoupled_demo_config(steps=2))
-        fac = history_factor(model.dcf)
+        fac = full_width_factor(model.dcf)
         shapes = []
 
         def recording(v, w, tol):

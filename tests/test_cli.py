@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmeasure.cli import main
 
@@ -388,3 +392,129 @@ class TestCheckViolationExitCodes:
         with pytest.raises(CheckViolation, match="inconsistent"):
             event_operator(dcf, order, ("slit",), left, ("screen",))
         assert issubclass(CheckViolation, ValueError)
+
+
+SETTING_NAMES = ("ab", "ab'", "a'b", "a'b'")
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.fixture(scope="module")
+def pr_documents(tmp_path_factory):
+    """The beam-functional and table documents that `gen pr` writes."""
+    out = tmp_path_factory.mktemp("pr")
+    assert main(["gen", "pr", "--out", str(out)]) == 0
+    with open(out / "beamdcfs.json") as fh:
+        beam = json.load(fh)
+    with open(out / "table.json") as fh:
+        table = json.load(fh)
+    return beam, table
+
+
+class TestLoaderFaults:
+    def _write(self, doc, path="mutated.json"):
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return path
+
+    def test_non_finite_beam_entry_is_input_error(self, workdir, capsys, pr_documents):
+        for bad in NON_FINITE:
+            doc = json.loads(json.dumps(pr_documents[0]))
+            doc["a'b"]["matrix"][3][0][0] = bad
+            path = self._write(doc)
+            for command in ("nosignalling", "feasibility", "chsh"):
+                assert main([command, path]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and "non-finite" in captured.err
+
+    def test_scalar_slots_is_input_error(self, workdir, capsys, pr_documents):
+        doc = json.loads(json.dumps(pr_documents[0]))
+        doc["ab"]["slots"] = 2
+        path = self._write(doc)
+        for command in ("nosignalling", "feasibility", "chsh"):
+            assert main([command, path]) == 2
+            assert "slots must be 2 positive integers" in capsys.readouterr().err
+
+
+_entry_values = st.one_of(st.sampled_from(NON_FINITE), st.floats(-1e3, 1e3))
+
+
+_slot_values = st.one_of(
+    st.integers(-3, 6),
+    st.lists(st.integers(-2, 6), max_size=3),
+    st.lists(
+        st.one_of(st.floats(allow_nan=True), st.booleans(), st.text(max_size=2), st.none()),
+        max_size=3,
+    ),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+)
+
+_beam_mutation = st.one_of(
+    st.tuples(
+        st.just("entry"), st.sampled_from(SETTING_NAMES), st.integers(0, 3),
+        st.integers(0, 3), st.integers(0, 1), _entry_values,
+    ),
+    st.tuples(st.just("slots"), st.sampled_from(SETTING_NAMES), _slot_values),
+    st.tuples(st.just("drop row"), st.sampled_from(SETTING_NAMES), st.integers(0, 3)),
+    st.tuples(
+        st.just("drop key"), st.sampled_from(SETTING_NAMES),
+        st.sampled_from(["slots", "matrix"]),
+    ),
+)
+
+_table_mutation = st.tuples(
+    st.just("table entry"), st.sampled_from(SETTING_NAMES), st.integers(0, 1),
+    st.integers(0, 1), _entry_values,
+)
+
+
+def _apply(beam, table, mutation):
+    """Apply one mutation; returns (document, whether it set a non-finite entry)."""
+    kind, name = mutation[0], mutation[1]
+    if kind == "table entry":
+        _, _, i, j, value = mutation
+        table[name][i][j] = value
+        return table, not math.isfinite(value)
+    if kind == "entry":
+        _, _, i, j, part, value = mutation
+        beam[name]["matrix"][i][j][part] = value
+        return beam, not math.isfinite(value)
+    if kind == "slots":
+        beam[name]["slots"] = mutation[2]
+    elif kind == "drop row":
+        rows = beam[name].get("matrix", [])
+        if rows:
+            del rows[mutation[2] % len(rows)]
+    else:
+        beam[name].pop(mutation[2], None)
+    return beam, False
+
+
+class TestMutatedPrDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(mutations=st.lists(st.one_of(_beam_mutation, _table_mutation), min_size=1, max_size=3))
+    def test_mutations_exit_cleanly(self, pr_documents, tmp_path_factory, mutations):
+        """Whatever is broken, a command exits 0, 2 or 3 without a traceback,
+        and a document holding a non-finite entry never passes."""
+        path = tmp_path_factory.mktemp("mutated") / "doc.json"
+        for target in ("beam", "table"):
+            beam, table = json.loads(json.dumps(pr_documents))
+            non_finite = False
+            doc = beam if target == "beam" else table
+            # entries first, so that each lands in an intact matrix
+            for m in sorted(mutations, key=lambda m: m[0].startswith("drop")):
+                if (m[0] == "table entry") == (target == "table"):
+                    doc, bad = _apply(beam, table, m)
+                    non_finite = non_finite or bad
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            for command in ("nosignalling", "feasibility", "chsh"):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([command, str(path)])
+                assert code in (0, 2, 3), (command, mutations, stderr.getvalue())
+                assert "Traceback" not in stderr.getvalue()
+                if non_finite:
+                    assert code == 2
+                    assert '"passed": true' not in stdout.getvalue()

@@ -69,6 +69,16 @@ class TestMeasure:
         left = space.value_event("slit", 0)
         assert dcf.measure(left & dark) == pytest.approx(0.25, abs=1e-15)
 
+    def test_measure_is_exactly_the_diagonal_value(self):
+        from qmeasure import decoupled_demo_config, gen_sk_circuit
+
+        rng = np.random.default_rng(37)
+        space = random_space(rng)
+        lazy = gen_sk_circuit(decoupled_demo_config(steps=2)).dcf
+        for dcf in (random_psd_dcf(rng, space), lazy):
+            for e in random_events(rng, dcf.space, count=6):
+                assert dcf.measure(e) == dcf.evaluate(e, e).real
+
     def test_non_hermitian_measure_raises(self):
         space = HistorySpace(points=("p",), histories=((0,), (1,)))
         m = np.array([[0.5, 0.6], [0.1, 0.5]], dtype=complex) * 1j

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_events, random_psd_dcf, random_space
+from conftest import full_width_factor, random_events, random_psd_dcf, random_space
 
 from qmeasure import (
     LinearCombination,
@@ -12,6 +12,11 @@ from qmeasure import (
     region_algebra,
     subspace_dim,
 )
+from qmeasure._linalg import scatter_columns
+from qmeasure.causal_order import down_sets
+from qmeasure.decoherence import DecoherenceFunctional
+from qmeasure.hilbert import event_vector, history_factor, region_vectors
+from qmeasure.sk_model import SkCircuitConfig, SkGate, decoupled_demo_config, gen_sk_circuit
 
 
 class TestComboNorm:
@@ -160,3 +165,132 @@ class TestMonotonicity:
                     dcf, LinearCombination.of((atom, 1.0)), big
                 )
                 assert ok, resid
+
+
+def _full_support_model():
+    """The 12-point circuit with a superposed initial state and a generic
+    first-layer unitary: every history carries amplitude."""
+    rng = np.random.default_rng(13)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    stock = decoupled_demo_config(steps=2)
+    cfg = SkCircuitConfig(
+        sites=4, steps=2, psi=psi / np.linalg.norm(psi),
+        gates=(SkGate(1, (0, 1, 2, 3), u),) + tuple(g for g in stock.gates if g.layer > 1),
+        regions=stock.regions,
+    )
+    return gen_sk_circuit(cfg)
+
+
+class TestLiveColumns:
+    """Kernels that run over the live columns give exactly the sums of a
+    full-width factor, for sparse, full and empty amplitude support."""
+
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        return gen_sk_circuit(decoupled_demo_config(steps=2))
+
+    @staticmethod
+    def _assert_region_vectors_exact(dcf, regions):
+        full = full_width_factor(dcf)
+        for points in regions:
+            alg, vecs = region_vectors(dcf, points)
+            assert np.array_equal(vecs, scatter_columns(full, alg.atom_index, alg.n_atoms))
+
+    @staticmethod
+    def _assert_event_vectors_exact(dcf, seed, count=12):
+        full = full_width_factor(dcf)
+        rng = np.random.default_rng(seed)
+        n = dcf.space.size
+        for density in (0.0, 0.02, 0.5, 1.0):
+            for _ in range(count // 4):
+                flags = rng.random(n) < density
+                event = dcf.space.event_from_indices(np.flatnonzero(flags))
+                want = scatter_columns(full[:, flags], np.zeros(flags.sum(), dtype=int), 1)[:, 0]
+                assert np.array_equal(event_vector(dcf, event), want)
+                assert np.array_equal(dcf.branch.event_vector(flags), want)
+
+    @staticmethod
+    def _small_regions(order):
+        """Every 1- and 2-point region of an order or history space."""
+        names = order.points
+        return [(p,) for p in names] + [
+            (p, q) for i, p in enumerate(names) for q in names[i + 1:]
+        ]
+
+    def test_scatter_columns_matches_per_row_sums(self):
+        rng = np.random.default_rng(19)
+        for d, k, m in [(16, 32, 8), (3, 40, 5), (1, 7, 3), (5, 0, 2), (0, 6, 2)]:
+            fac = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+            fac[rng.random((d, k)) < 0.4] = 0.0
+            labels = rng.integers(0, m, k)
+            want = np.zeros((d, m), dtype=complex)
+            for r in range(d):
+                want[r].real = np.bincount(labels, weights=fac[r].real, minlength=m)
+                want[r].imag = np.bincount(labels, weights=fac[r].imag, minlength=m)
+            got = scatter_columns(fac, labels, m)
+            assert np.array_equal(got, want)
+            assert np.array_equal(scatter_columns(fac.real, labels, m), want.real + 0j)
+
+    def test_live_columns_are_the_amplitude_carrying_histories(self, circuit):
+        dcf = circuit.dcf
+        live, fac = history_factor(dcf)
+        assert np.array_equal(live, np.flatnonzero(dcf.branch.amplitudes))
+        assert 0 < live.size < dcf.space.size
+        assert fac.shape == (dcf.branch.dim, live.size)
+        assert np.array_equal(fac, full_width_factor(dcf)[:, live])
+        assert history_factor(dcf)[1] is fac  # cached
+
+    def test_region_vectors_match_full_width_on_circuit(self, circuit):
+        regions = [z.point_names() for z in down_sets(circuit.order)]
+        regions += self._small_regions(circuit.order)
+        self._assert_region_vectors_exact(circuit.dcf, regions)
+
+    def test_event_vectors_match_full_width_on_circuit(self, circuit):
+        self._assert_event_vectors_exact(circuit.dcf, 3)
+
+    def test_restrict_matches_full_width(self, circuit):
+        dcf, b = circuit.dcf, circuit.dcf.branch
+        for points in self._small_regions(circuit.order)[:30]:
+            alg = region_algebra(dcf.space, points)
+            vecs = scatter_columns(
+                b.amplitudes[None, :], alg.atom_index * b.dim + b.final_index,
+                alg.n_atoms * b.dim,
+            ).reshape(alg.n_atoms, b.dim)
+            assert np.array_equal(dcf.restrict(points).matrix, vecs.conj() @ vecs.T)
+
+    def test_full_support(self):
+        model = _full_support_model()
+        live, _ = history_factor(model.dcf)
+        assert live.size == model.space.size
+        regions = [z.point_names() for z in down_sets(model.order)]
+        self._assert_region_vectors_exact(model.dcf, regions + self._small_regions(model.order))
+        self._assert_event_vectors_exact(model.dcf, 4)
+
+    def test_empty_support(self, circuit):
+        b = circuit.dcf.branch
+        dcf = DecoherenceFunctional.from_amplitudes(
+            circuit.space, np.zeros(circuit.space.size), b.final_index, b.dim
+        )
+        live, fac = history_factor(dcf)
+        assert live.size == 0 and fac.shape == (b.dim, 0)
+        regions = [z.point_names() for z in down_sets(circuit.order)]
+        self._assert_region_vectors_exact(dcf, regions + self._small_regions(circuit.order))
+        self._assert_event_vectors_exact(dcf, 5)
+        assert dcf.measure(circuit.space.full_event()) == 0.0
+
+    def test_dense_factor_drops_only_zero_columns(self):
+        rng = np.random.default_rng(17)
+        space = random_space(rng, n_points=3)
+        vecs = rng.normal(size=(space.size, 3)) + 1j * rng.normal(size=(space.size, 3))
+        vecs[::3] = 0.0  # every third history carries nothing
+        dcf = DecoherenceFunctional.from_history_vectors(space, vecs)
+        live, fac = history_factor(dcf)
+        full = full_width_factor(dcf)
+        assert np.array_equal(live, np.flatnonzero(full.any(axis=0)))
+        assert 0 < live.size < space.size
+        assert np.array_equal(fac, full[:, live])
+        es = build_event_space(dcf)
+        assert np.array_equal(es.factor[:, live], fac)
+        assert not np.delete(es.factor, live, axis=1).any()
+        self._assert_region_vectors_exact(dcf, [(), *self._small_regions(space), space.points])

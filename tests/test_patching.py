@@ -17,7 +17,11 @@ from qmeasure import (
     patch_marginal_residual,
     quantum_patch,
 )
-from qmeasure.patching import SETTING_KEYS, classical_marginal_residual
+from qmeasure.patching import (
+    SETTING_KEYS,
+    classical_marginal_residual,
+    no_signalling_residual,
+)
 
 
 class TestClassicalFactorizability:
@@ -237,6 +241,17 @@ class TestNoSignalling:
         tables[(0, 1)] = np.array([[0.5, 0.25], [0.0, 0.25]])
         resid = check_no_signalling(CorrelationTable(tables))
         assert resid == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("key", SETTING_KEYS)
+    @pytest.mark.parametrize("index", [(0, 0, 0, 0), (1, 1, 0, 1), (1, 0, 1, 1)])
+    def test_nan_entry_is_never_skipped(self, key, index):
+        # a NaN in any entry of any setting must reach the residual, whichever
+        # of the four marginal comparisons it enters and in whichever order
+        model, _ = gen_pr_box()
+        beam = {k: v.copy() for k, v in model.beam_dcfs.items()}
+        beam[key][index] = np.nan
+        assert np.isnan(no_signalling_residual(beam))
+        assert np.isnan(check_no_signalling(beam))
 
 
 def _noisy_box(p):

@@ -135,3 +135,70 @@ class TestJointAndTables:
         back = io.beam_dcfs_from_json(io.beam_dcfs_to_json(model.beam_dcfs))
         for key in SETTING_KEYS:
             assert np.allclose(back[key], model.beam_dcfs[key])
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_matrix_refuses_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            io.matrix_from_json([[[1.0, 0.0], [0.0, bad]]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 0.0]], [[[1.0, "x"]]], [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+         [[[1.0, 0.0, 0.0]]], [[[None, 0.0]]], 3, None],
+    )
+    def test_matrix_refuses_malformed_rows(self, rows):
+        with pytest.raises(ValueError, match="pairs"):
+            io.matrix_from_json(rows)
+
+    def test_matrix_round_trip_is_exact(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        assert np.array_equal(io.matrix_from_json(io.matrix_to_json(m)), m)
+
+    @staticmethod
+    def _beam_doc():
+        model, _ = gen_pr_box()
+        return io.beam_dcfs_to_json(model.beam_dcfs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_beam_dcfs_refuse_non_finite_entries(self, bad):
+        doc = self._beam_doc()
+        doc["a'b'"]["matrix"][1][2][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            io.beam_dcfs_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "slots", [2, [2], [2, 2, 1], [2, 0], [-2, -2], [2.0, 2.0], [True, 2], ["2", 2], None]
+    )
+    def test_beam_dcfs_refuse_malformed_slots(self, slots):
+        doc = self._beam_doc()
+        doc["ab'"]["slots"] = slots
+        with pytest.raises(ValueError, match="ab': slots must be 2 positive integers"):
+            io.beam_dcfs_from_json(doc)
+
+    def test_beam_dcfs_refuse_non_square_matrix(self):
+        doc = self._beam_doc()
+        doc["ab"]["matrix"] = [row[:2] for row in doc["ab"]["matrix"]]
+        with pytest.raises(ValueError, match="not square"):
+            io.beam_dcfs_from_json(doc)
+
+    @pytest.mark.parametrize("slots", [[1, 2], [2, 3], [4, 4]])
+    def test_beam_dcfs_refuse_slots_that_do_not_fit(self, slots):
+        doc = self._beam_doc()
+        doc["ab"]["slots"] = slots
+        with pytest.raises(ValueError, match="does not fit"):
+            io.beam_dcfs_from_json(doc)
+
+    def test_beam_dcfs_refuse_mixed_outcome_shapes(self):
+        doc = self._beam_doc()
+        doc["ab"]["slots"] = [4, 1]
+        with pytest.raises(ValueError, match="one outcome shape"):
+            io.beam_dcfs_from_json(doc)
+
+    def test_joint_refuses_malformed_slots(self, eprb_scenario):
+        doc = io.joint_dcf_to_json(quantum_patch(eprb_scenario))
+        doc["slots"] = 2
+        with pytest.raises(ValueError, match="slots must be 5 positive integers"):
+            io.joint_dcf_from_json(doc)

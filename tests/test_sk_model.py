@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import full_width_factor
+
 from qmeasure import (
     CausalOrder,
     DecoherenceFunctional,
@@ -20,7 +22,6 @@ from qmeasure import (
     subspace_dim,
 )
 from qmeasure._linalg import scatter_columns
-from qmeasure.hilbert import history_factor
 from qmeasure.sk_model import CNOT, HADAMARD, bell_pair_gate
 
 
@@ -246,7 +247,7 @@ def _brute_force_residual(dcf, z, a, b):
     """Doubled screening-off residual over every (past, wing, wing) atom
     combination, amplitude-free atoms included, from Gram matrices of the
     atom-triple, past-atom and wing-past atom vectors."""
-    fac = history_factor(dcf)
+    fac = full_width_factor(dcf)
     algs = [region_algebra(dcf.space, r.point_names()) for r in (z, a, b)]
     n_z, n_a, n_b = (alg.n_atoms for alg in algs)
     grid = n_z * n_a * n_b
@@ -314,7 +315,7 @@ class TestFactorizabilityBruteForce:
     def test_coupled_circuit_matches_brute_force(self):
         cfg = decoupled_demo_config(steps=2)
         model = gen_sk_circuit(_coupled_config(cfg))
-        live = history_factor(model.dcf).any(axis=0)
+        live = full_width_factor(model.dcf).any(axis=0)
         alg_z = region_algebra(model.space, model.region("Z").point_names())
         assert len(np.unique(alg_z.atom_index[live])) < alg_z.n_atoms
         rep, worst = self._compare(model, model.dcf)
