@@ -470,17 +470,16 @@ _table_mutation = st.tuples(
 
 
 def _apply(beam, table, mutation):
-    """Apply one mutation; returns (document, whether it set a non-finite entry)."""
+    """Apply one mutation; returns the document it changed."""
     kind, name = mutation[0], mutation[1]
     if kind == "table entry":
         _, _, i, j, value = mutation
         table[name][i][j] = value
-        return table, not math.isfinite(value)
+        return table
     if kind == "entry":
         _, _, i, j, part, value = mutation
         beam[name]["matrix"][i][j][part] = value
-        return beam, not math.isfinite(value)
-    if kind == "slots":
+    elif kind == "slots":
         beam[name]["slots"] = mutation[2]
     elif kind == "drop row":
         rows = beam[name].get("matrix", [])
@@ -488,7 +487,21 @@ def _apply(beam, table, mutation):
             del rows[mutation[2] % len(rows)]
     else:
         beam[name].pop(mutation[2], None)
-    return beam, False
+    return beam
+
+
+def _holds_non_finite(node):
+    """Whether a JSON value holds a NaN or infinite number anywhere.
+
+    Judged on the final document, since a later mutation may overwrite or
+    drop an entry that an earlier one made non-finite."""
+    if isinstance(node, float):
+        return not math.isfinite(node)
+    if isinstance(node, dict):
+        return any(_holds_non_finite(v) for v in node.values())
+    if isinstance(node, list):
+        return any(_holds_non_finite(v) for v in node)
+    return False
 
 
 class TestMutatedPrDocuments:
@@ -500,13 +513,12 @@ class TestMutatedPrDocuments:
         path = tmp_path_factory.mktemp("mutated") / "doc.json"
         for target in ("beam", "table"):
             beam, table = json.loads(json.dumps(pr_documents))
-            non_finite = False
             doc = beam if target == "beam" else table
             # entries first, so that each lands in an intact matrix
             for m in sorted(mutations, key=lambda m: m[0].startswith("drop")):
                 if (m[0] == "table entry") == (target == "table"):
-                    doc, bad = _apply(beam, table, m)
-                    non_finite = non_finite or bad
+                    doc = _apply(beam, table, m)
+            non_finite = _holds_non_finite(doc)
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             for command in ("nosignalling", "feasibility", "chsh"):
