@@ -13,7 +13,6 @@ import numpy as np
 
 from ._linalg import bool_from_mask, mask_from_bool
 
-EXHAUSTIVE_POINT_LIMIT = 12   # all 2^n regions enumerated up to here
 DOWN_SET_LIMIT = 4096
 
 
@@ -251,15 +250,6 @@ def validate_scenario_geometry(
         wings_spacelike=are_spacelike(order, a, b),
         union_is_past_set=is_past_set(order, z | a | b),
     )
-
-
-def all_regions(order: CausalOrder) -> list[Region]:
-    """Every subset of points; only for small orders."""
-    if order.size > EXHAUSTIVE_POINT_LIMIT:
-        raise ValueError(
-            f"exhaustive region enumeration capped at {EXHAUSTIVE_POINT_LIMIT} points"
-        )
-    return [Region(order, m) for m in range(1 << order.size)]
 
 
 def down_sets(order: CausalOrder, limit: int = DOWN_SET_LIMIT) -> list[Region]:

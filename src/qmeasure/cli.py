@@ -10,6 +10,7 @@ tolerance and library version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,6 +66,19 @@ def _load_doc(path: str):
     return io.load_json(path), os.path.dirname(path)
 
 
+def _loader(load):
+    """Report a TypeError or AttributeError raised while a document is
+    parsed, the mark of a malformed document, as an input error."""
+    @functools.wraps(load)
+    def wrapped(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except (TypeError, AttributeError) as exc:
+            raise InputError(f"malformed input {path}: {exc}") from exc
+    return wrapped
+
+
+@_loader
 def _load_model(path: str, need_order: bool = True):
     """A model is a directory holding dcf.json and order.json, or a single
     JSON file with 'dcf' and 'order' fields (or an skmodel document).  A
@@ -89,6 +103,7 @@ def _load_model(path: str, need_order: bool = True):
     raise InputError(f"cannot interpret {path} as a model")
 
 
+@_loader
 def _load_scenario(path: str):
     if os.path.isdir(path):
         doc, base = _load_doc(os.path.join(path, "scenario.json"))
@@ -268,6 +283,7 @@ def cmd_patch(args) -> int:
     return OK if resid <= tol.rel else VIOLATION
 
 
+@_loader
 def _load_beam_dcfs(path: str) -> dict:
     """Beam functionals keyed by setting, from any two-wing input: a
     scenario (a directory, or a document with 'theories'), beam functionals
@@ -322,12 +338,28 @@ def cmd_feasibility(args) -> int:
         budget=args.budget,
         gap_tol=args.gap_tol,
         tol=_tol(args),
-        seed=args.seed,
     )
     _emit(report.as_dict(), args)
     if report.feasible:
         return OK
     return VIOLATION if report.verdict == "infeasible" else BUDGET
+
+
+@_loader
+def _load_eprb_config(path: str) -> EprbConfig:
+    doc, _ = _load_doc(path)
+    kwargs = {}
+    if "angles" in doc:
+        kwargs["angles"] = tuple(float(a) for a in doc["angles"])
+    if "flip_b" in doc:
+        kwargs["flip_b"] = bool(doc["flip_b"])
+    if "resolution_basis" in doc:
+        kwargs["resolution_basis"] = io.matrix_from_json(doc["resolution_basis"])
+    if "initial_state" in doc:
+        kwargs["initial_state"] = np.array(
+            [complex(c[0], c[1]) for c in doc["initial_state"]]
+        )
+    return EprbConfig(**kwargs)
 
 
 def cmd_gen(args) -> int:
@@ -337,21 +369,7 @@ def cmd_gen(args) -> int:
         io.dump_json(io.dcf_to_json(dcf), os.path.join(args.out, "dcf.json"))
         io.dump_json(io.order_to_json(order), os.path.join(args.out, "order.json"))
     elif args.name == "eprb":
-        cfg = EprbConfig()
-        if args.config:
-            doc, _ = _load_doc(args.config)
-            kwargs = {}
-            if "angles" in doc:
-                kwargs["angles"] = tuple(float(a) for a in doc["angles"])
-            if "flip_b" in doc:
-                kwargs["flip_b"] = bool(doc["flip_b"])
-            if "resolution_basis" in doc:
-                kwargs["resolution_basis"] = io.matrix_from_json(doc["resolution_basis"])
-            if "initial_state" in doc:
-                kwargs["initial_state"] = np.array(
-                    [complex(c[0], c[1]) for c in doc["initial_state"]]
-                )
-            cfg = EprbConfig(**kwargs)
+        cfg = _load_eprb_config(args.config) if args.config else EprbConfig()
         scenario = gen_eprb(cfg)
         io.dump_json(
             io.scenario_to_json(scenario), os.path.join(args.out, "scenario.json")
@@ -383,6 +401,11 @@ def cmd_gen(args) -> int:
     return OK
 
 
+@_loader
+def _load_sk_config(path: str):
+    return io.sk_config_from_json(_load_doc(path)[0])
+
+
 def cmd_sk(args) -> int:
     tol = _tol(args)
     if args.action == "fixture":
@@ -392,8 +415,7 @@ def cmd_sk(args) -> int:
         return OK
     if not args.input:
         raise InputError(f"sk {args.action} needs a circuit-model JSON input")
-    doc, _ = _load_doc(args.input)
-    cfg = io.sk_config_from_json(doc)
+    cfg = _load_sk_config(args.input)
     if args.action == "factorizability":
         report = sk_factorizability_demo(cfg, tol=tol)
         _emit(report.as_dict(), args)
@@ -416,15 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schema", action="store_true", help="print the JSON schemas and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, with_seed=True):
+    def common(p):
         p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="decoherence-functional axiom report")
     p.add_argument("input")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
     common(p)
     p.set_defaults(func=cmd_validate)
 
@@ -457,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z")
     p.add_argument("--a")
     p.add_argument("--b")
-    common(p, with_seed=False)
+    common(p)
     p.set_defaults(func=cmd_factorizability)
 
     p = sub.add_parser("patch", help="build a joint measure or functional")
@@ -491,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen, out_is_dir=True)
 
     p = sub.add_parser("sk", help="circuit-model checks")
@@ -500,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--tf1", type=int, default=2)
     p.add_argument("--tf2", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled regions")
     common(p)
     p.set_defaults(func=cmd_sk)
 

@@ -233,6 +233,21 @@ class DecoherenceFunctional:
 
     # -- restriction and agreement -------------------------------------------
 
+    def grouped(self, labels: np.ndarray, m: int) -> np.ndarray:
+        """The m x m matrix of D(E_p, E_q), where E_p holds the histories
+        labelled p; `labels` gives each history one label in 0..m-1."""
+        if self.is_dense:
+            ind = np.zeros((m, self.space.size))
+            ind[labels, np.arange(self.space.size)] = 1.0
+            return ind @ self.matrix @ ind.T
+        b = self.branch
+        vecs = scatter_columns(
+            b.amplitudes[None, b.live],
+            labels[b.live] * b.dim + b.final_index[b.live],
+            m * b.dim,
+        ).reshape(m, b.dim)
+        return vecs.conj() @ vecs.T
+
     def restrict(self, points) -> "DecoherenceFunctional":
         """The functional induced on the atoms of a region algebra.
 
@@ -249,18 +264,7 @@ class DecoherenceFunctional:
             histories=alg.representatives,
             alphabets={p: self.space.alphabets[p] for p in alg.points},
         )
-        if self.is_dense:
-            ind = np.zeros((alg.n_atoms, self.space.size))
-            ind[alg.atom_index, np.arange(self.space.size)] = 1.0
-            mat = ind @ self.matrix @ ind.T
-        else:
-            b = self.branch
-            vecs = scatter_columns(
-                b.amplitudes[None, b.live],
-                alg.atom_index[b.live] * b.dim + b.final_index[b.live],
-                alg.n_atoms * b.dim,
-            ).reshape(alg.n_atoms, b.dim)
-            mat = vecs.conj() @ vecs.T
+        mat = self.grouped(alg.atom_index, alg.n_atoms)
         return DecoherenceFunctional(sub, matrix=mat, tol=self.tol)
 
 

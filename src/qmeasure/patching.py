@@ -57,42 +57,32 @@ class SettingScenario:
     def theory(self, sa: int, sb: int) -> SettingTheory:
         return self.theories[(sa, sb)]
 
-    @property
-    def n_outcomes(self) -> tuple[int, int]:
-        t = self.theory(0, 0)
-        return len(t.beam_a), len(t.beam_b)
-
-    def z_atoms(self, sa: int, sb: int) -> tuple[Event, ...]:
+    def cell_values(self, sa: int, sb: int) -> np.ndarray:
+        """The theory's values on pairs of cells A_i B_j Z_k, where A_i, B_j
+        are beam events and Z_k the past atoms: entry [i, j, k, i2, j2, k2]
+        is D(A_i B_j Z_k, A_i2 B_j2 Z_k2), from one `grouped` call.  The
+        beam events of each wing must partition the history space."""
         t = self.theory(sa, sb)
-        return region_algebra(t.space, self.z_points).atoms
+        a, b = _beam_index(t, t.beam_a), _beam_index(t, t.beam_b)
+        na, nb = len(t.beam_a), len(t.beam_b)
+        z = region_algebra(t.space, self.z_points)
+        nk = z.n_atoms
+        labels = (a * nb + b) * nk + z.atom_index
+        return t.dcf.grouped(labels, na * nb * nk).reshape(na, nb, nk, na, nb, nk)
 
     def beam_dcfs(self) -> dict[tuple[int, int], np.ndarray]:
         """Beam-only functionals: entry [i, j, i2, j2] is the value on the
         pair of joint beam events, past summed out."""
-        out = {}
-        na, nb = self.n_outcomes
-        for key, t in self.theories.items():
-            arr = np.zeros((na, nb, na, nb), dtype=complex)
-            for i in range(na):
-                for j in range(nb):
-                    for i2 in range(na):
-                        for j2 in range(nb):
-                            arr[i, j, i2, j2] = t.dcf.evaluate(
-                                t.beam_a[i] & t.beam_b[j],
-                                t.beam_a[i2] & t.beam_b[j2],
-                            )
-            out[key] = arr
-        return out
+        return {key: self.cell_values(*key).sum(axis=(2, 5)) for key in self.theories}
 
     def correlation_table(self) -> "CorrelationTable":
-        na, nb = self.n_outcomes
         tables = {}
-        for key, t in self.theories.items():
-            tab = np.zeros((na, nb))
-            for i in range(na):
-                for j in range(nb):
-                    tab[i, j] = t.dcf.measure(t.beam_a[i] & t.beam_b[j])
-            tables[key] = tab
+        for key, beam in self.beam_dcfs().items():
+            tab = np.einsum("ijij->ij", beam)
+            tol = self.theories[key].dcf.tol
+            if np.abs(tab.imag).max() > tol.rel * max(1.0, float(np.abs(beam).max())):
+                raise ValueError(f"theory {key} has complex measures: hermiticity violated")
+            tables[key] = tab.real
         return CorrelationTable(tables)
 
     def validate(self, tol: Tolerance | None = None) -> "ScenarioReport":
@@ -132,6 +122,16 @@ class SettingScenario:
                 t.order.region(self.b_points),
             ).passed
         return ScenarioReport(agreement, partitions, geometry)
+
+
+def _beam_index(t: SettingTheory, events: Sequence[Event]) -> np.ndarray:
+    """The index of the beam event holding each history of the theory."""
+    if any(e.space is not t.space for e in events):
+        raise ValueError("beam event belongs to a different history space")
+    flags = np.stack([e.to_bool() for e in events])
+    if not (flags.sum(axis=0) == 1).all():
+        raise ValueError("beam events must partition the history space")
+    return flags.argmax(axis=0)
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,19 @@ def chsh_value(table: CorrelationTable) -> float:
 # ---------------------------------------------------------------------------
 # Classical patching (factorizable measures)
 
+def _cell_masses(values: np.ndarray):
+    """Masses of a classical theory from its cell values: mu(A_i B_j Z_k)
+    as [i, j, k], mu(A_i Z_k) as [i, k], mu(B_j Z_k) as [j, k] and
+    mu(Z_k) as [k]."""
+    past = np.einsum("ijkIJk->ijIJk", values).real
+    return (
+        np.einsum("ijijk->ijk", past),
+        np.einsum("ijiJk->ik", past),
+        np.einsum("ijIjk->jk", past),
+        past.sum(axis=(0, 1, 2, 3)),
+    )
+
+
 def classical_factorizability_residual(
     scenario: SettingScenario, tol: Tolerance | None = None
 ) -> float:
@@ -204,19 +217,13 @@ def classical_factorizability_residual(
     Checking wing algebra atoms suffices: at fixed past event both sides
     are additive over disjoint unions in each wing slot.
     """
-    worst = 0.0
+    gaps = []
     for key, t in scenario.theories.items():
         if not t.dcf.is_classical():
             raise ValueError(f"theory {key} is not classical")
-        mu = t.dcf.measure
-        for g in scenario.z_atoms(*key):
-            mg = mu(g)
-            for ea in t.beam_a:
-                for eb in t.beam_b:
-                    lhs = mu(ea & eb & g) * mg
-                    rhs = mu(ea & g) * mu(eb & g)
-                    worst = max(worst, abs(lhs - rhs))
-    return worst
+        mu_ab, mu_a, mu_b, mu_k = _cell_masses(scenario.cell_values(*key))
+        gaps.append((mu_ab * mu_k, mu_a[:, None] * mu_b[None]))
+    return _worst_gap(gaps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,36 +282,13 @@ def classical_patch(
     resid = classical_factorizability_residual(scenario, tol)
     if resid > tol.rel:
         raise CheckViolation(f"theories are not factorizable (residual {resid:.3e})")
-    na, nb = scenario.n_outcomes
     # wing-setting masses come from a fixed theory containing that setting;
     # agreement makes the choice immaterial
-    t_a = {0: scenario.theory(0, 0), 1: scenario.theory(1, 0)}
-    t_b = {0: scenario.theory(0, 0), 1: scenario.theory(0, 1)}
-    z_a = {s: scenario.z_atoms(s, 0) for s in (0, 1)}
-    z_b = {s: scenario.z_atoms(0, s) for s in (0, 1)}
-    nk = len(z_a[0])
-    mu_a = np.array(
-        [[[t_a[s].dcf.measure(t_a[s].beam_a[i] & z_a[s][k]) for k in range(nk)]
-          for i in range(na)] for s in (0, 1)]
-    )
-    mu_b = np.array(
-        [[[t_b[s].dcf.measure(t_b[s].beam_b[j] & z_b[s][k]) for k in range(nk)]
-          for j in range(nb)] for s in (0, 1)]
-    )
-    mu_k = np.array(
-        [scenario.theory(0, 0).dcf.measure(g) for g in scenario.z_atoms(0, 0)]
-    )
-    out = np.zeros((na, na, nb, nb, nk))
-    for k in range(nk):
-        if mu_k[k] <= ZERO_MASS:
-            continue
-        out[..., k] = (
-            mu_a[0][:, None, None, None, k]
-            * mu_a[1][None, :, None, None, k]
-            * mu_b[0][None, None, :, None, k]
-            * mu_b[1][None, None, None, :, k]
-            / mu_k[k] ** 3
-        )
+    mu_a = [_cell_masses(scenario.cell_values(sa, 0))[1] for sa in (0, 1)]
+    mu_b = [_cell_masses(scenario.cell_values(0, sb))[2] for sb in (0, 1)]
+    mu_k = _cell_masses(scenario.cell_values(0, 0))[3]
+    prod = np.einsum("ik,Ik,jk,Jk->iIjJk", mu_a[0], mu_a[1], mu_b[0], mu_b[1])
+    out = np.divide(prod, mu_k ** 3, out=np.zeros_like(prod), where=mu_k > ZERO_MASS)
     return JointMeasure(out)
 
 
@@ -313,18 +297,10 @@ def classical_marginal_residual(
 ) -> float:
     """Worst entrywise gap between the joint measure's setting marginals
     and the four theories' own measures on (beam, beam, past) atoms."""
-    worst = 0.0
-    na, nb = scenario.n_outcomes
-    for sa, sb in SETTING_KEYS:
-        t = scenario.theory(sa, sb)
-        atoms = scenario.z_atoms(sa, sb)
-        marg = jm.setting_marginal(sa, sb)
-        for i in range(na):
-            for j in range(nb):
-                for k, g in enumerate(atoms):
-                    expected = t.dcf.measure(t.beam_a[i] & t.beam_b[j] & g)
-                    worst = max(worst, abs(marg[i, j, k] - expected))
-    return worst
+    return _worst_gap(
+        (jm.setting_marginal(*key), _cell_masses(scenario.cell_values(*key))[0])
+        for key in SETTING_KEYS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +353,14 @@ def _wing_operators(scenario: SettingScenario, tol: Tolerance):
     agreement clauses any other choice gives the same operator within
     rounding.
     """
-    sources = {
-        "a": ((0, 0), "a", 0),
-        "ap": ((1, 0), "a", 1),
-        "b": ((0, 0), "b", 0),
-        "bp": ((0, 1), "b", 1),
-    }
     ops = {}
-    for sym, (key, wing, _setting) in sources.items():
+    for sym, key in {"a": (0, 0), "ap": (1, 0), "b": (0, 0), "bp": (0, 1)}.items():
         t = scenario.theory(*key)
-        events = t.beam_a if wing == "a" else t.beam_b
-        wing_points = scenario.a_points if wing == "a" else scenario.b_points
+        events, points = (
+            (t.beam_a, scenario.a_points) if sym[0] == "a" else (t.beam_b, scenario.b_points)
+        )
         ops[sym] = [
-            event_operator(
-                t.dcf, t.order, wing_points, e, scenario.z_points, tol=tol
-            ).frame_matrix
+            event_operator(t.dcf, t.order, points, e, scenario.z_points, tol=tol).frame_matrix
             for e in events
         ]
     return ops
@@ -446,24 +415,15 @@ def quantum_patch(
         raise CheckViolation(
             f"wing operators do not commute (residual {comm_worst:.3e})"
         )
-    ref = scenario.theory(0, 0)
-    z_alg = region_algebra(ref.space, scenario.z_points)
-    gz = np.array(
-        [[ref.dcf.evaluate(p, q) for q in z_alg.atoms] for p in z_alg.atoms]
-    )
-    na, nb = scenario.n_outcomes
-    nk = z_alg.n_atoms
-    outcome_of = {"a": 0, "ap": 1, "b": 2, "bp": 3}
-    cf = np.zeros((na, na, nb, nb, nk, nk), dtype=complex)  # [..., p, k]
-    for i in range(na):
-        for ip in range(na):
-            for j in range(nb):
-                for jp in range(nb):
-                    labels = (i, ip, j, jp)
-                    mop = np.eye(nk, dtype=complex)
-                    for sym in ordering:
-                        mop = mop @ ops[sym][labels[outcome_of[sym]]]
-                    cf[i, ip, j, jp] = mop
+    gz = scenario.cell_values(0, 0).sum(axis=(0, 1, 3, 4))
+    nk = len(gz)
+    # cf[i, i', j, j'] is the product of the four operators for those labels
+    cf = np.eye(nk, dtype=complex)
+    for sym in ordering:
+        op = np.array(ops[sym])
+        shape = [1, 1, 1, 1, nk, nk]
+        shape[OPERATOR_ORDER.index(sym)] = len(op)
+        cf = cf @ op.reshape(shape)
     values = np.einsum(
         "abcdpk,pq,ABCDqK->abcdkABCDK", cf.conj(), gz, cf, optimize=True
     )
@@ -475,25 +435,7 @@ def patch_marginal_residual(
 ) -> float:
     """Entrywise gap between a setting marginal of the joint functional
     and that theory's values on (beam, beam, past-event) conjunctions."""
-    t = scenario.theory(sa, sb)
-    atoms = scenario.z_atoms(sa, sb)
-    marg = jdcf.setting_marginal(sa, sb)
-    na, nb = scenario.n_outcomes
-    worst = 0.0
-    for i in range(na):
-        for j in range(nb):
-            for k, g in enumerate(atoms):
-                for i2 in range(na):
-                    for j2 in range(nb):
-                        for k2, g2 in enumerate(atoms):
-                            expected = t.dcf.evaluate(
-                                t.beam_a[i] & t.beam_b[j] & g,
-                                t.beam_a[i2] & t.beam_b[j2] & g2,
-                            )
-                            worst = max(
-                                worst, abs(marg[i, j, k, i2, j2, k2] - expected)
-                            )
-    return worst
+    return _worst_gap([(jdcf.setting_marginal(sa, sb), scenario.cell_values(sa, sb))])
 
 
 # ---------------------------------------------------------------------------
@@ -530,37 +472,21 @@ def converse_model(
     if eig.min() < -tol.rel * max(eig.max(), 1.0):
         raise ValueError("beam joint is not positive semi-definite")
 
-    def bits(key: int) -> tuple[int, int, int, int]:
-        jp = key % nb
-        j = (key // nb) % nb
-        ip = (key // (nb * nb)) % na
-        i = key // (nb * nb * na)
-        return i, ip, j, jp
-
+    outcomes = np.unravel_index(np.arange(nkey), (na, na, nb, nb))  # i, i', j, j'
     points = ("z", "wa", "wb")
     order = CausalOrder.from_covers(points, [("z", "wa"), ("z", "wb")])
+    key, wa, wb = np.indices((nkey, na, nb)).reshape(3, -1)
     theories = {}
     for sa in (0, 1):
         for sb in (0, 1):
-            histories = (
-                np.indices((nkey, na, nb)).reshape(3, -1).T + (0, sa * na, sb * nb)
-            ).tolist()
+            # a history is live when its wing values repeat its key's outcomes
+            ok = (wa == outcomes[sa][key]) & (wb == outcomes[2 + sb][key])
             space = HistorySpace(
                 points=points,
-                histories=histories,
+                histories=np.stack([key, wa + sa * na, wb + sb * nb], axis=1),
                 alphabets={"z": nkey, "wa": 2 * na, "wb": 2 * nb},
             )
-            n = space.size
-            matrix = np.zeros((n, n), dtype=complex)
-            for h1, (k1, w1, u1) in enumerate(histories):
-                i1, ip1, j1, jp1 = bits(k1)
-                if w1 - sa * na != (i1, ip1)[sa] or u1 - sb * nb != (j1, jp1)[sb]:
-                    continue
-                for h2, (k2, w2, u2) in enumerate(histories):
-                    i2, ip2, j2, jp2 = bits(k2)
-                    if w2 - sa * na != (i2, ip2)[sa] or u2 - sb * nb != (j2, jp2)[sb]:
-                        continue
-                    matrix[h1, h2] = flat[k1, k2]
+            matrix = np.where(np.outer(ok, ok), flat[np.ix_(key, key)], 0)
             dcf = DecoherenceFunctional(space, matrix=matrix, tol=tol)
             beam_a = tuple(space.value_event("wa", sa * na + i) for i in range(na))
             beam_b = tuple(space.value_event("wb", sb * nb + j) for j in range(nb))
@@ -629,7 +555,6 @@ class FeasibilityReport:
     gap: float
     iterations: int
     no_signalling_residual: float
-    seed: int
     certificate: FarkasCertificate | None = None
 
     @property
@@ -642,7 +567,6 @@ class FeasibilityReport:
             "gap": self.gap,
             "iterations": self.iterations,
             "no_signalling_residual": self.no_signalling_residual,
-            "seed": self.seed,
         }
         if self.certificate is not None:
             out["certificate"] = self.certificate.as_dict()
@@ -754,7 +678,6 @@ def joint_feasibility(
     budget: int = 20000,
     gap_tol: float = 1e-6,
     tol: Tolerance = Tolerance(),
-    seed: int = 0,
 ) -> FeasibilityReport:
     """Alternating-projection (Dykstra) search for a PSD Hermitian joint
     functional over the beam labels with the four inputs as setting
@@ -798,9 +721,9 @@ def joint_feasibility(
         x = y - corr
         gap = float(np.linalg.norm(corr))
         if gap < gap_tol:
-            return FeasibilityReport("feasible", gap, it, ns, seed)
+            return FeasibilityReport("feasible", gap, it, ns)
         if it & (it - 1) == 0:
             cert = maps.farkas(corr, x, y, trace, tol, it)
             if cert is not None:
-                return FeasibilityReport("infeasible", gap, it, ns, seed, cert)
-    return FeasibilityReport("undecided-infeasible", gap, budget, ns, seed)
+                return FeasibilityReport("infeasible", gap, it, ns, cert)
+    return FeasibilityReport("undecided-infeasible", gap, budget, ns)

@@ -255,12 +255,11 @@ def scenario_from_json(doc: dict, base_dir: str = ".") -> SettingScenario:
             beam_a=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_a"]),
             beam_b=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_b"]),
         )
-    return SettingScenario(
-        theories,
-        tuple(doc["z"]),
-        tuple(doc["a"]),
-        tuple(doc["b"]),
-    )
+    regions = [tuple(doc[name]) for name in ("z", "a", "b")]
+    for t in theories.values():
+        for points in regions:
+            t.order.region(points)  # refuses a name that is not a point
+    return SettingScenario(theories, *regions)
 
 
 # -- tables and joints ---------------------------------------------------------

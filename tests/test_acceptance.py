@@ -199,14 +199,14 @@ def test_criterion_7_converse_round_trip(eprb_patch):
 
 
 def test_criterion_8_feasibility_contrast(eprb):
-    rep_q = joint_feasibility(eprb.beam_dcfs(), budget=20000, seed=0)
+    rep_q = joint_feasibility(eprb.beam_dcfs(), budget=20000)
     ok = rep_q.feasible and rep_q.gap < 1e-6 and rep_q.iterations <= 20000
     pr_model, _ = gen_pr_box()
-    rep_pr = joint_feasibility(pr_model.beam_dcfs, budget=20000, seed=0)
+    rep_pr = joint_feasibility(pr_model.beam_dcfs, budget=20000)
     cert = rep_pr.certificate
     ok = ok and rep_pr.verdict == "infeasible" and rep_pr.gap > 1e-3
     ok = ok and rep_pr.iterations < 100 and cert.value + cert.slack_term < 0
-    rep_q2 = joint_feasibility(eprb.beam_dcfs(), budget=20000, seed=0)
+    rep_q2 = joint_feasibility(eprb.beam_dcfs(), budget=20000)
     ok = ok and rep_q2.gap == rep_q.gap and rep_q2.iterations == rep_q.iterations
     report(8, "joint feasibility separates quantum from box correlations", ok)
 

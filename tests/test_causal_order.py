@@ -13,7 +13,7 @@ from qmeasure import (
     shadow,
     validate_scenario_geometry,
 )
-from qmeasure.causal_order import all_regions, past_set_of
+from qmeasure.causal_order import past_set_of
 
 
 @pytest.fixture
@@ -147,9 +147,6 @@ class TestGeometry:
 
 
 class TestEnumeration:
-    def test_all_regions_count(self, chain):
-        assert len(all_regions(chain)) == 4
-
     def test_down_sets_diamond(self, diamond):
         names = [r.point_names() for r in down_sets(diamond)]
         assert ("bottom",) in names
@@ -201,11 +198,6 @@ class TestOrderProperties:
 
 
 class TestEnumerationCaps:
-    def test_all_regions_capped(self):
-        big = CausalOrder.antichain(tuple(f"n{i}" for i in range(13)))
-        with pytest.raises(ValueError):
-            all_regions(big)
-
     def test_down_sets_capped(self):
         big = CausalOrder.antichain(tuple(f"n{i}" for i in range(13)))
         with pytest.raises(ValueError):

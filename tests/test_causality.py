@@ -21,7 +21,12 @@ from qmeasure import (
     shadow,
 )
 from qmeasure._linalg import selection_violation
-from qmeasure.causal_order import CausalOrder, all_regions
+from qmeasure.causal_order import CausalOrder, Region, future_set
+
+
+def every_region(order):
+    """All 2^n point subsets of the order."""
+    return [Region(order, m) for m in range(1 << order.size)]
 
 
 class TestPoz:
@@ -47,8 +52,42 @@ class TestPoz:
     def test_vacuous_regions_skipped(self, double_slit):
         _, order, dcf = double_slit
         rep = check_poz(dcf, order)
-        # regions containing the bottom point shadow nothing
-        assert rep.skipped_vacuous == 2
+        # the exhaustive family is the up-sets; only the full one shadows nothing
+        assert rep.skipped_vacuous == 1
+        upsets = {
+            r.point_names()
+            for r in every_region(order)
+            if future_set(order, r) == r and not shadow(order, r).is_empty()
+        }
+        tested = [r.region_points for r in rep.results]
+        assert len(tested) == len(upsets) and set(tested) == upsets
+
+    @pytest.mark.parametrize("shape", ["antichain", "cover", "branch"])
+    def test_up_sets_decide_like_a_full_scan(self, shape):
+        # viol(R) <= k^2 viol(J+(R)), k the most J+(R)-atoms in one R-atom
+        covers = {
+            "antichain": [],
+            "cover": [("p0", "p1")],
+            "branch": [("p0", "p1"), ("p1", "p2"), ("p1", "p3")],
+        }[shape]
+        rng = np.random.default_rng(29)
+        for _ in range(14):
+            space = random_space(rng, n_points=4, max_alpha=3)
+            order = CausalOrder.from_covers(space.points, covers)
+            lazy = random_branch_dcf(rng, space, dim=int(rng.integers(2, 4)))
+            for dcf in (lazy, random_psd_dcf(rng, space)):
+                full = check_poz(dcf, order, every_region(order))
+                assert check_poz(dcf, order).passed == full.passed
+                viol = {r.region_points: r.violation for r in full.results}
+                for region in every_region(order):
+                    if shadow(order, region).is_empty():
+                        continue
+                    up = future_set(order, region)
+                    r_idx = region_algebra(space, region.point_names()).atom_index
+                    f_idx = region_algebra(space, up.point_names()).atom_index
+                    k = max(len(set(f_idx[r_idx == a])) for a in set(r_idx))
+                    bound = k * k * viol[up.point_names()] + 1e-12
+                    assert viol[region.point_names()] <= bound
 
     def test_explicit_region_list(self, double_slit):
         _, order, dcf = double_slit
@@ -354,7 +393,7 @@ class TestBatchedPoz:
                 if trial % 2 == 0
                 else CausalOrder.from_covers(points, [(points[0], points[1])])
             )
-            regions = all_regions(order)
+            regions = every_region(order)
             lazy = random_branch_dcf(rng, space, dim=int(rng.integers(2, 4)))
             for dcf in (lazy, random_psd_dcf(rng, space)):
                 assert_matches_per_atom(dcf, order, regions)
@@ -382,7 +421,7 @@ class TestBatchedPoz:
         order = model.order
         regions = [
             r
-            for r in all_regions(order)
+            for r in every_region(order)
             if len(r.point_names()) >= 10 and not shadow(order, r).is_empty()
         ][:3]
         assert check_poz(model.dcf, order, regions).skipped_vacuous == 0
@@ -395,7 +434,7 @@ class TestBatchedPoz:
         model = gen_sk_circuit(decoupled_demo_config(steps=2))
         order = model.order
         by_size = {}
-        for region in all_regions(order):
+        for region in every_region(order):
             if not shadow(order, region).is_empty():
                 by_size.setdefault(len(region.point_names()), []).append(region)
         rng = np.random.default_rng(5)
@@ -408,7 +447,7 @@ class TestBatchedPoz:
 
     def test_reversed_double_slit_matches_per_atom_loop(self):
         _, order, dcf = gen_double_slit(time_reversed=True)
-        regions = all_regions(order)
+        regions = every_region(order)
         assert_matches_per_atom(dcf, order, regions)
         row = check_poz(dcf, order, [order.region(["slit"])]).results[0]
         assert row.violation == pytest.approx(0.25, abs=1e-12)

@@ -165,8 +165,8 @@ class TestSkCommands:
 class TestDeterminism:
     def test_reports_byte_identical(self, workdir, capsys):
         run(capsys, "gen", "eprb", "--out", "eprb")
-        _, out1 = run(capsys, "feasibility", "eprb/scenario.json", "--seed", "0")
-        _, out2 = run(capsys, "feasibility", "eprb/scenario.json", "--seed", "0")
+        _, out1 = run(capsys, "feasibility", "eprb/scenario.json")
+        _, out2 = run(capsys, "feasibility", "eprb/scenario.json")
         assert out1 == out2
 
     def test_version_embedded(self, workdir, capsys):
@@ -435,6 +435,26 @@ class TestLoaderFaults:
             assert "slots must be 2 positive integers" in capsys.readouterr().err
 
 
+    def test_malformed_documents_are_input_errors(self, workdir, capsys):
+        run(capsys, "gen", "pr", "--out", "pr")
+        with open("pr/dcf.json") as fh:
+            doc = json.load(fh)
+        doc["space"]["points"] = 5
+        assert main(["validate", self._write(doc)]) == 2
+        assert "malformed input" in capsys.readouterr().err
+        run(capsys, "sk", "fixture", "--steps", "2", "--out", "sk.json")
+        with open("sk.json") as fh:
+            doc = json.load(fh)
+        doc["gates"] = [5]
+        path = self._write(doc)
+        for argv in (["sk", "truncation", path, "--tf1", "1", "--tf2", "2"], ["validate", path]):
+            assert main(argv) == 2
+            assert "malformed input" in capsys.readouterr().err
+        path = self._write({"angles": 5})
+        assert main(["gen", "eprb", "--config", path, "--out", "eprb"]) == 2
+        assert "malformed input" in capsys.readouterr().err
+
+
 _entry_values = st.one_of(st.sampled_from(NON_FINITE), st.floats(-1e3, 1e3))
 
 
@@ -530,3 +550,84 @@ class TestMutatedPrDocuments:
                 if non_finite:
                     assert code == 2
                     assert '"passed": true' not in stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def model_documents(tmp_path_factory):
+    """The documents that `gen double-slit` and `gen eprb` write, by name."""
+    out = tmp_path_factory.mktemp("models")
+    assert main(["gen", "double-slit", "--out", str(out / "ds")]) == 0
+    assert main(["gen", "eprb", "--out", str(out / "eprb")]) == 0
+    docs = {}
+    for name in ("ds/dcf.json", "ds/order.json", "eprb/scenario.json"):
+        with open(out / name) as fh:
+            docs[name] = json.load(fh)
+    return docs
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70000), st.floats(), st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+# a path of steps into the document, then the node reached is dropped or set
+_doc_mutation = st.tuples(
+    st.lists(st.integers(0, 1 << 16), min_size=1, max_size=8),
+    st.one_of(st.just(("drop",)), st.tuples(st.just("set"), _json_values)),
+)
+
+
+def _mutate(doc, path, action):
+    """Walk `path`, each step picking a key or item of the node modulo their
+    count, and drop or replace the node it reaches."""
+    parent = key = None
+    node = doc
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent = node
+        key = sorted(node)[step % len(node)] if isinstance(node, dict) else step % len(node)
+        node = parent[key]
+    if parent is None:  # an empty document has nothing left to break
+        return
+    if action[0] == "drop":
+        del parent[key]
+    else:
+        parent[key] = action[1]
+
+
+MODEL_COMMANDS = {
+    "ds/dcf.json": (["validate"], ["hilbert"], ["poz"], ["lon"]),
+    "ds/order.json": (["poz"], ["lon"]),
+    "eprb/scenario.json": (["chsh"], ["nosignalling"], ["commute"], ["patch", "quantum"]),
+}
+
+
+class TestMutatedModelDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(MODEL_COMMANDS)),
+        mutations=st.lists(_doc_mutation, min_size=1, max_size=3),
+    )
+    def test_mutations_exit_cleanly(self, model_documents, tmp_path_factory, name, mutations):
+        """Whatever is broken in a model or scenario document, each command
+        that reads it exits 0, 2 or 3 without a traceback."""
+        root = tmp_path_factory.mktemp("mutated")
+        docs = json.loads(json.dumps(model_documents))
+        for path, action in mutations:
+            _mutate(docs[name], path, action)
+        for doc_name, doc in docs.items():
+            os.makedirs(root / os.path.dirname(doc_name), exist_ok=True)
+            with open(root / doc_name, "w") as fh:
+                json.dump(doc, fh)
+        for command in MODEL_COMMANDS[name]:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*command, str(root / os.path.dirname(name))])
+            assert code in (0, 2, 3), (command, mutations, stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_events, random_psd_dcf, random_space
 
-from qmeasure import DecoherenceFunctional, HistorySpace, check_agreement
+from qmeasure import DecoherenceFunctional, HistorySpace, check_agreement, region_algebra
+from qmeasure._linalg import scatter_columns
 
 
 def two_path_oracle():
@@ -182,6 +183,57 @@ class TestRestrict:
         small = dcf.restrict(space.points[:1])
         via_mid = dcf.restrict(space.points[:2]).restrict(space.points[:1])
         assert np.allclose(small.matrix, via_mid.matrix, atol=1e-12)
+
+
+def random_lazy_dcf(rng, space, dim=3):
+    """Lazy functional of unit-norm random amplitudes, about a fifth of them
+    zero, on `dim` final configurations."""
+    amp = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+    amp[rng.random(space.size) < 0.2] = 0.0
+    amp /= np.linalg.norm(amp)
+    final = rng.integers(0, dim, size=space.size)
+    return DecoherenceFunctional.from_amplitudes(space, amp, final, dim)
+
+
+class TestGrouped:
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_matches_per_event_evaluate(self, lazy):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            space = random_space(rng, n_points=3, max_alpha=3)
+            dcf = random_lazy_dcf(rng, space) if lazy else random_psd_dcf(rng, space)
+            m = space.size // 2 + 2
+            labels = rng.integers(0, m - 1, size=space.size)  # group m - 1 is empty
+            events = [
+                space.event_from_indices(np.flatnonzero(labels == p)) for p in range(m)
+            ]
+            expected = np.array([[dcf.evaluate(e, f) for f in events] for e in events])
+            got = dcf.grouped(labels, m)
+            assert got.shape == (m, m)
+            assert np.abs(got - expected).max() <= 1e-14
+            assert not got[m - 1].any() and not got[:, m - 1].any()
+
+    def test_restrict_runs_the_two_formulas(self):
+        # the dense indicator product and the lazy scatter over
+        # atom * dim + final_index on live histories, bit for bit
+        rng = np.random.default_rng(43)
+        space = random_space(rng, n_points=3, max_alpha=3)
+        for dcf in (random_psd_dcf(rng, space), random_lazy_dcf(rng, space)):
+            for points in ((), space.points[:1], space.points[1:], space.points):
+                alg = region_algebra(space, points)
+                if dcf.is_dense:
+                    ind = np.zeros((alg.n_atoms, space.size))
+                    ind[alg.atom_index, np.arange(space.size)] = 1.0
+                    expected = ind @ dcf.matrix @ ind.T
+                else:
+                    b = dcf.branch
+                    vecs = scatter_columns(
+                        b.amplitudes[None, b.live],
+                        alg.atom_index[b.live] * b.dim + b.final_index[b.live],
+                        alg.n_atoms * b.dim,
+                    ).reshape(alg.n_atoms, b.dim)
+                    expected = vecs.conj() @ vecs.T
+                assert np.array_equal(dcf.restrict(points).matrix, expected)
 
 
 class TestAgreement:

@@ -5,7 +5,10 @@ from conftest import random_factorizable_scenario
 
 from qmeasure import (
     CorrelationTable,
+    DecoherenceFunctional,
     JointMeasure,
+    SettingScenario,
+    SettingTheory,
     check_no_signalling,
     chsh_value,
     classical_factorizability_residual,
@@ -16,9 +19,11 @@ from qmeasure import (
     marginalize_measure,
     patch_marginal_residual,
     quantum_patch,
+    region_algebra,
 )
 from qmeasure.patching import (
     SETTING_KEYS,
+    JointDcf,
     classical_marginal_residual,
     no_signalling_residual,
 )
@@ -95,6 +100,136 @@ class TestClassicalPatch:
     def test_non_factorizable_refused(self, eprb_scenario):
         with pytest.raises(ValueError):
             classical_patch(eprb_scenario)
+
+
+# Per-event references: every value is one evaluate or measure call on an
+# intersection of beam events and past atoms.
+
+def past_atoms(sc, key):
+    t = sc.theory(*key)
+    return region_algebra(t.space, sc.z_points).atoms
+
+
+def reference_beam_dcfs(sc):
+    out = {}
+    for key, t in sc.theories.items():
+        cells = [ea & eb for ea in t.beam_a for eb in t.beam_b]
+        vals = np.array([[t.dcf.evaluate(e, f) for f in cells] for e in cells])
+        out[key] = vals.reshape(len(t.beam_a), len(t.beam_b), len(t.beam_a), len(t.beam_b))
+    return out
+
+
+def reference_tables(sc):
+    return {
+        key: np.array([[t.dcf.measure(ea & eb) for eb in t.beam_b] for ea in t.beam_a])
+        for key, t in sc.theories.items()
+    }
+
+
+def reference_classical_residual(sc):
+    worst = 0.0
+    for key, t in sc.theories.items():
+        mu = t.dcf.measure
+        for g in past_atoms(sc, key):
+            for ea in t.beam_a:
+                for eb in t.beam_b:
+                    gap = mu(ea & eb & g) * mu(g) - mu(ea & g) * mu(eb & g)
+                    worst = max(worst, abs(gap))
+    return worst
+
+
+def reference_classical_marginal_residual(jm, sc):
+    worst = 0.0
+    for key in SETTING_KEYS:
+        t, marg = sc.theory(*key), jm.setting_marginal(*key)
+        for i, ea in enumerate(t.beam_a):
+            for j, eb in enumerate(t.beam_b):
+                for k, g in enumerate(past_atoms(sc, key)):
+                    worst = max(worst, abs(marg[i, j, k] - t.dcf.measure(ea & eb & g)))
+    return worst
+
+
+def reference_patch_marginal_residual(jdcf, sc, key):
+    t, marg = sc.theory(*key), jdcf.setting_marginal(*key)
+    cells = [
+        ((i, j, k), ea & eb & g)
+        for i, ea in enumerate(t.beam_a)
+        for j, eb in enumerate(t.beam_b)
+        for k, g in enumerate(past_atoms(sc, key))
+    ]
+    return max(
+        abs(marg[p + q] - t.dcf.evaluate(e, f)) for p, e in cells for q, f in cells
+    )
+
+
+def correlated_variant(sc):
+    """The scenario with theory (0, 0) made perfectly correlated at every
+    past atom, which breaks screening off."""
+    t = sc.theory(0, 0)
+    diag = np.zeros(t.space.size)
+    same = t.space.value_matrix[:, 1] % 2 == t.space.value_matrix[:, 2] % 2
+    diag[same] = 1.0 / same.sum()
+    bad = SettingTheory(
+        t.space, t.order, DecoherenceFunctional(t.space, matrix=np.diag(diag)),
+        t.beam_a, t.beam_b,
+    )
+    return SettingScenario(
+        {**dict(sc.theories), (0, 0): bad}, sc.z_points, sc.a_points, sc.b_points
+    )
+
+
+class TestCellValues:
+    def test_beam_dcfs_and_tables_match_per_event_loops(self, eprb_scenario):
+        rng = np.random.default_rng(23)
+        scenarios = [eprb_scenario] + [
+            random_factorizable_scenario(rng, nk=nk) for nk in (1, 3, 4)
+        ]
+        for sc in scenarios:
+            beams, ref_beams = sc.beam_dcfs(), reference_beam_dcfs(sc)
+            tables, ref_tables = sc.correlation_table().tables, reference_tables(sc)
+            for key in SETTING_KEYS:
+                assert np.abs(beams[key] - ref_beams[key]).max() <= 1e-14
+                assert np.abs(tables[key] - ref_tables[key]).max() <= 1e-14
+
+    def test_classical_residuals_match_per_event_loops(self):
+        rng = np.random.default_rng(29)
+        for nk in (1, 3, 4):
+            sc = random_factorizable_scenario(rng, nk=nk, zero_mass_k=nk == 3)
+            for s in (sc, correlated_variant(sc)):
+                got = classical_factorizability_residual(s)
+                assert abs(got - reference_classical_residual(s)) <= 1e-14
+            jm = classical_patch(sc)
+            noisy = JointMeasure(jm.values + rng.uniform(0, 1e-3, jm.values.shape))
+            for j in (jm, noisy):
+                got = classical_marginal_residual(j, sc)
+                assert abs(got - reference_classical_marginal_residual(j, sc)) <= 1e-14
+        assert reference_classical_residual(correlated_variant(sc)) > 0.01
+
+    def test_patch_marginal_residual_matches_per_event_loop(self, eprb_scenario):
+        rng = np.random.default_rng(31)
+        jd = quantum_patch(eprb_scenario)
+        noise = rng.normal(size=jd.values.shape) + 1j * rng.normal(size=jd.values.shape)
+        for j in (jd, JointDcf(jd.values + 1e-3 * noise)):
+            for key in SETTING_KEYS:
+                got = patch_marginal_residual(j, eprb_scenario, *key)
+                ref = reference_patch_marginal_residual(j, eprb_scenario, key)
+                assert abs(got - ref) <= 1e-14
+
+    @pytest.mark.parametrize("wing", ["a", "b"])
+    def test_beam_events_must_partition(self, eprb_scenario, wing):
+        t = eprb_scenario.theory(0, 1)
+        events = t.beam_a if wing == "a" else t.beam_b
+        for broken in ((events[0] | events[1], events[1]), (events[0],)):
+            beams = (broken, t.beam_b) if wing == "a" else (t.beam_a, broken)
+            bad = SettingTheory(t.space, t.order, t.dcf, *beams)
+            sc = SettingScenario(
+                {**dict(eprb_scenario.theories), (0, 1): bad},
+                eprb_scenario.z_points, eprb_scenario.a_points, eprb_scenario.b_points,
+            )
+            with pytest.raises(ValueError, match="partition"):
+                sc.beam_dcfs()
+            with pytest.raises(ValueError, match="partition"):
+                patch_marginal_residual(quantum_patch(eprb_scenario), sc, 0, 1)
 
 
 class TestMarginalize:
@@ -220,6 +355,34 @@ class TestConverse:
         conv = converse_model(joint)
         for key, t in conv.theories.items():
             assert t.dcf.is_classical()
+
+    def test_matrices_equal_the_per_history_loop(self, eprb_scenario):
+        rng = np.random.default_rng(37)
+        vecs = rng.normal(size=(36, 5)) + 1j * rng.normal(size=(36, 5))
+        gram = vecs.conj() @ vecs.T
+        joints = [quantum_patch(eprb_scenario).beam_joint(), gram / gram.sum()]
+        for joint, (na, nb) in zip(joints, [(2, 2), (2, 3)]):
+            nkey = na * na * nb * nb
+            flat = np.asarray(joint).reshape(nkey, nkey)
+            conv = converse_model(flat.reshape((na, na, nb, nb) * 2))
+
+            def bits(key):
+                jp, j = key % nb, (key // nb) % nb
+                return key // (nb * nb * na), (key // (nb * nb)) % na, j, jp
+
+            for (sa, sb), t in conv.theories.items():
+                histories = np.indices((nkey, na, nb)).reshape(3, -1).T + (0, sa * na, sb * nb)
+                assert np.array_equal(t.space.value_matrix, histories)
+                live = [
+                    bits(k)[sa] == w - sa * na and bits(k)[2 + sb] == u - sb * nb
+                    for k, w, u in histories
+                ]
+                expected = np.zeros((len(histories), len(histories)), dtype=complex)
+                for h1, (k1, _, _) in enumerate(histories):
+                    for h2, (k2, _, _) in enumerate(histories):
+                        if live[h1] and live[h2]:
+                            expected[h1, h2] = flat[k1, k2]
+                assert np.array_equal(t.dcf.matrix, expected)
 
     def test_non_psd_rejected(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1] + [0.0] * 12).astype(complex)
@@ -407,8 +570,8 @@ class TestFeasibility:
             assert report.gap < 1e-6
 
     def test_deterministic(self, eprb_scenario):
-        r1 = joint_feasibility(eprb_scenario.beam_dcfs(), seed=0)
-        r2 = joint_feasibility(eprb_scenario.beam_dcfs(), seed=0)
+        r1 = joint_feasibility(eprb_scenario.beam_dcfs())
+        r2 = joint_feasibility(eprb_scenario.beam_dcfs())
         assert r1.gap == r2.gap and r1.iterations == r2.iterations
 
     def test_signalling_input_rejected(self):
