@@ -252,8 +252,9 @@ def validate_scenario_geometry(
     )
 
 
-def down_sets(order: CausalOrder, limit: int = DOWN_SET_LIMIT) -> list[Region]:
-    """All past sets of the order, smallest first; errors above `limit`."""
+def down_sets(order: CausalOrder) -> list[Region]:
+    """All past sets of the order, smallest first; errors above
+    DOWN_SET_LIMIT."""
     n = order.size
     leq = order.leq
     # iterate points in a topological order, extending down-sets
@@ -266,7 +267,7 @@ def down_sets(order: CausalOrder, limit: int = DOWN_SET_LIMIT) -> list[Region]:
             if below & ~m == 0:
                 new.append(m | (1 << p))
         sets.extend(new)
-        if len(sets) > limit:
-            raise ValueError(f"more than {limit} past sets; supply a region list")
+        if len(sets) > DOWN_SET_LIMIT:
+            raise ValueError(f"more than {DOWN_SET_LIMIT} past sets; supply a region list")
     sets = sorted(set(sets), key=lambda m: (m.bit_count(), m))
     return [Region(order, m) for m in sets]

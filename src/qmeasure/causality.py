@@ -39,7 +39,7 @@ from .causal_order import (
     validate_scenario_geometry,
 )
 from .decoherence import DecoherenceFunctional
-from .hilbert import event_vector, history_factor, region_vectors, scatter_live
+from .hilbert import event_vector, region_vectors
 from .histories import Event, RegionAlgebra, is_partition, region_algebra
 
 # residual evaluations one screening-off scan may run
@@ -110,37 +110,27 @@ def _poz_region(dcf, order, region: Region, tol: Tolerance) -> PozRegionResult |
     bar = shadow(order, region)
     if bar.is_empty():
         return None
-    live, fac = history_factor(dcf)
-    alg_bar = region_algebra(dcf.space, bar.point_names())
-    bar_index = alg_bar.atom_index[live]
-    v = scatter_columns(fac, bar_index, alg_bar.n_atoms)
-    kernel_dim = alg_bar.n_atoms - numerical_rank(v, tol)
+    alg_bar, v = region_vectors(dcf, bar.point_names())
+    n_bar = alg_bar.n_atoms
+    kernel_dim = n_bar - numerical_rank(v, tol)
     if kernel_dim == 0:
-        return PozRegionResult(
-            region.point_names(), bar.point_names(), 0, 0.0
-        )
+        return PozRegionResult(region.point_names(), bar.point_names(), 0, 0.0)
     alg_r = region_algebra(dcf.space, region.point_names())
-    n_r, n_bar = alg_r.n_atoms, alg_bar.n_atoms
-    # live histories grouped by region atom, keeping their order within an
-    # atom, so each (region atom, shadow atom) column sums in the same order
-    r_index = alg_r.atom_index[live]
-    by_atom = np.argsort(r_index, kind="stable")
-    starts = np.searchsorted(r_index[by_atom], np.arange(n_r + 1))
+    r_index, n_r = alg_r.atom_index, alg_r.n_atoms
+    labels = r_index * n_bar + alg_bar.atom_index
     # region atoms per block: the stacked (block, d, max(d, n_bar))
     # temporaries hold no more entries than a full-width factor
-    d, n = fac.shape[0], dcf.space.size
+    d, n = v.shape[0], dcf.space.size
     block = max(1, n // max(d, n_bar))
     worst = 0.0
     for a0 in range(0, n_r, block):
         a1 = min(a0 + block, n_r)
-        cols = by_atom[starts[a0]:starts[a1]]
-        labels = (r_index[cols] - a0) * n_bar + bar_index[cols]
-        w = scatter_columns(fac[:, cols], labels, (a1 - a0) * n_bar)
+        w = dcf.vectors(
+            labels - a0 * n_bar, (a1 - a0) * n_bar, (r_index >= a0) & (r_index < a1)
+        )
         w = w.reshape(d, a1 - a0, n_bar).swapaxes(0, 1)
         worst = max(worst, selection_violation(v, w, tol))
-    return PozRegionResult(
-        region.point_names(), bar.point_names(), kernel_dim, worst
-    )
+    return PozRegionResult(region.point_names(), bar.point_names(), kernel_dim, worst)
 
 
 def check_poz(
@@ -209,7 +199,7 @@ class EventOperator:
 
 def _operator_pieces(dcf, v, basis, event, alg_domain, tol):
     """Least-squares operator on the domain basis plus residuals."""
-    w = scatter_live(dcf, alg_domain.atom_index, alg_domain.n_atoms, event.to_bool())
+    w = dcf.vectors(alg_domain.atom_index, alg_domain.n_atoms, event.to_bool())
     coords_v = basis.conj().T @ v
     coords_w = basis.conj().T @ w
     codomain = float(
@@ -418,12 +408,11 @@ def check_spacelike_commutation(
     comm = op_a.matrix @ op_b.matrix - op_b.matrix @ op_a.matrix
     comm_norm = float(np.linalg.svd(comm, compute_uv=False).max(initial=0.0))
     # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G
-    _, vz = region_vectors(dcf, z.point_names())
+    alg_z, vz = region_vectors(dcf, z.point_names())
     basis = op_a.basis
     composed = basis @ (op_b.matrix @ op_a.matrix @ (basis.conj().T @ vz))
-    alg_z = region_algebra(dcf.space, z.point_names())
-    direct = scatter_live(
-        dcf, alg_z.atom_index, alg_z.n_atoms, (event_a & event_b).to_bool()
+    direct = dcf.vectors(
+        alg_z.atom_index, alg_z.n_atoms, (event_a & event_b).to_bool()
     )
     action = float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
     return CommutationReport(comm_norm, action, tol)
@@ -521,7 +510,7 @@ def check_quantum_factorizability(
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    live, fac = history_factor(dcf)
+    live, fac = dcf.factor
     fac = fac[fac.any(axis=1)]
     total = 1
     local = []

@@ -10,8 +10,10 @@ tolerance and library version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -26,7 +28,7 @@ from .causality import (
     check_quantum_factorizability,
     check_spacelike_commutation,
 )
-from .decoherence import DecoherenceFunctional
+from .hilbert import build_event_space
 from .patching import (
     SETTING_KEYS,
     CorrelationTable,
@@ -78,8 +80,14 @@ def _loader(load):
     return wrapped
 
 
+def _load_model(path: str, tol: Tolerance, need_order: bool = True):
+    """The model's functional, carrying `tol`, and its order."""
+    dcf, order = _read_model(path, need_order)
+    return dataclasses.replace(dcf, tol=tol), order
+
+
 @_loader
-def _load_model(path: str, need_order: bool = True):
+def _read_model(path: str, need_order: bool):
     """A model is a directory holding dcf.json and order.json, or a single
     JSON file with 'dcf' and 'order' fields (or an skmodel document).  A
     lone dcf document gives the functional with order None, which only
@@ -104,12 +112,17 @@ def _load_model(path: str, need_order: bool = True):
 
 
 @_loader
-def _load_scenario(path: str):
+def _load_scenario(path: str, tol: Tolerance):
+    """The scenario in a scenario.json (or a directory holding one), each
+    theory's functional carrying `tol`."""
     if os.path.isdir(path):
-        doc, base = _load_doc(os.path.join(path, "scenario.json"))
-    else:
-        doc, base = _load_doc(path)
-    return io.scenario_from_json(doc, base)
+        path = os.path.join(path, "scenario.json")
+    scenario = io.scenario_from_json(*_load_doc(path))
+    theories = {
+        key: dataclasses.replace(t, dcf=dataclasses.replace(t.dcf, tol=tol))
+        for key, t in scenario.theories.items()
+    }
+    return dataclasses.replace(scenario, theories=theories)
 
 
 def _emit(report: dict, args, to_stdout: bool = False) -> None:
@@ -131,29 +144,52 @@ def _tol(args) -> Tolerance:
     return Tolerance(rel=args.tol)
 
 
-def _parse_region_list(spec: str | None):
+def _parse_points(spec: str, names) -> tuple[str, ...]:
+    """The points of a comma list.  A point name may itself hold commas
+    (circuit cells are named "s,t"), so each point, from left to right, is
+    the longest run of comma-joined tokens that names a point."""
+    tokens, names = spec.split(","), set(names)
+    points, i = [], 0
+    while i < len(tokens):
+        ends = [j for j in range(len(tokens), i, -1) if ",".join(tokens[i:j]) in names]
+        if ends:
+            points.append(",".join(tokens[i:ends[0]]))
+        elif tokens[i]:
+            raise InputError(f"unknown point {tokens[i]!r}")
+        i = ends[0] if ends else i + 1
+    return tuple(points)
+
+
+def _regions(spec: str | None, order):
+    """The regions of a semicolon list of point lists; "exhaustive" if none."""
     if not spec:
-        return None
-    return [tuple(p for p in chunk.split(",") if p) for chunk in spec.split(";")]
+        return "exhaustive"
+    return [order.region(_parse_points(chunk, order.points)) for chunk in spec.split(";")]
+
+
+def _between(kind, lo, hi):
+    """Argument type: a `kind` value strictly between lo and hi (nan is not)."""
+    def parse(text):
+        value = kind(text)
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"{text} is not strictly between {lo} and {hi}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
 
 
 # -- command handlers ---------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    dcf, _ = _load_model(args.input, need_order=False)
-    dcf = DecoherenceFunctional(
-        dcf.space, matrix=dcf.matrix, branch=dcf.branch, tol=_tol(args)
-    )
+    dcf, _ = _load_model(args.input, _tol(args), need_order=False)
     report = dcf.validate_axioms(seed=args.seed)
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
 
 def cmd_hilbert(args) -> int:
-    from .hilbert import build_event_space
-
-    dcf, _ = _load_model(args.input, need_order=False)
-    points = tuple(args.region.split(",")) if args.region else None
+    dcf, _ = _load_model(args.input, _tol(args), need_order=False)
+    points = _parse_points(args.region, dcf.space.points) if args.region else None
     es = build_event_space(dcf, points)
     eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
     _emit(
@@ -172,30 +208,22 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_poz(args) -> int:
-    dcf, order = _load_model(args.input)
-    regions = _parse_region_list(args.regions)
-    region_arg = "exhaustive" if regions is None else [
-        order.region(r) for r in regions
-    ]
-    report = check_poz(dcf, order, region_arg, tol=_tol(args))
+    dcf, order = _load_model(args.input, _tol(args))
+    report = check_poz(dcf, order, _regions(args.regions, order), tol=_tol(args))
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
 
 def cmd_lon(args) -> int:
-    dcf, order = _load_model(args.input)
-    regions = _parse_region_list(args.regions)
-    region_arg = "exhaustive" if regions is None else [
-        order.region(r) for r in regions
-    ]
-    report = check_lon(dcf, order, region_arg, tol=_tol(args))
+    dcf, order = _load_model(args.input, _tol(args))
+    report = check_lon(dcf, order, _regions(args.regions, order), tol=_tol(args))
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
 
 def cmd_commute(args) -> int:
-    scenario = _load_scenario(args.input)
     tol = _tol(args)
+    scenario = _load_scenario(args.input, tol)
     worst = {"commutator_norm": 0.0, "action_residual": 0.0}
     for key in SETTING_KEYS:
         t = scenario.theory(*key)
@@ -221,29 +249,25 @@ def cmd_commute(args) -> int:
 def cmd_factorizability(args) -> int:
     tol = _tol(args)
     if args.kind == "classical":
-        scenario = _load_scenario(args.input)
+        scenario = _load_scenario(args.input, tol)
         resid = classical_factorizability_residual(scenario, tol)
         passed = resid <= tol.rel
         _emit({"max_residual": resid, "passed": passed, "tolerance": tol.rel}, args)
         return OK if passed else VIOLATION
-    dcf, order = _load_model(args.input)
+    dcf, order = _load_model(args.input, tol)
     if not (args.z and args.a and args.b):
         raise InputError("quantum factorizability needs --z --a --b point lists")
-    report = check_quantum_factorizability(
-        dcf,
-        order,
-        order.region(args.z.split(",")),
-        order.region(args.a.split(",")),
-        order.region(args.b.split(",")),
-        tol=tol,
+    z, a, b = (
+        order.region(_parse_points(spec, order.points)) for spec in (args.z, args.a, args.b)
     )
+    report = check_quantum_factorizability(dcf, order, z, a, b, tol=tol)
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
 
 def cmd_patch(args) -> int:
-    scenario = _load_scenario(args.input)
     tol = _tol(args)
+    scenario = _load_scenario(args.input, tol)
     if args.kind == "classical":
         jm = classical_patch(scenario, tol)
         resid = classical_marginal_residual(jm, scenario)
@@ -292,7 +316,7 @@ def _load_beam_dcfs(path: str) -> dict:
     outcomes read as classical records; a joint functional gives its
     setting marginals with the past summed out."""
     if os.path.isdir(path):
-        return _load_scenario(path).beam_dcfs()
+        path = os.path.join(path, "scenario.json")
     doc, base = _load_doc(path)
     if "theories" in doc:
         return io.scenario_from_json(doc, base).beam_dcfs()
@@ -439,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
+        p.add_argument(
+            "--tol", type=_between(float, 0, 1), default=1e-9, help="relative tolerance"
+        )
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -500,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasibility", help="PSD joint feasibility search")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
+    p.add_argument("--budget", type=_between(int, 0, math.inf), default=20000)
+    p.add_argument("--gap-tol", type=_between(float, 0, math.inf), default=1e-6)
     common(p)
     p.set_defaults(func=cmd_feasibility)
 
@@ -510,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="generator configuration JSON")
     p.add_argument("--time-reversed", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_gen, out_is_dir=True)
 

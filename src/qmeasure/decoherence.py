@@ -12,11 +12,12 @@ matrix entry [g, h] is the conjugated-g value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import Tolerance, hermitian_part, mask_from_bool, scatter_columns
+from ._linalg import Tolerance, hermitian_part, mask_from_bool, psd_factor, scatter_columns
 from .histories import Event, HistorySpace, region_algebra
 
 DENSE_ATOM_CAP = 1024
@@ -47,12 +48,6 @@ class BranchRep:
         object.__setattr__(self, "final_index", fin)
         object.__setattr__(self, "live", np.flatnonzero(amps))
 
-    def event_vector(self, flags: np.ndarray) -> np.ndarray:
-        cols = self.live[flags[self.live]]
-        return scatter_columns(
-            self.amplitudes[None, cols], self.final_index[cols], self.dim
-        )[0]
-
 
 @dataclass(frozen=True, eq=False)
 class DecoherenceFunctional:
@@ -81,10 +76,6 @@ class DecoherenceFunctional:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, space, matrix, tol=Tolerance()) -> "DecoherenceFunctional":
-        return cls(space, matrix=np.asarray(matrix, dtype=complex), tol=tol)
-
-    @classmethod
     def from_history_vectors(cls, space, vectors, tol=Tolerance()) -> "DecoherenceFunctional":
         """Dense functional from one complex vector per history; the matrix
         is the Gram matrix, hence strongly positive by construction."""
@@ -101,6 +92,56 @@ class DecoherenceFunctional:
     def is_dense(self) -> bool:
         return self.matrix is not None
 
+    # -- event vectors ---------------------------------------------------------
+
+    @functools.cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live histories and the factor on them, built once.
+
+        Returns `(live, fac)`: `live` holds, in history order, the histories
+        whose factor column is not identically zero, and column k of the
+        `d x len(live)` matrix `fac` is the vector of history `live[k]`.
+        Inner products of the columns give the functional.  Raises when a
+        dense matrix fails positive semi-definiteness at the tolerance (a
+        strong-positivity violation).
+        """
+        if self.is_dense:
+            fac = psd_factor(self.matrix, self.tol)
+            live = np.flatnonzero(fac.any(axis=0))
+            return live, fac[:, live]
+        b = self.branch
+        fac = np.zeros((b.dim, b.live.size), dtype=complex)
+        fac[b.final_index[b.live], np.arange(b.live.size)] = b.amplitudes[b.live]
+        return b.live, fac
+
+    def vectors(self, labels: np.ndarray, m: int, flags: np.ndarray | None = None) -> np.ndarray:
+        """The `d x m` vectors of the events "histories labelled p", for
+        per-history `labels` in 0..m-1, counting only the histories with
+        `flags` set when `flags` is given.
+
+        A history whose factor column is identically zero adds nothing, so
+        the sums run over the live histories alone.  A dense functional
+        scatters its factor's live columns; a lazy one has a single nonzero
+        per column, its amplitude at row `final_index`, so it sums the live
+        amplitudes into the bins `final_index * m + label`, which reshape
+        straight to `(d, m)`.  Either way each entry adds the same nonzero
+        terms in the same order as a sum over a full-width factor, so the
+        results are bit-identical to it.
+        """
+        if self.is_dense:
+            live, fac = self.factor
+            if flags is not None:
+                fac, live = fac[:, flags[live]], live[flags[live]]
+            return scatter_columns(fac, labels[live], m)
+        b = self.branch
+        live = b.live if flags is None else b.live[flags[b.live]]
+        return scatter_columns(
+            b.amplitudes[None, live], b.final_index[live] * m + labels[live], b.dim * m
+        ).reshape(b.dim, m)
+
+    def _event_vector(self, flags: np.ndarray | None) -> np.ndarray:
+        return self.vectors(np.zeros(self.space.size, dtype=np.int64), 1, flags)[:, 0]
+
     # -- evaluation ----------------------------------------------------------
 
     def _own(self, e: Event) -> None:
@@ -116,8 +157,7 @@ class DecoherenceFunctional:
             rows = e.to_bool()
             cols = f.to_bool()
             return complex(self.matrix[np.ix_(rows, cols)].sum())
-        be = self.branch.event_vector(e.to_bool())
-        bf = self.branch.event_vector(f.to_bool())
+        be, bf = (self._event_vector(x.to_bool()) for x in (e, f))
         return complex(np.vdot(be, bf))
 
     def measure(self, e: Event) -> float:
@@ -128,7 +168,7 @@ class DecoherenceFunctional:
         if self.is_dense:
             val = complex(self.matrix[np.ix_(flags, flags)].sum())
         else:
-            be = self.branch.event_vector(flags)
+            be = self._event_vector(flags)
             val = complex(np.vdot(be, be))
         scale = 1.0 if not self.is_dense else float(max(1.0, np.abs(self.matrix).max()))
         if abs(val.imag) > self.tol.rel * scale:
@@ -139,25 +179,19 @@ class DecoherenceFunctional:
 
     # -- axioms ---------------------------------------------------------------
 
-    def validate_axioms(self, seed: int = 0, samples: int = 100) -> "AxiomReport":
+    def validate_axioms(self, seed: int = 0) -> "AxiomReport":
         if self.is_dense:
             m = self.matrix
             herm = float(np.abs(m - m.conj().T).max())
             norm = float(abs(m.sum() - 1.0))
-            eig = np.linalg.eigvalsh(hermitian_part(m))
-            min_eig = float(eig.min())
-            eig_max = float(eig.max(initial=0.0))
-            sampled = False
         else:
             herm = 0.0  # inner-product form is Hermitian identically
-            bvec = self.branch.event_vector(np.ones(self.space.size, dtype=bool))
+            bvec = self._event_vector(None)
             norm = float(abs(np.vdot(bvec, bvec).real - 1.0))
-            gram = self._sampled_gram(seed, samples)
-            eig = np.linalg.eigvalsh(hermitian_part(gram))
-            min_eig = float(eig.min())
-            eig_max = float(eig.max(initial=0.0))
-            sampled = True
-        sum_rule = self._sampled_sum_rule(seed, samples=min(samples, 25))
+            m = self._sampled_gram(seed)
+        eig = np.linalg.eigvalsh(hermitian_part(m))
+        min_eig, eig_max = float(eig.min()), float(eig.max(initial=0.0))
+        sum_rule = self._sampled_sum_rule(seed)
         floor = self.tol.matrix_floor(
             self.matrix if self.is_dense else np.array([eig_max])
         )
@@ -167,13 +201,13 @@ class DecoherenceFunctional:
             min_eigenvalue=min_eig,
             eigenvalue_scale=eig_max,
             sum_rule_residual=sum_rule,
-            sampled=sampled,
+            sampled=not self.is_dense,
             tol=self.tol,
             residual_floor=floor,
         )
 
-    def _sampled_gram(self, seed: int, samples: int) -> np.ndarray:
-        """Gram of a seeded event family: all single-point atoms plus
+    def _sampled_gram(self, seed: int) -> np.ndarray:
+        """Gram of a seeded event family: all single-point atoms plus 100
         random events.  Used for the lazy-mode positivity check."""
         flags = []
         for p in self.space.points:
@@ -184,16 +218,16 @@ class DecoherenceFunctional:
         rng = np.random.default_rng(seed)
         flags.extend(
             rng.random(self.space.size) < 0.5
-            for _ in range(min(samples, DENSE_ATOM_CAP - len(flags)))
+            for _ in range(min(100, DENSE_ATOM_CAP - len(flags)))
         )
-        vecs = np.stack([self.branch.event_vector(f) for f in flags])
+        vecs = np.stack([self._event_vector(f) for f in flags])
         return vecs.conj() @ vecs.T
 
-    def _sampled_sum_rule(self, seed: int, samples: int) -> float:
+    def _sampled_sum_rule(self, seed: int) -> float:
         rng = np.random.default_rng(seed)
         n = self.space.size
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(25):
             group = rng.integers(0, 4, size=n)  # 3 disjoint events + leftover
             evs = [Event(self.space, mask_from_bool(group == g)) for g in range(3)]
             worst = max(worst, self.check_sum_rule(*evs))
@@ -240,13 +274,8 @@ class DecoherenceFunctional:
             ind = np.zeros((m, self.space.size))
             ind[labels, np.arange(self.space.size)] = 1.0
             return ind @ self.matrix @ ind.T
-        b = self.branch
-        vecs = scatter_columns(
-            b.amplitudes[None, b.live],
-            labels[b.live] * b.dim + b.final_index[b.live],
-            m * b.dim,
-        ).reshape(m, b.dim)
-        return vecs.conj() @ vecs.T
+        v = self.vectors(labels, m)
+        return v.conj().T @ v
 
     def restrict(self, points) -> "DecoherenceFunctional":
         """The functional induced on the atoms of a region algebra.

@@ -1,17 +1,11 @@
 """Event Hilbert space machinery.
 
-Every event gets a concrete coordinate vector: for a dense functional
-through a PSD factorization of the atom matrix, for a lazy one directly
-through its branch vectors.  Inner products of event vectors reproduce
-the functional, so span or membership questions become ordinary least
-squares in the factor coordinates.
-
-A history whose factor column is identically zero adds nothing to any
-event vector.  The factor therefore keeps only its live columns, the
-histories that carry amplitude, and every kernel gathers the atom labels
-and event flags of those histories alone.  Sums over the live columns add
-the same nonzero terms in the same order as sums over all histories, so
-the results are bit-identical to the full-width computation.
+Every event gets a concrete coordinate vector from
+`DecoherenceFunctional.vectors`: for a dense functional through a PSD
+factorization of the atom matrix, for a lazy one directly through its
+branch amplitudes.  Inner products of event vectors reproduce the
+functional, so span or membership questions become ordinary least squares
+in the factor coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Tolerance, numerical_rank, psd_factor, scatter_columns
+from ._linalg import Tolerance, numerical_rank
 from .decoherence import DENSE_ATOM_CAP, DecoherenceFunctional
 from .histories import Event, RegionAlgebra, region_algebra
 
@@ -45,63 +39,14 @@ class LinearCombination:
         return cls(tuple(pairs))
 
 
-def history_factor(dcf: DecoherenceFunctional) -> tuple[np.ndarray, np.ndarray]:
-    """The functional's live columns and its factor on them, cached on the
-    functional after first use.
-
-    Returns `(live, fac)`: `live` holds, in history order, the histories
-    whose factor column is not identically zero, and column k of the
-    `d x len(live)` matrix `fac` is the vector of history `live[k]`.  Inner
-    products of the columns give the functional; the omitted columns are
-    zero.  A lazy functional's live histories are those with nonzero
-    amplitude, and its factor is built from them alone, never at full
-    width.
-
-    Raises when a dense matrix fails positive semi-definiteness at the
-    tolerance (a strong-positivity violation).
-    """
-    cached = getattr(dcf, "_factor", None)
-    if cached is not None:
-        return cached
-    if dcf.is_dense:
-        fac = psd_factor(dcf.matrix, dcf.tol)
-        live = np.flatnonzero(fac.any(axis=0))
-        fac = fac[:, live]
-    else:
-        b = dcf.branch
-        live = b.live
-        fac = np.zeros((b.dim, live.size), dtype=complex)
-        fac[b.final_index[live], np.arange(live.size)] = b.amplitudes[live]
-    object.__setattr__(dcf, "_factor", (live, fac))
-    return live, fac
-
-
-def scatter_live(
-    dcf: DecoherenceFunctional,
-    labels: np.ndarray,
-    m: int,
-    flags: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sums of the history vectors into m groups by the per-history
-    `labels`, over the live histories (those with `flags` set, if given)."""
-    live, fac = history_factor(dcf)
-    labels = labels[live]
-    if flags is not None:
-        keep = flags[live]
-        fac, labels = fac[:, keep], labels[keep]
-    return scatter_columns(fac, labels, m)
-
-
 def event_vector(dcf: DecoherenceFunctional, event: Event) -> np.ndarray:
     if event.space is not dcf.space:
         raise ValueError("event belongs to a different history space")
-    one_group = np.zeros(dcf.space.size, dtype=np.int64)
-    return scatter_live(dcf, one_group, 1, event.to_bool())[:, 0]
+    return dcf.vectors(np.zeros(dcf.space.size, dtype=np.int64), 1, event.to_bool())[:, 0]
 
 
 def combo_vector(dcf: DecoherenceFunctional, combo: LinearCombination) -> np.ndarray:
-    _, fac = history_factor(dcf)
-    out = np.zeros(fac.shape[0], dtype=complex)
+    out = event_vector(dcf, dcf.space.empty_event())  # zeros, one per factor row
     for e, c in combo.terms:
         out += c * event_vector(dcf, e)
     return out
@@ -129,7 +74,7 @@ def is_null(dcf: DecoherenceFunctional, combo: LinearCombination) -> bool:
 def region_vectors(dcf: DecoherenceFunctional, points) -> tuple[RegionAlgebra, np.ndarray]:
     """Atom vectors of the region algebra, as factor-space columns."""
     alg = region_algebra(dcf.space, points)
-    return alg, scatter_live(dcf, alg.atom_index, alg.n_atoms)
+    return alg, dcf.vectors(alg.atom_index, alg.n_atoms)
 
 
 def subspace_dim(dcf: DecoherenceFunctional, points) -> int:
@@ -188,10 +133,8 @@ def build_event_space(dcf: DecoherenceFunctional, points=None) -> EventHilbertSp
                 f"full event space needs at most {DENSE_ATOM_CAP} histories; "
                 "pass a region"
             )
-        live, fac = history_factor(dcf)
         atoms = tuple(Event(dcf.space, 1 << i) for i in range(dcf.space.size))
-        vecs = np.zeros((fac.shape[0], dcf.space.size), dtype=complex)
-        vecs[:, live] = fac
+        vecs = dcf.vectors(np.arange(dcf.space.size), dcf.space.size)
     else:
         alg, vecs = region_vectors(dcf, points)
         if alg.n_atoms > DENSE_ATOM_CAP:

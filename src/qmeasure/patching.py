@@ -370,7 +370,6 @@ def quantum_patch(
     scenario: SettingScenario,
     ordering: Sequence[str] = OPERATOR_ORDER,
     tol: Tolerance | None = None,
-    validate: bool = True,
 ) -> JointDcf:
     """Joint decoherence functional from composed event operators.
 
@@ -384,23 +383,22 @@ def quantum_patch(
     ordering = tuple(ordering)
     if sorted(ordering) != sorted(OPERATOR_ORDER):
         raise ValueError(f"ordering must permute {OPERATOR_ORDER}")
-    if validate:
-        report = scenario.validate(tol)
-        if not report.passed:
-            raise ValueError(f"scenario clauses fail: {report.as_dict()}")
-        for key, t in scenario.theories.items():
-            poz = check_poz(t.dcf, t.order, tol=tol)
-            if not poz.passed:
-                raise CheckViolation(
-                    f"theory {key} fails persistence of zero "
-                    f"(violation {poz.max_violation:.3e})"
-                )
-            lon = check_lon(t.dcf, t.order, tol=tol)
-            if not lon.passed:
-                raise CheckViolation(
-                    f"theory {key} fails lack of novelty "
-                    f"(residual {lon.max_residual:.3e})"
-                )
+    report = scenario.validate(tol)
+    if not report.passed:
+        raise ValueError(f"scenario clauses fail: {report.as_dict()}")
+    for key, t in scenario.theories.items():
+        poz = check_poz(t.dcf, t.order, tol=tol)
+        if not poz.passed:
+            raise CheckViolation(
+                f"theory {key} fails persistence of zero "
+                f"(violation {poz.max_violation:.3e})"
+            )
+        lon = check_lon(t.dcf, t.order, tol=tol)
+        if not lon.passed:
+            raise CheckViolation(
+                f"theory {key} fails lack of novelty "
+                f"(residual {lon.max_residual:.3e})"
+            )
     ops = _wing_operators(scenario, tol)
     # spacelike commutation of the frame operators, required for ordering
     # invariance of the marginals
@@ -411,7 +409,7 @@ def quantum_patch(
         for x in ops[xs]
         for y in ops[ys]
     )
-    if validate and comm_worst > 1e3 * tol.rel:
+    if comm_worst > 1e3 * tol.rel:
         raise CheckViolation(
             f"wing operators do not commute (residual {comm_worst:.3e})"
         )

@@ -59,10 +59,6 @@ class SkGate:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "matrix", m)
 
-    def unitarity_residual(self) -> float:
-        m = self.matrix
-        return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-
 
 @dataclass(frozen=True, eq=False)
 class SkCircuitConfig:
@@ -129,9 +125,6 @@ class SkCircuitConfig:
     @property
     def mixed_rank(self) -> int:
         return self.psi.shape[0]
-
-    def max_unitarity_residual(self) -> float:
-        return max((g.unitarity_residual() for g in self.gates), default=0.0)
 
     def truncated(self, t_f: int) -> "SkCircuitConfig":
         return SkCircuitConfig(

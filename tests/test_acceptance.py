@@ -163,7 +163,7 @@ def test_criterion_5_quantum_patching(eprb, eprb_patch):
     ok = ok and jd.min_eigenvalue() >= -1e-9
     for key in SETTING_KEYS:
         ok = ok and patch_marginal_residual(jd, eprb, *key) < 1e-9
-    jd2 = quantum_patch(eprb, ordering=("ap", "a", "bp", "b"), validate=False)
+    jd2 = quantum_patch(eprb, ordering=("ap", "a", "bp", "b"))
     ok = ok and np.abs(jd.values - jd2.values).max() > 1e-9  # arrays may differ
     for key in SETTING_KEYS:
         ok = ok and patch_marginal_residual(jd2, eprb, *key) < 1e-9

@@ -201,7 +201,7 @@ class TestEnumerationCaps:
     def test_down_sets_capped(self):
         big = CausalOrder.antichain(tuple(f"n{i}" for i in range(13)))
         with pytest.raises(ValueError):
-            down_sets(big, limit=100)
+            down_sets(big)
 
 
 class TestGeometryClauseFalsifiability:

@@ -631,3 +631,149 @@ class TestMutatedModelDocuments:
                 code = main([*command, str(root / os.path.dirname(name))])
             assert code in (0, 2, 3), (command, mutations, stderr.getvalue())
             assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.fixture
+def sk2(workdir, capsys):
+    run(capsys, "sk", "fixture", "--steps", "2", "--out", "sk.json")
+    return "sk.json"
+
+
+class TestCommaPointNames:
+    """Circuit cells are named "s,t": a point list reads each point as the
+    longest run of comma-joined tokens that names a point."""
+
+    def test_poz_regions(self, sk2, capsys):
+        code, out = run(capsys, "poz", sk2, "--regions", "0,1;0,1,1,1")
+        assert code == 0
+        report = json.loads(out)
+        assert [r["region"] for r in report["results"]] == [["0,1"], ["0,1", "1,1"]]
+        assert report["skipped_vacuous"] == 0
+
+    def test_lon_regions(self, sk2, capsys):
+        code, out = run(capsys, "lon", sk2, "--regions", "0,0;0,0,1,0")
+        assert code == 0
+        assert [r["z"] for r in json.loads(out)["results"]] == [["0,0"], ["0,0", "1,0"]]
+
+    def test_quantum_factorizability_matches_sk_command(self, sk2, capsys):
+        from qmeasure.serialization import load_json
+
+        cells = load_json(sk2)["regions"]
+        lists = {tag: ",".join(c for c, t in cells.items() if t == tag) for tag in "ZAB"}
+        code, out = run(
+            capsys, "factorizability", "quantum", sk2,
+            "--z", lists["Z"], "--a", lists["A"], "--b", lists["B"],
+        )
+        code_sk, out_sk = run(capsys, "sk", "factorizability", sk2)
+        assert code == code_sk == 0
+        assert out == out_sk
+
+    def test_hilbert_region(self, sk2, capsys):
+        from qmeasure import build_event_space, gen_sk_circuit
+        from qmeasure.serialization import load_json, sk_config_from_json
+
+        code, out = run(capsys, "hilbert", sk2, "--region", "0,0,1,0")
+        assert code == 0
+        report = json.loads(out)
+        dcf = gen_sk_circuit(sk_config_from_json(load_json(sk2))).dcf
+        es = build_event_space(dcf, ("0,0", "1,0"))
+        eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
+        assert report["region"] == ["0,0", "1,0"]
+        assert (report["atoms"], report["rank"]) == (len(es.atoms), es.rank)
+        assert report["universal_norm2"] == es.universal_norm2
+        assert (report["min_eigenvalue"], report["max_eigenvalue"]) == (eig.min(), eig.max())
+
+    def test_unreadable_list_names_the_first_unread_token(self, sk2, capsys):
+        assert main(["poz", sk2, "--regions", "0,1;0,1,9,1,1"]) == 2
+        assert "unknown point '9'" in capsys.readouterr().err
+        assert main(["hilbert", sk2, "--region", "0"]) == 2
+        assert "unknown point '0'" in capsys.readouterr().err
+
+    def test_double_slit_lists_parse_as_before(self, workdir, capsys):
+        from qmeasure import check_poz, gen_double_slit
+        from qmeasure.cli import _parse_points
+
+        names = ("slit", "screen")
+        assert _parse_points("slit,screen", names) == ("slit", "screen")
+        assert _parse_points("screen,,slit,", names) == ("screen", "slit")
+        assert _parse_points("", names) == ()
+        run(capsys, "gen", "double-slit", "--time-reversed", "--out", "dsr")
+        code, out = run(capsys, "poz", "dsr", "--regions", "slit;slit,screen;screen")
+        _, order, dcf = gen_double_slit(time_reversed=True)
+        regions = [order.region(r) for r in (["slit"], ["slit", "screen"], ["screen"])]
+        assert code == 3
+        assert json.loads(out)["results"] == check_poz(dcf, order, regions).as_dict()["results"]
+
+
+def not_strongly_positive(shift):
+    """The two-slit model with `shift` times a null direction of its matrix
+    taken away, so its least eigenvalue is -shift."""
+    from qmeasure import DecoherenceFunctional, gen_double_slit
+    from qmeasure import serialization as io
+
+    space, order, dcf = gen_double_slit()
+    w, v = np.linalg.eigh(dcf.matrix)
+    null = v[:, np.argmin(np.abs(w))]
+    matrix = dcf.matrix - shift * np.outer(null, null.conj())
+    os.makedirs("bad")
+    io.dump_json(io.dcf_to_json(DecoherenceFunctional(space, matrix=matrix)), "bad/dcf.json")
+    io.dump_json(io.order_to_json(order), "bad/order.json")
+    return "bad"
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["validate", "ds", "--tol", "nan"], "--tol"),
+            (["validate", "ds", "--tol", "-1"], "--tol"),
+            (["validate", "ds", "--tol", "0"], "--tol"),
+            (["validate", "ds", "--tol", "1"], "--tol"),
+            (["poz", "ds", "--tol", "nan"], "--tol"),
+            (["poz", "ds", "--tol", "-1"], "--tol"),
+            (["feasibility", "pr/beamdcfs.json", "--gap-tol", "inf"], "--gap-tol"),
+            (["feasibility", "pr/beamdcfs.json", "--gap-tol", "nan"], "--gap-tol"),
+            (["feasibility", "pr/beamdcfs.json", "--gap-tol", "0"], "--gap-tol"),
+            (["feasibility", "pr/beamdcfs.json", "--budget", "0"], "--budget"),
+            (["gen", "double-slit", "--out", "ds2", "--tol", "1e-9"], "--tol"),
+        ],
+    )
+    def test_out_of_range_exits_2_naming_the_option(self, workdir, capsys, argv, option):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        run(capsys, "gen", "pr", "--out", "pr")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_infinite_tol_cannot_pass_a_non_positive_functional(self, workdir, capsys):
+        bad = not_strongly_positive(0.055)
+        code, out = run(capsys, "validate", bad)
+        assert code == 3 and json.loads(out)["strongly_positive"] is False
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", bad, "--tol", "inf"])
+        assert exc.value.code == 2
+
+    def test_loaded_functional_carries_tol(self, workdir, capsys):
+        bad = not_strongly_positive(1e-8)
+        for command in ("validate", "poz", "hilbert"):
+            code, out = run(capsys, command, bad, "--tol", "1e-6")
+            assert code == 0, command
+            assert json.loads(out)["tolerance"] == 1e-6
+        assert main(["poz", bad]) == 3
+        assert "not positive semi-definite" in capsys.readouterr().err
+        assert main(["hilbert", bad]) == 3
+
+    def test_hilbert_reports_its_tol(self, workdir, capsys):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        code, out = run(capsys, "hilbert", "ds", "--tol", "1e-6")
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-6
+
+    def test_scenario_theories_carry_tol(self, workdir, capsys):
+        from qmeasure._linalg import Tolerance
+        from qmeasure.cli import _load_scenario
+
+        run(capsys, "gen", "eprb", "--out", "eprb")
+        for path in ("eprb", "eprb/scenario.json"):
+            scenario = _load_scenario(path, Tolerance(1e-6))
+            assert all(t.dcf.tol == Tolerance(1e-6) for t in scenario.theories.values())

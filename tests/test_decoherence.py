@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_events, random_psd_dcf, random_space
+from conftest import full_width_factor, random_events, random_psd_dcf, random_space
 
 from qmeasure import DecoherenceFunctional, HistorySpace, check_agreement, region_algebra
 from qmeasure._linalg import scatter_columns
@@ -213,6 +215,29 @@ class TestGrouped:
             assert np.abs(got - expected).max() <= 1e-14
             assert not got[m - 1].any() and not got[:, m - 1].any()
 
+    def test_grouped_runs_the_two_formulas(self):
+        # the dense indicator product, and the Gram of the lazy scatter over
+        # label * dim + final_index on live histories, bit for bit
+        rng = np.random.default_rng(55)
+        for _ in range(6):
+            space = random_space(rng, n_points=3, max_alpha=3)
+            m = space.size // 2 + 2
+            labels = rng.integers(0, m - 1, size=space.size)  # group m - 1 is empty
+            for dcf in (random_psd_dcf(rng, space), random_lazy_dcf(rng, space)):
+                if dcf.is_dense:
+                    ind = np.zeros((m, space.size))
+                    ind[labels, np.arange(space.size)] = 1.0
+                    expected = ind @ dcf.matrix @ ind.T
+                else:
+                    b = dcf.branch
+                    vecs = scatter_columns(
+                        b.amplitudes[None, b.live],
+                        labels[b.live] * b.dim + b.final_index[b.live],
+                        m * b.dim,
+                    ).reshape(m, b.dim)
+                    expected = vecs.conj() @ vecs.T
+                assert np.array_equal(dcf.grouped(labels, m), expected)
+
     def test_restrict_runs_the_two_formulas(self):
         # the dense indicator product and the lazy scatter over
         # atom * dim + final_index on live histories, bit for bit
@@ -234,6 +259,75 @@ class TestGrouped:
                     ).reshape(alg.n_atoms, b.dim)
                     expected = vecs.conj() @ vecs.T
                 assert np.array_equal(dcf.restrict(points).matrix, expected)
+
+
+class TestVectors:
+    """`vectors` sums exactly what a scatter over the full-width factor
+    sums, with zero columns and unflagged histories left out."""
+
+    @staticmethod
+    def _reference(dcf, labels, m, flags):
+        full = full_width_factor(dcf)
+        keep = np.ones(dcf.space.size, dtype=bool) if flags is None else flags
+        return scatter_columns(full[:, keep], labels[keep], m)
+
+    @staticmethod
+    def _functionals(rng, space):
+        yield random_psd_dcf(rng, space)
+        yield random_lazy_dcf(rng, space, dim=int(rng.integers(2, 5)))
+        vecs = rng.normal(size=(space.size, 3)) + 1j * rng.normal(size=(space.size, 3))
+        vecs[::3] = 0.0  # dense, with zero factor columns
+        yield DecoherenceFunctional.from_history_vectors(space, vecs)
+
+    def test_match_full_width_scatter(self):
+        rng = np.random.default_rng(47)
+        for _ in range(8):
+            space = random_space(rng, n_points=3, max_alpha=3)
+            for dcf in self._functionals(rng, space):
+                for m in (1, 2, space.size // 2 + 2):
+                    labels = rng.integers(0, max(1, m - 1), size=space.size)
+                    for flags in (None, rng.random(space.size) < 0.5,
+                                  np.zeros(space.size, dtype=bool)):
+                        got = dcf.vectors(labels, m, flags)
+                        want = self._reference(dcf, labels, m, flags)
+                        assert got.shape == want.shape
+                        assert np.array_equal(got, want)
+                        if m > 1:  # group m - 1 is empty
+                            assert not got[:, m - 1].any()
+
+    def test_empty_support(self):
+        rng = np.random.default_rng(49)
+        space = random_space(rng, n_points=3, max_alpha=3)
+        dcf = DecoherenceFunctional.from_amplitudes(
+            space, np.zeros(space.size), rng.integers(0, 3, size=space.size), 3
+        )
+        labels = rng.integers(0, 4, size=space.size)
+        for flags in (None, rng.random(space.size) < 0.5):
+            got = dcf.vectors(labels, 4, flags)
+            assert got.shape == (3, 4) and not got.any()
+            assert np.array_equal(got, self._reference(dcf, labels, 4, flags))
+        assert dcf.factor[1].shape == (3, 0)
+
+    def test_lazy_result_is_c_contiguous(self):
+        rng = np.random.default_rng(51)
+        space = random_space(rng, n_points=3, max_alpha=3)
+        dcf = random_lazy_dcf(rng, space, dim=4)
+        labels = rng.integers(0, 5, size=space.size)
+        for flags in (None, rng.random(space.size) < 0.5):
+            got = dcf.vectors(labels, 5, flags)
+            assert got.shape == (4, 5)
+            assert got.flags.c_contiguous
+
+    def test_factor_is_cached(self):
+        rng = np.random.default_rng(53)
+        space = random_space(rng, n_points=3, max_alpha=3)
+        for dcf in self._functionals(rng, space):
+            live, fac = dcf.factor
+            assert dcf.factor is dcf.factor
+            assert np.array_equal(fac, full_width_factor(dcf)[:, live])
+            # a copy with another tolerance builds its own factor
+            other = dataclasses.replace(dcf, tol=dataclasses.replace(dcf.tol, rel=1e-6))
+            assert other.factor is not dcf.factor
 
 
 class TestAgreement:

@@ -15,7 +15,7 @@ from qmeasure import (
 from qmeasure._linalg import scatter_columns
 from qmeasure.causal_order import down_sets
 from qmeasure.decoherence import DecoherenceFunctional
-from qmeasure.hilbert import event_vector, history_factor, region_vectors
+from qmeasure.hilbert import event_vector, region_vectors
 from qmeasure.sk_model import SkCircuitConfig, SkGate, decoupled_demo_config, gen_sk_circuit
 
 
@@ -208,7 +208,7 @@ class TestLiveColumns:
                 event = dcf.space.event_from_indices(np.flatnonzero(flags))
                 want = scatter_columns(full[:, flags], np.zeros(flags.sum(), dtype=int), 1)[:, 0]
                 assert np.array_equal(event_vector(dcf, event), want)
-                assert np.array_equal(dcf.branch.event_vector(flags), want)
+                assert np.array_equal(dcf.vectors(np.zeros(n, dtype=int), 1, flags)[:, 0], want)
 
     @staticmethod
     def _small_regions(order):
@@ -234,12 +234,12 @@ class TestLiveColumns:
 
     def test_live_columns_are_the_amplitude_carrying_histories(self, circuit):
         dcf = circuit.dcf
-        live, fac = history_factor(dcf)
+        live, fac = dcf.factor
         assert np.array_equal(live, np.flatnonzero(dcf.branch.amplitudes))
         assert 0 < live.size < dcf.space.size
         assert fac.shape == (dcf.branch.dim, live.size)
         assert np.array_equal(fac, full_width_factor(dcf)[:, live])
-        assert history_factor(dcf)[1] is fac  # cached
+        assert dcf.factor[1] is fac  # cached
 
     def test_region_vectors_match_full_width_on_circuit(self, circuit):
         regions = [z.point_names() for z in down_sets(circuit.order)]
@@ -261,7 +261,7 @@ class TestLiveColumns:
 
     def test_full_support(self):
         model = _full_support_model()
-        live, _ = history_factor(model.dcf)
+        live, _ = model.dcf.factor
         assert live.size == model.space.size
         regions = [z.point_names() for z in down_sets(model.order)]
         self._assert_region_vectors_exact(model.dcf, regions + self._small_regions(model.order))
@@ -272,7 +272,7 @@ class TestLiveColumns:
         dcf = DecoherenceFunctional.from_amplitudes(
             circuit.space, np.zeros(circuit.space.size), b.final_index, b.dim
         )
-        live, fac = history_factor(dcf)
+        live, fac = dcf.factor
         assert live.size == 0 and fac.shape == (b.dim, 0)
         regions = [z.point_names() for z in down_sets(circuit.order)]
         self._assert_region_vectors_exact(dcf, regions + self._small_regions(circuit.order))
@@ -285,7 +285,7 @@ class TestLiveColumns:
         vecs = rng.normal(size=(space.size, 3)) + 1j * rng.normal(size=(space.size, 3))
         vecs[::3] = 0.0  # every third history carries nothing
         dcf = DecoherenceFunctional.from_history_vectors(space, vecs)
-        live, fac = history_factor(dcf)
+        live, fac = dcf.factor
         full = full_width_factor(dcf)
         assert np.array_equal(live, np.flatnonzero(full.any(axis=0)))
         assert 0 < live.size < space.size

@@ -285,9 +285,7 @@ class TestQuantumPatch:
 
     def test_ordering_changes_array_but_not_marginals(self, eprb_scenario):
         jd1 = quantum_patch(eprb_scenario)
-        jd2 = quantum_patch(
-            eprb_scenario, ordering=("ap", "a", "bp", "b"), validate=False
-        )
+        jd2 = quantum_patch(eprb_scenario, ordering=("ap", "a", "bp", "b"))
         assert np.abs(jd1.values - jd2.values).max() > 1e-6
         for key in SETTING_KEYS:
             assert patch_marginal_residual(jd2, eprb_scenario, *key) < 1e-9
