@@ -40,12 +40,13 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def psd_factor(m: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Factor a PSD Hermitian matrix as L†L with L square.
+    """Factor a PSD Hermitian matrix as L†L with L of shape r x n.
 
-    Eigenvalues below the rank cut are zeroed (otherwise rounding dust of
-    order eps * scale would leak sqrt(eps)-sized spurious directions into
-    the factor); anything below the PSD floor raises, since the matrix is
-    then not positive semi-definite at this tolerance.
+    L has a row for each eigenvalue the rank rule of `numerical_rank`
+    keeps, so no row is zero; the rest are rounding dust of order
+    eps * scale, which would leak sqrt(eps)-sized spurious directions into
+    the factor.  Anything below the PSD floor raises: the matrix is then
+    not positive semi-definite at this tolerance.
     """
     w, v = np.linalg.eigh(hermitian_part(m))
     eig_max = float(w.max(initial=0.0))
@@ -54,8 +55,8 @@ def psd_factor(m: np.ndarray, tol: Tolerance) -> np.ndarray:
             f"matrix is not positive semi-definite: min eigenvalue {w.min():.3e} "
             f"below floor {tol.psd_floor(eig_max):.3e}"
         )
-    w[w < tol.rank_cut(eig_max)] = 0.0
-    return (v * np.sqrt(w)).conj().T
+    keep = w > tol.rank_cut(eig_max)
+    return (v[:, keep] * np.sqrt(w[keep])).conj().T
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance) -> int:
@@ -74,36 +75,30 @@ def rank_from_singular_values(s: np.ndarray, tol: Tolerance) -> int:
     return int((s ** 2 > tol.rank_cut(float(s[0]) ** 2)).sum())
 
 
-def singular_cut(tol: Tolerance) -> float:
-    """Relative singular-value cutoff matching the Gram-scale rank rule."""
-    return float(np.sqrt(tol.rel))
+def truncated_svd(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD `(u, s, vh)` of a vector family (columns of a), cut to the
+    directions the rank rule keeps.
+
+    The one source of a span's numerics: `u` is an orthonormal basis of
+    the span, `vh` spans the row space (so I - vh† vh projects onto the
+    kernel), and vh† diag(1/s) u† is the pseudo-inverse of a.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = rank_from_singular_values(s, tol)
+    return u[:, :r], s[:r], vh[:r]
 
 
-def orthonormal_basis(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis (columns) for the column span of a."""
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    return u[:, s > singular_cut(tol) * float(s[0])]
-
-
-def selection_violation(v: np.ndarray, w: np.ndarray, tol: Tolerance) -> float:
+def selection_violation(vh: np.ndarray, w: np.ndarray) -> float:
     """Largest squared norm that a kernel vector of `v` attains under `w`.
 
-    Both matrices hold column vectors.  Returns sigma_max(w restricted to
-    ker v)^2, which is zero exactly when ker v is contained in ker w,
-    i.e. when x -> w x is a consistent linear image of x -> v x.
-
-    `w` may also be a stack of such matrices, shape (..., d, n) against
-    `v` of shape (d, n); the result is then the largest value over the
-    stack, with `pinv(v)` taken once.
+    `vh` holds the kept right singular vectors of `v` (from
+    `truncated_svd`), and `w` one column vector per column of `v`.
+    Returns sigma_max(w restricted to ker v)^2, which is zero exactly when
+    ker v is contained in ker w, i.e. when x -> w x is a consistent linear
+    image of x -> v x.  `w` may also be a stack of such matrices, shape
+    (..., d, n); the result is then the largest value over the stack.
     """
-    if v.shape[1] == 0:
-        return 0.0
-    vpinv = np.linalg.pinv(v, rcond=singular_cut(tol))
-    p = w - (w @ vpinv) @ v
+    p = w - (w @ vh.conj().T) @ vh
     if p.size == 0:
         return 0.0
     g = p @ p.conj().swapaxes(-1, -2)

@@ -24,11 +24,10 @@ from ._linalg import (
     CheckViolation,
     Tolerance,
     numerical_rank,
-    orthonormal_basis,
     rank_from_singular_values,
     scatter_columns,
     selection_violation,
-    singular_cut,
+    truncated_svd,
 )
 from .causal_order import (
     CausalOrder,
@@ -106,13 +105,14 @@ class PozReport:
         }
 
 
-def _poz_region(dcf, order, region: Region, tol: Tolerance) -> PozRegionResult | None:
+def _poz_region(dcf, order, region: Region) -> PozRegionResult | None:
     bar = shadow(order, region)
     if bar.is_empty():
         return None
     alg_bar, v = region_vectors(dcf, bar.point_names())
     n_bar = alg_bar.n_atoms
-    kernel_dim = n_bar - numerical_rank(v, tol)
+    _, s, vh = truncated_svd(v, dcf.tol)
+    kernel_dim = n_bar - len(s)
     if kernel_dim == 0:
         return PozRegionResult(region.point_names(), bar.point_names(), 0, 0.0)
     alg_r = region_algebra(dcf.space, region.point_names())
@@ -129,7 +129,7 @@ def _poz_region(dcf, order, region: Region, tol: Tolerance) -> PozRegionResult |
             labels - a0 * n_bar, (a1 - a0) * n_bar, (r_index >= a0) & (r_index < a1)
         )
         w = w.reshape(d, a1 - a0, n_bar).swapaxes(0, 1)
-        worst = max(worst, selection_violation(v, w, tol))
+        worst = max(worst, selection_violation(vh, w))
     return PozRegionResult(region.point_names(), bar.point_names(), kernel_dim, worst)
 
 
@@ -137,7 +137,6 @@ def check_poz(
     dcf: DecoherenceFunctional,
     order: CausalOrder,
     regions="exhaustive",
-    tol: Tolerance | None = None,
 ) -> PozReport:
     """Test persistence of zero for each region (skipping those whose
     shadow is empty, where the condition is vacuous).
@@ -155,7 +154,6 @@ def check_poz(
     in one R-atom, so viol(R) <= k^2 viol(F).
     """
     _check_alignment(dcf, order)
-    tol = tol or dcf.tol
     if regions == "exhaustive":
         regions = [~z for z in down_sets(order)]
     results = []
@@ -163,12 +161,12 @@ def check_poz(
     for region in regions:
         if region.order is not order:
             raise ValueError("region belongs to a different causal order")
-        res = _poz_region(dcf, order, region, tol)
+        res = _poz_region(dcf, order, region)
         if res is None:
             skipped += 1
         else:
             results.append(res)
-    return PozReport(tuple(results), skipped, tol)
+    return PozReport(tuple(results), skipped, dcf.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +177,12 @@ class EventOperator:
     """Linear action of an event on the sub-Hilbert space of a domain
     region: domain atom vectors map to their conjunctions with the event.
 
-    `matrix` lives on an orthonormal basis of the domain span; the basis
-    itself (`basis`, ambient coordinates) depends on the functional's
-    factorization.  `frame_matrix` expresses the same operator in the
-    domain-atom frame (minimum-norm coordinates) and is directly
-    comparable across theories that agree on the domain region.
+    `matrix` lives on an orthonormal basis of the domain span, `basis`,
+    whose columns are in factor coordinates: both depend on the
+    functional's factorization, up to a unitary change of coordinates.
+    `frame_matrix` expresses the same operator in the domain-atom frame
+    (minimum-norm coordinates) and is directly comparable across theories
+    that agree on the domain region.
     """
 
     event: Event
@@ -197,31 +196,12 @@ class EventOperator:
     universal_residual: float
 
 
-def _operator_pieces(dcf, v, basis, event, alg_domain, tol):
-    """Least-squares operator on the domain basis plus residuals."""
-    w = dcf.vectors(alg_domain.atom_index, alg_domain.n_atoms, event.to_bool())
-    coords_v = basis.conj().T @ v
-    coords_w = basis.conj().T @ w
-    codomain = float(
-        np.linalg.norm(w - basis @ coords_w, axis=0).max(initial=0.0)
-    )
-    x = coords_w @ np.linalg.pinv(coords_v, rcond=singular_cut(tol))
-    # inconsistency = largest image norm over null combinations of the
-    # domain atoms, the ambient-space statement of zero persistence
-    consistency = float(np.sqrt(selection_violation(v, w, tol)))
-    gram = v.conj().T @ v
-    cross = v.conj().T @ w
-    frame = np.linalg.pinv(gram, rcond=tol.rel) @ cross
-    return x, frame, w, codomain, consistency
-
-
 def event_operator(
     dcf: DecoherenceFunctional,
     order: CausalOrder,
     region,
     event: Event,
     domain,
-    tol: Tolerance | None = None,
     force: bool = False,
 ) -> EventOperator:
     """Build the operator of `event` (in region `region`) on the event
@@ -233,27 +213,32 @@ def event_operator(
     least-squares operator with the residuals recorded instead.
     """
     _check_alignment(dcf, order)
-    tol = tol or dcf.tol
     region_names = tuple(region.point_names()) if isinstance(region, Region) else tuple(region)
     domain_names = tuple(domain.point_names()) if isinstance(domain, Region) else tuple(domain)
     alg_r = region_algebra(dcf.space, region_names)
     if not _event_in_algebra(event, alg_r):
         raise ValueError("event is not in the region's algebra")
     alg_d, v = region_vectors(dcf, domain_names)
-    basis = orthonormal_basis(v, tol)
-    x, frame, w, codomain, consistency = _operator_pieces(
-        dcf, v, basis, event, alg_d, tol
-    )
+    # everything is read off one truncated SVD v = basis diag(s) vh
+    basis, s, vh = truncated_svd(v, dcf.tol)
+    w = dcf.vectors(alg_d.atom_index, alg_d.n_atoms, event.to_bool())
+    coords_w = basis.conj().T @ w
+    codomain = float(np.linalg.norm(w - basis @ coords_w, axis=0).max(initial=0.0))
+    # inconsistency = largest image norm over null combinations of the
+    # domain atoms, the ambient-space statement of zero persistence
+    consistency = float(np.sqrt(selection_violation(vh, w)))
     if not force:
-        if consistency > tol.rel * max(1.0, float(np.linalg.norm(v))):
+        floor = dcf.tol.rel * max(1.0, float(np.linalg.norm(v)))
+        if consistency > floor:
             raise CheckViolation(
                 f"event operator inconsistent (residual {consistency:.3e}); "
                 "persistence of zero fails on this domain"
             )
-        if codomain > tol.rel * max(1.0, float(np.linalg.norm(v))):
+        if codomain > floor:
             raise CheckViolation(
                 f"event image leaves the domain span (residual {codomain:.3e})"
             )
+    x = (coords_w @ vh.conj().T) / s  # coords_w pinv(basis† v)
     # universal vector = sum of domain atom vectors; its image must be the
     # event's own vector
     uni = v.sum(axis=1)
@@ -264,7 +249,7 @@ def event_operator(
         region_points=region_names,
         domain_points=domain_names,
         matrix=x,
-        frame_matrix=frame,
+        frame_matrix=vh.conj().T @ (coords_w / s[:, None]),  # pinv(v) w
         basis=basis,
         consistency_residual=consistency,
         codomain_residual=codomain,
@@ -321,12 +306,16 @@ def check_lon(
     dcf: DecoherenceFunctional,
     order: CausalOrder,
     past_sets="exhaustive",
-    tol: Tolerance | None = None,
 ) -> LonReport:
     """For every past set, the event Hilbert space of its future domain of
-    dependence must already be spanned by the past set's own atoms."""
+    dependence must already be spanned by the past set's own atoms.
+
+    The dimensions follow the rank rule, but the residual projects onto
+    the past set's span with lstsq's eps cut: a direction below the rank
+    cut still lies in that span, and dropping it would count the part of
+    a domain vector along it as novelty."""
     _check_alignment(dcf, order)
-    tol = tol or dcf.tol
+    tol = dcf.tol
     if past_sets == "exhaustive":
         past_sets = down_sets(order)
     results = []
@@ -393,18 +382,16 @@ def check_spacelike_commutation(
     b: Region,
     event_a: Event,
     event_b: Event,
-    tol: Tolerance | None = None,
 ) -> CommutationReport:
     """Operators of spacelike events on the past's event Hilbert space
     must commute; also checks the composed action against the direct
     conjunction vectors on every past atom."""
     _check_alignment(dcf, order)
-    tol = tol or dcf.tol
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    op_a = event_operator(dcf, order, a, event_a, z, tol=tol, force=True)
-    op_b = event_operator(dcf, order, b, event_b, z, tol=tol, force=True)
+    op_a = event_operator(dcf, order, a, event_a, z, force=True)
+    op_b = event_operator(dcf, order, b, event_b, z, force=True)
     comm = op_a.matrix @ op_b.matrix - op_b.matrix @ op_a.matrix
     comm_norm = float(np.linalg.svd(comm, compute_uv=False).max(initial=0.0))
     # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G
@@ -415,7 +402,7 @@ def check_spacelike_commutation(
         alg_z.atom_index, alg_z.n_atoms, (event_a & event_b).to_bool()
     )
     action = float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
-    return CommutationReport(comm_norm, action, tol)
+    return CommutationReport(comm_norm, action, dcf.tol)
 
 
 def check_partition_identity(
@@ -424,17 +411,15 @@ def check_partition_identity(
     region,
     events: Sequence[Event],
     domain,
-    tol: Tolerance | None = None,
 ) -> float:
     """Spectral-norm distance of the summed event operators from the
     identity on the domain basis; the events must partition the space."""
     _check_alignment(dcf, order)
-    tol = tol or dcf.tol
     if not is_partition(list(events)):
         raise ValueError("events do not partition the history space")
     total = None
     for e in events:
-        op = event_operator(dcf, order, region, e, domain, tol=tol, force=True)
+        op = event_operator(dcf, order, region, e, domain, force=True)
         total = op.matrix if total is None else total + op.matrix
     gap = total - np.eye(total.shape[0])
     return float(np.linalg.svd(gap, compute_uv=False).max(initial=0.0))
@@ -489,7 +474,6 @@ def check_quantum_factorizability(
     z: Region,
     a: Region,
     b: Region,
-    tol: Tolerance | None = None,
 ) -> FactorizabilityReport:
     """Residual of the doubled screening-off identity
 
@@ -506,7 +490,6 @@ def check_quantum_factorizability(
     FACTORIZABILITY_LIMIT residual evaluations.
     """
     _check_alignment(dcf, order)
-    tol = tol or dcf.tol
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
@@ -578,4 +561,4 @@ def check_quantum_factorizability(
                     da.reshape(len(i), -1, na, 1) * db.reshape(len(i), -1, 1, nb)
                 ).reshape(lhs.shape)
                 worst = max(worst, float(np.abs(lhs).max(initial=0.0)))
-    return FactorizabilityReport(worst, total, total, True, tol)
+    return FactorizabilityReport(worst, total, total, True, dcf.tol)

@@ -145,15 +145,19 @@ def _tol(args) -> Tolerance:
 
 
 def _parse_points(spec: str, names) -> tuple[str, ...]:
-    """The points of a comma list.  A point name may itself hold commas
-    (circuit cells are named "s,t"), so each point, from left to right, is
-    the longest run of comma-joined tokens that names a point."""
+    """The points of a comma list, each named once.  A point name may
+    itself hold commas (circuit cells are named "s,t"), so each point, from
+    left to right, is the longest run of comma-joined tokens that names a
+    point."""
     tokens, names = spec.split(","), set(names)
     points, i = [], 0
     while i < len(tokens):
         ends = [j for j in range(len(tokens), i, -1) if ",".join(tokens[i:j]) in names]
         if ends:
-            points.append(",".join(tokens[i:ends[0]]))
+            name = ",".join(tokens[i:ends[0]])
+            if name in points:
+                raise InputError(f"point {name!r} is listed twice")
+            points.append(name)
         elif tokens[i]:
             raise InputError(f"unknown point {tokens[i]!r}")
         i = ends[0] if ends else i + 1
@@ -200,7 +204,7 @@ def cmd_hilbert(args) -> int:
             "min_eigenvalue": float(eig.min()),
             "max_eigenvalue": float(eig.max()),
             "region": list(points) if points else "all",
-            "tolerance": es.tol.rel,
+            "tolerance": dcf.tol.rel,
         },
         args,
     )
@@ -209,14 +213,14 @@ def cmd_hilbert(args) -> int:
 
 def cmd_poz(args) -> int:
     dcf, order = _load_model(args.input, _tol(args))
-    report = check_poz(dcf, order, _regions(args.regions, order), tol=_tol(args))
+    report = check_poz(dcf, order, _regions(args.regions, order))
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
 
 def cmd_lon(args) -> int:
     dcf, order = _load_model(args.input, _tol(args))
-    report = check_lon(dcf, order, _regions(args.regions, order), tol=_tol(args))
+    report = check_lon(dcf, order, _regions(args.regions, order))
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
@@ -232,9 +236,7 @@ def cmd_commute(args) -> int:
         b = t.order.region(scenario.b_points)
         for ea in t.beam_a:
             for eb in t.beam_b:
-                rep = check_spacelike_commutation(
-                    t.dcf, t.order, z, a, b, ea, eb, tol=tol
-                )
+                rep = check_spacelike_commutation(t.dcf, t.order, z, a, b, ea, eb)
                 worst["commutator_norm"] = max(
                     worst["commutator_norm"], rep.commutator_norm
                 )
@@ -250,7 +252,7 @@ def cmd_factorizability(args) -> int:
     tol = _tol(args)
     if args.kind == "classical":
         scenario = _load_scenario(args.input, tol)
-        resid = classical_factorizability_residual(scenario, tol)
+        resid = classical_factorizability_residual(scenario)
         passed = resid <= tol.rel
         _emit({"max_residual": resid, "passed": passed, "tolerance": tol.rel}, args)
         return OK if passed else VIOLATION
@@ -260,7 +262,7 @@ def cmd_factorizability(args) -> int:
     z, a, b = (
         order.region(_parse_points(spec, order.points)) for spec in (args.z, args.a, args.b)
     )
-    report = check_quantum_factorizability(dcf, order, z, a, b, tol=tol)
+    report = check_quantum_factorizability(dcf, order, z, a, b)
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
@@ -269,7 +271,7 @@ def cmd_patch(args) -> int:
     tol = _tol(args)
     scenario = _load_scenario(args.input, tol)
     if args.kind == "classical":
-        jm = classical_patch(scenario, tol)
+        jm = classical_patch(scenario)
         resid = classical_marginal_residual(jm, scenario)
         doc = {
             "values": np.asarray(jm.values).tolist(),
@@ -289,7 +291,7 @@ def cmd_patch(args) -> int:
             _emit(doc, args)
         return OK
     ordering = tuple(args.ordering.split(",")) if args.ordering else ("a", "ap", "b", "bp")
-    jdcf = quantum_patch(scenario, ordering=ordering, tol=tol)
+    jdcf = quantum_patch(scenario, ordering=ordering)
     resid = max(patch_marginal_residual(jdcf, scenario, *k) for k in SETTING_KEYS)
     doc = io.joint_dcf_to_json(jdcf)
     doc["marginal_residual"] = resid

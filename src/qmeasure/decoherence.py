@@ -101,9 +101,11 @@ class DecoherenceFunctional:
         Returns `(live, fac)`: `live` holds, in history order, the histories
         whose factor column is not identically zero, and column k of the
         `d x len(live)` matrix `fac` is the vector of history `live[k]`.
-        Inner products of the columns give the functional.  Raises when a
-        dense matrix fails positive semi-definiteness at the tolerance (a
-        strong-positivity violation).
+        Inner products of the columns give the functional.  A dense
+        factor has one row per direction the rank rule keeps (d is the
+        numerical rank), a lazy one a row per final configuration.  Raises
+        when a dense matrix fails positive semi-definiteness at the
+        tolerance (a strong-positivity violation).
         """
         if self.is_dense:
             fac = psd_factor(self.matrix, self.tol)

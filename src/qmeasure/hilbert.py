@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Tolerance, numerical_rank
+from ._linalg import numerical_rank
 from .decoherence import DENSE_ATOM_CAP, DecoherenceFunctional
 from .histories import Event, RegionAlgebra, region_algebra
 
@@ -107,8 +107,7 @@ class EventHilbertSpace:
 
     The basis is either every atomic history or the atoms of one region
     algebra.  `factor` holds the atom vectors as columns and satisfies
-    factor† factor = gram; `universal` is the coefficient vector of the
-    full-space event (all ones, since the atoms partition the space).
+    factor† factor = gram.
     """
 
     dcf: DecoherenceFunctional
@@ -116,12 +115,12 @@ class EventHilbertSpace:
     gram: np.ndarray
     factor: np.ndarray
     rank: int
-    universal: np.ndarray
-    tol: Tolerance
 
     @property
     def universal_norm2(self) -> float:
-        v = self.factor @ self.universal
+        """Squared norm of the full-space event, whose coefficient vector
+        is all ones since the atoms partition the space."""
+        v = self.factor @ np.ones(len(self.atoms), dtype=complex)
         return float(np.vdot(v, v).real)
 
 
@@ -147,6 +146,4 @@ def build_event_space(dcf: DecoherenceFunctional, points=None) -> EventHilbertSp
         gram=gram,
         factor=vecs,
         rank=numerical_rank(vecs, dcf.tol),
-        universal=np.ones(len(atoms), dtype=complex),
-        tol=dcf.tol,
     )

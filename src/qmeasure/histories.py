@@ -21,13 +21,16 @@ MAX_VALUE = 65535  # history values are stored as uint16
 
 
 def _as_point_names(space: "HistorySpace", points) -> tuple[str, ...]:
-    """Accept point names or a region-like object carrying point names."""
+    """Accept point names, each given once, or a region-like object
+    carrying point names."""
     if hasattr(points, "point_names"):
         points = points.point_names()
     names = tuple(points)
-    for p in names:
+    for i, p in enumerate(names):
         if p not in space._point_index:
             raise ValueError(f"unknown point {p!r}")
+        if p in names[:i]:
+            raise ValueError(f"point {p!r} is listed twice")
     return names
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import CheckViolation, Tolerance, hermitian_part
+from ._linalg import CheckViolation, Tolerance, hermitian_part, psd_factor
 from .causal_order import CausalOrder, validate_scenario_geometry
 from .causality import check_lon, check_poz, event_operator
 from .decoherence import DecoherenceFunctional, check_agreement
@@ -85,8 +85,7 @@ class SettingScenario:
             tables[key] = tab.real
         return CorrelationTable(tables)
 
-    def validate(self, tol: Tolerance | None = None) -> "ScenarioReport":
-        tol = tol or self.theory(0, 0).dcf.tol
+    def validate(self) -> "ScenarioReport":
         za = tuple(self.z_points) + tuple(self.a_points)
         zb = tuple(self.z_points) + tuple(self.b_points)
         agreement = {
@@ -208,9 +207,7 @@ def _cell_masses(values: np.ndarray):
     )
 
 
-def classical_factorizability_residual(
-    scenario: SettingScenario, tol: Tolerance | None = None
-) -> float:
+def classical_factorizability_residual(scenario: SettingScenario) -> float:
     """Worst violation of screening off over wing atoms and past
     history-events, across the four theories.
 
@@ -269,18 +266,16 @@ def marginalize_measure(jm: JointMeasure, kept: Sequence[str]) -> np.ndarray:
     return jm.values.sum(axis=drop) if drop else jm.values.copy()
 
 
-def classical_patch(
-    scenario: SettingScenario, tol: Tolerance | None = None
-) -> JointMeasure:
+def classical_patch(scenario: SettingScenario) -> JointMeasure:
     """Joint measure with the four factorizable setting measures as
     marginals: the product of the per-wing conditional masses divided by
-    the cubed past mass, with zero-mass past events mapped to zero."""
-    tol = tol or scenario.theory(0, 0).dcf.tol
-    report = scenario.validate(tol)
+    the cubed past mass, with zero-mass past events mapped to zero.  The
+    factorizability gate reads the tolerance of theory (0, 0)."""
+    report = scenario.validate()
     if not report.passed:
         raise ValueError(f"scenario clauses fail: {report.as_dict()}")
-    resid = classical_factorizability_residual(scenario, tol)
-    if resid > tol.rel:
+    resid = classical_factorizability_residual(scenario)
+    if resid > scenario.theory(0, 0).dcf.tol.rel:
         raise CheckViolation(f"theories are not factorizable (residual {resid:.3e})")
     # wing-setting masses come from a fixed theory containing that setting;
     # agreement makes the choice immaterial
@@ -346,7 +341,7 @@ class JointDcf:
         return self.values.sum(axis=(4, 9))
 
 
-def _wing_operators(scenario: SettingScenario, tol: Tolerance):
+def _wing_operators(scenario: SettingScenario):
     """Frame-coordinate event operators on the shared past algebra.
 
     Each wing setting is read from one fixed theory containing it; by the
@@ -360,7 +355,7 @@ def _wing_operators(scenario: SettingScenario, tol: Tolerance):
             (t.beam_a, scenario.a_points) if sym[0] == "a" else (t.beam_b, scenario.b_points)
         )
         ops[sym] = [
-            event_operator(t.dcf, t.order, points, e, scenario.z_points, tol=tol).frame_matrix
+            event_operator(t.dcf, t.order, points, e, scenario.z_points).frame_matrix
             for e in events
         ]
     return ops
@@ -369,7 +364,6 @@ def _wing_operators(scenario: SettingScenario, tol: Tolerance):
 def quantum_patch(
     scenario: SettingScenario,
     ordering: Sequence[str] = OPERATOR_ORDER,
-    tol: Tolerance | None = None,
 ) -> JointDcf:
     """Joint decoherence functional from composed event operators.
 
@@ -378,28 +372,29 @@ def quantum_patch(
     history-event vector; entries are inner products of those vectors.
     Different orderings may change the array but not its setting
     marginals, because wing-A operators commute with wing-B operators.
+    Each theory is checked at its own tolerance; the commutation gate
+    reads that of theory (0, 0).
     """
-    tol = tol or scenario.theory(0, 0).dcf.tol
     ordering = tuple(ordering)
     if sorted(ordering) != sorted(OPERATOR_ORDER):
         raise ValueError(f"ordering must permute {OPERATOR_ORDER}")
-    report = scenario.validate(tol)
+    report = scenario.validate()
     if not report.passed:
         raise ValueError(f"scenario clauses fail: {report.as_dict()}")
     for key, t in scenario.theories.items():
-        poz = check_poz(t.dcf, t.order, tol=tol)
+        poz = check_poz(t.dcf, t.order)
         if not poz.passed:
             raise CheckViolation(
                 f"theory {key} fails persistence of zero "
                 f"(violation {poz.max_violation:.3e})"
             )
-        lon = check_lon(t.dcf, t.order, tol=tol)
+        lon = check_lon(t.dcf, t.order)
         if not lon.passed:
             raise CheckViolation(
                 f"theory {key} fails lack of novelty "
                 f"(residual {lon.max_residual:.3e})"
             )
-    ops = _wing_operators(scenario, tol)
+    ops = _wing_operators(scenario)
     # spacelike commutation of the frame operators, required for ordering
     # invariance of the marginals
     comm_worst = max(
@@ -409,7 +404,7 @@ def quantum_patch(
         for x in ops[xs]
         for y in ops[ys]
     )
-    if comm_worst > 1e3 * tol.rel:
+    if comm_worst > 1e3 * scenario.theory(0, 0).dcf.tol.rel:
         raise CheckViolation(
             f"wing operators do not commute (residual {comm_worst:.3e})"
         )
@@ -466,9 +461,7 @@ def converse_model(
         raise ValueError("beam joint is not Hermitian")
     if abs(flat.sum() - 1.0) > tol.matrix_floor(flat):
         raise ValueError("beam joint is not normalized")
-    eig = np.linalg.eigvalsh(hermitian_part(flat))
-    if eig.min() < -tol.rel * max(eig.max(), 1.0):
-        raise ValueError("beam joint is not positive semi-definite")
+    psd_factor(flat, tol)  # raises CheckViolation unless PSD
 
     outcomes = np.unravel_index(np.arange(nkey), (na, na, nb, nb))  # i, i', j, j'
     points = ("z", "wa", "wb")

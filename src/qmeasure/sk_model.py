@@ -16,7 +16,7 @@ screening-off identity exactly; both facts are checked numerically here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -323,12 +323,11 @@ def sk_factorizability_demo(
             )
     model = gen_sk_circuit(cfg)
     return check_quantum_factorizability(
-        model.dcf,
+        replace(model.dcf, tol=tol),
         model.order,
         model.region("Z"),
         model.region("A"),
         model.region("B"),
-        tol=tol,
     )
 
 

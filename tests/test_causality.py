@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import full_width_factor, random_psd_dcf, random_space
 
 from qmeasure import (
+    CheckViolation,
     DecoherenceFunctional,
     HistorySpace,
     Tolerance,
@@ -20,7 +23,7 @@ from qmeasure import (
     region_algebra,
     shadow,
 )
-from qmeasure._linalg import selection_violation
+from qmeasure._linalg import selection_violation, truncated_svd
 from qmeasure.causal_order import CausalOrder, Region, future_set
 
 
@@ -413,9 +416,9 @@ class TestBatchedPoz:
         fac = full_width_factor(model.dcf)
         shapes = []
 
-        def recording(v, w, tol):
-            shapes.append((w.shape, v.shape[1]))
-            return selection_violation(v, w, tol)
+        def recording(vh, w):
+            shapes.append((w.shape, vh.shape[1]))
+            return selection_violation(vh, w)
 
         monkeypatch.setattr(causality, "selection_violation", recording)
         order = model.order
@@ -457,9 +460,89 @@ class TestBatchedPoz:
         tol = Tolerance()
         v = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         w = rng.normal(size=(5, 4, 6)) + 1j * rng.normal(size=(5, 4, 6))
-        per_slice = [selection_violation(v, w[i], tol) for i in range(5)]
-        assert selection_violation(v, w, tol) == max(per_slice)
+        _, _, vh = truncated_svd(v, tol)
+        per_slice = [selection_violation(vh, w[i]) for i in range(5)]
+        assert selection_violation(vh, w) == max(per_slice)
         # a stack whose slices are strided views, as the PoZ blocks are
         flat = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(4, 30)
         view = flat.reshape(4, 5, 6).swapaxes(0, 1)
-        assert selection_violation(v, view, tol) == max(per_slice)
+        assert selection_violation(vh, view) == max(per_slice)
+
+
+def reference_operator(dcf, event, domain):
+    """The operator of `event` on the span of the domain atom vectors by
+    the normal equations: the frame pinv(v†v) v†w, and on an orthonormal
+    basis of the span coords_w pinv(coords_v).  v and w sum the columns of
+    a full-width factor with a one-hot matmul."""
+    rel = dcf.tol.rel
+    fac = full_width_factor(dcf)
+    index = region_algebra(dcf.space, domain).atom_index
+    onehot = np.eye(index.max() + 1)[index]
+    v = fac @ onehot
+    w = fac @ (event.to_bool()[:, None] * onehot)
+    frame = np.linalg.pinv(v.conj().T @ v, rcond=rel) @ (v.conj().T @ w)
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    basis = u[:, s > np.sqrt(rel) * s[0]]
+    x = (basis.conj().T @ w) @ np.linalg.pinv(basis.conj().T @ v, rcond=np.sqrt(rel))
+    return frame, x
+
+
+class TestOperatorMatchesNormalEquations:
+    def check(self, dcf, order, region, event, domain):
+        op = event_operator(dcf, order, region, event, domain, force=True)
+        frame, x = reference_operator(dcf, event, domain)
+        assert np.abs(op.frame_matrix - frame).max() <= 1e-12
+        # matrix depends on the factor's coordinates up to a unitary
+        assert op.matrix.shape == x.shape
+        sv = np.linalg.svd(op.matrix, compute_uv=False)
+        assert np.abs(sv - np.linalg.svd(x, compute_uv=False)).max() <= 1e-12
+
+    def test_eprb_theories(self, eprb_scenario):
+        for t in eprb_scenario.theories.values():
+            for events, points in ((t.beam_a, ("wa",)), (t.beam_b, ("wb",))):
+                for e in events:
+                    self.check(t.dcf, t.order, points, e, ("z",))
+
+    def test_random_dense_and_lazy_families(self):
+        rng = np.random.default_rng(29)
+        for _ in range(6):
+            space = random_space(rng, n_points=3, max_alpha=3)
+            order = CausalOrder.antichain(space.points)
+            p = space.points[0]
+            lazy = random_branch_dcf(rng, space, dim=3)
+            for dcf in (random_psd_dcf(rng, space), lazy):
+                for value in range(space.alphabets[p]):
+                    for domain in (space.points[1:], space.points[2:], ()):
+                        self.check(dcf, order, (p,), space.value_event(p, value), domain)
+
+
+class TestFunctionalTolerance:
+    """A check reads the tolerance of the functional it is given."""
+
+    def test_checks_follow_the_functional_tolerance(self, eprb_scenario):
+        t = eprb_scenario.theory(0, 0)
+        _, q = np.linalg.eigh(t.dcf.matrix)
+        # push one null direction to eigenvalue -1e-8
+        dcf = DecoherenceFunctional(
+            t.space, matrix=t.dcf.matrix - 1e-8 * np.outer(q[:, 0], q[:, 0].conj())
+        )
+        z, a, b = (t.order.region([p]) for p in ("z", "wa", "wb"))
+        calls = {
+            "poz": lambda d: check_poz(d, t.order),
+            "lon": lambda d: check_lon(d, t.order),
+            "factorizability": lambda d: check_quantum_factorizability(d, t.order, z, a, b),
+            "commutation": lambda d: check_spacelike_commutation(
+                d, t.order, z, a, b, t.beam_a[0], t.beam_b[0]
+            ),
+            "operator": lambda d: event_operator(
+                d, t.order, ("wa",), t.beam_a[0], ("z",), force=True
+            ),
+        }
+        for call in calls.values():
+            with pytest.raises(CheckViolation):
+                call(dcf)
+        loose = dataclasses.replace(dcf, tol=Tolerance(1e-6))
+        for name, call in calls.items():
+            result = call(loose)
+            if name != "operator":  # an operator carries no tolerance
+                assert result.tol.rel == 1e-6, name

@@ -689,6 +689,28 @@ class TestCommaPointNames:
         assert main(["hilbert", sk2, "--region", "0"]) == 2
         assert "unknown point '0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--z", "--a", "--b"])
+    def test_repeated_point_in_a_factorizability_list(self, sk2, capsys, option):
+        lists = {"--z": "0,0,1,0", "--a": "0,2,1,2", "--b": "2,2,3,2"}
+        first = lists[option][:3]
+        lists[option] += "," + first
+        argv = [arg for item in lists.items() for arg in item]
+        assert main(["factorizability", "quantum", sk2, *argv]) == 2
+        assert f"point {first!r} is listed twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilbert", "ds", "--region", "slit,slit"],
+            ["poz", "ds", "--regions", "screen;slit,screen,slit"],
+            ["lon", "ds", "--regions", "slit,slit"],
+        ],
+    )
+    def test_repeated_point_is_an_input_error(self, workdir, capsys, argv):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        assert main(argv) == 2
+        assert "point 'slit' is listed twice" in capsys.readouterr().err
+
     def test_double_slit_lists_parse_as_before(self, workdir, capsys):
         from qmeasure import check_poz, gen_double_slit
         from qmeasure.cli import _parse_points

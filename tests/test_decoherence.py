@@ -178,6 +178,11 @@ class TestRestrict:
         r = dcf.restrict(("screen",))
         assert np.allclose(r.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
+    def test_repeated_point_rejected(self, double_slit):
+        _, _, dcf = double_slit
+        with pytest.raises(ValueError, match="'slit' is listed twice"):
+            dcf.restrict(("slit", "slit"))
+
     def test_tower_property(self):
         rng = np.random.default_rng(5)
         space = random_space(rng)

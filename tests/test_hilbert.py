@@ -124,6 +124,11 @@ class TestEventSpace:
         es = build_event_space(dcf, ())
         assert es.rank == 1
 
+    def test_repeated_point_rejected(self, double_slit):
+        _, _, dcf = double_slit
+        with pytest.raises(ValueError, match="'slit' is listed twice"):
+            build_event_space(dcf, ("slit", "slit"))
+
     def test_gram_matches_functional(self, double_slit):
         _, _, dcf = double_slit
         es = build_event_space(dcf, ("slit",))

@@ -113,6 +113,11 @@ class TestRegionAlgebra:
         with pytest.raises(ValueError):
             region_algebra(four_space, ("nope",))
 
+    def test_repeated_point_rejected(self, double_slit):
+        space, _, _ = double_slit
+        with pytest.raises(ValueError, match="'slit' is listed twice"):
+            region_algebra(space, ("slit", "screen", "slit"))
+
     def test_refinement(self):
         rng = np.random.default_rng(7)
         from conftest import random_space
@@ -141,6 +146,11 @@ class TestCylinderEvents:
             alphabets={"a": 2, "b": 2},
         )
         assert cylinder_event(space, ("a", "b"), (0, 1)).is_empty()
+
+    def test_repeated_point_rejected(self, double_slit):
+        space, _, _ = double_slit
+        with pytest.raises(ValueError, match="'slit' is listed twice"):
+            cylinder_event(space, ("slit", "slit"), (0, 0))
 
     def test_contains_own_restriction(self, four_space):
         for h in range(4):

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_factorizable_scenario
 
 from qmeasure import (
+    CheckViolation,
     CorrelationTable,
     DecoherenceFunctional,
     JointMeasure,
@@ -385,6 +386,14 @@ class TestConverse:
     def test_non_psd_rejected(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1] + [0.0] * 12).astype(complex)
         with pytest.raises(ValueError):
+            converse_model(m.reshape((2,) * 8))
+
+    def test_non_psd_below_unit_scale_rejected(self):
+        # largest eigenvalue below 1: the PSD floor is -1e-9 * 0.5, so an
+        # eigenvalue of -7e-10 is negative at the tolerance, and every
+        # theory built from it would fail strong positivity
+        m = np.diag([0.5, 0.5 + 7e-10, -7e-10] + [0.0] * 13).astype(complex)
+        with pytest.raises(CheckViolation, match="not positive semi-definite"):
             converse_model(m.reshape((2,) * 8))
 
 
