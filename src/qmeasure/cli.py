@@ -331,12 +331,7 @@ def _load_beam_dcfs(path: str) -> dict:
             return io.beam_dcfs_from_json(doc)
         if any(functionals):
             raise InputError(f"{path} mixes beam functionals and probability tables")
-        beam = {}
-        for key, tab in io.table_from_json(doc).tables.items():
-            i, j = np.indices(tab.shape)
-            beam[key] = np.zeros(tab.shape + tab.shape, dtype=complex)
-            beam[key][i, j, i, j] = tab
-        return beam
+        return io.table_from_json(doc).beam_dcfs()
     raise InputError(f"cannot interpret {path} as two-wing correlations")
 
 
@@ -539,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-reversed", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_gen, out_is_dir=True)
+    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sk", help="circuit-model checks")
     p.add_argument("action", choices=("fixture", "factorizability", "truncation"))

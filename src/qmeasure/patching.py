@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import CheckViolation, Tolerance, hermitian_part, psd_factor
+from ._linalg import CheckViolation, Tolerance, hermitian_part
 from .causal_order import CausalOrder, validate_scenario_geometry
 from .causality import check_lon, check_poz, event_operator
 from .decoherence import DecoherenceFunctional, check_agreement
@@ -177,6 +177,15 @@ class CorrelationTable:
             if abs(tabs[k].sum() - 1.0) > 1e-9:
                 raise ValueError("table does not sum to one")
         object.__setattr__(self, "tables", tabs)
+
+    def beam_dcfs(self) -> dict[tuple[int, int], np.ndarray]:
+        """The tables as diagonal beam functionals: beam[i, j, i, j] = tab[i, j]."""
+        beam = {}
+        for key, tab in self.tables.items():
+            i, j = np.indices(tab.shape)
+            beam[key] = np.zeros(tab.shape + tab.shape, dtype=complex)
+            beam[key][i, j, i, j] = tab
+        return beam
 
 
 def chsh_value(table: CorrelationTable) -> float:
@@ -439,7 +448,7 @@ def converse_model(
 ) -> SettingScenario:
     """Scenario whose past carries one history-event per beam-label word.
 
-    `beam_joint` has axes (i, i', j, j', i2, i2', j2', j2') or is the
+    `beam_joint` has axes (i, i', j, j', i2, i2', j2, j2') or is the
     equivalent flat Hermitian matrix.  The wing values of each history
     simply repeat the bits of the past label for the setting in force, so
     every theory is factorizable exactly and reproduces the input's
@@ -461,7 +470,6 @@ def converse_model(
         raise ValueError("beam joint is not Hermitian")
     if abs(flat.sum() - 1.0) > tol.matrix_floor(flat):
         raise ValueError("beam joint is not normalized")
-    psd_factor(flat, tol)  # raises CheckViolation unless PSD
 
     outcomes = np.unravel_index(np.arange(nkey), (na, na, nb, nb))  # i, i', j, j'
     points = ("z", "wa", "wb")
@@ -482,6 +490,8 @@ def converse_model(
             beam_a = tuple(space.value_event("wa", sa * na + i) for i in range(na))
             beam_b = tuple(space.value_event("wb", sb * nb + j) for j in range(nb))
             theories[(sa, sb)] = SettingTheory(space, order, dcf, beam_a, beam_b)
+    # each theory's matrix is the joint on live histories that biject with the keys
+    theories[(0, 0)].dcf.factor  # raises CheckViolation unless the joint is PSD
     return SettingScenario(theories, ("z",), ("wa",), ("wb",))
 
 
@@ -505,14 +515,8 @@ def no_signalling_residual(beam_dcfs: Mapping[tuple[int, int], np.ndarray]) -> f
 def check_no_signalling(source) -> float:
     """Accepts a scenario, a mapping of beam functionals, or a
     CorrelationTable; returns the worst marginal-compatibility residual."""
-    if isinstance(source, SettingScenario):
-        return no_signalling_residual(source.beam_dcfs())
-    if isinstance(source, CorrelationTable):
-        t = source.tables
-        return _worst_gap(
-            [(t[(sa, 0)].sum(axis=1), t[(sa, 1)].sum(axis=1)) for sa in (0, 1)]
-            + [(t[(0, sb)].sum(axis=0), t[(1, sb)].sum(axis=0)) for sb in (0, 1)]
-        )
+    if isinstance(source, (SettingScenario, CorrelationTable)):
+        source = source.beam_dcfs()
     return no_signalling_residual(source)
 
 
@@ -564,104 +568,54 @@ class FeasibilityReport:
         return out
 
 
-class _ConstraintMaps:
-    """The marginal map of joint functionals over the n beam labels
-    (i, i', j, j'), in real coordinates of Hermitian n x n matrices.
-
-    A coordinate vector holds the diagonal, then sqrt(2) times the real
-    and then the imaginary parts of the upper triangle, so its Euclidean
-    norm is the Frobenius norm and the least-squares affine projection is
-    orthogonal in the metric of the PSD projection.  Matrices are read and
-    written at flat positions of the float view of a complex array.  One
-    instance serves every call with the same outcome counts, so nothing
-    here is written after construction.
-    """
-
-    def __init__(self, na: int, nb: int):
-        n = na * na * nb * nb
-        m = na * nb
-        r2 = np.sqrt(2.0)
-        row, col = np.triu_indices(n, 1)
-        diag = np.arange(n) * (n + 1)
-        upper = row * n + col
-        lower = col * n + row
-        k = upper.size
-        self.n = n
-        self._read = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
-        self._read_scale = np.concatenate([np.ones(n), np.full(2 * k, r2)])
-        # eigh(UPLO="L") reads only the lower triangle
-        self._lower = np.concatenate([2 * diag, 2 * lower, 2 * lower + 1])
-        self._lower_scale = np.concatenate(
-            [np.ones(n), np.full(k, 1 / r2), np.full(k, -1 / r2)]
-        )
-
-        labels = np.indices((na, na, nb, nb)).reshape(4, n)
-        # cells[s, (i, j), label] = 1 where the label reads i on wing A and
-        # j on wing B under setting s
-        cells = np.stack([
-            labels[sa] * nb + labels[2 + sb] == np.arange(m)[:, None]
-            for sa, sb in SETTING_KEYS
-        ]).astype(float)
-        # marginal entry [(i, j), (i2, j2)] is c_ij^T X c_i2j2, and
-        # kron(f, f)[(a, b), (k, l)] = f[a, k] f[b, l] weighs X[k, l]
-        rows = []
-        zeros = np.zeros((m * m, k))
-        for f in cells:
-            kf = np.kron(f, f)
-            up, low = kf[:, upper], kf[:, lower]
-            rows.append(np.hstack([kf[:, diag], (up + low) / r2, zeros]))
-            rows.append(np.hstack([np.zeros((m * m, n)), zeros, (up - low) / r2]))
-        self.amat = np.vstack(rows)
-        self.apinv = np.linalg.pinv(self.amat, rcond=1e-12)
-        # V = span of the cell indicators, with orthonormal basis Q = vt[:r]^T;
-        # Q^T C Q = diag(sv^2), so its Cholesky factor is diag(sv) and the
-        # pencil (Q^T S Q, Q^T C Q) has the eigenvalues of P^T S P with
-        # P = Q diag(sv)^-1
-        _, sv, vt = np.linalg.svd(cells.reshape(-1, n), full_matrices=False)
-        r = int((sv > 1e-12 * sv[0]).sum())
-        self.pencil = vt[:r].T / sv[:r]
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-
-    def to_vec(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a C-contiguous complex Hermitian matrix."""
-        return mat.reshape(-1).view(np.float64)[self._read] * self._read_scale
-
-    def lower(self, v: np.ndarray) -> np.ndarray:
-        """The matrix with coordinates v, lower triangle only."""
-        buf = np.zeros(2 * self.n * self.n)
-        buf[self._lower] = v * self._lower_scale
-        return buf.view(np.complex128).reshape(self.n, self.n)
-
-    def matrix(self, v: np.ndarray) -> np.ndarray:
-        """The full Hermitian matrix with coordinates v."""
-        low = self.lower(v)
-        return low + np.tril(low, -1).conj().T
-
-    def farkas(self, s_vec, x, y, trace, tol, step) -> FarkasCertificate | None:
-        """Try S = A+(Ay - b), the affine correction of the step that moved
-        the PSD point y to x, as a certificate of infeasibility.
-
-        The slack is tol.rel times max(1, |y|) (|x| + trace), the scale of
-        the rounded products it absorbs: S is computed from y, and the
-        value and the slack term weigh S against x and against C.
-        """
-        value = float(s_vec @ x)
-        witness = self.matrix(s_vec)
-        compressed = self.pencil.T @ witness @ self.pencil
-        delta = max(0.0, -float(np.linalg.eigvalsh(compressed).min()))
-        slack = tol.rel * max(1.0, float(np.linalg.norm(y))) * (
-            float(np.linalg.norm(x)) + trace
-        )
-        if value + delta * trace < -slack:
-            return FarkasCertificate(witness, delta, value, delta * trace, step)
-        return None
+def _farkas(pencil, s, x, y, trace, tol, step) -> FarkasCertificate | None:
+    """Try S = A+(Ay - b), the affine correction of the step that moved
+    the PSD point y to x, as a certificate of infeasibility.  The slack,
+    tol.rel max(1, |y|) (|x| + trace), is the scale of the rounded
+    products it absorbs: S comes from y, and value and slack term weigh S
+    against x and against C."""
+    value = float(np.vdot(s, x).real)
+    delta = max(0.0, -float(np.linalg.eigvalsh(pencil.T @ s @ pencil).min()))
+    slack = tol.rel * max(1.0, float(np.linalg.norm(y))) * (
+        float(np.linalg.norm(x)) + trace
+    )
+    if value + delta * trace < -slack:
+        return FarkasCertificate(s, delta, value, delta * trace, step)
+    return None
 
 
 @functools.lru_cache(maxsize=4)
-def _constraint_maps(na: int, nb: int) -> _ConstraintMaps:
-    return _ConstraintMaps(na, nb)
+def _constraint_maps(na: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The marginal map A of joint functionals X over the n beam labels
+    (i, i', j, j'), its pseudo-inverse and the pencil basis P of `_farkas`,
+    shared by every call with these outcome counts.  `A @ X.ravel()` stacks
+    the raveled setting marginals; A+ projects in X's Frobenius metric."""
+    n = na * na * nb * nb
+    labels = np.indices((na, na, nb, nb)).reshape(4, n)
+    # cells[s, (i, j), label] = 1 where the label reads i on wing A and
+    # j on wing B under setting s
+    cells = np.stack([
+        labels[sa] * nb + labels[2 + sb] == np.arange(na * nb)[:, None]
+        for sa, sb in SETTING_KEYS
+    ]).astype(float)
+    # marginal entry [(i, j), (i2, j2)] is c_ij^T X c_i2j2, and
+    # kron(f, f)[(a, b), (k, l)] = f[a, k] f[b, l] weighs X[k, l]
+    amat = np.vstack([np.kron(f, f) for f in cells])
+    # A and the cell indicators are 0/1 structures whose singular values
+    # depend only on (na, nb), never on the input, so each 1e-12 cut
+    # below separates rank from rounding; neither is a tolerance.
+    apinv = np.linalg.pinv(amat, rcond=1e-12)
+    # V = span of the cell indicators, with orthonormal basis Q = vt[:r]^T;
+    # Q^T C Q = diag(sv^2), so its Cholesky factor is diag(sv) and the
+    # pencil (Q^T S Q, Q^T C Q) has the eigenvalues of P^T S P with
+    # P = Q diag(sv)^-1
+    _, sv, vt = np.linalg.svd(cells.reshape(-1, n), full_matrices=False)
+    r = int((sv > 1e-12 * sv[0]).sum())
+    # complex once here, not cast at every step
+    maps = (amat.astype(complex), apinv.astype(complex), vt[:r].T / sv[:r])
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
 def joint_feasibility(
@@ -690,31 +644,27 @@ def joint_feasibility(
     ns = no_signalling_residual(d)
     if ns > 1e-6:
         raise ValueError(f"inputs violate no-signalling (residual {ns:.3e})")
-    na, nb = d[(0, 0)].shape[0], d[(0, 0)].shape[1]
-    maps = _constraint_maps(na, nb)
-    bvec = np.concatenate(
-        [np.concatenate([d[key].ravel().real, d[key].ravel().imag])
-         for key in SETTING_KEYS]
-    )
-    trace = sum(
-        float(np.trace(d[key].reshape(na * nb, na * nb)).real) for key in SETTING_KEYS
-    )
-    x = maps.apinv @ bvec
+    na, nb = d[(0, 0)].shape[:2]
+    amat, apinv, pencil = _constraint_maps(na, nb)
+    n = na * na * nb * nb
+    b = np.concatenate([d[key].ravel() for key in SETTING_KEYS])
+    trace = sum(float(np.trace(d[k].reshape(na * nb, -1)).real) for k in SETTING_KEYS)
+    x = (apinv @ b).reshape(n, n)
     p = np.zeros_like(x)
     gap = float("inf")
     for it in range(1, budget + 1):
         # y is the PSD part of x + p, and the new p its negative part
         z = x + p
-        w, u = np.linalg.eigh(maps.lower(z), UPLO="L")
-        p = maps.to_vec((u * np.minimum(w, 0.0)) @ u.conj().T)
+        w, u = np.linalg.eigh(z)
+        p = (u * np.minimum(w, 0.0)) @ u.conj().T
         y = z - p
-        corr = maps.apinv @ (maps.amat @ y - bvec)
+        corr = (apinv @ (amat @ y.ravel() - b)).reshape(n, n)
         x = y - corr
         gap = float(np.linalg.norm(corr))
         if gap < gap_tol:
             return FeasibilityReport("feasible", gap, it, ns)
         if it & (it - 1) == 0:
-            cert = maps.farkas(corr, x, y, trace, tol, it)
+            cert = _farkas(pencil, corr, x, y, trace, tol, it)
             if cert is not None:
                 return FeasibilityReport("infeasible", gap, it, ns, cert)
     return FeasibilityReport("undecided-infeasible", gap, budget, ns)

@@ -214,7 +214,6 @@ def gen_pr_box() -> tuple[PrBoxModel, CorrelationTable]:
     settings, anti-correlated under the fourth; marginals uniform, so
     no-signalling holds with zero residual."""
     tables = {}
-    beam = {}
     for sa in (0, 1):
         for sb in (0, 1):
             anti = sa == 1 and sb == 1
@@ -223,11 +222,6 @@ def gen_pr_box() -> tuple[PrBoxModel, CorrelationTable]:
                 for j in range(2):
                     tab[i, j] = 0.5 if (i == j) != anti else 0.0
             tables[(sa, sb)] = tab
-            arr = np.zeros((2, 2, 2, 2), dtype=complex)
-            for i in range(2):
-                for j in range(2):
-                    arr[i, j, i, j] = tab[i, j]
-            beam[(sa, sb)] = arr
     # classical joint model: value = 2*setting + outcome per wing,
     # settings uniformly random
     histories = tuple((a, b) for a in range(4) for b in range(4))
@@ -239,8 +233,8 @@ def gen_pr_box() -> tuple[PrBoxModel, CorrelationTable]:
         sb, j = divmod(b, 2)
         diag[h] = 0.25 * tables[(sa, sb)][i, j]
     dcf = DecoherenceFunctional(space, matrix=np.diag(diag).astype(complex))
-    model = PrBoxModel(beam, space, order, dcf)
-    return model, CorrelationTable(tables)
+    table = CorrelationTable(tables)
+    return PrBoxModel(table.beam_dcfs(), space, order, dcf), table
 
 
 # ---------------------------------------------------------------------------

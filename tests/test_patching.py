@@ -449,6 +449,16 @@ def _to_vec(m):
     return np.concatenate([np.diag(m).real, off.real, off.imag])
 
 
+def _setting_marginals(m, na, nb):
+    """The four flattened setting marginals of an n x n joint matrix."""
+    out = []
+    for sa, sb in SETTING_KEYS:
+        keep = (sa, 2 + sb, 4 + sa, 6 + sb)
+        drop = tuple(ax for ax in range(8) if ax not in keep)
+        out.append(m.reshape(na, na, nb, nb, na, na, nb, nb).sum(axis=drop).ravel())
+    return out
+
+
 def _marginal_map_by_columns(na, nb):
     """The four setting marginals (real then imaginary parts) as a matrix
     over real Hermitian coordinates, one coordinate column at a time."""
@@ -464,12 +474,21 @@ def _marginal_map_by_columns(na, nb):
         m[iu] = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2)
         m[(iu[1], iu[0])] = m[iu].conj()
         col = []
-        for sa, sb in SETTING_KEYS:
-            keep = (sa, 2 + sb, 4 + sa, 6 + sb)
-            drop = tuple(ax for ax in range(8) if ax not in keep)
-            marg = m.reshape(na, na, nb, nb, na, na, nb, nb).sum(axis=drop).ravel()
+        for marg in _setting_marginals(m, na, nb):
             col += [marg.real, marg.imag]
         cols.append(np.concatenate(col))
+    return np.array(cols).T
+
+
+def _marginal_matrix_by_columns(na, nb):
+    """The four stacked setting marginals as a matrix on flattened n x n
+    matrices, one basis matrix E_kl at a time."""
+    n = na * na * nb * nb
+    cols = []
+    for c in range(n * n):
+        e = np.zeros(n * n)
+        e[c] = 1.0
+        cols.append(np.concatenate(_setting_marginals(e.reshape(n, n), na, nb)))
     return np.array(cols).T
 
 
@@ -553,10 +572,29 @@ class TestFeasibility:
     def test_constraint_map_matches_column_build(self, na, nb):
         from qmeasure.patching import _constraint_maps
 
-        amat = _constraint_maps(na, nb).amat
-        np.testing.assert_allclose(
-            amat, _marginal_map_by_columns(na, nb), rtol=0, atol=1e-15
-        )
+        amat, _, _ = _constraint_maps(na, nb)
+        assert np.array_equal(amat, _marginal_matrix_by_columns(na, nb))
+
+    @pytest.mark.parametrize(
+        "source, verdict, iterations",
+        [
+            ("stock", "feasible", 161),
+            ("box", "infeasible", 16),
+            (0.6, "feasible", 84),
+            (0.7, "feasible", 155),
+            (0.75, "infeasible", 128),
+            (0.9, "infeasible", 32),
+        ],
+    )
+    def test_pinned_verdicts_and_iterations(self, eprb_scenario, source, verdict, iterations):
+        if source == "stock":
+            beam = eprb_scenario.beam_dcfs()
+        elif source == "box":
+            beam = gen_pr_box()[0].beam_dcfs
+        else:
+            beam = _noisy_box(source)
+        report = joint_feasibility(beam)
+        assert (report.verdict, report.iterations) == (verdict, iterations)
 
     def test_generic_spin_pairs_feasible(self):
         # draws 1 and 2 of this family stalled at the budget while the
