@@ -357,7 +357,6 @@ def cmd_feasibility(args) -> int:
     report = joint_feasibility(
         _load_beam_dcfs(args.input),
         budget=args.budget,
-        gap_tol=args.gap_tol,
         tol=_tol(args),
     )
     _emit(report.as_dict(), args)
@@ -524,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feasibility", help="PSD joint feasibility search")
     p.add_argument("input")
     p.add_argument("--budget", type=_between(int, 0, math.inf), default=20000)
-    p.add_argument("--gap-tol", type=_between(float, 0, math.inf), default=1e-6)
     common(p)
     p.set_defaults(func=cmd_feasibility)
 

@@ -7,8 +7,9 @@ quantum route composes event operators on the past's event Hilbert
 space into a joint decoherence functional whose setting marginals are
 the four theories.  A converse construction rebuilds a (formally
 factorizable) scenario from any joint functional over the beam slots,
-and a projection-based search probes whether four beam functionals
-admit any PSD joint at all, with a Farkas certificate when none does.
+and alternating projections decide whether four beam functionals admit
+any PSD joint at all: a checked witness proves "feasible" and a Farkas
+certificate proves "infeasible".
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import CheckViolation, Tolerance, hermitian_part
+from ._linalg import DEFAULT_RTOL, CheckViolation, Tolerance, hermitian_part
 from .causal_order import CausalOrder, validate_scenario_geometry
 from .causality import check_lon, check_poz, event_operator
 from .decoherence import DecoherenceFunctional, check_agreement
 from .histories import Event, HistorySpace, is_partition, region_algebra
 
 SETTING_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
-ZERO_MASS = 1e-12  # absolute cutoff for the classical zero rule
+ZERO_MASS = 1e-12  # guards a division; classical_marginal_residual checks the joint
 OPERATOR_ORDER = ("a", "ap", "b", "bp")
 
 
@@ -172,9 +173,9 @@ class CorrelationTable:
                 raise ValueError(f"missing table for setting {k}")
             if not np.isfinite(tabs[k]).all():
                 raise ValueError("non-finite probability entry")
-            if tabs[k].min() < -1e-12:
+            if tabs[k].min() < -1e-12:  # rounding only; tables carry no Tolerance
                 raise ValueError("negative probability entry")
-            if abs(tabs[k].sum() - 1.0) > 1e-9:
+            if abs(tabs[k].sum() - 1.0) > DEFAULT_RTOL:
                 raise ValueError("table does not sum to one")
         object.__setattr__(self, "tables", tabs)
 
@@ -242,7 +243,7 @@ class JointMeasure:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 5:
             raise ValueError("joint measure must have five slots")
-        if v.min() < -1e-12:
+        if v.min() < -1e-12:  # forgives rounding only, as in CorrelationTable
             raise ValueError("joint measure has negative entries")
         object.__setattr__(self, "values", v)
 
@@ -382,7 +383,7 @@ def quantum_patch(
     Different orderings may change the array but not its setting
     marginals, because wing-A operators commute with wing-B operators.
     Each theory is checked at its own tolerance; the commutation gate
-    reads that of theory (0, 0).
+    reads that of theory (0, 0), scaled by each pair's largest entries.
     """
     ordering = tuple(ordering)
     if sorted(ordering) != sorted(OPERATOR_ORDER):
@@ -405,17 +406,18 @@ def quantum_patch(
             )
     ops = _wing_operators(scenario)
     # spacelike commutation of the frame operators, required for ordering
-    # invariance of the marginals
+    # invariance of the marginals; each residual on the scale of x y
     comm_worst = max(
         float(np.abs(x @ y - y @ x).max(initial=0.0))
+        / max(1.0, float(np.abs(x).max(initial=0.0) * np.abs(y).max(initial=0.0)))
         for xs in ("a", "ap")
         for ys in ("b", "bp")
         for x in ops[xs]
         for y in ops[ys]
     )
-    if comm_worst > 1e3 * scenario.theory(0, 0).dcf.tol.rel:
+    if comm_worst > scenario.theory(0, 0).dcf.tol.rel:
         raise CheckViolation(
-            f"wing operators do not commute (residual {comm_worst:.3e})"
+            f"wing operators do not commute (scaled residual {comm_worst:.3e})"
         )
     gz = scenario.cell_values(0, 0).sum(axis=(0, 1, 3, 4))
     nk = len(gz)
@@ -544,13 +546,15 @@ class FarkasCertificate:
         return {"value": self.value, "slack_term": self.slack_term, "step": self.step}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     verdict: str  # "feasible", "infeasible" or "undecided-infeasible"
     gap: float
     iterations: int
     no_signalling_residual: float
-    certificate: FarkasCertificate | None = None
+    tol: Tolerance
+    witness: np.ndarray | None = None  # proves "feasible"
+    certificate: FarkasCertificate | None = None  # proves "infeasible"
 
     @property
     def feasible(self) -> bool:
@@ -562,6 +566,7 @@ class FeasibilityReport:
             "gap": self.gap,
             "iterations": self.iterations,
             "no_signalling_residual": self.no_signalling_residual,
+            "tolerance": self.tol.rel,
         }
         if self.certificate is not None:
             out["certificate"] = self.certificate.as_dict()
@@ -621,50 +626,44 @@ def _constraint_maps(na: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def joint_feasibility(
     beam_dcfs: Mapping[tuple[int, int], np.ndarray],
     budget: int = 20000,
-    gap_tol: float = 1e-6,
     tol: Tolerance = Tolerance(),
 ) -> FeasibilityReport:
-    """Alternating-projection (Dykstra) search for a PSD Hermitian joint
-    functional over the beam labels with the four inputs as setting
-    marginals.
+    """Alternating projections between the PSD cone and the plane of
+    joint functionals over the beam labels with the four inputs as
+    setting marginals.
 
-    A gap below `gap_tol` certifies feasibility (the midpoint is an
-    explicit near-witness).  At steps 1, 2, 4, 8, ... the step's affine
-    correction is tried as a Farkas certificate (`FarkasCertificate`);
-    once one holds, the verdict is infeasible.  Exhausting the budget
-    first is reported as undecided-infeasible: the residual gap estimates
-    the distance between the PSD cone and the marginal-constraint plane
-    but is not a proof.
-
-    The correction of the affine projection, which Dykstra's method would
-    carry from step to step, lies in the row space of the marginal map and
-    so never moves that projection; only the PSD correction is kept.
+    Each step projects x onto the cone (y, from one `eigh`) and back
+    (x = y - corr, `gap` = |corr|_F).  Once gap <= tol.rel (lambda_max(y)
+    - gap), x is the witness of "feasible": it has the input marginals,
+    and as y is PSD, Weyl gives lambda_min(x) >= -gap and lambda_max(x) >=
+    lambda_max(y) - gap, so x clears tol.psd_floor(lambda_max(x)).  At
+    steps 1, 2, 4, 8, ... corr is tried as a `FarkasCertificate`; once one
+    holds, the verdict is infeasible.  Exhausting the budget first is
+    reported as undecided-infeasible: the residual gap estimates the
+    distance between cone and plane but is not a proof.  Inputs must be
+    no-signalling at `tol.matrix_floor`, else the plane is empty.
     """
     d = {k: np.asarray(v, dtype=complex) for k, v in beam_dcfs.items()}
-    ns = no_signalling_residual(d)
-    if ns > 1e-6:
-        raise ValueError(f"inputs violate no-signalling (residual {ns:.3e})")
     na, nb = d[(0, 0)].shape[:2]
+    b = np.concatenate([d[key].ravel() for key in SETTING_KEYS])
+    ns = no_signalling_residual(d)
+    if not ns <= tol.matrix_floor(b):  # NaN too
+        raise ValueError(f"inputs violate no-signalling (residual {ns:.3e})")
     amat, apinv, pencil = _constraint_maps(na, nb)
     n = na * na * nb * nb
-    b = np.concatenate([d[key].ravel() for key in SETTING_KEYS])
     trace = sum(float(np.trace(d[k].reshape(na * nb, -1)).real) for k in SETTING_KEYS)
     x = (apinv @ b).reshape(n, n)
-    p = np.zeros_like(x)
     gap = float("inf")
     for it in range(1, budget + 1):
-        # y is the PSD part of x + p, and the new p its negative part
-        z = x + p
-        w, u = np.linalg.eigh(z)
-        p = (u * np.minimum(w, 0.0)) @ u.conj().T
-        y = z - p
+        w, u = np.linalg.eigh(x)
+        y = (u * np.maximum(w, 0.0)) @ u.conj().T
         corr = (apinv @ (amat @ y.ravel() - b)).reshape(n, n)
         x = y - corr
         gap = float(np.linalg.norm(corr))
-        if gap < gap_tol:
-            return FeasibilityReport("feasible", gap, it, ns)
+        if gap <= tol.rel * (w[-1] - gap):
+            return FeasibilityReport("feasible", gap, it, ns, tol, witness=x)
         if it & (it - 1) == 0:
             cert = _farkas(pencil, corr, x, y, trace, tol, it)
             if cert is not None:
-                return FeasibilityReport("infeasible", gap, it, ns, cert)
-    return FeasibilityReport("undecided-infeasible", gap, budget, ns)
+                return FeasibilityReport("infeasible", gap, it, ns, tol, certificate=cert)
+    return FeasibilityReport("undecided-infeasible", gap, budget, ns, tol)

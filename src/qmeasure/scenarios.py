@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import DEFAULT_RTOL
 from .causal_order import CausalOrder
 from .decoherence import DecoherenceFunctional
 from .histories import (
@@ -86,11 +87,11 @@ class EprbConfig:
         state = np.asarray(self.initial_state, dtype=complex)
         if basis.shape != (4, 4):
             raise ValueError("resolution basis must be 4x4")
-        if np.abs(basis.conj().T @ basis - np.eye(4)).max() > 1e-9:
+        if np.abs(basis.conj().T @ basis - np.eye(4)).max() > DEFAULT_RTOL:
             raise ValueError("resolution basis is not orthonormal")
         if state.shape != (4,):
             raise ValueError("initial state must have four components")
-        if abs(np.vdot(state, state).real - 1.0) > 1e-9:
+        if abs(np.vdot(state, state).real - 1.0) > DEFAULT_RTOL:
             raise ValueError("initial state is not normalized")
         object.__setattr__(self, "resolution_basis", basis)
         object.__setattr__(self, "initial_state", state)
@@ -122,6 +123,7 @@ def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> Se
     the lack-of-novelty check and ship as a test fixture).
     """
     cfg = cfg or EprbConfig()
+    # refuses degenerate input, not a check: check_lon decides at `tol`
     if check_lon_prereq and cfg.overlaps().min() < 1e-6:
         raise ValueError(
             "resolution basis has a vector orthogonal to the initial state; "

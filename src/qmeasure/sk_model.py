@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import Tolerance
+from ._linalg import DEFAULT_RTOL, Tolerance
 from .causal_order import CausalOrder, Region
 from .causality import FactorizabilityReport, check_quantum_factorizability
 from .decoherence import DecoherenceFunctional
@@ -93,7 +93,7 @@ class SkCircuitConfig:
         if psi.ndim != 2 or psi.shape[1] != nconf:
             raise ValueError("psi must have q**sites amplitudes per branch")
         norm = float((np.abs(psi) ** 2).sum())
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > DEFAULT_RTOL:
             raise ValueError("initial amplitudes are not normalized")
         object.__setattr__(self, "psi", psi)
         gates = tuple(self.gates)

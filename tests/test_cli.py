@@ -110,6 +110,31 @@ class TestTablesAndFeasibility:
         assert cert["value"] + cert["slack_term"] < 0
         assert cert["step"] == report["iterations"] <= 500
 
+    def test_feasibility_reports_its_tolerance(self, workdir, capsys):
+        run(capsys, "gen", "eprb", "--out", "eprb")
+        code, out = run(capsys, "feasibility", "eprb")
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "feasible"
+        assert report["tolerance"] == 1e-9 and report["gap"] <= report["tolerance"]
+        code, out = run(capsys, "feasibility", "eprb", "--tol", "1e-6")
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-6
+
+    def test_feasibility_refuses_signalling_at_its_tolerance(self, workdir, capsys):
+        # the noisy box at p = 0.6 with 1e-7 of mass moved between wing-A
+        # outcomes under setting ab: signalling at 1e-7
+        doc = {
+            "ab": [[0.4 - 1e-7, 0.1], [0.1 + 1e-7, 0.4]],
+            "ab'": [[0.4, 0.1], [0.1, 0.4]],
+            "a'b": [[0.4, 0.1], [0.1, 0.4]],
+            "a'b'": [[0.1, 0.4], [0.4, 0.1]],
+        }
+        with open("signalling.json", "w") as fh:
+            json.dump(doc, fh)
+        assert main(["feasibility", "signalling.json"]) == 2
+        assert "no-signalling" in capsys.readouterr().err
+        code, out = run(capsys, "feasibility", "signalling.json", "--tol", "1e-6")
+        assert code == 0 and json.loads(out)["verdict"] == "feasible"
+
     def test_feasibility_undecided_below_certifying_step(self, workdir, capsys):
         run(capsys, "gen", "pr", "--out", "pr")
         code, out = run(capsys, "feasibility", "pr/beamdcfs.json", "--budget", "8")
@@ -753,9 +778,10 @@ class TestOptionRanges:
             (["validate", "ds", "--tol", "1"], "--tol"),
             (["poz", "ds", "--tol", "nan"], "--tol"),
             (["poz", "ds", "--tol", "-1"], "--tol"),
-            (["feasibility", "pr/beamdcfs.json", "--gap-tol", "inf"], "--gap-tol"),
-            (["feasibility", "pr/beamdcfs.json", "--gap-tol", "nan"], "--gap-tol"),
-            (["feasibility", "pr/beamdcfs.json", "--gap-tol", "0"], "--gap-tol"),
+            # --tol sets feasibility's stopping rule; there is no --gap-tol
+            (["feasibility", "pr/beamdcfs.json", "--gap-tol", "1e-6"], "--gap-tol"),
+            (["feasibility", "pr/beamdcfs.json", "--tol", "0"], "--tol"),
+            (["feasibility", "pr/beamdcfs.json", "--tol", "nan"], "--tol"),
             (["feasibility", "pr/beamdcfs.json", "--budget", "0"], "--budget"),
             (["gen", "double-slit", "--out", "ds2", "--tol", "1e-9"], "--tol"),
         ],

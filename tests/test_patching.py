@@ -10,6 +10,7 @@ from qmeasure import (
     JointMeasure,
     SettingScenario,
     SettingTheory,
+    Tolerance,
     check_no_signalling,
     chsh_value,
     classical_factorizability_residual,
@@ -422,6 +423,8 @@ class TestNoSignalling:
         beam[key][index] = np.nan
         assert np.isnan(no_signalling_residual(beam))
         assert np.isnan(check_no_signalling(beam))
+        with pytest.raises(ValueError, match="no-signalling"):
+            joint_feasibility(beam)
 
 
 def _noisy_box(p):
@@ -523,12 +526,27 @@ def _check_certificate(beam, report):
     assert cert.value + cert.delta * trace < 0
 
 
+def _check_witness(beam, report):
+    """Re-check the witness of a feasible verdict from its definition: a
+    Hermitian joint with the input marginals, PSD at the floor `validate`
+    and `psd_factor` apply."""
+    tol, x = report.tol, report.witness
+    na, nb = beam[(0, 0)].shape[:2]
+    assert np.abs(x - x.conj().T).max() <= tol.matrix_floor(x)
+    for key, marg in zip(SETTING_KEYS, _setting_marginals(x, na, nb)):
+        assert np.abs(marg - beam[key].ravel()).max() <= tol.matrix_floor(beam[key])
+    w = np.linalg.eigvalsh(x)
+    assert w[0] >= tol.psd_floor(w[-1])
+
+
 class TestFeasibility:
     def test_quantum_joint_feasible(self, eprb_scenario):
-        report = joint_feasibility(eprb_scenario.beam_dcfs())
+        beam = eprb_scenario.beam_dcfs()
+        report = joint_feasibility(beam)
         assert report.feasible
         assert report.gap < 1e-6
         assert report.iterations < 20000
+        _check_witness(beam, report)
 
     def test_box_certified_infeasible(self):
         model, _ = gen_pr_box()
@@ -554,6 +572,20 @@ class TestFeasibility:
         assert report.verdict == "feasible"
         assert report.gap < 1e-6
         assert report.certificate is None
+        _check_witness(beam, report)
+
+    def test_product_table_feasible(self):
+        # product tables are local, so a joint exists; 3 x 2 outcomes
+        rng = np.random.default_rng(4)
+        pa = rng.dirichlet(np.ones(3), size=2)
+        pb = rng.dirichlet(np.ones(2), size=2)
+        table = CorrelationTable(
+            {(sa, sb): np.outer(pa[sa], pb[sb]) for sa, sb in SETTING_KEYS}
+        )
+        beam = table.beam_dcfs()
+        report = joint_feasibility(beam)
+        assert report.verdict == "feasible"
+        _check_witness(beam, report)
 
     @pytest.mark.parametrize("p", [0.75, 0.9])
     def test_noisy_box_above_tsirelson_certified(self, p):
@@ -578,11 +610,11 @@ class TestFeasibility:
     @pytest.mark.parametrize(
         "source, verdict, iterations",
         [
-            ("stock", "feasible", 161),
+            ("stock", "feasible", 207),
             ("box", "infeasible", 16),
-            (0.6, "feasible", 84),
-            (0.7, "feasible", 155),
-            (0.75, "infeasible", 128),
+            (0.6, "feasible", 133),
+            (0.7, "feasible", 201),
+            (0.75, "infeasible", 64),
             (0.9, "infeasible", 32),
         ],
     )
@@ -610,9 +642,11 @@ class TestFeasibility:
             angles = tuple(float(a) for a in rng.uniform(0.0, np.pi, size=4))
             draws.append(EprbConfig(angles=angles, resolution_basis=basis))
         for cfg in draws[1:]:
-            report = joint_feasibility(gen_eprb(cfg).beam_dcfs())
+            beam = gen_eprb(cfg).beam_dcfs()
+            report = joint_feasibility(beam)
             assert report.verdict == "feasible"
             assert report.gap < 1e-6
+            _check_witness(beam, report)
 
     def test_deterministic(self, eprb_scenario):
         r1 = joint_feasibility(eprb_scenario.beam_dcfs())
@@ -625,6 +659,19 @@ class TestFeasibility:
         beam[(0, 0)][0, 0, 0, 0] += 0.2
         with pytest.raises(ValueError):
             joint_feasibility(beam)
+
+    def test_signalling_refused_at_the_tolerance(self):
+        # move 1e-7 of mass between outcomes of wing A under setting (0, 0):
+        # no marginal plane holds these inputs at the default tolerance
+        beam = _noisy_box(0.6)
+        beam[(0, 0)][0, 0, 0, 0] -= 1e-7
+        beam[(0, 0)][1, 0, 1, 0] += 1e-7
+        assert no_signalling_residual(beam) == pytest.approx(1e-7, rel=1e-6)
+        with pytest.raises(ValueError, match="no-signalling"):
+            joint_feasibility(beam)
+        report = joint_feasibility(beam, tol=Tolerance(1e-6))
+        assert report.verdict == "feasible"
+        _check_witness(beam, report)
 
 
 class TestJointMeasureValidation:
