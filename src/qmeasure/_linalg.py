@@ -101,8 +101,10 @@ def selection_violation(vh: np.ndarray, w: np.ndarray) -> float:
     p = w - (w @ vh.conj().T) @ vh
     if p.size == 0:
         return 0.0
-    g = p @ p.conj().swapaxes(-1, -2)
-    return float(np.linalg.eigvalsh(hermitian_part(g)).max(initial=0.0))
+    # the Gram on the smaller side; eigvalsh reads one triangle of it
+    ph = p.conj().swapaxes(-1, -2)
+    g = ph @ p if p.shape[-1] < p.shape[-2] else p @ ph
+    return float(np.linalg.eigvalsh(g).max(initial=0.0))
 
 
 def scatter_columns(fac: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:

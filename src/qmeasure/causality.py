@@ -23,7 +23,6 @@ import numpy as np
 from ._linalg import (
     CheckViolation,
     Tolerance,
-    numerical_rank,
     rank_from_singular_values,
     scatter_columns,
     selection_violation,
@@ -38,7 +37,7 @@ from .causal_order import (
     validate_scenario_geometry,
 )
 from .decoherence import DecoherenceFunctional
-from .hilbert import event_vector, region_vectors
+from .hilbert import event_vector, live_atoms, live_region_vectors, region_vectors
 from .histories import Event, RegionAlgebra, is_partition, region_algebra
 
 # residual evaluations one screening-off scan may run
@@ -109,16 +108,16 @@ def _poz_region(dcf, order, region: Region) -> PozRegionResult | None:
     bar = shadow(order, region)
     if bar.is_empty():
         return None
-    alg_bar, v = region_vectors(dcf, bar.point_names())
-    n_bar = alg_bar.n_atoms
+    alg_bar, bar_index, v = live_region_vectors(dcf, bar.point_names())
+    n_bar = v.shape[1]
     _, s, vh = truncated_svd(v, dcf.tol)
-    kernel_dim = n_bar - len(s)
-    if kernel_dim == 0:
-        return PozRegionResult(region.point_names(), bar.point_names(), 0, 0.0)
-    alg_r = region_algebra(dcf.space, region.point_names())
-    r_index, n_r = alg_r.atom_index, alg_r.n_atoms
-    labels = r_index * n_bar + alg_bar.atom_index
-    # region atoms per block: the stacked (block, d, max(d, n_bar))
+    # dead shadow atoms are kernel directions that every split maps to zero
+    kernel_dim = alg_bar.n_atoms - len(s)
+    if len(s) == n_bar:
+        return PozRegionResult(region.point_names(), bar.point_names(), kernel_dim, 0.0)
+    n_r, r_index = live_atoms(dcf, region_algebra(dcf.space, region.point_names()))
+    labels = r_index * n_bar + bar_index
+    # live region atoms per block: the stacked (block, d, max(d, n_bar))
     # temporaries hold no more entries than a full-width factor
     d, n = v.shape[0], dcf.space.size
     block = max(1, n // max(d, n_bar))
@@ -318,36 +317,34 @@ def check_lon(
     tol = dcf.tol
     if past_sets == "exhaustive":
         past_sets = down_sets(order)
+    spans = {}  # points -> (live vectors, lstsq basis, rank), for this call only
+
+    def span(region):
+        names = region.point_names()
+        if names not in spans:
+            alg, _, v = live_region_vectors(dcf, names)
+            u, s, _ = np.linalg.svd(v, full_matrices=False)
+            # the singular value cut of lstsq(rcond=None) on the full-width
+            # atom matrix, whose dead columns are zero
+            cut = np.finfo(float).eps * max(v.shape[0], alg.n_atoms) * s.max(initial=0.0)
+            spans[names] = v, u[:, s > cut], rank_from_singular_values(s, tol)
+        return spans[names]
+
     results = []
     for z in past_sets:
         if z.order is not order:
             raise ValueError("region belongs to a different causal order")
         dom = future_domain(order, z)
-        if dom == z:
-            _, vz = region_vectors(dcf, z.point_names())
-            dim = numerical_rank(vz, tol)
-            results.append(
-                LonRegionResult(z.point_names(), dom.point_names(), dim, dim, 0.0)
-            )
-            continue
-        _, vz = region_vectors(dcf, z.point_names())
-        _, vd = region_vectors(dcf, dom.point_names())
-        # residual of projecting vd onto the span of vz, with the singular
-        # value cut of lstsq(rcond=None)
-        u, s, _ = np.linalg.svd(vz, full_matrices=False)
-        dim_z = rank_from_singular_values(s, tol)
-        u = u[:, s > np.finfo(float).eps * max(vz.shape) * s.max(initial=0.0)]
-        resid = np.linalg.norm(vd - u @ (u.conj().T @ vd), axis=0)
-        scale = np.maximum(1.0, np.linalg.norm(vd, axis=0))
-        max_resid = float((resid / scale).max(initial=0.0))
+        _, u, dim_z = span(z)
+        vd, _, dim_d = span(dom)
+        max_resid = 0.0
+        if dom != z:
+            # residual of projecting vd onto the span of vz
+            resid = np.linalg.norm(vd - u @ (u.conj().T @ vd), axis=0)
+            scale = np.maximum(1.0, np.linalg.norm(vd, axis=0))
+            max_resid = float((resid / scale).max(initial=0.0))
         results.append(
-            LonRegionResult(
-                z.point_names(),
-                dom.point_names(),
-                dim_z,
-                numerical_rank(vd, tol),
-                max_resid,
-            )
+            LonRegionResult(z.point_names(), dom.point_names(), dim_z, dim_d, max_resid)
         )
     return LonReport(tuple(results), tol)
 

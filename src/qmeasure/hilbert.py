@@ -77,6 +77,32 @@ def region_vectors(dcf: DecoherenceFunctional, points) -> tuple[RegionAlgebra, n
     return alg, dcf.vectors(alg.atom_index, alg.n_atoms)
 
 
+def live_atoms(dcf: DecoherenceFunctional, alg: RegionAlgebra) -> tuple[int, np.ndarray]:
+    """The number of the algebra's live atoms and each history's position
+    among them.
+
+    An atom is live when it holds a live history (`dcf.factor[0]`).  Every
+    other atom's vector, and the vector of every event inside it, is
+    exactly zero: spans and ranks need only the live columns, and each
+    dead atom adds a kernel direction that every split maps to zero.
+    Liveness goes by histories, not by nonzero columns, because live
+    histories may cancel in an atom's vector but not in its splits.
+    """
+    live = np.unique(alg.atom_index[dcf.factor[0]])
+    # a dead history's position is meaningless, but `vectors` reads none
+    return live.size, np.searchsorted(live, alg.atom_index)
+
+
+def live_region_vectors(
+    dcf: DecoherenceFunctional, points
+) -> tuple[RegionAlgebra, np.ndarray, np.ndarray]:
+    """The region algebra, each history's live-atom position (`live_atoms`)
+    and the live atom vectors, as factor-space columns."""
+    alg = region_algebra(dcf.space, points)
+    n_live, index = live_atoms(dcf, alg)
+    return alg, index, dcf.vectors(index, n_live)
+
+
 def subspace_dim(dcf: DecoherenceFunctional, points) -> int:
     """Dimension of the span of the region's event vectors (its atoms
     suffice: every region event vector is a sum of atom vectors)."""

@@ -24,7 +24,7 @@ from qmeasure import (
     shadow,
 )
 from qmeasure._linalg import selection_violation, truncated_svd
-from qmeasure.causal_order import CausalOrder, Region, future_set
+from qmeasure.causal_order import CausalOrder, Region, down_sets, future_domain, future_set
 
 
 def every_region(order):
@@ -352,7 +352,8 @@ def per_atom_poz(dcf, order, region):
 
 def n_blocks(dcf, order, region):
     """Blocks the batched route splits the region's atoms into: at most
-    n // max(d, n_bar) atoms each, for a d x n history factor."""
+    n // max(d, n_bar) atoms each, for a d x n history factor.  Counts
+    every atom, so it holds for functionals whose atoms are all live."""
     d, n = full_width_factor(dcf).shape
     n_bar = region_algebra(dcf.space, shadow(order, region).point_names()).n_atoms
     n_r = region_algebra(dcf.space, region.point_names()).n_atoms
@@ -410,10 +411,11 @@ class TestBatchedPoz:
         assert split > 0
 
     def test_stacked_temporaries_within_factor_size(self, monkeypatch):
+        # the blocks cover the live region atoms x live shadow atoms, and
+        # a lazy functional with two factor rows still needs several of
+        # them: the stacked temporaries stay within a full-width factor
         import qmeasure.causality as causality
 
-        model = gen_sk_circuit(decoupled_demo_config(steps=2))
-        fac = full_width_factor(model.dcf)
         shapes = []
 
         def recording(vh, w):
@@ -421,17 +423,35 @@ class TestBatchedPoz:
             return selection_violation(vh, w)
 
         monkeypatch.setattr(causality, "selection_violation", recording)
-        order = model.order
-        regions = [
-            r
-            for r in every_region(order)
-            if len(r.point_names()) >= 10 and not shadow(order, r).is_empty()
-        ][:3]
-        assert check_poz(model.dcf, order, regions).skipped_vacuous == 0
-        assert len(shapes) > len(regions)  # some region took several blocks
-        for (atoms, d, n_bar), n_v in shapes:
-            assert n_bar == n_v
-            assert atoms * d * max(d, n_bar) <= fac.size
+        rng = np.random.default_rng(11)
+        split = 0
+        for trial in range(3):
+            space = random_space(rng, n_points=4, max_alpha=4)
+            dcf = random_branch_dcf(rng, space, dim=2)
+            if trial:  # dead histories, and with them some dead atoms
+                b = dcf.branch
+                amp = b.amplitudes * (rng.random(space.size) < 0.6)
+                dcf = DecoherenceFunctional.from_amplitudes(space, amp, b.final_index, 2)
+            live = dcf.branch.amplitudes != 0
+            size = full_width_factor(dcf).size
+            order = CausalOrder.antichain(space.points)
+
+            def n_live(points):
+                return np.unique(region_algebra(space, points).atom_index[live]).size
+
+            for region in every_region(order):
+                bar = shadow(order, region)
+                if bar.is_empty():
+                    continue
+                shapes.clear()
+                check_poz(dcf, order, [region])
+                for (atoms, d, n_bar), n_v in shapes:
+                    assert n_bar == n_v == n_live(bar.point_names())
+                    assert atoms * d * max(d, n_bar) <= size
+                if shapes:
+                    assert sum(s[0][0] for s in shapes) == n_live(region.point_names())
+                split += len(shapes) > 1
+        assert split > 0  # some region took several blocks
 
     def test_circuit_regions_match_per_atom_loop(self):
         model = gen_sk_circuit(decoupled_demo_config(steps=2))
@@ -467,6 +487,127 @@ class TestBatchedPoz:
         flat = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(4, 30)
         view = flat.reshape(4, 5, 6).swapaxes(0, 1)
         assert selection_violation(vh, view) == max(per_slice)
+
+
+def full_width_lon(dcf, order, z):
+    """Reference LoN row of one past set: dims by the rank rule and the
+    residual of lstsq(rcond=None) on the full-width atom matrices, dead
+    atoms' zero columns included."""
+    fac = full_width_factor(dcf)
+
+    def atom_vectors(region):
+        index = region_algebra(dcf.space, region.point_names()).atom_index
+        return fac @ np.eye(index.max() + 1)[index]
+
+    def rank(v):
+        s = np.linalg.svd(v, compute_uv=False)
+        return int((s ** 2 > dcf.tol.rel * s[0] ** 2).sum()) if s[0] > 0 else 0
+
+    vz, vd = atom_vectors(z), atom_vectors(future_domain(order, z))
+    resid = np.linalg.norm(vd - vz @ np.linalg.lstsq(vz, vd, rcond=None)[0], axis=0)
+    resid /= np.maximum(1.0, np.linalg.norm(vd, axis=0))
+    return rank(vz), rank(vd), float(resid.max(initial=0.0))
+
+
+def two_point_space(alpha_a, alpha_b):
+    return HistorySpace(
+        points=("a", "b"),
+        histories=tuple(np.ndindex(alpha_a, alpha_b)),
+        alphabets={"a": alpha_a, "b": alpha_b},
+    )
+
+
+class TestLiveAtoms:
+    """PoZ and LoN span only the atoms that hold a live history; their
+    reports equal the full-width computation."""
+
+    @staticmethod
+    def sparse_pair(rng, space):
+        """A lazy and a dense functional whose histories with a[0] == 0 and
+        about a third of the rest carry nothing, so some atoms are dead."""
+        dead = (space.value_matrix[:, 0] == 0) | (rng.random(space.size) < 0.3)
+        lazy = random_branch_dcf(rng, space, dim=int(rng.integers(2, 4)))
+        b = lazy.branch
+        lazy = DecoherenceFunctional.from_amplitudes(
+            space, np.where(dead, 0.0, b.amplitudes), b.final_index, b.dim
+        )
+        vecs = rng.normal(size=(space.size, 3)) + 1j * rng.normal(size=(space.size, 3))
+        vecs[dead] = 0.0
+        return lazy, DecoherenceFunctional.from_history_vectors(space, vecs)
+
+    def test_random_sparse_functionals_match_full_width(self):
+        rng = np.random.default_rng(41)
+        dead_shadows = 0
+        for trial in range(6):
+            space = random_space(rng, n_points=4, max_alpha=3)
+            points = space.points
+            covers = [] if trial % 2 == 0 else [(points[0], points[1]), (points[0], points[2])]
+            order = CausalOrder.from_covers(points, covers)
+            for dcf in self.sparse_pair(rng, space):
+                live = full_width_factor(dcf).any(axis=0)
+                assert_matches_per_atom(dcf, order, every_region(order))
+                for region in every_region(order):
+                    bar = shadow(order, region).point_names()
+                    if bar:
+                        index = region_algebra(space, bar).atom_index
+                        dead_shadows += np.unique(index[live]).size < index.max() + 1
+                for z, row in zip(down_sets(order), check_lon(dcf, order).results):
+                    dim_z, dim_d, resid = full_width_lon(dcf, order, z)
+                    assert (row.dim_z, row.dim_domain) == (dim_z, dim_d)
+                    assert row.max_residual == pytest.approx(resid, abs=1e-12)
+        # kernel_dim matched the full width on shadows with dead atoms
+        assert dead_shadows > 0
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_cancelling_live_histories_keep_their_atom(self, dense):
+        # shadow atom a=0 holds two live histories whose vectors cancel;
+        # the region {b} splits them apart, a persistence-of-zero failure
+        space = two_point_space(2, 2)
+        amp = np.array([1.0, -1.0, 1.0, 0.0])  # histories (0,0) (0,1) (1,0) (1,1)
+        final = np.array([0, 0, 1, 1])
+        if dense:
+            vecs = np.zeros((4, 2), dtype=complex)
+            vecs[np.arange(4), final] = amp
+            dcf = DecoherenceFunctional.from_history_vectors(space, vecs)
+        else:
+            dcf = DecoherenceFunctional.from_amplitudes(space, amp, final, 2)
+        order = CausalOrder.antichain(space.points)
+        region = order.region(["b"])
+        assert_matches_per_atom(dcf, order, [region])
+        row = check_poz(dcf, order, [region]).results[0]
+        assert row.kernel_dim == 1
+        assert row.violation == pytest.approx(1.0, abs=1e-12)
+
+    def test_dead_atoms_count_in_the_kernel(self):
+        # only a in {0, 1} carries amplitude, on orthogonal final
+        # configurations: a's six other atoms are the whole kernel
+        space = two_point_space(8, 2)
+        amp = np.zeros(space.size)
+        amp[[0, 2]] = 0.6, 0.8  # histories (0,0) and (1,0)
+        final = np.arange(space.size) // 2 % 2  # a mod 2
+        dcf = DecoherenceFunctional.from_amplitudes(space, amp, final, 2)
+        order = CausalOrder.antichain(space.points)
+        row = check_poz(dcf, order, [order.region(["b"])]).results[0]
+        assert (row.kernel_dim, row.violation) == (6, 0.0)
+        assert_matches_per_atom(dcf, order, [order.region(["b"])])
+
+    def test_lon_cut_reads_the_full_atom_count(self):
+        # z's atom matrix is 2 x 64 with 62 dead columns; its second
+        # singular value, 5e-15, lies below lstsq's cut eps * 64 but above
+        # eps * 2, so the domain vector along it counts as novelty
+        space = two_point_space(64, 2)
+        order = CausalOrder.from_covers(space.points, [("a", "b")])
+        amp = np.zeros(space.size)
+        amp[[0, 2, 3]] = 1.0, 0.5, -0.5 + 5e-15  # histories (0,0) (1,0) (1,1)
+        final = np.minimum(np.arange(space.size), 1)
+        dcf = DecoherenceFunctional.from_amplitudes(space, amp, final, 2)
+        z = order.region(["a"])
+        row = check_lon(dcf, order, [z]).results[0]
+        assert row.domain_points == ("a", "b")
+        dim_z, dim_d, resid = full_width_lon(dcf, order, z)
+        assert (row.dim_z, row.dim_domain) == (dim_z, dim_d) == (1, 2)
+        assert resid == pytest.approx(0.5, abs=1e-12)
+        assert row.max_residual == pytest.approx(resid, abs=1e-12)
 
 
 def reference_operator(dcf, event, domain):
