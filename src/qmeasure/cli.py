@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -62,67 +61,52 @@ class InputError(Exception):
     pass
 
 
-def _load_doc(path: str):
+def _read(path: str, tol: Tolerance, kinds: tuple[str, ...]):
+    """The input at `path` as (kind, object), refused unless its kind (a
+    `serialization.read_input` kind) is one of `kinds`.  Where both model
+    and skmodel are taken, a circuit config is read as the model it builds.
+    The functional of a model, and of every scenario theory, carries `tol`."""
     if not os.path.exists(path):
         raise InputError(f"no such input: {path}")
-    return io.load_json(path), os.path.dirname(path)
-
-
-def _loader(load):
-    """Report a TypeError or AttributeError raised while a document is
-    parsed, the mark of a malformed document, as an input error."""
-    @functools.wraps(load)
-    def wrapped(path, *args, **kwargs):
-        try:
-            return load(path, *args, **kwargs)
-        except (TypeError, AttributeError) as exc:
-            raise InputError(f"malformed input {path}: {exc}") from exc
-    return wrapped
-
-
-def _load_model(path: str, tol: Tolerance, need_order: bool = True):
-    """The model's functional, carrying `tol`, and its order."""
-    dcf, order = _read_model(path, need_order)
-    return dataclasses.replace(dcf, tol=tol), order
-
-
-@_loader
-def _read_model(path: str, need_order: bool):
-    """A model is a directory holding dcf.json and order.json, or a single
-    JSON file with 'dcf' and 'order' fields (or an skmodel document).  A
-    lone dcf document gives the functional with order None, which only
-    commands that take no order (need_order=False) accept."""
-    if os.path.isdir(path):
-        dcf_doc, base = _load_doc(os.path.join(path, "dcf.json"))
-        order_doc, _ = _load_doc(os.path.join(path, "order.json"))
-        return io.dcf_from_json(dcf_doc, base), io.order_from_json(order_doc)
-    doc, base = _load_doc(path)
-    if "L" in doc and "T" in doc:  # bare skmodel
-        model = gen_sk_circuit(io.sk_config_from_json(doc))
-        return model.dcf, model.order
-    if "dcf" in doc and "order" in doc:
-        dcf_doc, dbase = io._resolve(doc["dcf"], base)
-        order_doc, _ = io._resolve(doc["order"], base)
-        return io.dcf_from_json(dcf_doc, dbase), io.order_from_json(order_doc)
-    if "matrix" in doc or "skmodel" in doc:
-        if need_order:
+    try:
+        kind, obj = io.read_input(path)
+        if kind == "skmodel" and "model" in kinds:
+            circuit = gen_sk_circuit(obj)
+            kind, obj = "model", (circuit.dcf, circuit.order)
+    except (TypeError, AttributeError) as exc:  # the mark of a malformed document
+        raise InputError(f"malformed input {path}: {exc}") from exc
+    if kind not in kinds:
+        if kind == "dcf" and "model" in kinds:
             raise InputError("dcf document given; an order.json is also needed")
-        return io.dcf_from_json(doc, base), None
-    raise InputError(f"cannot interpret {path} as a model")
+        raise InputError(f"cannot interpret {path} as {' or '.join(kinds)}: its kind is {kind}")
+    if kind == "model":
+        obj = dataclasses.replace(obj[0], tol=tol), obj[1]
+    elif kind == "dcf":
+        obj = dataclasses.replace(obj, tol=tol)
+    elif kind == "scenario":
+        obj = dataclasses.replace(obj, theories={
+            key: dataclasses.replace(t, dcf=dataclasses.replace(t.dcf, tol=tol))
+            for key, t in obj.theories.items()
+        })
+    return kind, obj
 
 
-@_loader
-def _load_scenario(path: str, tol: Tolerance):
-    """The scenario in a scenario.json (or a directory holding one), each
-    theory's functional carrying `tol`."""
-    if os.path.isdir(path):
-        path = os.path.join(path, "scenario.json")
-    scenario = io.scenario_from_json(*_load_doc(path))
-    theories = {
-        key: dataclasses.replace(t, dcf=dataclasses.replace(t.dcf, tol=tol))
-        for key, t in scenario.theories.items()
-    }
-    return dataclasses.replace(scenario, theories=theories)
+def _model(args, need_order: bool = True):
+    """The functional and order of a model input; a lone functional, with
+    order None, only where no order is needed."""
+    kinds = ("model", "skmodel") if need_order else ("model", "dcf", "skmodel")
+    kind, obj = _read(args.input, _tol(args), kinds)
+    return obj if kind == "model" else (obj, None)
+
+
+def _scenario(args):
+    return _read(args.input, _tol(args), ("scenario",))[1]
+
+
+def _beam_dcfs(args) -> dict:
+    """Beam functionals keyed by setting, from any two-wing input."""
+    kind, obj = _read(args.input, _tol(args), ("scenario", "beamdcfs", "table", "jointdcf"))
+    return obj if kind == "beamdcfs" else obj.beam_dcfs()
 
 
 def _emit(report: dict, args, to_stdout: bool = False) -> None:
@@ -185,14 +169,14 @@ def _between(kind, lo, hi):
 # -- command handlers ---------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    dcf, _ = _load_model(args.input, _tol(args), need_order=False)
+    dcf, _ = _model(args, need_order=False)
     report = dcf.validate_axioms(seed=args.seed)
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
 
 def cmd_hilbert(args) -> int:
-    dcf, _ = _load_model(args.input, _tol(args), need_order=False)
+    dcf, _ = _model(args, need_order=False)
     points = _parse_points(args.region, dcf.space.points) if args.region else None
     es = build_event_space(dcf, points)
     eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
@@ -212,14 +196,14 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_poz(args) -> int:
-    dcf, order = _load_model(args.input, _tol(args))
+    dcf, order = _model(args)
     report = check_poz(dcf, order, _regions(args.regions, order))
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
 
 
 def cmd_lon(args) -> int:
-    dcf, order = _load_model(args.input, _tol(args))
+    dcf, order = _model(args)
     report = check_lon(dcf, order, _regions(args.regions, order))
     _emit(report.as_dict(), args)
     return OK if report.passed else VIOLATION
@@ -227,7 +211,7 @@ def cmd_lon(args) -> int:
 
 def cmd_commute(args) -> int:
     tol = _tol(args)
-    scenario = _load_scenario(args.input, tol)
+    scenario = _scenario(args)
     worst = {"commutator_norm": 0.0, "action_residual": 0.0}
     for key in SETTING_KEYS:
         t = scenario.theory(*key)
@@ -251,12 +235,12 @@ def cmd_commute(args) -> int:
 def cmd_factorizability(args) -> int:
     tol = _tol(args)
     if args.kind == "classical":
-        scenario = _load_scenario(args.input, tol)
+        scenario = _scenario(args)
         resid = classical_factorizability_residual(scenario)
         passed = resid <= tol.rel
         _emit({"max_residual": resid, "passed": passed, "tolerance": tol.rel}, args)
         return OK if passed else VIOLATION
-    dcf, order = _load_model(args.input, tol)
+    dcf, order = _model(args)
     if not (args.z and args.a and args.b):
         raise InputError("quantum factorizability needs --z --a --b point lists")
     z, a, b = (
@@ -269,7 +253,7 @@ def cmd_factorizability(args) -> int:
 
 def cmd_patch(args) -> int:
     tol = _tol(args)
-    scenario = _load_scenario(args.input, tol)
+    scenario = _scenario(args)
     if args.kind == "classical":
         jm = classical_patch(scenario)
         resid = classical_marginal_residual(jm, scenario)
@@ -309,35 +293,9 @@ def cmd_patch(args) -> int:
     return OK if resid <= tol.rel else VIOLATION
 
 
-@_loader
-def _load_beam_dcfs(path: str) -> dict:
-    """Beam functionals keyed by setting, from any two-wing input: a
-    scenario (a directory, or a document with 'theories'), beam functionals
-    or probability tables keyed by setting name, or a joint functional
-    ('matrix' and 'slots').  Tables become diagonal functionals, their
-    outcomes read as classical records; a joint functional gives its
-    setting marginals with the past summed out."""
-    if os.path.isdir(path):
-        path = os.path.join(path, "scenario.json")
-    doc, base = _load_doc(path)
-    if "theories" in doc:
-        return io.scenario_from_json(doc, base).beam_dcfs()
-    if "matrix" in doc and "slots" in doc:
-        jdcf = io.joint_dcf_from_json(doc)
-        return {k: jdcf.setting_marginal(*k).sum(axis=(2, 5)) for k in SETTING_KEYS}
-    if all(name in doc for name in io.SETTING_NAMES):
-        functionals = [isinstance(doc[name], dict) for name in io.SETTING_NAMES]
-        if all(functionals):
-            return io.beam_dcfs_from_json(doc)
-        if any(functionals):
-            raise InputError(f"{path} mixes beam functionals and probability tables")
-        return io.table_from_json(doc).beam_dcfs()
-    raise InputError(f"cannot interpret {path} as two-wing correlations")
-
-
 def cmd_chsh(args) -> int:
     tables = {}
-    for key, arr in _load_beam_dcfs(args.input).items():
+    for key, arr in _beam_dcfs(args).items():
         i, j = np.indices(arr.shape[:2])
         tables[key] = arr[i, j, i, j].real
     table = CorrelationTable(tables)
@@ -347,7 +305,7 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_nosignalling(args) -> int:
-    resid = check_no_signalling(_load_beam_dcfs(args.input))
+    resid = check_no_signalling(_beam_dcfs(args))
     passed = resid <= args.tol
     _emit({"max_residual": resid, "passed": passed, "tolerance": args.tol}, args)
     return OK if passed else VIOLATION
@@ -355,7 +313,7 @@ def cmd_nosignalling(args) -> int:
 
 def cmd_feasibility(args) -> int:
     report = joint_feasibility(
-        _load_beam_dcfs(args.input),
+        _beam_dcfs(args),
         budget=args.budget,
         tol=_tol(args),
     )
@@ -365,65 +323,33 @@ def cmd_feasibility(args) -> int:
     return VIOLATION if report.verdict == "infeasible" else BUDGET
 
 
-@_loader
-def _load_eprb_config(path: str) -> EprbConfig:
-    doc, _ = _load_doc(path)
-    kwargs = {}
-    if "angles" in doc:
-        kwargs["angles"] = tuple(float(a) for a in doc["angles"])
-    if "flip_b" in doc:
-        kwargs["flip_b"] = bool(doc["flip_b"])
-    if "resolution_basis" in doc:
-        kwargs["resolution_basis"] = io.matrix_from_json(doc["resolution_basis"])
-    if "initial_state" in doc:
-        kwargs["initial_state"] = np.array(
-            [complex(c[0], c[1]) for c in doc["initial_state"]]
-        )
-    return EprbConfig(**kwargs)
-
-
 def cmd_gen(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     if args.name == "double-slit":
-        space, order, dcf = gen_double_slit(time_reversed=args.time_reversed)
-        io.dump_json(io.dcf_to_json(dcf), os.path.join(args.out, "dcf.json"))
-        io.dump_json(io.order_to_json(order), os.path.join(args.out, "order.json"))
+        _, order, dcf = gen_double_slit(time_reversed=args.time_reversed)
+        docs = {"dcf.json": io.dcf_to_json(dcf), "order.json": io.order_to_json(order)}
     elif args.name == "eprb":
-        cfg = _load_eprb_config(args.config) if args.config else EprbConfig()
-        scenario = gen_eprb(cfg)
-        io.dump_json(
-            io.scenario_to_json(scenario), os.path.join(args.out, "scenario.json")
-        )
+        cfg = _read(args.config, Tolerance(), ("eprbconfig",))[1] if args.config else EprbConfig()
+        docs = {"scenario.json": io.scenario_to_json(gen_eprb(cfg))}
     elif args.name == "pr":
         model, table = gen_pr_box()
-        io.dump_json(io.table_to_json(table), os.path.join(args.out, "table.json"))
-        io.dump_json(
-            io.beam_dcfs_to_json(model.beam_dcfs),
-            os.path.join(args.out, "beamdcfs.json"),
-        )
-        io.dump_json(io.dcf_to_json(model.dcf), os.path.join(args.out, "dcf.json"))
-        io.dump_json(
-            io.order_to_json(model.order), os.path.join(args.out, "order.json")
-        )
-    elif args.name == "ghz":
-        model, event = gen_ghz()
-        io.dump_json(io.dcf_to_json(model.dcf), os.path.join(args.out, "dcf.json"))
-        io.dump_json(
-            io.order_to_json(model.order), os.path.join(args.out, "order.json")
-        )
-        io.dump_json(
-            {"ghz_event": io.event_to_json(event)},
-            os.path.join(args.out, "events.json"),
-        )
+        docs = {
+            "table.json": io.table_to_json(table),
+            "beamdcfs.json": io.beam_dcfs_to_json(model.beam_dcfs),
+            "dcf.json": io.dcf_to_json(model.dcf),
+            "order.json": io.order_to_json(model.order),
+        }
     else:
-        raise InputError(f"unknown generator {args.name!r}")
+        model, event = gen_ghz()
+        docs = {
+            "dcf.json": io.dcf_to_json(model.dcf),
+            "order.json": io.order_to_json(model.order),
+            "events.json": {"ghz_event": io.event_to_json(event)},
+        }
+    os.makedirs(args.out, exist_ok=True)
+    for name, doc in docs.items():
+        io.dump_json(doc, os.path.join(args.out, name))
     _emit({"generated": args.name, "out": args.out}, args, to_stdout=True)
     return OK
-
-
-@_loader
-def _load_sk_config(path: str):
-    return io.sk_config_from_json(_load_doc(path)[0])
 
 
 def cmd_sk(args) -> int:
@@ -435,7 +361,7 @@ def cmd_sk(args) -> int:
         return OK
     if not args.input:
         raise InputError(f"sk {args.action} needs a circuit-model JSON input")
-    cfg = _load_sk_config(args.input)
+    cfg = _read(args.input, tol, ("skmodel",))[1]
     if args.action == "factorizability":
         report = sk_factorizability_demo(cfg, tol=tol)
         _emit(report.as_dict(), args)

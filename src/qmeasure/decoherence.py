@@ -76,17 +76,17 @@ class DecoherenceFunctional:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_history_vectors(cls, space, vectors, tol=Tolerance()) -> "DecoherenceFunctional":
+    def from_history_vectors(cls, space, vectors) -> "DecoherenceFunctional":
         """Dense functional from one complex vector per history; the matrix
         is the Gram matrix, hence strongly positive by construction."""
         v = np.asarray(vectors, dtype=complex)
         if v.shape[0] != space.size:
             raise ValueError("need one vector per history")
-        return cls(space, matrix=v.conj() @ v.T, tol=tol)
+        return cls(space, matrix=v.conj() @ v.T)
 
     @classmethod
-    def from_amplitudes(cls, space, amplitudes, final_index, dim, tol=Tolerance()):
-        return cls(space, branch=BranchRep(amplitudes, final_index, dim), tol=tol)
+    def from_amplitudes(cls, space, amplitudes, final_index, dim):
+        return cls(space, branch=BranchRep(amplitudes, final_index, dim))
 
     @property
     def is_dense(self) -> bool:

@@ -345,6 +345,10 @@ class JointDcf:
         drop = drop_bra + tuple(5 + d for d in drop_bra)
         return self.values.sum(axis=drop)
 
+    def beam_dcfs(self) -> dict[tuple[int, int], np.ndarray]:
+        """Beam-only functionals: each setting marginal, past summed out."""
+        return {key: self.setting_marginal(*key).sum(axis=(2, 5)) for key in SETTING_KEYS}
+
     def beam_joint(self) -> np.ndarray:
         """Marginal over the past slot on both sides: the joint functional
         on the sixteen beam labels."""
@@ -445,16 +449,15 @@ def patch_marginal_residual(
 # ---------------------------------------------------------------------------
 # Converse construction
 
-def converse_model(
-    beam_joint: np.ndarray, tol: Tolerance = Tolerance()
-) -> SettingScenario:
-    """Scenario whose past carries one history-event per beam-label word.
+def converse_model(beam_joint: np.ndarray) -> SettingScenario:
+    """Scenario whose past carries one history per beam-label word.
 
     `beam_joint` has axes (i, i', j, j', i2, i2', j2, j2') or is the
     equivalent flat Hermitian matrix.  The wing values of each history
-    simply repeat the bits of the past label for the setting in force, so
-    every theory is factorizable exactly and reproduces the input's
-    setting marginals without error.  Refuses non-PSD input.
+    simply repeat the bits of its past label for the setting in force, so
+    every theory's matrix is the flat joint itself: each is factorizable
+    exactly and reproduces the input's setting marginals without error.
+    Refuses non-PSD input.
     """
     bj = np.asarray(beam_joint, dtype=complex)
     if bj.ndim == 2:
@@ -468,31 +471,31 @@ def converse_model(
     na, nb = bj.shape[0], bj.shape[2]
     nkey = na * na * nb * nb
     flat = bj.reshape(nkey, nkey)
-    if np.abs(flat - flat.conj().T).max() > tol.matrix_floor(flat):
+    floor = Tolerance().matrix_floor(flat)
+    if np.abs(flat - flat.conj().T).max() > floor:
         raise ValueError("beam joint is not Hermitian")
-    if abs(flat.sum() - 1.0) > tol.matrix_floor(flat):
+    if abs(flat.sum() - 1.0) > floor:
         raise ValueError("beam joint is not normalized")
 
-    outcomes = np.unravel_index(np.arange(nkey), (na, na, nb, nb))  # i, i', j, j'
+    key = np.arange(nkey)
+    outcomes = np.unravel_index(key, (na, na, nb, nb))  # i, i', j, j'
     points = ("z", "wa", "wb")
     order = CausalOrder.from_covers(points, [("z", "wa"), ("z", "wb")])
-    key, wa, wb = np.indices((nkey, na, nb)).reshape(3, -1)
     theories = {}
     for sa in (0, 1):
         for sb in (0, 1):
-            # a history is live when its wing values repeat its key's outcomes
-            ok = (wa == outcomes[sa][key]) & (wb == outcomes[2 + sb][key])
             space = HistorySpace(
                 points=points,
-                histories=np.stack([key, wa + sa * na, wb + sb * nb], axis=1),
+                histories=np.stack(
+                    [key, outcomes[sa] + sa * na, outcomes[2 + sb] + sb * nb], axis=1
+                ),
                 alphabets={"z": nkey, "wa": 2 * na, "wb": 2 * nb},
             )
-            matrix = np.where(np.outer(ok, ok), flat[np.ix_(key, key)], 0)
-            dcf = DecoherenceFunctional(space, matrix=matrix, tol=tol)
+            dcf = DecoherenceFunctional(space, matrix=flat)
             beam_a = tuple(space.value_event("wa", sa * na + i) for i in range(na))
             beam_b = tuple(space.value_event("wb", sb * nb + j) for j in range(nb))
             theories[(sa, sb)] = SettingTheory(space, order, dcf, beam_a, beam_b)
-    # each theory's matrix is the joint on live histories that biject with the keys
+    # the four theories share one matrix, so one factor tests them all
     theories[(0, 0)].dcf.factor  # raises CheckViolation unless the joint is PSD
     return SettingScenario(theories, ("z",), ("wa",), ("wb",))
 

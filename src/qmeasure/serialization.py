@@ -23,10 +23,12 @@ from .patching import (
     SettingScenario,
     SettingTheory,
 )
+from .scenarios import EprbConfig
 from .sk_model import SkCircuitConfig, SkGate, gen_sk_circuit
 
 SETTING_NAMES = {"ab": (0, 0), "ab'": (0, 1), "a'b": (1, 0), "a'b'": (1, 1)}
 SETTING_LABELS = {v: k for k, v in SETTING_NAMES.items()}
+EPRB_CONFIG_KEYS = {"angles", "flip_b", "resolution_basis", "initial_state"}
 
 SCHEMAS = {
     "historyspace": {
@@ -64,11 +66,24 @@ SCHEMAS = {
             }
         },
     },
+    "model": {"dcf": "dcf | path", "order": "order | path"},
     "table": {"<ab|ab'|a'b|a'b'>": "[[probability, ...], ...]"},
+    "beamdcfs": {
+        "<ab|ab'|a'b|a'b'>": {
+            "slots": "[na, nb]",
+            "matrix": "[[ [re, im], ... ]] over flattened (i, j)",
+        }
+    },
     "jointdcf": {
         "slots": "[na, na, nb, nb, nk]",
         "ordering": ["a|ap|b|bp"],
         "matrix": "[[ [re, im], ... ]] over flattened slots",
+    },
+    "eprbconfig": {
+        "angles": "[a, a', b, b'] radians (optional)",
+        "flip_b": "bool (optional)",
+        "resolution_basis": "4x4 [[ [re, im], ... ]] (optional)",
+        "initial_state": "[[re, im], ...] four components (optional)",
     },
 }
 
@@ -262,6 +277,22 @@ def scenario_from_json(doc: dict, base_dir: str = ".") -> SettingScenario:
     return SettingScenario(theories, *regions)
 
 
+def eprb_config_from_json(doc: dict) -> EprbConfig:
+    """A spin-pair configuration; absent keys keep their defaults."""
+    kwargs = {}
+    if "angles" in doc:
+        kwargs["angles"] = tuple(float(a) for a in doc["angles"])
+    if "flip_b" in doc:
+        kwargs["flip_b"] = bool(doc["flip_b"])
+    if "resolution_basis" in doc:
+        kwargs["resolution_basis"] = matrix_from_json(doc["resolution_basis"])
+    if "initial_state" in doc:
+        kwargs["initial_state"] = np.array(
+            [complex(c[0], c[1]) for c in doc["initial_state"]]
+        )
+    return EprbConfig(**kwargs)
+
+
 # -- tables and joints ---------------------------------------------------------
 
 def table_to_json(table: CorrelationTable) -> dict:
@@ -340,6 +371,46 @@ def beam_dcfs_from_json(doc: dict) -> dict:
     if len({v.shape for v in out.values()}) > 1:
         raise ValueError("the four settings must share one outcome shape")
     return out
+
+
+# -- inputs -------------------------------------------------------------------
+
+def read_input(path: str) -> tuple[str, Any]:
+    """The document at `path` as (kind, parsed object), the kind a key of
+    SCHEMAS.  A directory stands for its scenario.json, or else for its
+    dcf.json and order.json.  A document's keys decide its kind: the
+    first rule below that matches wins.  A model parses as (dcf, order)."""
+    if os.path.isfile(os.path.join(path, "scenario.json")):
+        path = os.path.join(path, "scenario.json")
+    if os.path.isdir(path):
+        doc, base = {"dcf": "dcf.json", "order": "order.json"}, path
+    else:
+        doc, base = load_json(path), os.path.dirname(path)
+    if "theories" in doc:
+        return "scenario", scenario_from_json(doc, base)
+    if "dcf" in doc and "order" in doc:
+        dcf = dcf_from_json(*_resolve(doc["dcf"], base))
+        return "model", (dcf, order_from_json(_resolve(doc["order"], base)[0]))
+    if "L" in doc and "T" in doc:
+        return "skmodel", sk_config_from_json(doc)
+    if "matrix" in doc and "slots" in doc:
+        return "jointdcf", joint_dcf_from_json(doc)
+    if "matrix" in doc or "skmodel" in doc:
+        return "dcf", dcf_from_json(doc, base)
+    if all(name in doc for name in SETTING_NAMES):
+        functionals = [isinstance(doc[name], dict) for name in SETTING_NAMES]
+        if all(functionals):
+            return "beamdcfs", beam_dcfs_from_json(doc)
+        if any(functionals):
+            raise ValueError(f"{path} mixes beam functionals and probability tables")
+        return "table", table_from_json(doc)
+    if "points" in doc and "covers" in doc:
+        return "order", order_from_json(doc)
+    if "histories" in doc:
+        return "historyspace", space_from_json(doc)
+    if set(doc) <= EPRB_CONFIG_KEYS:
+        return "eprbconfig", eprb_config_from_json(doc)
+    raise ValueError(f"cannot interpret {path}: no document kind has the keys {sorted(doc)}")
 
 
 def dump_json(doc: Any, path: str) -> None:

@@ -126,17 +126,6 @@ class SkCircuitConfig:
     def mixed_rank(self) -> int:
         return self.psi.shape[0]
 
-    def truncated(self, t_f: int) -> "SkCircuitConfig":
-        return SkCircuitConfig(
-            sites=self.sites,
-            steps=self.steps,
-            q=self.q,
-            psi=self.psi,
-            gates=self.gates,
-            t_f=t_f,
-            regions=self.regions,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SkCircuitModel:
@@ -264,8 +253,8 @@ def check_truncation_independence(
     atoms of sampled event regions (all single-cell regions below both
     surfaces plus seeded two-cell regions)."""
     lo, hi = min(t_f1, t_f2), max(t_f1, t_f2)
-    model1 = gen_sk_circuit(cfg.truncated(t_f1))
-    model2 = gen_sk_circuit(cfg.truncated(t_f2))
+    model1 = gen_sk_circuit(replace(cfg, t_f=t_f1))
+    model2 = gen_sk_circuit(replace(cfg, t_f=t_f2))
     cells = [
         cell_name(s, t) for t in range(lo + 1) for s in range(cfg.sites)
     ]
@@ -349,12 +338,12 @@ def bell_pair_gate() -> np.ndarray:
     return CNOT @ np.kron(HADAMARD, np.eye(2))
 
 
-def decoupled_demo_config(sites: int = 4, steps: int = 3) -> SkCircuitConfig:
-    """The stock decoupled-wing fixture: a middle-pair entangler on the
-    first layer, then wing-internal two-site unitaries; past = slices
-    0..1, wings = the two site pairs on the later slices."""
-    if sites != 4 or steps < 2:
-        raise ValueError("the stock fixture uses four sites and at least two steps")
+def decoupled_demo_config(steps: int = 3) -> SkCircuitConfig:
+    """The stock decoupled-wing fixture on four sites: a middle-pair
+    entangler on the first layer, then wing-internal two-site unitaries;
+    past = slices 0..1, wings = the two site pairs on the later slices."""
+    if steps < 2:
+        raise ValueError("the stock fixture uses at least two steps")
     gates = [SkGate(1, (1, 2), bell_pair_gate())]
     wing_units = [
         (CNOT @ np.kron(_ry(0.3), _ry(1.1)), np.kron(_ry(0.7), HADAMARD) @ CNOT),
@@ -367,11 +356,11 @@ def decoupled_demo_config(sites: int = 4, steps: int = 3) -> SkCircuitConfig:
         gates.append(SkGate(t, (2, 3), ub))
     regions = {}
     for t in range(steps + 1):
-        for s in range(sites):
+        for s in range(4):
             if t <= 1:
                 regions[cell_name(s, t)] = "Z"
             else:
                 regions[cell_name(s, t)] = "A" if s < 2 else "B"
     return SkCircuitConfig(
-        sites=sites, steps=steps, q=2, gates=tuple(gates), regions=regions
+        sites=4, steps=steps, q=2, gates=tuple(gates), regions=regions
     )

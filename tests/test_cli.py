@@ -208,6 +208,23 @@ class TestSchema:
         doc = json.loads(out)
         assert set(doc) >= {"historyspace", "order", "dcf", "skmodel", "scenario"}
 
+    def test_each_schema_kind_is_the_kind_read_back(self, gen_outputs):
+        from qmeasure import serialization as io
+
+        paths = {kind: gen_outputs / path for path, kind in GEN_OUTPUTS.items() if kind}
+        # kinds no generator writes on its own, as minimal documents
+        minimal = {
+            "jointdcf": {"slots": [1, 1, 1, 1, 1], "matrix": [[[1.0, 0.0]]]},
+            "historyspace": {"points": ["x"], "alphabets": {"x": 1}, "histories": [[0]]},
+            "eprbconfig": {"angles": [0.0, 0.1, 0.2, 0.3], "flip_b": True},
+        }
+        for kind, doc in minimal.items():
+            paths[kind] = gen_outputs / f"minimal-{kind}.json"
+            io.dump_json(doc, paths[kind])
+        assert set(paths) == set(io.SCHEMAS)
+        for kind, path in paths.items():
+            assert io.read_input(str(path))[0] == kind
+
 
 class TestCommute:
     def test_eprb_commute(self, workdir, capsys):
@@ -279,6 +296,109 @@ class TestClassicalPatchCli:
         code, out = run(capsys, "factorizability", "classical", "classical.json")
         assert code == 0
         assert json.loads(out)["max_residual"] < 1e-12
+
+
+# the kind `serialization.read_input` gives each output of `gen` and
+# `sk fixture`; None for a document of no kind
+GEN_OUTPUTS = {
+    "ds": "model",
+    "ds/dcf.json": "dcf",
+    "ds/order.json": "order",
+    "dsr": "model",
+    "eprb": "scenario",
+    "eprb/scenario.json": "scenario",
+    "pr": "model",
+    "pr/table.json": "table",
+    "pr/beamdcfs.json": "beamdcfs",
+    "ghz": "model",
+    "ghz/events.json": None,
+    "sk.json": "skmodel",
+}
+
+# each command (argv before and after the input) and the kinds it takes
+TWO_WING = ("scenario", "beamdcfs", "table", "jointdcf")
+COMMAND_KINDS = {
+    (("validate",), ()): ("model", "dcf", "skmodel"),
+    (("hilbert",), ()): ("model", "dcf", "skmodel"),
+    (("poz",), ()): ("model", "skmodel"),
+    (("lon",), ()): ("model", "skmodel"),
+    (("commute",), ()): ("scenario",),
+    (("factorizability", "classical"), ()): ("scenario",),
+    (("patch", "classical"), ()): ("scenario",),
+    (("patch", "quantum"), ()): ("scenario",),
+    (("chsh",), ()): TWO_WING,
+    (("nosignalling",), ()): TWO_WING,
+    (("feasibility",), ("--budget", "50")): TWO_WING,
+    (("sk", "factorizability"), ()): ("skmodel",),
+    (("sk", "truncation"), ("--tf1", "1", "--tf2", "2")): ("skmodel",),
+}
+
+# exit codes other than 0 on inputs of a kind the command takes, by
+# the command's words before the input
+EXIT_CODES = {
+    ("hilbert", "sk.json"): 2,  # 4096 histories: hilbert needs a region
+    ("poz", "dsr"): 3,
+    ("lon", "dsr"): 3,
+    ("lon", "ghz"): 3,
+    ("lon", "sk.json"): 3,
+    ("factorizability classical", "eprb"): 2,  # the spin-pair theories are not classical
+    ("factorizability classical", "eprb/scenario.json"): 2,
+    ("patch classical", "eprb"): 2,
+    ("patch classical", "eprb/scenario.json"): 2,
+    ("feasibility", "eprb"): 4,  # undecided at 50 iterations
+    ("feasibility", "eprb/scenario.json"): 4,
+    ("feasibility", "pr/table.json"): 3,
+    ("feasibility", "pr/beamdcfs.json"): 3,
+}
+
+
+@pytest.fixture(scope="module")
+def gen_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gen")
+    for argv in (
+        ["gen", "double-slit", "--out", "ds"],
+        ["gen", "double-slit", "--time-reversed", "--out", "dsr"],
+        ["gen", "eprb", "--out", "eprb"],
+        ["gen", "pr", "--out", "pr"],
+        ["gen", "ghz", "--out", "ghz"],
+        ["sk", "fixture", "--steps", "2", "--out", "sk.json"],
+    ):
+        argv[-1] = str(root / argv[-1])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return root
+
+
+class TestInputKinds:
+    @pytest.mark.parametrize("command", sorted(COMMAND_KINDS), ids=lambda c: " ".join(c[0]))
+    @pytest.mark.parametrize("name", sorted(GEN_OUTPUTS))
+    def test_gen_output_by_command(self, gen_outputs, capsys, command, name):
+        """Each command takes the kinds it reads and refuses the others with
+        a message naming the input and its kind."""
+        (head, tail), kind = command, GEN_OUTPUTS[name]
+        path = str(gen_outputs / name)
+        code = main([*head, path, *tail])
+        err = capsys.readouterr().err
+        if kind in COMMAND_KINDS[command]:
+            assert code == EXIT_CODES.get((" ".join(head), name), 0), err
+        elif kind == "dcf" and head[0] in ("poz", "lon"):
+            assert code == 2 and "an order.json is also needed" in err
+        elif kind is None:
+            assert code == 2 and f"cannot interpret {path}: no document kind" in err
+        else:
+            kinds = " or ".join(COMMAND_KINDS[command])
+            assert code == 2
+            assert f"cannot interpret {path} as {kinds}: its kind is {kind}" in err
+
+    def test_eprb_config_keys(self, workdir, capsys):
+        from qmeasure import serialization as io
+
+        io.dump_json({"angles": [0.0, 0.4, 0.2, 0.6], "flip_b": True}, "two.json")
+        assert main(["gen", "eprb", "--config", "two.json", "--out", "two"]) == 0
+        io.dump_json({"angels": [0, 0, 0, 0]}, "typo.json")
+        assert main(["gen", "eprb", "--config", "typo.json", "--out", "typo"]) == 2
+        assert "'angels'" in capsys.readouterr().err
+        assert not os.path.exists("typo")
 
 
 class TestInputEdges:
@@ -818,10 +938,27 @@ class TestOptionRanges:
         assert code == 0 and json.loads(out)["tolerance"] == 1e-6
 
     def test_scenario_theories_carry_tol(self, workdir, capsys):
-        from qmeasure._linalg import Tolerance
-        from qmeasure.cli import _load_scenario
+        import dataclasses
 
-        run(capsys, "gen", "eprb", "--out", "eprb")
+        from qmeasure import DecoherenceFunctional, gen_eprb
+        from qmeasure import serialization as io
+
+        # every theory 1e-8 short of positive: below the default floor, above
+        # 1e-6's, so exit 0 at --tol 1e-6 needs the tolerance on all four
+        def short(t):
+            w, v = np.linalg.eigh(t.dcf.matrix)
+            null = v[:, np.argmin(np.abs(w))]
+            matrix = t.dcf.matrix - 1e-8 * np.outer(null, null.conj())
+            return dataclasses.replace(t, dcf=DecoherenceFunctional(t.space, matrix=matrix))
+
+        scenario = gen_eprb()
+        scenario = dataclasses.replace(
+            scenario, theories={k: short(t) for k, t in scenario.theories.items()}
+        )
+        os.makedirs("eprb")
+        io.dump_json(io.scenario_to_json(scenario), "eprb/scenario.json")
         for path in ("eprb", "eprb/scenario.json"):
-            scenario = _load_scenario(path, Tolerance(1e-6))
-            assert all(t.dcf.tol == Tolerance(1e-6) for t in scenario.theories.values())
+            assert main(["commute", path]) == 3
+            assert "not positive semi-definite" in capsys.readouterr().err
+            code, out = run(capsys, "commute", path, "--tol", "1e-6")
+            assert code == 0 and json.loads(out)["passed"] is True

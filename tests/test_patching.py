@@ -371,18 +371,12 @@ class TestConverse:
                 return key // (nb * nb * na), (key // (nb * nb)) % na, j, jp
 
             for (sa, sb), t in conv.theories.items():
-                histories = np.indices((nkey, na, nb)).reshape(3, -1).T + (0, sa * na, sb * nb)
-                assert np.array_equal(t.space.value_matrix, histories)
-                live = [
-                    bits(k)[sa] == w - sa * na and bits(k)[2 + sb] == u - sb * nb
-                    for k, w, u in histories
+                # one history per key, its wing values the key's outcomes
+                histories = [
+                    (k, bits(k)[sa] + sa * na, bits(k)[2 + sb] + sb * nb) for k in range(nkey)
                 ]
-                expected = np.zeros((len(histories), len(histories)), dtype=complex)
-                for h1, (k1, _, _) in enumerate(histories):
-                    for h2, (k2, _, _) in enumerate(histories):
-                        if live[h1] and live[h2]:
-                            expected[h1, h2] = flat[k1, k2]
-                assert np.array_equal(t.dcf.matrix, expected)
+                assert t.space.value_matrix.tolist() == [list(h) for h in histories]
+                assert np.array_equal(t.dcf.matrix, flat)
 
     def test_non_psd_rejected(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1] + [0.0] * 12).astype(complex)
