@@ -121,13 +121,12 @@ def scatter_columns(fac: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     return sums.view(complex).reshape(d, m)
 
 
-def mask_from_bool(flags: np.ndarray) -> int:
-    """Pack a boolean vector (index 0 = bit 0) into a Python int bitmask."""
-    bits = np.packbits(flags.astype(np.uint8), bitorder="little")
-    return int.from_bytes(bits.tobytes(), "little")
-
-
-def bool_from_mask(mask: int, n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
+def flag_vector(flags, n: int, owner: str) -> np.ndarray:
+    """A read-only copy of `flags`, which must be a bool vector of length n:
+    the one representation of a set of histories or of points."""
+    flags = np.asarray(flags)
+    if flags.dtype != bool or flags.shape != (n,):
+        raise ValueError(f"{owner} needs a bool vector of {n} flags")
+    flags = flags.copy()
+    flags.flags.writeable = False
+    return flags

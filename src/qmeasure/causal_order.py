@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import bool_from_mask, mask_from_bool
+from ._linalg import flag_vector
 
 DOWN_SET_LIMIT = 4096
 
@@ -79,25 +79,24 @@ class CausalOrder:
         flags = np.zeros(self.size, dtype=bool)
         for p in points:
             flags[self.point_index(p)] = True
-        return Region(self, mask_from_bool(flags))
+        return Region(self, flags)
 
     def empty_region(self) -> "Region":
-        return Region(self, 0)
+        return Region(self, np.zeros(self.size, dtype=bool))
 
     def full_region(self) -> "Region":
-        return Region(self, (1 << self.size) - 1)
+        return Region(self, np.ones(self.size, dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """A set of points of one causal order, stored as a bitmask."""
+    """A set of points of one causal order: one bool flag per point."""
 
     order: CausalOrder
-    mask: int
+    flags: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.order.size):
-            raise ValueError("region mask out of range for its order")
+        object.__setattr__(self, "flags", flag_vector(self.flags, self.order.size, "a region"))
 
     def _check(self, other: "Region") -> None:
         if self.order is not other.order:
@@ -106,52 +105,44 @@ class Region:
     def __eq__(self, other):
         if not isinstance(other, Region):
             return NotImplemented
-        return self.order is other.order and self.mask == other.mask
+        return self.order is other.order and bool((self.flags == other.flags).all())
 
     def __hash__(self):
-        return hash((id(self.order), self.mask))
+        return hash((id(self.order), self.flags.tobytes()))
 
     def __or__(self, other: "Region") -> "Region":
         self._check(other)
-        return Region(self.order, self.mask | other.mask)
+        return Region(self.order, self.flags | other.flags)
 
     def __and__(self, other: "Region") -> "Region":
         self._check(other)
-        return Region(self.order, self.mask & other.mask)
+        return Region(self.order, self.flags & other.flags)
 
     def __invert__(self) -> "Region":
-        return Region(self.order, self.mask ^ ((1 << self.order.size) - 1))
+        return Region(self.order, ~self.flags)
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return int(self.flags.sum())
 
     def __le__(self, other: "Region") -> bool:
         self._check(other)
-        return self.mask & ~other.mask == 0
+        return not (self.flags & ~other.flags).any()
 
     def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def to_bool(self) -> np.ndarray:
-        return bool_from_mask(self.mask, self.order.size)
+        return not self.flags.any()
 
     def point_names(self) -> tuple[str, ...]:
-        flags = self.to_bool()
-        return tuple(p for p, f in zip(self.order.points, flags) if f)
+        return tuple(p for p, f in zip(self.order.points, self.flags) if f)
 
 
 def future_set(order: CausalOrder, region: Region) -> Region:
     """Causal future J+ of the region; contains the region (reflexivity)."""
-    flags = region.to_bool()
-    out = order.leq[flags].any(axis=0) if flags.any() else np.zeros(order.size, bool)
-    return Region(order, mask_from_bool(out))
+    return Region(order, order.leq[region.flags].any(axis=0))
 
 
 def past_set_of(order: CausalOrder, region: Region) -> Region:
     """Causal past J- of the region."""
-    flags = region.to_bool()
-    out = order.leq[:, flags].any(axis=1) if flags.any() else np.zeros(order.size, bool)
-    return Region(order, mask_from_bool(out))
+    return Region(order, order.leq[:, region.flags].any(axis=1))
 
 
 def shadow(order: CausalOrder, region: Region) -> Region:
@@ -179,19 +170,14 @@ def future_domain(order: CausalOrder, region: Region) -> Region:
     # by transitivity the minimal elements of J-(p) are exactly the
     # globally minimal points below p
     minimal_pts = ~strict.any(axis=0)
-    in_z = region.to_bool()
-    bad = minimal_pts & ~in_z
-    out = ~leq[bad].any(axis=0) if bad.any() else np.ones(n, dtype=bool)
-    out |= in_z
-    return Region(order, mask_from_bool(out))
+    bad = minimal_pts & ~region.flags
+    return Region(order, ~leq[bad].any(axis=0) | region.flags)
 
 
 def are_spacelike(order: CausalOrder, r1: Region, r2: Region) -> bool:
     """True iff no point of one region is related to a point of the other."""
     r1._check(r2)
-    f1, f2 = r1.to_bool(), r2.to_bool()
-    if not f1.any() or not f2.any():
-        return True
+    f1, f2 = r1.flags, r2.flags
     return not (order.leq[np.ix_(f1, f2)].any() or order.leq[np.ix_(f2, f1)].any())
 
 
@@ -261,7 +247,7 @@ def down_sets(order: CausalOrder) -> list[Region]:
     topo = sorted(range(n), key=lambda p: int(leq[:, p].sum()))
     sets = [0]
     for p in topo:
-        below = mask_from_bool(leq[:, p] & (np.arange(n) != p))
+        below = sum(1 << q for q in range(n) if leq[q, p] and q != p)
         new = []
         for m in sets:
             if below & ~m == 0:
@@ -270,4 +256,4 @@ def down_sets(order: CausalOrder) -> list[Region]:
         if len(sets) > DOWN_SET_LIMIT:
             raise ValueError(f"more than {DOWN_SET_LIMIT} past sets; supply a region list")
     sets = sorted(set(sets), key=lambda m: (m.bit_count(), m))
-    return [Region(order, m) for m in sets]
+    return [Region(order, np.array([m >> i & 1 for i in range(n)], dtype=bool)) for m in sets]

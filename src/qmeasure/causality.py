@@ -51,7 +51,7 @@ def _check_alignment(dcf: DecoherenceFunctional, order: CausalOrder) -> None:
 
 def _event_in_algebra(event: Event, alg: RegionAlgebra) -> bool:
     """True iff no atom of the algebra has histories on both sides of the event."""
-    flags = event.to_bool()
+    flags = event.flags
     inside = np.zeros(alg.n_atoms, dtype=bool)
     inside[alg.atom_index[flags]] = True
     return not inside[alg.atom_index[~flags]].any()
@@ -220,7 +220,7 @@ def event_operator(
     alg_d, v = region_vectors(dcf, domain_names)
     # everything is read off one truncated SVD v = basis diag(s) vh
     basis, s, vh = truncated_svd(v, dcf.tol)
-    w = dcf.vectors(alg_d.atom_index, alg_d.n_atoms, event.to_bool())
+    w = dcf.vectors(alg_d.atom_index, alg_d.n_atoms, event.flags)
     coords_w = basis.conj().T @ w
     codomain = float(np.linalg.norm(w - basis @ coords_w, axis=0).max(initial=0.0))
     # inconsistency = largest image norm over null combinations of the
@@ -396,7 +396,7 @@ def check_spacelike_commutation(
     basis = op_a.basis
     composed = basis @ (op_b.matrix @ op_a.matrix @ (basis.conj().T @ vz))
     direct = dcf.vectors(
-        alg_z.atom_index, alg_z.n_atoms, (event_a & event_b).to_bool()
+        alg_z.atom_index, alg_z.n_atoms, (event_a & event_b).flags
     )
     action = float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
     return CommutationReport(comm_norm, action, dcf.tol)

@@ -294,11 +294,7 @@ def cmd_patch(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    tables = {}
-    for key, arr in _beam_dcfs(args).items():
-        i, j = np.indices(arr.shape[:2])
-        tables[key] = arr[i, j, i, j].real
-    table = CorrelationTable(tables)
+    table = CorrelationTable.from_beam_dcfs(_beam_dcfs(args), _tol(args))
     value = chsh_value(table)
     _emit({"chsh": value, "table": io.table_to_json(table)}, args)
     return OK

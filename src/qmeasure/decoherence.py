@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import Tolerance, hermitian_part, mask_from_bool, psd_factor, scatter_columns
+from ._linalg import Tolerance, hermitian_part, psd_factor, scatter_columns
 from .histories import Event, HistorySpace, region_algebra
 
 DENSE_ATOM_CAP = 1024
@@ -44,6 +44,8 @@ class BranchRep:
             raise ValueError("amplitudes and final_index must be equal-length vectors")
         if fin.size and (fin.min() < 0 or fin.max() >= self.dim):
             raise ValueError("final_index out of range")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "final_index", fin)
         object.__setattr__(self, "live", np.flatnonzero(amps))
@@ -99,8 +101,11 @@ class DecoherenceFunctional:
         """The live histories and the factor on them, built once.
 
         Returns `(live, fac)`: `live` holds, in history order, the histories
-        whose factor column is not identically zero, and column k of the
+        whose vector is not identically zero, and column k of the
         `d x len(live)` matrix `fac` is the vector of history `live[k]`.
+        A dense history is live when its matrix column is nonzero: a PSD
+        matrix's zero column has a zero vector, which `eigh` would leave
+        as rounding dust in the factor.
         Inner products of the columns give the functional.  A dense
         factor has one row per direction the rank rule keeps (d is the
         numerical rank), a lazy one a row per final configuration.  Raises
@@ -109,7 +114,7 @@ class DecoherenceFunctional:
         """
         if self.is_dense:
             fac = psd_factor(self.matrix, self.tol)
-            live = np.flatnonzero(fac.any(axis=0))
+            live = np.flatnonzero(self.matrix.any(axis=0))
             return live, fac[:, live]
         b = self.branch
         fac = np.zeros((b.dim, b.live.size), dtype=complex)
@@ -156,17 +161,15 @@ class DecoherenceFunctional:
         self._own(e)
         self._own(f)
         if self.is_dense:
-            rows = e.to_bool()
-            cols = f.to_bool()
-            return complex(self.matrix[np.ix_(rows, cols)].sum())
-        be, bf = (self._event_vector(x.to_bool()) for x in (e, f))
+            return complex(self.matrix[np.ix_(e.flags, f.flags)].sum())
+        be, bf = (self._event_vector(x.flags) for x in (e, f))
         return complex(np.vdot(be, bf))
 
     def measure(self, e: Event) -> float:
-        """The quantum measure mu(E) = D(E, E), with the event's mask or
-        branch vector built once."""
+        """The quantum measure mu(E) = D(E, E), with the event's branch
+        vector built once."""
         self._own(e)
-        flags = e.to_bool()
+        flags = e.flags
         if self.is_dense:
             val = complex(self.matrix[np.ix_(flags, flags)].sum())
         else:
@@ -231,7 +234,7 @@ class DecoherenceFunctional:
         worst = 0.0
         for _ in range(25):
             group = rng.integers(0, 4, size=n)  # 3 disjoint events + leftover
-            evs = [Event(self.space, mask_from_bool(group == g)) for g in range(3)]
+            evs = [Event(self.space, group == g) for g in range(3)]
             worst = max(worst, self.check_sum_rule(*evs))
         return worst
 

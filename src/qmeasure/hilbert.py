@@ -42,7 +42,7 @@ class LinearCombination:
 def event_vector(dcf: DecoherenceFunctional, event: Event) -> np.ndarray:
     if event.space is not dcf.space:
         raise ValueError("event belongs to a different history space")
-    return dcf.vectors(np.zeros(dcf.space.size, dtype=np.int64), 1, event.to_bool())[:, 0]
+    return dcf.vectors(np.zeros(dcf.space.size, dtype=np.int64), 1, event.flags)[:, 0]
 
 
 def combo_vector(dcf: DecoherenceFunctional, combo: LinearCombination) -> np.ndarray:
@@ -158,7 +158,7 @@ def build_event_space(dcf: DecoherenceFunctional, points=None) -> EventHilbertSp
                 f"full event space needs at most {DENSE_ATOM_CAP} histories; "
                 "pass a region"
             )
-        atoms = tuple(Event(dcf.space, 1 << i) for i in range(dcf.space.size))
+        atoms = tuple(Event(dcf.space, row) for row in np.eye(dcf.space.size, dtype=bool))
         vecs = dcf.vectors(np.arange(dcf.space.size), dcf.space.size)
     else:
         alg, vecs = region_vectors(dcf, points)

@@ -1,10 +1,10 @@
 """Finite history spaces and their event algebra.
 
 A history space is a finite list of value assignments over named points;
-events are subsets of histories stored as bitmasks.  The full event
-algebra (2^n sets) is never materialized: a region algebra is an atom id
-per history, and only user-constructed events and atoms asked for by
-name exist as Event objects.
+an event is a subset of histories, stored as one bool flag per history.
+The full event algebra (2^n sets) is never materialized: a region algebra
+is an atom id per history, and only user-constructed events and atoms
+asked for by name exist as Event objects.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import bool_from_mask, mask_from_bool
+from ._linalg import flag_vector
 
 MAX_HISTORIES = 65536
 MAX_VALUE = 65535  # history values are stored as uint16
@@ -108,37 +108,35 @@ class HistorySpace:
     # -- event constructors ------------------------------------------------
 
     def empty_event(self) -> "Event":
-        return Event(self, 0)
+        return Event(self, np.zeros(self.size, dtype=bool))
 
     def full_event(self) -> "Event":
-        return Event(self, (1 << self.size) - 1)
+        return Event(self, np.ones(self.size, dtype=bool))
 
     def event_from_indices(self, indices: Iterable[int]) -> "Event":
-        mask = 0
+        flags = np.zeros(self.size, dtype=bool)
         for i in indices:
             i = int(i)
             if not 0 <= i < self.size:
                 raise ValueError(f"history index {i} out of range")
-            mask |= 1 << i
-        return Event(self, mask)
+            flags[i] = True
+        return Event(self, flags)
 
     def value_event(self, point: str, value: int) -> "Event":
         """All histories whose value at `point` equals `value`."""
         col = self.point_index(point)
-        return Event(self, mask_from_bool(self.value_matrix[:, col] == value))
+        return Event(self, self.value_matrix[:, col] == value)
 
 
 @dataclass(frozen=True, eq=False)
 class Event:
-    """A set of histories, stored as a bitmask keyed to one HistorySpace."""
+    """A set of histories of one HistorySpace: one bool flag per history."""
 
     space: HistorySpace
-    mask: int
+    flags: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", int(self.mask))
-        if not 0 <= self.mask < (1 << self.space.size):
-            raise ValueError("event mask out of range for its history space")
+        object.__setattr__(self, "flags", flag_vector(self.flags, self.space.size, "an event"))
 
     def _check(self, other: "Event") -> None:
         if self.space is not other.space:
@@ -147,40 +145,37 @@ class Event:
     def __eq__(self, other):
         if not isinstance(other, Event):
             return NotImplemented
-        return self.space is other.space and self.mask == other.mask
+        return self.space is other.space and bool((self.flags == other.flags).all())
 
     def __hash__(self):
-        return hash((id(self.space), self.mask))
+        return hash((id(self.space), self.flags.tobytes()))
 
     def __or__(self, other: "Event") -> "Event":
         self._check(other)
-        return Event(self.space, self.mask | other.mask)
+        return Event(self.space, self.flags | other.flags)
 
     def __and__(self, other: "Event") -> "Event":
         self._check(other)
-        return Event(self.space, self.mask & other.mask)
+        return Event(self.space, self.flags & other.flags)
 
     def __xor__(self, other: "Event") -> "Event":
         self._check(other)
-        return Event(self.space, self.mask ^ other.mask)
+        return Event(self.space, self.flags ^ other.flags)
 
     def __invert__(self) -> "Event":
-        return Event(self.space, self.mask ^ ((1 << self.space.size) - 1))
+        return Event(self.space, ~self.flags)
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return int(self.flags.sum())
 
     def __contains__(self, index: int) -> bool:
-        return bool((self.mask >> index) & 1)
+        return 0 <= index < self.space.size and bool(self.flags[index])
 
     def is_empty(self) -> bool:
-        return self.mask == 0
+        return not self.flags.any()
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(np.nonzero(self.to_bool())[0].tolist())
-
-    def to_bool(self) -> np.ndarray:
-        return bool_from_mask(self.mask, self.space.size)
+        return tuple(np.flatnonzero(self.flags).tolist())
 
 
 # -- Boolean operations (the event algebra is a ring over Z2) --------------
@@ -211,15 +206,9 @@ def is_partition(events: Sequence[Event]) -> bool:
     """True iff the events are pairwise disjoint and cover the space."""
     if not events:
         return False
-    space = events[0].space
-    total = 0
     for e in events:
-        if e.space is not space:
-            raise ValueError("events belong to different history spaces")
-        if total & e.mask:
-            return False
-        total |= e.mask
-    return total == (1 << space.size) - 1
+        e._check(events[0])
+    return bool((np.stack([e.flags for e in events]).sum(axis=0) == 1).all())
 
 
 # -- Region-restricted algebras --------------------------------------------
@@ -247,7 +236,7 @@ class RegionAlgebra:
     def atoms(self) -> tuple[Event, ...]:
         """The atoms as Events, built on each request."""
         return tuple(
-            Event(self.space, mask_from_bool(self.atom_index == a))
+            Event(self.space, self.atom_index == a)
             for a in range(self.n_atoms)
         )
 
@@ -291,7 +280,7 @@ def cylinder_event(space: HistorySpace, points, rep: Sequence[int]) -> Event:
         if not 0 <= v < space.alphabets[p]:
             raise ValueError(f"value {v} outside alphabet of point {p!r}")
     flags = np.all(space.value_matrix[:, space.columns(names)] == rep, axis=1)
-    return Event(space, mask_from_bool(flags))
+    return Event(space, flags)
 
 
 # -- Named correlation events ----------------------------------------------

@@ -77,14 +77,8 @@ class SettingScenario:
         return {key: self.cell_values(*key).sum(axis=(2, 5)) for key in self.theories}
 
     def correlation_table(self) -> "CorrelationTable":
-        tables = {}
-        for key, beam in self.beam_dcfs().items():
-            tab = np.einsum("ijij->ij", beam)
-            tol = self.theories[key].dcf.tol
-            if np.abs(tab.imag).max() > tol.rel * max(1.0, float(np.abs(beam).max())):
-                raise ValueError(f"theory {key} has complex measures: hermiticity violated")
-            tables[key] = tab.real
-        return CorrelationTable(tables)
+        """The beam measures, at the tolerance of theory (0, 0)."""
+        return CorrelationTable.from_beam_dcfs(self.beam_dcfs(), self.theory(0, 0).dcf.tol)
 
     def validate(self) -> "ScenarioReport":
         za = tuple(self.z_points) + tuple(self.a_points)
@@ -128,7 +122,7 @@ def _beam_index(t: SettingTheory, events: Sequence[Event]) -> np.ndarray:
     """The index of the beam event holding each history of the theory."""
     if any(e.space is not t.space for e in events):
         raise ValueError("beam event belongs to a different history space")
-    flags = np.stack([e.to_bool() for e in events])
+    flags = np.stack([e.flags for e in events])
     if not (flags.sum(axis=0) == 1).all():
         raise ValueError("beam events must partition the history space")
     return flags.argmax(axis=0)
@@ -178,6 +172,18 @@ class CorrelationTable:
             if abs(tabs[k].sum() - 1.0) > DEFAULT_RTOL:
                 raise ValueError("table does not sum to one")
         object.__setattr__(self, "tables", tabs)
+
+    @classmethod
+    def from_beam_dcfs(cls, beam: Mapping, tol: Tolerance) -> "CorrelationTable":
+        """The measures on the diagonals, tab[i, j] = beam[i, j, i, j]; refuses
+        a diagonal whose imaginary part clears the tolerance (hermiticity)."""
+        tables = {}
+        for key, b in beam.items():
+            tab = np.einsum("ijij->ij", b)
+            if np.abs(tab.imag).max() > tol.rel * max(1.0, float(np.abs(b).max())):
+                raise ValueError(f"setting {key} has complex measures: hermiticity violated")
+            tables[key] = tab.real
+        return cls(tables)
 
     def beam_dcfs(self) -> dict[tuple[int, int], np.ndarray]:
         """The tables as diagonal beam functionals: beam[i, j, i, j] = tab[i, j]."""

@@ -85,17 +85,22 @@ class EprbConfig:
     def __post_init__(self):
         basis = np.asarray(self.resolution_basis, dtype=complex)
         state = np.asarray(self.initial_state, dtype=complex)
+        angles = tuple(float(a) for a in self.angles)
         if basis.shape != (4, 4):
             raise ValueError("resolution basis must be 4x4")
-        if np.abs(basis.conj().T @ basis - np.eye(4)).max() > DEFAULT_RTOL:
-            raise ValueError("resolution basis is not orthonormal")
         if state.shape != (4,):
             raise ValueError("initial state must have four components")
-        if abs(np.vdot(state, state).real - 1.0) > DEFAULT_RTOL:
+        if len(angles) != 4:
+            raise ValueError("angles must be four numbers: a, a', b, b'")
+        if not all(np.isfinite(x).all() for x in (basis, state, angles)):
+            raise ValueError("spin-pair configuration has a non-finite entry")
+        if not np.abs(basis.conj().T @ basis - np.eye(4)).max() <= DEFAULT_RTOL:
+            raise ValueError("resolution basis is not orthonormal")
+        if not abs(np.vdot(state, state).real - 1.0) <= DEFAULT_RTOL:
             raise ValueError("initial state is not normalized")
         object.__setattr__(self, "resolution_basis", basis)
         object.__setattr__(self, "initial_state", state)
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        object.__setattr__(self, "angles", angles)
 
     def overlaps(self) -> np.ndarray:
         return np.abs(self.resolution_basis.conj().T @ self.initial_state)

@@ -213,14 +213,9 @@ def sk_config_to_json(cfg: SkCircuitConfig) -> dict:
 
 
 def sk_config_from_json(doc: dict) -> SkCircuitConfig:
-    psi_raw = doc.get("psi")
-    psi = None
-    if psi_raw is not None:
-        arr = np.asarray(psi_raw, dtype=float)
-        if arr.ndim == 2:  # single branch of [re, im] pairs
-            psi = arr[:, 0] + 1j * arr[:, 1]
-        else:  # mixed state: rows of pairs
-            psi = arr[:, :, 0] + 1j * arr[:, :, 1]
+    psi = doc.get("psi")
+    if psi is not None:  # one branch of [re, im] pairs, or rows of them (mixed)
+        psi = matrix_from_json(psi if np.array(psi, dtype=object).ndim == 3 else [psi])
     gates = tuple(
         SkGate(int(g["t"]), tuple(int(s) for s in g["sites"]), matrix_from_json(g["u"]))
         for g in doc.get("gates", [])
@@ -287,9 +282,7 @@ def eprb_config_from_json(doc: dict) -> EprbConfig:
     if "resolution_basis" in doc:
         kwargs["resolution_basis"] = matrix_from_json(doc["resolution_basis"])
     if "initial_state" in doc:
-        kwargs["initial_state"] = np.array(
-            [complex(c[0], c[1]) for c in doc["initial_state"]]
-        )
+        kwargs["initial_state"] = matrix_from_json([doc["initial_state"]])[0]
     return EprbConfig(**kwargs)
 
 

@@ -56,6 +56,8 @@ class SkGate:
             raise ValueError("gate sites must be distinct")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("gate matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("gate matrix has a non-finite entry")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "matrix", m)
 
@@ -92,8 +94,10 @@ class SkCircuitConfig:
             psi = psi.reshape(1, -1)
         if psi.ndim != 2 or psi.shape[1] != nconf:
             raise ValueError("psi must have q**sites amplitudes per branch")
+        if not np.isfinite(psi).all():
+            raise ValueError("psi has a non-finite amplitude")
         norm = float((np.abs(psi) ** 2).sum())
-        if abs(norm - 1.0) > DEFAULT_RTOL:
+        if not abs(norm - 1.0) <= DEFAULT_RTOL:
             raise ValueError("initial amplitudes are not normalized")
         object.__setattr__(self, "psi", psi)
         gates = tuple(self.gates)

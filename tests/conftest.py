@@ -46,11 +46,12 @@ def full_width_factor(dcf):
     """The d x n history factor with a column for every history, zero
     columns included, built from the functional's own data: the branch
     amplitudes at their final configurations for a lazy functional, the
-    PSD factor of the matrix for a dense one."""
+    PSD factor of the matrix for a dense one, with the column of each
+    history whose matrix column is zero set to zero."""
     from qmeasure._linalg import psd_factor
 
     if dcf.is_dense:
-        return psd_factor(dcf.matrix, dcf.tol)
+        return psd_factor(dcf.matrix, dcf.tol) * dcf.matrix.any(axis=0)
     b = dcf.branch
     fac = np.zeros((b.dim, dcf.space.size), dtype=complex)
     fac[b.final_index, np.arange(dcf.space.size)] = b.amplitudes

@@ -13,7 +13,7 @@ from qmeasure import (
     shadow,
     validate_scenario_geometry,
 )
-from qmeasure.causal_order import past_set_of
+from qmeasure.causal_order import Region, past_set_of
 
 
 @pytest.fixture
@@ -43,6 +43,24 @@ class TestConstruction:
         m[0, 1] = m[1, 2] = True
         with pytest.raises(ValueError):
             CausalOrder(("a", "b", "c"), m)
+
+
+class TestRegionFlags:
+    def test_int_mask_refused(self, diamond):
+        with pytest.raises(ValueError):
+            Region(diamond, 3)
+
+    def test_wrong_length_refused(self, diamond):
+        with pytest.raises(ValueError):
+            Region(diamond, np.ones(3, dtype=bool))
+
+    def test_set_operations_on_flags(self, diamond):
+        lr = diamond.region(["left", "right"])
+        assert lr == Region(diamond, np.array([False, True, True, False]))
+        assert len(lr) == 2 and not lr.is_empty()
+        assert (~lr).point_names() == ("bottom", "top")
+        assert diamond.region(["left"]) <= lr and not lr <= diamond.region(["left"])
+        assert len({lr, diamond.region(["right", "left"])}) == 1
 
 
 class TestFutureSet:
@@ -176,9 +194,7 @@ class TestOrderProperties:
     @settings(max_examples=60, deadline=None)
     def test_shadow_partitions_against_future(self, case):
         order, mask = case
-        from qmeasure.causal_order import Region
-
-        r = Region(order, mask)
+        r = order.region(p for i, p in enumerate(order.points) if mask >> i & 1)
         sh = shadow(order, r)
         fu = future_set(order, r)
         assert (sh & fu).is_empty()
@@ -188,9 +204,7 @@ class TestOrderProperties:
     @settings(max_examples=60, deadline=None)
     def test_past_sets_sit_inside_future_domain(self, case):
         order, mask = case
-        from qmeasure.causal_order import Region
-
-        z = Region(order, mask)
+        z = order.region(p for i, p in enumerate(order.points) if mask >> i & 1)
         pz = past_set_of(order, z)
         assert is_past_set(order, pz | z)
         if is_past_set(order, z):

@@ -24,12 +24,15 @@ from qmeasure import (
     shadow,
 )
 from qmeasure._linalg import selection_violation, truncated_svd
-from qmeasure.causal_order import CausalOrder, Region, down_sets, future_domain, future_set
+from qmeasure.causal_order import CausalOrder, down_sets, future_domain, future_set
 
 
 def every_region(order):
     """All 2^n point subsets of the order."""
-    return [Region(order, m) for m in range(1 << order.size)]
+    return [
+        order.region(p for i, p in enumerate(order.points) if m >> i & 1)
+        for m in range(1 << order.size)
+    ]
 
 
 class TestPoz:
@@ -620,7 +623,7 @@ def reference_operator(dcf, event, domain):
     index = region_algebra(dcf.space, domain).atom_index
     onehot = np.eye(index.max() + 1)[index]
     v = fac @ onehot
-    w = fac @ (event.to_bool()[:, None] * onehot)
+    w = fac @ (event.flags[:, None] * onehot)
     frame = np.linalg.pinv(v.conj().T @ v, rcond=rel) @ (v.conj().T @ w)
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     basis = u[:, s > np.sqrt(rel) * s[0]]

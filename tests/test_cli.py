@@ -599,6 +599,29 @@ class TestLoaderFaults:
         assert main(["gen", "eprb", "--config", path, "--out", "eprb"]) == 2
         assert "malformed input" in capsys.readouterr().err
 
+    def test_complex_beam_diagonal_is_input_error(self, workdir, capsys, pr_documents):
+        """`chsh` reads measures off the diagonals and refuses an imaginary
+        part, as a scenario's correlation table does."""
+        doc = json.loads(json.dumps(pr_documents[0]))
+        doc["ab"]["matrix"][0][0] = [0.5, 0.3]
+        path = self._write(doc)
+        assert main(["chsh", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "hermiticity violated" in captured.err
+
+    def test_non_finite_amplitudes_are_input_errors(self, workdir, capsys):
+        run(capsys, "sk", "fixture", "--steps", "2", "--out", "sk.json")
+        with open("sk.json") as fh:
+            doc = json.load(fh)
+        doc["psi"][0] = [float("nan"), 0.0]
+        assert main(["sk", "factorizability", self._write(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+        path = self._write({"initial_state": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 3})
+        assert main(["gen", "eprb", "--config", path, "--out", "eprb"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not os.path.exists("eprb")
+
 
 _entry_values = st.one_of(st.sampled_from(NON_FINITE), st.floats(-1e3, 1e3))
 

@@ -7,6 +7,7 @@ from conftest import full_width_factor, random_events, random_psd_dcf, random_sp
 
 from qmeasure import DecoherenceFunctional, HistorySpace, check_agreement, region_algebra
 from qmeasure._linalg import scatter_columns
+from qmeasure.decoherence import BranchRep
 
 
 def two_path_oracle():
@@ -21,6 +22,15 @@ def two_path_oracle():
             if screen[g] == screen[h]:
                 m[g, h] = np.conj(amps[g]) * amps[h]
     return m
+
+
+class TestBranchRep:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_amplitude_refused(self, bad):
+        amps = np.array([0.6, 0.8, 0.0], dtype=complex)
+        amps[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BranchRep(amps, np.zeros(3, dtype=int), 1)
 
 
 class TestEvaluate:
@@ -322,6 +332,25 @@ class TestVectors:
             got = dcf.vectors(labels, 5, flags)
             assert got.shape == (4, 5)
             assert got.flags.c_contiguous
+
+    def test_zero_matrix_columns_are_dead(self, eprb_scenario):
+        """The patched spin-pair beam joint (16 x 16) embedded in 64
+        histories, one per key and wing-value pair, with zero rows and
+        columns wherever the wing values do not repeat the key's outcomes:
+        exactly the 16 histories with nonzero columns are live, though
+        `eigh` leaves rounding dust in some other factor columns."""
+        from qmeasure import quantum_patch
+
+        flat = np.asarray(quantum_patch(eprb_scenario).beam_joint()).reshape(16, 16)
+        key, wa, wb = np.indices((16, 2, 2)).reshape(3, -1)
+        outcomes = np.unravel_index(np.arange(16), (2, 2, 2, 2))
+        ok = (wa == outcomes[0][key]) & (wb == outcomes[2][key])
+        space = HistorySpace(("z", "wa", "wb"), np.stack([key, wa, wb], axis=1))
+        matrix = np.where(np.outer(ok, ok), flat[np.ix_(key, key)], 0)
+        dcf = DecoherenceFunctional(space, matrix=matrix)
+        live, fac = dcf.factor
+        assert np.array_equal(live, np.flatnonzero(ok))
+        assert fac.shape[1] == 16
 
     def test_factor_is_cached(self):
         rng = np.random.default_rng(53)

@@ -47,6 +47,36 @@ class TestBooleanOps:
             ev(four_space, 0) | ev(other, 1)
 
 
+class TestFlagVectors:
+    def test_int_mask_refused(self, four_space):
+        with pytest.raises(ValueError):
+            Event(four_space, 5)
+
+    @pytest.mark.parametrize(
+        "flags", [[True, False, True], [1, 0, 1, 0], np.zeros((2, 2), dtype=bool)]
+    )
+    def test_wrong_shape_or_dtype_refused(self, four_space, flags):
+        with pytest.raises(ValueError):
+            Event(four_space, np.asarray(flags))
+
+    def test_flags_are_a_read_only_copy(self, four_space):
+        flags = np.array([True, False, True, False])
+        e = Event(four_space, flags)
+        flags[1] = True
+        assert e.indices() == (0, 2)
+        with pytest.raises(ValueError):
+            e.flags[1] = True
+
+    def test_equal_events_hash_alike(self, four_space):
+        e = Event(four_space, np.array([False, True, True, False]))
+        assert e == ev(four_space, 1, 2) and hash(e) == hash(ev(four_space, 1, 2))
+        assert len(e) == 2 and 1 in e and 0 not in e and 7 not in e
+
+    def test_out_of_range_index_refused(self, four_space):
+        with pytest.raises(ValueError, match="out of range"):
+            four_space.event_from_indices([1, 4])
+
+
 class TestMaterialImplication:
     def test_full_antecedent_gives_consequent(self, four_space):
         f = ev(four_space, 1, 2)
@@ -64,13 +94,13 @@ class TestMaterialImplication:
         assert material_implication(e, f) == ev(four_space, 1, 2, 3)
 
 
-events_masks = st.integers(min_value=0, max_value=255)
+event_flags = st.lists(st.booleans(), min_size=8, max_size=8)
 
 
 @st.composite
 def three_events(draw):
     space = HistorySpace(points=("p",), histories=tuple((i,) for i in range(8)))
-    return tuple(Event(space, draw(events_masks)) for _ in range(3))
+    return tuple(Event(space, np.array(draw(event_flags))) for _ in range(3))
 
 
 class TestBooleanLaws:

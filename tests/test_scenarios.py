@@ -57,6 +57,19 @@ class TestEprb:
         assert table[1, 1] == pytest.approx(0.0, abs=1e-12)
         assert table[0, 1] + table[1, 0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("field", ["initial_state", "resolution_basis", "angles"])
+    def test_non_finite_config_refused(self, field):
+        cfg = EprbConfig()
+        value = np.array(getattr(cfg, field), dtype=complex if field != "angles" else float)
+        value.flat[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            EprbConfig(**{field: value})
+
+    @pytest.mark.parametrize("angles", [(0.1,), (0.1, 0.2, 0.3, 0.4, 0.5)])
+    def test_angle_count_refused(self, angles):
+        with pytest.raises(ValueError, match="four numbers"):
+            EprbConfig(angles=angles)
+
     def test_flip_b_gives_correlation(self):
         cfg = EprbConfig(angles=(0.3, 0.9, 0.3, 1.7), flip_b=True)
         sc = gen_eprb(cfg)

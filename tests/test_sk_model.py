@@ -133,6 +133,21 @@ class TestFactorizabilityDemo:
                 SkCircuitConfig(sites=4, steps=2, gates=gates, regions=regions)
             )
 
+    def test_non_finite_gate_refused(self):
+        cfg = decoupled_demo_config(steps=2)
+        u = cfg.gates[0].matrix.copy()
+        u[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            SkGate(cfg.gates[0].layer, cfg.gates[0].sites, u)
+
+    def test_non_finite_psi_refused(self):
+        """A NaN amplitude has a NaN norm, which no `>` comparison flags."""
+        for bad in (np.nan, np.inf):
+            psi = np.zeros(4, dtype=complex)
+            psi[0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                SkCircuitConfig(sites=2, steps=1, psi=psi)
+
     def test_missing_regions_rejected(self):
         cfg = SkCircuitConfig(sites=2, steps=1)
         with pytest.raises(ValueError):
