@@ -6,7 +6,7 @@ past sets, future domain of dependence) feed the causality checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -195,29 +195,10 @@ class GeometryReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            (
-                self.z_is_past_set,
-                self.a_in_future_domain,
-                self.b_in_future_domain,
-                self.a_disjoint_from_z,
-                self.b_disjoint_from_z,
-                self.wings_spacelike,
-                self.union_is_past_set,
-            )
-        )
+        return all(astuple(self))
 
     def as_dict(self) -> dict:
-        return {
-            "z_is_past_set": self.z_is_past_set,
-            "a_in_future_domain": self.a_in_future_domain,
-            "b_in_future_domain": self.b_in_future_domain,
-            "a_disjoint_from_z": self.a_disjoint_from_z,
-            "b_disjoint_from_z": self.b_disjoint_from_z,
-            "wings_spacelike": self.wings_spacelike,
-            "union_is_past_set": self.union_is_past_set,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def validate_scenario_geometry(

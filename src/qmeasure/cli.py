@@ -22,6 +22,7 @@ from . import __version__
 from ._linalg import CheckViolation, Tolerance
 from . import serialization as io
 from .causality import (
+    CommutationReport,
     check_lon,
     check_poz,
     check_quantum_factorizability,
@@ -210,26 +211,25 @@ def cmd_lon(args) -> int:
 
 
 def cmd_commute(args) -> int:
-    tol = _tol(args)
     scenario = _scenario(args)
-    worst = {"commutator_norm": 0.0, "action_residual": 0.0}
+    reports = []
     for key in SETTING_KEYS:
         t = scenario.theory(*key)
         z = t.order.region(scenario.z_points)
         a = t.order.region(scenario.a_points)
         b = t.order.region(scenario.b_points)
-        for ea in t.beam_a:
-            for eb in t.beam_b:
-                rep = check_spacelike_commutation(t.dcf, t.order, z, a, b, ea, eb)
-                worst["commutator_norm"] = max(
-                    worst["commutator_norm"], rep.commutator_norm
-                )
-                worst["action_residual"] = max(
-                    worst["action_residual"], rep.action_residual
-                )
-    passed = max(worst.values()) <= tol.rel
-    _emit({**worst, "passed": passed, "tolerance": tol.rel}, args)
-    return OK if passed else VIOLATION
+        reports += [
+            check_spacelike_commutation(t.dcf, t.order, z, a, b, ea, eb)
+            for ea in t.beam_a
+            for eb in t.beam_b
+        ]
+    report = CommutationReport(
+        max([0.0] + [r.commutator_norm for r in reports]),
+        max([0.0] + [r.action_residual for r in reports]),
+        _tol(args),
+    )
+    _emit(report.as_dict(), args)
+    return OK if report.passed else VIOLATION
 
 
 def cmd_factorizability(args) -> int:

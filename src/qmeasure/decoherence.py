@@ -70,6 +70,8 @@ class DecoherenceFunctional:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (n, n):
                 raise ValueError("matrix shape does not match history count")
+            if not np.isfinite(m).all():
+                raise ValueError("matrix has a non-finite entry")
             object.__setattr__(self, "matrix", m)
         else:
             if self.branch.amplitudes.shape[0] != n:

@@ -455,6 +455,39 @@ def patch_marginal_residual(
 # ---------------------------------------------------------------------------
 # Converse construction
 
+def two_wing_scenario(
+    past: np.ndarray,
+    outcomes_a: Sequence[np.ndarray],
+    outcomes_b: Sequence[np.ndarray],
+    counts: tuple[int, int],
+    matrices: Mapping[tuple[int, int], np.ndarray],
+) -> SettingScenario:
+    """The four theories of a past point z and wings wa, wb, z before both.
+
+    History h has value `past[h]` at z; under setting (sa, sb) it has
+    outcome `outcomes_a[sa][h]` on wing A and `outcomes_b[sb][h]` on wing
+    B, stored as setting * n + outcome for the wing's outcome count n in
+    `counts` = (na, nb).  `matrices[(sa, sb)]` is that theory's dense
+    matrix, and the beam events are the wing values of its setting.
+    """
+    na, nb = counts
+    points = ("z", "wa", "wb")
+    order = CausalOrder.from_covers(points, [("z", "wa"), ("z", "wb")])
+    alphabets = {"z": int(past.max()) + 1, "wa": 2 * na, "wb": 2 * nb}
+    theories = {}
+    for sa, sb in SETTING_KEYS:
+        space = HistorySpace(
+            points=points,
+            histories=np.stack([past, outcomes_a[sa] + sa * na, outcomes_b[sb] + sb * nb], axis=1),
+            alphabets=alphabets,
+        )
+        dcf = DecoherenceFunctional(space, matrix=matrices[(sa, sb)])
+        beam_a = tuple(Event(space, outcomes_a[sa] == i) for i in range(na))
+        beam_b = tuple(Event(space, outcomes_b[sb] == j) for j in range(nb))
+        theories[(sa, sb)] = SettingTheory(space, order, dcf, beam_a, beam_b)
+    return SettingScenario(theories, ("z",), ("wa",), ("wb",))
+
+
 def converse_model(beam_joint: np.ndarray) -> SettingScenario:
     """Scenario whose past carries one history per beam-label word.
 
@@ -464,6 +497,13 @@ def converse_model(beam_joint: np.ndarray) -> SettingScenario:
     every theory's matrix is the flat joint itself: each is factorizable
     exactly and reproduces the input's setting marginals without error.
     Refuses non-PSD input.
+
+    Persistence of zero is another matter.  For the joint of
+    `quantum_patch(scenario, ordering)`, only the theory whose settings'
+    operators `ordering` lists first on each wing (applied last) passes
+    it in general: (0, 0) for the stock ordering (a, ap, b, bp), (1, 1)
+    for (ap, a, bp, b).  The other three may fail it, as on the stock
+    spin pair, where `quantum_patch` then refuses the converse scenario.
     """
     bj = np.asarray(beam_joint, dtype=complex)
     if bj.ndim == 2:
@@ -482,28 +522,12 @@ def converse_model(beam_joint: np.ndarray) -> SettingScenario:
         raise ValueError("beam joint is not Hermitian")
     if abs(flat.sum() - 1.0) > floor:
         raise ValueError("beam joint is not normalized")
-
     key = np.arange(nkey)
-    outcomes = np.unravel_index(key, (na, na, nb, nb))  # i, i', j, j'
-    points = ("z", "wa", "wb")
-    order = CausalOrder.from_covers(points, [("z", "wa"), ("z", "wb")])
-    theories = {}
-    for sa in (0, 1):
-        for sb in (0, 1):
-            space = HistorySpace(
-                points=points,
-                histories=np.stack(
-                    [key, outcomes[sa] + sa * na, outcomes[2 + sb] + sb * nb], axis=1
-                ),
-                alphabets={"z": nkey, "wa": 2 * na, "wb": 2 * nb},
-            )
-            dcf = DecoherenceFunctional(space, matrix=flat)
-            beam_a = tuple(space.value_event("wa", sa * na + i) for i in range(na))
-            beam_b = tuple(space.value_event("wb", sb * nb + j) for j in range(nb))
-            theories[(sa, sb)] = SettingTheory(space, order, dcf, beam_a, beam_b)
+    i, ip, j, jp = np.unravel_index(key, (na, na, nb, nb))
+    scenario = two_wing_scenario(key, (i, ip), (j, jp), (na, nb), dict.fromkeys(SETTING_KEYS, flat))
     # the four theories share one matrix, so one factor tests them all
-    theories[(0, 0)].dcf.factor  # raises CheckViolation unless the joint is PSD
-    return SettingScenario(theories, ("z",), ("wa",), ("wb",))
+    scenario.theory(0, 0).dcf.factor  # raises CheckViolation unless the joint is PSD
+    return scenario
 
 
 # ---------------------------------------------------------------------------

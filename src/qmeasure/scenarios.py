@@ -8,6 +8,7 @@ three-wing parity model.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .histories import (
     build_ghz_event,
     build_pr_event,
 )
-from .patching import CorrelationTable, SettingScenario, SettingTheory
+from .patching import SETTING_KEYS, CorrelationTable, SettingScenario, two_wing_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +112,6 @@ def _spin_projector(theta: float) -> np.ndarray:
     return np.outer(v, v)
 
 
-EPRB_POINTS = ("z", "wa", "wb")
-
-
 def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> SettingScenario:
     """Four-theory scenario for the two-wing spin pair.
 
@@ -134,33 +132,24 @@ def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> Se
             "resolution basis has a vector orthogonal to the initial state; "
             "the past algebra cannot span the full event Hilbert space"
         )
-    order = CausalOrder.from_covers(EPRB_POINTS, [("z", "wa"), ("z", "wb")])
     angles_a = cfg.angles[0:2]
     angles_b = cfg.angles[2:4]
     q = cfg.resolution_basis
     psi = cfg.initial_state
-    theories = {}
-    for sa in (0, 1):
-        for sb in (0, 1):
-            space = HistorySpace(
-                points=EPRB_POINTS,
-                histories=np.indices((4, 2, 2)).reshape(3, 16).T + (0, sa * 2, sb * 2),
-                alphabets={"z": 4, "wa": 4, "wb": 4},
-            )
-            vectors = np.zeros((16, 4), dtype=complex)
-            for k in range(4):
-                qk = q[:, k] * np.vdot(q[:, k], psi)
-                for i in range(2):
-                    pa = _spin_projector(angles_a[sa] + i * np.pi / 2)
-                    for j in range(2):
-                        jj = 1 - j if cfg.flip_b else j
-                        pb = _spin_projector(angles_b[sb] + jj * np.pi / 2)
-                        vectors[k * 4 + i * 2 + j] = np.kron(pa, pb) @ qk
-            dcf = DecoherenceFunctional.from_history_vectors(space, vectors)
-            beam_a = tuple(space.value_event("wa", sa * 2 + i) for i in range(2))
-            beam_b = tuple(space.value_event("wb", sb * 2 + j) for j in range(2))
-            theories[(sa, sb)] = SettingTheory(space, order, dcf, beam_a, beam_b)
-    return SettingScenario(theories, ("z",), ("wa",), ("wb",))
+    matrices = {}
+    for sa, sb in SETTING_KEYS:
+        vectors = np.zeros((16, 4), dtype=complex)
+        for k in range(4):
+            qk = q[:, k] * np.vdot(q[:, k], psi)
+            for i in range(2):
+                pa = _spin_projector(angles_a[sa] + i * np.pi / 2)
+                for j in range(2):
+                    jj = 1 - j if cfg.flip_b else j
+                    pb = _spin_projector(angles_b[sb] + jj * np.pi / 2)
+                    vectors[k * 4 + i * 2 + j] = np.kron(pa, pb) @ qk
+        matrices[(sa, sb)] = vectors.conj() @ vectors.T
+    past, out_a, out_b = np.indices((4, 2, 2)).reshape(3, 16)
+    return two_wing_scenario(past, (out_a, out_a), (out_b, out_b), (2, 2), matrices)
 
 
 def eprb_computational_basis_fixture() -> SettingScenario:
@@ -172,163 +161,85 @@ def eprb_computational_basis_fixture() -> SettingScenario:
 
 
 # ---------------------------------------------------------------------------
-# Nonlocal box
+# Classical records: the nonlocal box and the three-wing parity model
 
 @dataclass(frozen=True, eq=False)
-class PrBoxModel:
-    """Beam functionals and the sixteen-history classical realization of
-    the box statistics under uniformly random joint settings."""
+class RecordModel:
+    """Classical record of local measurements under uniformly random
+    settings: the value at each wing point is 2 * setting + outcome."""
 
-    beam_dcfs: dict
     space: HistorySpace
     order: CausalOrder
     dcf: DecoherenceFunctional
+    wings: tuple[str, ...]
 
-    def setting_event(self, sa: int, sb: int) -> Event:
-        a_set = self.space.value_event("w1", 2 * sa) | self.space.value_event(
-            "w1", 2 * sa + 1
-        )
-        b_set = self.space.value_event("w2", 2 * sb) | self.space.value_event(
-            "w2", 2 * sb + 1
-        )
-        return a_set & b_set
+    def _wing_event(self, wanted: tuple[int, ...], part) -> Event:
+        """The histories whose wing values v have part(v, 2) == wanted."""
+        if len(wanted) != len(self.wings):
+            raise ValueError(f"need one value per wing of {self.wings}, got {wanted}")
+        values = self.space.value_matrix[:, self.space.columns(self.wings)]
+        return Event(self.space, (part(values, 2) == wanted).all(axis=1))
 
-    def outcome_event(self, i: int, j: int) -> Event:
-        out = self.space.empty_event()
-        for sa in (0, 1):
-            for sb in (0, 1):
-                out = out | (
-                    self.space.value_event("w1", 2 * sa + i)
-                    & self.space.value_event("w2", 2 * sb + j)
-                )
-        return out
+    def setting_event(self, *settings: int) -> Event:
+        """The histories whose wings ran these settings, one per wing."""
+        return self._wing_event(settings, np.floor_divide)
+
+    def outcome_event(self, *outcomes: int) -> Event:
+        """The histories whose wings saw these outcomes, one per wing."""
+        return self._wing_event(outcomes, np.mod)
+
+
+@dataclass(frozen=True, eq=False)
+class PrBoxModel(RecordModel):
+    """The box record, with the beam functionals of its four settings."""
+
+    beam_dcfs: dict
 
     def pr_event(self) -> Event:
         return build_pr_event(
-            self.setting_event(0, 0),
-            self.setting_event(0, 1),
-            self.setting_event(1, 0),
-            self.setting_event(1, 1),
-            self.outcome_event(0, 0),
-            self.outcome_event(0, 1),
-            self.outcome_event(1, 0),
-            self.outcome_event(1, 1),
+            *(self.setting_event(*key) for key in SETTING_KEYS),
+            *(self.outcome_event(*key) for key in SETTING_KEYS),
         )
 
 
 def gen_pr_box() -> tuple[PrBoxModel, CorrelationTable]:
     """Box correlations: perfectly correlated beams under three joint
     settings, anti-correlated under the fourth; marginals uniform, so
-    no-signalling holds with zero residual."""
-    tables = {}
-    for sa in (0, 1):
-        for sb in (0, 1):
-            anti = sa == 1 and sb == 1
-            tab = np.zeros((2, 2))
-            for i in range(2):
-                for j in range(2):
-                    tab[i, j] = 0.5 if (i == j) != anti else 0.0
-            tables[(sa, sb)] = tab
-    # classical joint model: value = 2*setting + outcome per wing,
-    # settings uniformly random
-    histories = tuple((a, b) for a in range(4) for b in range(4))
-    space = HistorySpace(points=("w1", "w2"), histories=histories)
+    no-signalling holds with zero residual.  The record has sixteen
+    histories, settings uniformly random."""
+    tables = {
+        (sa, sb): 0.5 * (np.eye(2, dtype=bool) != (sa == sb == 1))
+        for sa, sb in SETTING_KEYS
+    }
+    sa, i, sb, j = np.indices((2, 2, 2, 2)).reshape(4, 16)
+    space = HistorySpace(points=("w1", "w2"), histories=np.stack([2 * sa + i, 2 * sb + j], axis=1))
     order = CausalOrder.antichain(("w1", "w2"))
-    diag = np.zeros(16)
-    for h, (a, b) in enumerate(histories):
-        sa, i = divmod(a, 2)
-        sb, j = divmod(b, 2)
-        diag[h] = 0.25 * tables[(sa, sb)][i, j]
+    diag = 0.25 * np.stack([tables[key] for key in SETTING_KEYS])[2 * sa + sb, i, j]
     dcf = DecoherenceFunctional(space, matrix=np.diag(diag).astype(complex))
     table = CorrelationTable(tables)
-    return PrBoxModel(table.beam_dcfs(), space, order, dcf), table
+    return PrBoxModel(space, order, dcf, ("w1", "w2"), table.beam_dcfs()), table
 
-
-# ---------------------------------------------------------------------------
-# Three-wing parity model
 
 GHZ_STATE = np.zeros(8, dtype=complex)
 GHZ_STATE[0] = GHZ_STATE[7] = 1.0 / np.sqrt(2.0)
 
-_X_VECTORS = (
-    np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-)
-_Y_VECTORS = (
-    np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-    np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
-)
+# eigenvectors [setting, outcome]: setting 0 measures x, setting 1 y
+_XY_VECTORS = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0j], [1.0, -1.0j]]]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class GhzModel:
-    space: HistorySpace
-    order: CausalOrder
-    dcf: DecoherenceFunctional
-
-    def setting_event(self, word: str) -> Event:
-        ev = self.space.full_event()
-        for wing, ch in enumerate(word):
-            s = 0 if ch == "x" else 1
-            point = f"w{wing + 1}"
-            ev = ev & (
-                self.space.value_event(point, 2 * s)
-                | self.space.value_event(point, 2 * s + 1)
-            )
-        return ev
-
-    def outcome_event(self, word: str) -> Event:
-        ev = self.space.empty_event()
-        for s1 in (0, 1):
-            for s2 in (0, 1):
-                for s3 in (0, 1):
-                    cur = self.space.full_event()
-                    for wing, (ch, s) in enumerate(zip(word, (s1, s2, s3))):
-                        o = 0 if ch == "u" else 1
-                        cur = cur & self.space.value_event(f"w{wing + 1}", 2 * s + o)
-                    ev = ev | cur
-        return ev
-
-    def ghz_event(self) -> Event:
-        outcomes = {
-            w: self.outcome_event(w)
-            for w in ("uud", "udu", "duu", "ddd", "ddu", "dud", "udd", "uuu")
-        }
-        return build_ghz_event(
-            self.setting_event("xyy"),
-            self.setting_event("yxy"),
-            self.setting_event("yyx"),
-            self.setting_event("xxx"),
-            outcomes,
-        )
-
-
-def gen_ghz() -> tuple[GhzModel, Event]:
+def gen_ghz() -> tuple[RecordModel, Event]:
     """Classical record of x/y measurements on the three-spin parity
     state, settings uniformly random: the parity correlation event has
     unit measure."""
     points = ("src", "w1", "w2", "w3")
-    histories = []
-    diag = []
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for s3 in (0, 1):
-                for o1 in (0, 1):
-                    for o2 in (0, 1):
-                        for o3 in (0, 1):
-                            vecs = [
-                                (_X_VECTORS, _Y_VECTORS)[s][o]
-                                for s, o in zip((s1, s2, s3), (o1, o2, o3))
-                            ]
-                            basis_vec = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
-                            p = abs(np.vdot(basis_vec, GHZ_STATE)) ** 2
-                            histories.append(
-                                (0, 2 * s1 + o1, 2 * s2 + o2, 2 * s3 + o3)
-                            )
-                            diag.append(p / 8.0)
+    settings, outcomes = np.indices((2,) * 6).reshape(2, 3, 64).transpose(0, 2, 1)
+    diag = [
+        abs(np.vdot(np.kron(np.kron(v[0], v[1]), v[2]), GHZ_STATE)) ** 2 / 8.0
+        for v in _XY_VECTORS[settings, outcomes]
+    ]
     space = HistorySpace(
         points=points,
-        histories=tuple(histories),
+        histories=np.pad(2 * settings + outcomes, ((0, 0), (1, 0))),
         alphabets={"src": 1, "w1": 4, "w2": 4, "w3": 4},
     )
     order = CausalOrder.from_covers(
@@ -337,5 +248,10 @@ def gen_ghz() -> tuple[GhzModel, Event]:
     dcf = DecoherenceFunctional(
         space, matrix=np.diag(np.array(diag)).astype(complex)
     )
-    model = GhzModel(space, order, dcf)
-    return model, model.ghz_event()
+    model = RecordModel(space, order, dcf, ("w1", "w2", "w3"))
+    words = ["".join(w) for w in itertools.product("ud", repeat=3)]
+    event = build_ghz_event(
+        *(model.setting_event(*s) for s in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0))),
+        {w: model.outcome_event(*map("ud".index, w)) for w in words},
+    )
+    return model, event

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,18 @@ class TestGeometry:
         )
         assert not rep.a_disjoint_from_z
         assert rep.b_disjoint_from_z
+        assert not rep.passed
+        assert rep.as_dict() == {
+            "z_is_past_set": True,
+            "a_in_future_domain": True,
+            "b_in_future_domain": True,
+            "a_disjoint_from_z": False,
+            "b_disjoint_from_z": True,
+            "wings_spacelike": False,
+            "union_is_past_set": True,
+            "passed": False,
+        }
+        assert list(rep.as_dict()) == [f.name for f in dataclasses.fields(rep)] + ["passed"]
 
     def test_related_wings_fail_spacelike_clause(self, diamond):
         rep = validate_scenario_geometry(

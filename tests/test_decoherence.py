@@ -33,6 +33,16 @@ class TestBranchRep:
             BranchRep(amps, np.zeros(3, dtype=int), 1)
 
 
+class TestDenseMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_refused(self, bad):
+        space = HistorySpace(points=("p",), histories=((0,), (1,)))
+        m = np.diag([0.0, 1.0]).astype(complex)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DecoherenceFunctional(space, matrix=m)
+
+
 class TestEvaluate:
     def test_double_slit_matches_oracle(self, double_slit):
         space, _, dcf = double_slit

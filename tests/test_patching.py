@@ -378,6 +378,36 @@ class TestConverse:
                 assert t.space.value_matrix.tolist() == [list(h) for h in histories]
                 assert np.array_equal(t.dcf.matrix, flat)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_refused(self, eprb_scenario, bad):
+        joint = quantum_patch(eprb_scenario).beam_joint().reshape(16, 16)
+        joint[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            converse_model(joint)
+
+    @pytest.mark.parametrize(
+        "ordering, passing",
+        [
+            (("a", "ap", "b", "bp"), (0, 0)),
+            (("ap", "a", "bp", "b"), (1, 1)),
+            (("a", "ap", "bp", "b"), (0, 1)),
+            (("ap", "a", "b", "bp"), (1, 0)),
+        ],
+    )
+    def test_poz_holds_where_the_operators_apply_last(self, eprb_scenario, ordering, passing):
+        # the theory of the settings listed first on each wing (applied
+        # last) keeps persistence of zero; the other three lose it
+        from qmeasure import check_poz
+
+        conv = converse_model(quantum_patch(eprb_scenario, ordering).beam_joint())
+        for key, t in conv.theories.items():
+            report = check_poz(t.dcf, t.order)
+            if key == passing:
+                assert report.passed and report.max_violation < 1e-12
+            else:
+                assert not report.passed
+                assert report.max_violation == pytest.approx(0.0625, abs=1e-9)
+
     def test_non_psd_rejected(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1] + [0.0] * 12).astype(complex)
         with pytest.raises(ValueError):

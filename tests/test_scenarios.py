@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,7 @@ class TestGhz:
     def test_all_x_uuu_has_measure_one_thirtysecond(self):
         # oracle: |<+++|ghz>|^2 / 8 settings
         model, _ = gen_ghz()
-        ev = model.setting_event("xxx") & model.outcome_event("uuu")
+        ev = model.setting_event(0, 0, 0) & model.outcome_event(0, 0, 0)
         want = ghz_probability((0, 0, 0), (0, 0, 0)) / 8.0
         assert want == pytest.approx(1 / 32, abs=1e-12)
         assert model.dcf.measure(ev) == pytest.approx(want, abs=1e-12)
@@ -203,6 +205,43 @@ class TestGhz:
                 sel = sel & model.space.value_event(f"w{wing+1}", 2 * s + o)
             want = ghz_probability(settings, outcomes) / 8.0
             assert model.dcf.measure(sel) == pytest.approx(want, abs=1e-12)
+
+
+def union_of_value_events(space, wings, per_wing):
+    """Reference event from value events alone: per wing, the union over
+    the values in `per_wing`, then the intersection over wings."""
+    ev = space.full_event()
+    for wing, values in zip(wings, per_wing):
+        hit = space.empty_event()
+        for v in values:
+            hit = hit | space.value_event(wing, v)
+        ev = ev & hit
+    return ev
+
+
+@pytest.mark.parametrize("gen", [gen_pr_box, gen_ghz], ids=["pr", "ghz"])
+class TestRecordEvents:
+    def test_setting_and_outcome_events_match_value_unions(self, gen):
+        model, _ = gen()
+        n = len(model.wings)
+        for word in itertools.product((0, 1), repeat=n):
+            settings = [(2 * s, 2 * s + 1) for s in word]
+            outcomes = [(o, 2 + o) for o in word]
+            assert model.setting_event(*word) == union_of_value_events(
+                model.space, model.wings, settings
+            )
+            assert model.outcome_event(*word) == union_of_value_events(
+                model.space, model.wings, outcomes
+            )
+
+    def test_wrong_tuple_length_refused(self, gen):
+        model, _ = gen()
+        n = len(model.wings)
+        for bad in ((0,) * (n - 1), (0,) * (n + 1)):
+            with pytest.raises(ValueError, match="one value per wing"):
+                model.setting_event(*bad)
+            with pytest.raises(ValueError, match="one value per wing"):
+                model.outcome_event(*bad)
 
 
 class TestDefaultResolutionBasis:
