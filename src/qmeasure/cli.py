@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasibility", help="PSD joint feasibility search")
     p.add_argument("input")
-    p.add_argument("--budget", type=_between(int, 0, math.inf), default=20000)
+    p.add_argument("--budget", type=_between(int, 0, math.inf), default=1000)
     common(p)
     p.set_defaults(func=cmd_feasibility)
 

@@ -7,9 +7,9 @@ quantum route composes event operators on the past's event Hilbert
 space into a joint decoherence functional whose setting marginals are
 the four theories.  A converse construction rebuilds a (formally
 factorizable) scenario from any joint functional over the beam slots,
-and alternating projections decide whether four beam functionals admit
-any PSD joint at all: a checked witness proves "feasible" and a Farkas
-certificate proves "infeasible".
+and a semismooth Newton method decides whether four beam functionals
+admit any PSD joint at all: a checked witness proves "feasible" and a
+Farkas certificate proves "infeasible".
 """
 
 from __future__ import annotations
@@ -607,11 +607,13 @@ class FeasibilityReport:
 
 
 def _farkas(pencil, s, x, y, trace, tol, step) -> FarkasCertificate | None:
-    """Try S = A+(Ay - b), the affine correction of the step that moved
-    the PSD point y to x, as a certificate of infeasibility.  The slack,
+    """Try S, a matrix in the row space of A, as a certificate of
+    infeasibility, with x a point of the marginal plane: the affine
+    correction A+(Ay - b) of the step that moved the PSD point y to x, or
+    the dual direction of `joint_feasibility` against X0.  The slack,
     tol.rel max(1, |y|) (|x| + trace), is the scale of the rounded
-    products it absorbs: S comes from y, and value and slack term weigh S
-    against x and against C."""
+    products it absorbs: S comes from y or has unit norm, and value and
+    slack term weigh S against x and against C."""
     value = float(np.vdot(s, x).real)
     delta = max(0.0, -float(np.linalg.eigvalsh(pencil.T @ s @ pencil).min()))
     slack = tol.rel * max(1.0, float(np.linalg.norm(y))) * (
@@ -623,11 +625,13 @@ def _farkas(pencil, s, x, y, trace, tol, step) -> FarkasCertificate | None:
 
 
 @functools.lru_cache(maxsize=4)
-def _constraint_maps(na: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _constraint_maps(na: int, nb: int) -> tuple[np.ndarray, ...]:
     """The marginal map A of joint functionals X over the n beam labels
-    (i, i', j, j'), its pseudo-inverse and the pencil basis P of `_farkas`,
-    shared by every call with these outcome counts.  `A @ X.ravel()` stacks
-    the raveled setting marginals; A+ projects in X's Frobenius metric."""
+    (i, i', j, j'), its pseudo-inverse, the pencil basis P of `_farkas`
+    and an orthonormal basis E of the Hermitian matrices in A's row
+    space, shared by every call with these outcome counts.  `A @
+    X.ravel()` stacks the raveled setting marginals; A+ projects in X's
+    Frobenius metric, and for Hermitian X, A+ A X = sum_k Re<E_k, X> E_k."""
     n = na * na * nb * nb
     labels = np.indices((na, na, nb, nb)).reshape(4, n)
     # cells[s, (i, j), label] = 1 where the label reads i on wing A and
@@ -643,60 +647,161 @@ def _constraint_maps(na: int, nb: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # depend only on (na, nb), never on the input, so each 1e-12 cut
     # below separates rank from rounding; neither is a tolerance.
     apinv = np.linalg.pinv(amat, rcond=1e-12)
+    # A is real and its rows come in transposed pairs, so its row space
+    # splits into real symmetric and real antisymmetric matrices; the
+    # symmetric ones and i times the antisymmetric ones are a real
+    # orthonormal basis of its Hermitian matrices
+    flip = amat.reshape(-1, n, n).swapaxes(1, 2).reshape(amat.shape)
+    parts = []
+    for sign, phase in ((1.0, 1.0), (-1.0, 1j)):
+        _, sv, vt = np.linalg.svd(amat + sign * flip, full_matrices=False)
+        rows = vt[: int((sv > 1e-12 * sv[0]).sum())].reshape(-1, n, n)
+        parts.append(phase * (rows + sign * rows.swapaxes(1, 2)) / 2.0)
+    basis = np.concatenate(parts)
     # V = span of the cell indicators, with orthonormal basis Q = vt[:r]^T;
     # Q^T C Q = diag(sv^2), so its Cholesky factor is diag(sv) and the
     # pencil (Q^T S Q, Q^T C Q) has the eigenvalues of P^T S P with
     # P = Q diag(sv)^-1
     _, sv, vt = np.linalg.svd(cells.reshape(-1, n), full_matrices=False)
     r = int((sv > 1e-12 * sv[0]).sum())
-    # complex once here, not cast at every step
-    maps = (amat.astype(complex), apinv.astype(complex), vt[:r].T / sv[:r])
+    maps = (amat, apinv, vt[:r].T / sv[:r], basis)
     for arr in maps:
         arr.flags.writeable = False
     return maps
 
 
+# joint_feasibility's Newton step: the cap on the regularization, the
+# Armijo fraction and the most step lengths one line search tries
+NEWTON_EPS = 1e-2
+ARMIJO_SIGMA = 1e-4
+MAX_TRIES = 40
+# theta is known only to a few ulps of its size: a decrease lost in that
+# rounding still passes Armijo's test, so rounding cannot stall a search
+# that is already at the witness's accuracy.  It certifies nothing.
+THETA_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _dual_point(x0, flat, offset, z):
+    """Eigendecomposition of X0 + A*z and the dual value theta(z)."""
+    n = x0.shape[0]
+    w, u = np.linalg.eigh(x0 + (z @ flat).reshape(n, n))
+    return w, u, 0.5 * float(np.sum(np.maximum(w, 0.0) ** 2)) - float(offset @ z)
+
+
+def _generalized_jacobian(basis, w, u) -> np.ndarray:
+    """V_kl = Re<U^H E_k U, Omega o (U^H E_l U)> at X0 + A*z = U diag(w) U^H.
+
+    Omega (Qi and Sun) holds the first divided differences of max(., 0)
+    at w: 1 between positive eigenvalues, 0 between non-positive ones and
+    w_i / (w_i - w_j) from a positive w_i to a non-positive w_j.  It is
+    symmetric, so only the rows of U^H E_k U at positive w enter, their
+    entries in non-positive columns twice (once for the mirrored entry).
+    By Hermiticity those rows are (E_k U_+)^H U, U_+ the columns of U at
+    positive w: the products scale with the rank of the PSD point.
+    """
+    pos = w > 0
+    n = len(w)
+    rows = (basis.reshape(-1, n) @ u[:, pos]).reshape(len(basis), n, -1)
+    rows = (rows.conj().swapaxes(1, 2) @ u).reshape(len(basis), -1)
+    wp = w[pos][:, None]
+    weight = np.where(pos, 1.0, 2.0 * wp / (wp - np.minimum(w, 0.0)))
+    return (rows.conj() @ (weight.ravel() * rows).T).real
+
+
 def joint_feasibility(
     beam_dcfs: Mapping[tuple[int, int], np.ndarray],
-    budget: int = 20000,
+    budget: int = 1000,
     tol: Tolerance = Tolerance(),
 ) -> FeasibilityReport:
-    """Alternating projections between the PSD cone and the plane of
-    joint functionals over the beam labels with the four inputs as
-    setting marginals.
+    """Decide whether a PSD joint functional over the beam labels has the
+    four inputs as setting marginals, by projecting X0 = A+b, the
+    least-norm joint with those marginals, onto {X PSD, A X = b}.
 
-    Each step projects x onto the cone (y, from one `eigh`) and back
-    (x = y - corr, `gap` = |corr|_F).  Once gap <= tol.rel (lambda_max(y)
-    - gap), x is the witness of "feasible": it has the input marginals,
-    and as y is PSD, Weyl gives lambda_min(x) >= -gap and lambda_max(x) >=
-    lambda_max(y) - gap, so x clears tol.psd_floor(lambda_max(x)).  At
-    steps 1, 2, 4, 8, ... corr is tried as a `FarkasCertificate`; once one
-    holds, the verdict is infeasible.  Exhausting the budget first is
-    reported as undecided-infeasible: the residual gap estimates the
-    distance between cone and plane but is not a proof.  Inputs must be
-    no-signalling at `tol.matrix_floor`, else the plane is empty.
+    The projection is found on its dual (Malick, SIAM J. Matrix Anal.
+    Appl. 26 (2004) 272): with E the orthonormal Hermitian basis of A's
+    row space and A*z = sum_k z_k E_k, minimize the convex, once
+    differentiable theta(z) = 1/2 |Pi+(X0 + A*z)|_F^2 - <X0, A*z>.  Its
+    gradient g holds the coefficients of corr = A+(A y - b), where y =
+    Pi+(X0 + A*z) is the PSD point of the step.  Each step is one step of
+    Qi and Sun's semismooth Newton method with Armijo line search (SIAM J.
+    Matrix Anal. Appl. 28 (2006) 360):
+    - one `eigh` of X0 + A*z = U diag(w) U^H gives y and the generalized
+      Jacobian V_kl = Re<U^H E_k U, Omega o (U^H E_l U)>, r x r with r =
+      rank A (49 for two outcomes per wing), eigenvalues in [0, 1];
+    - the Newton equation is regularized, (V + eps I) d = -g with eps =
+      min(1e-2, gap / |X0|_F), so the step is defined where V is
+      singular, eps = O(|g|) keeps the local convergence quadratic where
+      V is not, and scaling the inputs scales every iterate.  At this
+      size a dense solve is cheaper than conjugate gradients;
+    - Armijo backtracking: the first t of 1, 1/2, 1/4, ... with
+      theta(z + t d) <= theta(z) + 1e-4 t <g, d> (up to theta's
+      rounding), or else the last of 40 tries, t = 2^-39.
+
+    The stop and the witness are those of alternating projections: x = y
+    - corr has the input marginals, `gap` = |corr|_F, and once gap <=
+    tol.rel (lambda_max(y) - gap), x is the witness of "feasible": as y is
+    PSD, Weyl gives lambda_min(x) >= -gap and lambda_max(x) >= lambda_max(y)
+    - gap, so x clears tol.psd_floor(lambda_max(x)).
+
+    When no PSD joint exists, theta is unbounded below and z runs off to
+    infinity along a direction whose S = -A*z / |A*z| is PSD on the span
+    of the cells and has <S, X0> < 0, which is a Farkas certificate.  So
+    each step tries both corr (against x) and S (against X0) as a
+    `FarkasCertificate`: a try is one `eigvalsh` on the cell span, small
+    next to a Newton step, and waiting for later steps only lets |z|
+    grow.  Exhausting the budget first is reported as
+    undecided-infeasible: the residual gap estimates the distance between
+    cone and plane but is not a proof.  `iterations` and `budget` count
+    Newton steps.  Inputs must be no-signalling at `tol.matrix_floor`,
+    else the plane is empty.
     """
     d = {k: np.asarray(v, dtype=complex) for k, v in beam_dcfs.items()}
     na, nb = d[(0, 0)].shape[:2]
     b = np.concatenate([d[key].ravel() for key in SETTING_KEYS])
+    mats = [d[k].reshape(na * nb, -1) for k in SETTING_KEYS]
     ns = no_signalling_residual(d)
     if not ns <= tol.matrix_floor(b):  # NaN too
         raise ValueError(f"inputs violate no-signalling (residual {ns:.3e})")
-    amat, apinv, pencil = _constraint_maps(na, nb)
+    herm = max(float(np.abs(m - m.conj().T).max()) for m in mats)
+    if not herm <= tol.matrix_floor(b):
+        raise ValueError(f"inputs are not Hermitian (residual {herm:.3e})")
+    _, apinv, pencil, basis = _constraint_maps(na, nb)
     n = na * na * nb * nb
-    trace = sum(float(np.trace(d[k].reshape(na * nb, -1)).real) for k in SETTING_KEYS)
-    x = (apinv @ b).reshape(n, n)
+    trace = sum(float(np.trace(m).real) for m in mats)
+    flat = basis.reshape(len(basis), -1)
+    x0 = (apinv @ b).reshape(n, n)
+    # Re<E_k, X> is Re sum E_k conj(X): no conjugate copy of the basis
+    offset = (flat @ x0.conj().ravel()).real
+    scale = float(np.linalg.norm(x0))
+    z = np.zeros(len(basis))
+    w, u, theta = _dual_point(x0, flat, offset, z)
     gap = float("inf")
     for it in range(1, budget + 1):
-        w, u = np.linalg.eigh(x)
         y = (u * np.maximum(w, 0.0)) @ u.conj().T
-        corr = (apinv @ (amat @ y.ravel() - b)).reshape(n, n)
+        # A+(A y - b) = P y - X0 = sum_k Re<E_k, y - X0> E_k, as y and X0
+        # are Hermitian; its coefficients are the gradient of theta
+        grad = (flat @ y.conj().ravel()).real - offset
+        corr = (grad @ flat).reshape(n, n)
         x = y - corr
         gap = float(np.linalg.norm(corr))
         if gap <= tol.rel * (w[-1] - gap):
             return FeasibilityReport("feasible", gap, it, ns, tol, witness=x)
-        if it & (it - 1) == 0:
-            cert = _farkas(pencil, corr, x, y, trace, tol, it)
+        tries = [(corr, x)]
+        if z.any():
+            tries.append((-(z @ flat).reshape(n, n) / np.linalg.norm(z), x0))
+        for s, at in tries:
+            cert = _farkas(pencil, s, at, y, trace, tol, it)
             if cert is not None:
                 return FeasibilityReport("infeasible", gap, it, ns, tol, certificate=cert)
+        jac = _generalized_jacobian(basis, w, u)
+        eps = min(NEWTON_EPS, gap / scale)
+        step = np.linalg.solve(jac + eps * np.eye(len(z)), -grad)
+        slope = float(grad @ step)
+        for t in 0.5 ** np.arange(MAX_TRIES):
+            z_t = z + t * step
+            w_t, u_t, theta_t = _dual_point(x0, flat, offset, z_t)
+            rounding = THETA_ROUNDING * (abs(theta) + abs(theta_t))
+            if theta_t <= theta + ARMIJO_SIGMA * t * slope + rounding:
+                break
+        z, w, u, theta = z_t, w_t, u_t, theta_t
     return FeasibilityReport("undecided-infeasible", gap, budget, ns, tol)

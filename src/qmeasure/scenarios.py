@@ -107,9 +107,12 @@ class EprbConfig:
         return np.abs(self.resolution_basis.conj().T @ self.initial_state)
 
 
-def _spin_projector(theta: float) -> np.ndarray:
-    v = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-    return np.outer(v, v)
+def _spin_projectors(angles) -> np.ndarray:
+    """The projectors [setting, outcome] of one wing's two analyzers;
+    outcome 1 is the analyzer turned by a right angle."""
+    theta = np.asarray(angles)[:, None] + np.array([0.0, np.pi / 2])
+    v = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
+    return v[..., :, None] * v[..., None, :]
 
 
 def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> SettingScenario:
@@ -132,22 +135,16 @@ def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> Se
             "resolution basis has a vector orthogonal to the initial state; "
             "the past algebra cannot span the full event Hilbert space"
         )
-    angles_a = cfg.angles[0:2]
-    angles_b = cfg.angles[2:4]
+    pa = _spin_projectors(cfg.angles[0:2])
+    pb = _spin_projectors(cfg.angles[2:4])
+    if cfg.flip_b:
+        pb = pb[:, ::-1]
     q = cfg.resolution_basis
-    psi = cfg.initial_state
-    matrices = {}
-    for sa, sb in SETTING_KEYS:
-        vectors = np.zeros((16, 4), dtype=complex)
-        for k in range(4):
-            qk = q[:, k] * np.vdot(q[:, k], psi)
-            for i in range(2):
-                pa = _spin_projector(angles_a[sa] + i * np.pi / 2)
-                for j in range(2):
-                    jj = 1 - j if cfg.flip_b else j
-                    pb = _spin_projector(angles_b[sb] + jj * np.pi / 2)
-                    vectors[k * 4 + i * 2 + j] = np.kron(pa, pb) @ qk
-        matrices[(sa, sb)] = vectors.conj() @ vectors.T
+    # branch k of the state, q_k <q_k, psi>, with its index split per spin
+    branches = (q * (q.conj().T @ cfg.initial_state)).T.reshape(4, 2, 2)
+    # vectors[sa, sb, (k, i, j)] = (P_a,i x P_b,j) q_k <q_k, psi>
+    vectors = np.einsum("xiac,yjbd,kcd->xykijab", pa, pb, branches).reshape(2, 2, 16, 4)
+    matrices = {key: vectors[key].conj() @ vectors[key].T for key in SETTING_KEYS}
     past, out_a, out_b = np.indices((4, 2, 2)).reshape(3, 16)
     return two_wing_scenario(past, (out_a, out_a), (out_b, out_b), (2, 2), matrices)
 

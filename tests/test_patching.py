@@ -580,11 +580,34 @@ class TestFeasibility:
         assert report.iterations < 100
         _check_certificate(model.beam_dcfs, report)
 
+    def test_newton_jacobian_is_the_derivative_of_the_gradient(self):
+        # theta's gradient z -> Re<E_k, Pi+(X0 + A*z)> is differentiable
+        # where no eigenvalue is 0; there V d is its directional derivative
+        from qmeasure.patching import _constraint_maps, _generalized_jacobian
+
+        basis = _constraint_maps(2, 2)[3]
+        rng = np.random.default_rng(8)
+        x0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        z, d = rng.normal(size=(2, len(basis)))
+
+        def point(zz):
+            w, u = np.linalg.eigh(x0 + x0.conj().T + np.einsum("k,kij->ij", zz, basis))
+            grad = np.einsum("kij,ij->k", basis.conj(), (u * np.maximum(w, 0.0)) @ u.conj().T)
+            return w, u, grad.real
+
+        w, u, _ = point(z)
+        assert np.abs(w).min() > 1e-3
+        h = 1e-5
+        slope = (point(z + h * d)[2] - point(z - h * d)[2]) / (2 * h)
+        jac = _generalized_jacobian(basis, w, u)
+        assert np.abs(jac - jac.T).max() < 1e-12
+        assert np.abs(jac @ d - slope).max() < 1e-7 * np.abs(slope).max()
+
     def test_box_undecided_below_certifying_step(self):
-        model, _ = gen_pr_box()
-        report = joint_feasibility(model.beam_dcfs, budget=8)
+        # just above Tsirelson's line no certificate comes within 200 steps
+        report = joint_feasibility(_noisy_box(0.7072), budget=200)
         assert report.verdict == "undecided-infeasible"
-        assert report.iterations == 8
+        assert report.iterations == 200
         assert report.certificate is None
         assert "certificate" not in report.as_dict()
 
@@ -624,22 +647,50 @@ class TestFeasibility:
         }
         _check_certificate(beam, report)
 
+    @pytest.mark.parametrize(
+        "v, verdict", [(2 ** -0.5 - 1e-3, "feasible"), (2 ** -0.5 + 3e-3, "infeasible")]
+    )
+    def test_noisy_box_decided_at_tsirelson_line(self, v, verdict):
+        # strong positivity of the noisy box switches at v = 1/sqrt(2), CHSH
+        # 2 sqrt(2) (Craig et al., J. Phys. A 40 (2007) 501); both sides of
+        # the line are decided within the default budget
+        beam = _noisy_box(v)
+        report = joint_feasibility(beam)
+        assert report.verdict == verdict
+        if verdict == "feasible":
+            _check_witness(beam, report)
+        else:
+            _check_certificate(beam, report)
+
     @pytest.mark.parametrize("na, nb", [(2, 2), (3, 2)])
     def test_constraint_map_matches_column_build(self, na, nb):
         from qmeasure.patching import _constraint_maps
 
-        amat, _, _ = _constraint_maps(na, nb)
+        amat = _constraint_maps(na, nb)[0]
         assert np.array_equal(amat, _marginal_matrix_by_columns(na, nb))
+
+    @pytest.mark.parametrize("na, nb", [(2, 2), (3, 2)])
+    def test_newton_basis_spans_the_hermitian_row_space(self, na, nb):
+        # the dual variables of the Newton steps: an orthonormal basis of the
+        # Hermitian matrices in the row space of the marginal map
+        from qmeasure.patching import _constraint_maps
+
+        amat, apinv, _, basis = _constraint_maps(na, nb)
+        flat = basis.reshape(len(basis), -1)
+        assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
+        assert len(basis) == np.linalg.matrix_rank(amat)
+        assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max() < 1e-13
+        assert np.abs(flat.T @ flat.conj() - apinv @ amat).max() < 1e-13
 
     @pytest.mark.parametrize(
         "source, verdict, iterations",
         [
-            ("stock", "feasible", 207),
-            ("box", "infeasible", 16),
-            (0.6, "feasible", 133),
-            (0.7, "feasible", 201),
-            (0.75, "infeasible", 64),
-            (0.9, "infeasible", 32),
+            ("stock", "feasible", 7),
+            ("box", "infeasible", 2),
+            (0.6, "feasible", 6),
+            (0.7, "feasible", 7),
+            (0.75, "infeasible", 5),
+            (0.9, "infeasible", 2),
         ],
     )
     def test_pinned_verdicts_and_iterations(self, eprb_scenario, source, verdict, iterations):
@@ -683,6 +734,26 @@ class TestFeasibility:
         beam[(0, 0)][0, 0, 0, 0] += 0.2
         with pytest.raises(ValueError):
             joint_feasibility(beam)
+
+    def test_non_hermitian_input_refused(self):
+        # the same entry added to every setting keeps the inputs
+        # no-signalling, but no Hermitian joint has these marginals
+        beam = _noisy_box(0.6)
+        for key in SETTING_KEYS:
+            beam[key][0, 0, 0, 1] += 1e-3j
+        assert no_signalling_residual(beam) == 0.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            joint_feasibility(beam)
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e3])
+    def test_scaled_inputs_take_the_same_steps(self, eprb_scenario, factor):
+        # the regularization is relative, so the iterates scale with the inputs
+        for beam in (eprb_scenario.beam_dcfs(), _noisy_box(0.7)):
+            report = joint_feasibility(beam)
+            scaled = {k: factor * v for k, v in beam.items()}
+            rescaled = joint_feasibility(scaled)
+            assert (rescaled.verdict, rescaled.iterations) == ("feasible", report.iterations)
+            _check_witness(scaled, rescaled)
 
     def test_signalling_refused_at_the_tolerance(self):
         # move 1e-7 of mass between outcomes of wing A under setting (0, 0):

@@ -50,7 +50,42 @@ class TestDoubleSlit:
         assert o1.leq[0, 1] and not o2.leq[0, 1]
 
 
+def kron_loop_matrices(cfg):
+    """The spin-pair functionals built one branch vector at a time, as
+    (P_a,i x P_b,j) q_k <q_k, psi> for every (k, i, j)."""
+    q, psi = cfg.resolution_basis, cfg.initial_state
+    matrices = {}
+    for sa, sb in itertools.product(range(2), repeat=2):
+        vectors = np.zeros((16, 4), dtype=complex)
+        for k, i, j in itertools.product(range(4), range(2), range(2)):
+            pa = spin_projector(cfg.angles[sa] + i * np.pi / 2)
+            jj = 1 - j if cfg.flip_b else j
+            pb = spin_projector(cfg.angles[2 + sb] + jj * np.pi / 2)
+            qk = q[:, k] * np.vdot(q[:, k], psi)
+            vectors[k * 4 + i * 2 + j] = np.kron(pa, pb) @ qk
+        matrices[(sa, sb)] = vectors.conj() @ vectors.T
+    return matrices
+
+
 class TestEprb:
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("flip_b", [False, True])
+    def test_matrices_match_the_kron_loop(self, seed, flip_b):
+        cfg = EprbConfig(flip_b=flip_b)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            state = rng.normal(size=4) + 1j * rng.normal(size=4)
+            cfg = EprbConfig(
+                angles=tuple(rng.uniform(0.0, np.pi, size=4)),
+                resolution_basis=basis,
+                initial_state=state / np.linalg.norm(state),
+                flip_b=flip_b,
+            )
+        sc = gen_eprb(cfg)
+        for key, m in kron_loop_matrices(cfg).items():
+            assert np.abs(sc.theory(*key).dcf.matrix - m).max() < 1e-14
+
     def test_matched_analyzers_anticorrelate(self):
         cfg = EprbConfig(angles=(0.3, 0.9, 0.3, 1.7))
         sc = gen_eprb(cfg)
