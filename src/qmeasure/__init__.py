@@ -23,37 +23,14 @@ from .causal_order import (
 from .causality import (
     EventOperator,
     check_lon,
-    check_partition_identity,
     check_poz,
     check_quantum_factorizability,
     check_spacelike_commutation,
     event_operator,
 )
 from .decoherence import AxiomReport, DecoherenceFunctional, check_agreement
-from .hilbert import (
-    EventHilbertSpace,
-    LinearCombination,
-    build_event_space,
-    combo_norm2,
-    in_subspace,
-    is_null,
-    subspace_dim,
-)
-from .histories import (
-    Event,
-    HistorySpace,
-    RegionAlgebra,
-    build_ghz_event,
-    build_pr_event,
-    complement,
-    cylinder_event,
-    intersection,
-    is_partition,
-    material_implication,
-    region_algebra,
-    symmetric_difference,
-    union,
-)
+from .hilbert import EventHilbertSpace, build_event_space
+from .histories import Event, HistorySpace, RegionAlgebra, is_partition, region_algebra
 from .patching import (
     CorrelationTable,
     JointDcf,
@@ -66,18 +43,10 @@ from .patching import (
     classical_patch,
     converse_model,
     joint_feasibility,
-    marginalize_measure,
     patch_marginal_residual,
     quantum_patch,
 )
-from .scenarios import (
-    EprbConfig,
-    eprb_computational_basis_fixture,
-    gen_double_slit,
-    gen_eprb,
-    gen_ghz,
-    gen_pr_box,
-)
+from .scenarios import EprbConfig, gen_double_slit, gen_eprb, gen_ghz, gen_pr_box
 from .sk_model import (
     SkCircuitConfig,
     SkCircuitModel,

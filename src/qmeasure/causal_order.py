@@ -205,7 +205,8 @@ def validate_scenario_geometry(
     order: CausalOrder, z: Region, a: Region, b: Region
 ) -> GeometryReport:
     """Check the arrangement: z a past set, wings in its future domain of
-    dependence, disjoint from it, mutually spacelike, union a past set."""
+    dependence, disjoint from it, mutually spacelike, and all three
+    together a past set."""
     z_past = is_past_set(order, z)
     dom = future_domain(order, z) if z_past else None
     return GeometryReport(

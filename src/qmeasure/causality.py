@@ -16,7 +16,6 @@ decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .causal_order import (
 )
 from .decoherence import DecoherenceFunctional
 from .hilbert import event_vector, live_atoms, live_region_vectors, region_vectors
-from .histories import Event, RegionAlgebra, is_partition, region_algebra
+from .histories import Event, RegionAlgebra, region_algebra
 
 # residual evaluations one screening-off scan may run
 FACTORIZABILITY_LIMIT = 1_000_000_000
@@ -400,26 +399,6 @@ def check_spacelike_commutation(
     )
     action = float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
     return CommutationReport(comm_norm, action, dcf.tol)
-
-
-def check_partition_identity(
-    dcf: DecoherenceFunctional,
-    order: CausalOrder,
-    region,
-    events: Sequence[Event],
-    domain,
-) -> float:
-    """Spectral-norm distance of the summed event operators from the
-    identity on the domain basis; the events must partition the space."""
-    _check_alignment(dcf, order)
-    if not is_partition(list(events)):
-        raise ValueError("events do not partition the history space")
-    total = None
-    for e in events:
-        op = event_operator(dcf, order, region, e, domain, force=True)
-        total = op.matrix if total is None else total + op.matrix
-    gap = total - np.eye(total.shape[0])
-    return float(np.linalg.svd(gap, compute_uv=False).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,9 @@ def _parse_points(spec: str, names) -> tuple[str, ...]:
 
 
 def _regions(spec: str | None, order):
-    """The regions of a semicolon list of point lists; "exhaustive" if none."""
-    if not spec:
+    """The regions of a semicolon list of point lists; "exhaustive" if none.
+    An empty list names the empty region."""
+    if spec is None:
         return "exhaustive"
     return [order.region(_parse_points(chunk, order.points)) for chunk in spec.split(";")]
 
@@ -178,17 +179,17 @@ def cmd_validate(args) -> int:
 
 def cmd_hilbert(args) -> int:
     dcf, _ = _model(args, need_order=False)
-    points = _parse_points(args.region, dcf.space.points) if args.region else None
+    points = None if args.region is None else _parse_points(args.region, dcf.space.points)
     es = build_event_space(dcf, points)
     eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
     _emit(
         {
-            "atoms": len(es.atoms),
+            "atoms": es.n_atoms,
             "rank": es.rank,
             "universal_norm2": es.universal_norm2,
             "min_eigenvalue": float(eig.min()),
             "max_eigenvalue": float(eig.max()),
-            "region": list(points) if points else "all",
+            "region": "all" if points is None else list(points),
             "tolerance": dcf.tol.rel,
         },
         args,

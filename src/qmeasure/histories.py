@@ -2,6 +2,7 @@
 
 A history space is a finite list of value assignments over named points;
 an event is a subset of histories, stored as one bool flag per history.
+The Boolean operations are the Event operators `|`, `&`, `^` and `~`.
 The full event algebra (2^n sets) is never materialized: a region algebra
 is an atom id per history, and only user-constructed events and atoms
 asked for by name exist as Event objects.
@@ -102,9 +103,6 @@ class HistorySpace:
     def columns(self, points) -> list[int]:
         return [self.point_index(p) for p in _as_point_names(self, points)]
 
-    def restrict_history(self, index: int, points) -> tuple[int, ...]:
-        return tuple(self.value_matrix[index, self.columns(points)].tolist())
-
     # -- event constructors ------------------------------------------------
 
     def empty_event(self) -> "Event":
@@ -178,30 +176,6 @@ class Event:
         return tuple(np.flatnonzero(self.flags).tolist())
 
 
-# -- Boolean operations (the event algebra is a ring over Z2) --------------
-
-def union(e: Event, f: Event) -> Event:
-    return e | f
-
-
-def intersection(e: Event, f: Event) -> Event:
-    return e & f
-
-
-def complement(e: Event) -> Event:
-    return ~e
-
-
-def symmetric_difference(e: Event, f: Event) -> Event:
-    return e ^ f
-
-
-def material_implication(e: Event, f: Event) -> Event:
-    """The event 'e implies f': complement(e) united with f."""
-    e._check(f)
-    return (~e) | f
-
-
 def is_partition(events: Sequence[Event]) -> bool:
     """True iff the events are pairwise disjoint and cover the space."""
     if not events:
@@ -264,49 +238,3 @@ def region_algebra(space: HistorySpace, points) -> RegionAlgebra:
     keys = _row_keys(values, radices)
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
     return RegionAlgebra(space, names, values[first], index)
-
-
-def cylinder_event(space: HistorySpace, points, rep: Sequence[int]) -> Event:
-    """Histories whose restriction to the region equals `rep`.
-
-    May be empty when no history matches.  `rep` must assign one value
-    per region point, in region order.
-    """
-    names = _as_point_names(space, points)
-    rep = tuple(int(v) for v in rep)
-    if len(rep) != len(names):
-        raise ValueError("restricted history length does not match region")
-    for p, v in zip(names, rep):
-        if not 0 <= v < space.alphabets[p]:
-            raise ValueError(f"value {v} outside alphabet of point {p!r}")
-    flags = np.all(space.value_matrix[:, space.columns(names)] == rep, axis=1)
-    return Event(space, flags)
-
-
-# -- Named correlation events ----------------------------------------------
-
-def build_pr_event(
-    s11: Event, s12: Event, s21: Event, s22: Event,
-    uu: Event, ud: Event, du: Event, dd: Event,
-) -> Event:
-    """Two-wing box correlation event: perfectly correlated beams under
-    three of the four joint settings, anti-correlated under the fourth."""
-    corr = material_implication(s11 | s12 | s21, uu | dd)
-    anti = material_implication(s22, ud | du)
-    return corr & anti
-
-
-def build_ghz_event(
-    s_xyy: Event, s_yxy: Event, s_yyx: Event, s_xxx: Event,
-    outcomes: Mapping[str, Event],
-) -> Event:
-    """Three-wing parity correlation event.
-
-    `outcomes` maps the eight beam words (e.g. "uud") to events; the
-    mixed settings force odd beam parity, the all-x setting even parity.
-    """
-    odd = outcomes["uud"] | outcomes["udu"] | outcomes["duu"] | outcomes["ddd"]
-    even = outcomes["ddu"] | outcomes["dud"] | outcomes["udd"] | outcomes["uuu"]
-    mixed = material_implication(s_xyy | s_yxy | s_yyx, odd)
-    allx = material_implication(s_xxx, even)
-    return mixed & allx

@@ -268,20 +268,6 @@ class JointMeasure:
         return CorrelationTable({k: self.beam_table(*k) for k in SETTING_KEYS})
 
 
-SLOT_NAMES = ("i", "ip", "j", "jp", "k")
-
-
-def marginalize_measure(jm: JointMeasure, kept: Sequence[str]) -> np.ndarray:
-    """Sum out every slot not named in `kept` (subset of i, ip, j, jp, k);
-    kept axes stay in canonical slot order."""
-    kept = tuple(kept)
-    for name in kept:
-        if name not in SLOT_NAMES:
-            raise ValueError(f"unknown slot {name!r}")
-    drop = tuple(i for i, name in enumerate(SLOT_NAMES) if name not in kept)
-    return jm.values.sum(axis=drop) if drop else jm.values.copy()
-
-
 def classical_patch(scenario: SettingScenario) -> JointMeasure:
     """Joint measure with the four factorizable setting measures as
     marginals: the product of the per-wing conditional masses divided by

@@ -8,7 +8,6 @@ three-wing parity model.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,12 +15,7 @@ import numpy as np
 from ._linalg import DEFAULT_RTOL
 from .causal_order import CausalOrder
 from .decoherence import DecoherenceFunctional
-from .histories import (
-    Event,
-    HistorySpace,
-    build_ghz_event,
-    build_pr_event,
-)
+from .histories import Event, HistorySpace
 from .patching import SETTING_KEYS, CorrelationTable, SettingScenario, two_wing_scenario
 
 
@@ -149,14 +143,6 @@ def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> Se
     return two_wing_scenario(past, (out_a, out_a), (out_b, out_b), (2, 2), matrices)
 
 
-def eprb_computational_basis_fixture() -> SettingScenario:
-    """The named failing fixture: resolving the singlet in the product
-    basis kills two intermediate branches, so the past spans only half of
-    the event Hilbert space and lack of novelty fails."""
-    cfg = EprbConfig(resolution_basis=np.eye(4, dtype=complex))
-    return gen_eprb(cfg, check_lon_prereq=False)
-
-
 # ---------------------------------------------------------------------------
 # Classical records: the nonlocal box and the three-wing parity model
 
@@ -193,10 +179,10 @@ class PrBoxModel(RecordModel):
     beam_dcfs: dict
 
     def pr_event(self) -> Event:
-        return build_pr_event(
-            *(self.setting_event(*key) for key in SETTING_KEYS),
-            *(self.outcome_event(*key) for key in SETTING_KEYS),
-        )
+        """The box correlation event: the outcomes differ exactly when
+        both wings ran setting 1."""
+        s, o = divmod(self.space.value_matrix[:, self.space.columns(self.wings)], 2)
+        return Event(self.space, (o[:, 0] ^ o[:, 1]) == (s[:, 0] & s[:, 1]))
 
 
 def gen_pr_box() -> tuple[PrBoxModel, CorrelationTable]:
@@ -246,9 +232,7 @@ def gen_ghz() -> tuple[RecordModel, Event]:
         space, matrix=np.diag(np.array(diag)).astype(complex)
     )
     model = RecordModel(space, order, dcf, ("w1", "w2", "w3"))
-    words = ["".join(w) for w in itertools.product("ud", repeat=3)]
-    event = build_ghz_event(
-        *(model.setting_event(*s) for s in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0))),
-        {w: model.outcome_event(*map("ud".index, w)) for w in words},
-    )
-    return model, event
+    # settings summing to 2 (two y, one x) force odd outcome parity, all-x
+    # settings even parity; odd setting sums leave the outcomes free
+    s, o = settings.sum(axis=1), outcomes.sum(axis=1)
+    return model, Event(space, (s % 2 == 1) | (o % 2 == s // 2))

@@ -58,6 +58,27 @@ def full_width_factor(dcf):
     return fac
 
 
+def span_rank(dcf, points, *extra):
+    """Numerical rank of the region's atom vectors, with any `extra`
+    factor-space vectors appended as columns: a vector lies in the
+    region's span when appending it leaves the rank unchanged."""
+    from qmeasure._linalg import numerical_rank
+    from qmeasure.hilbert import region_vectors
+
+    vecs = region_vectors(dcf, points)[1]
+    return numerical_rank(np.column_stack([vecs, *extra]), dcf.tol)
+
+
+def partition_gap(t, region, events):
+    """Spectral-norm distance from the identity of the summed operators
+    of a theory's `events` (in `region`) on the past z's basis."""
+    from qmeasure import event_operator
+
+    ops = [event_operator(t.dcf, t.order, region, e, ("z",), force=True) for e in events]
+    total = sum(op.matrix for op in ops)
+    return float(np.linalg.norm(total - np.eye(len(total)), 2))
+
+
 def random_events(rng, space, count=3, disjoint=False):
     n = space.size
     if disjoint:
@@ -120,6 +141,16 @@ def eprb_scenario():
     from qmeasure import gen_eprb
 
     return gen_eprb()
+
+
+@pytest.fixture(scope="session")
+def eprb_computational_basis():
+    """The spin pair resolved in the product basis: two intermediate
+    branches die, so the past spans only half of the event Hilbert space
+    and lack of novelty fails."""
+    from qmeasure import EprbConfig, gen_eprb
+
+    return gen_eprb(EprbConfig(resolution_basis=np.eye(4)), check_lon_prereq=False)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import full_width_factor, random_psd_dcf, random_space
+from conftest import full_width_factor, partition_gap, random_psd_dcf, random_space
 
 from qmeasure import (
     CheckViolation,
@@ -11,11 +11,9 @@ from qmeasure import (
     HistorySpace,
     Tolerance,
     check_lon,
-    check_partition_identity,
     check_poz,
     check_quantum_factorizability,
     check_spacelike_commutation,
-    eprb_computational_basis_fixture,
     event_operator,
     decoupled_demo_config,
     gen_double_slit,
@@ -176,18 +174,16 @@ class TestLon:
         rep = check_lon(t.dcf, t.order, [t.order.full_region()])
         assert rep.passed and rep.max_residual == 0.0
 
-    def test_degenerate_resolution_fails(self):
-        scenario = eprb_computational_basis_fixture()
-        t = scenario.theory(0, 0)
+    def test_degenerate_resolution_fails(self, eprb_computational_basis):
+        t = eprb_computational_basis.theory(0, 0)
         rep = check_lon(t.dcf, t.order)
         assert not rep.passed
         z_row = next(r for r in rep.results if r.z_points == ("z",))
         assert z_row.dim_z == 2  # two singlet components survive
         assert z_row.dim_domain == 4
 
-    def test_degenerate_resolution_still_satisfies_poz(self):
-        scenario = eprb_computational_basis_fixture()
-        t = scenario.theory(0, 0)
+    def test_degenerate_resolution_still_satisfies_poz(self, eprb_computational_basis):
+        t = eprb_computational_basis.theory(0, 0)
         assert check_poz(t.dcf, t.order).passed
 
 
@@ -226,30 +222,19 @@ class TestCommutation:
 class TestPartitionIdentity:
     def test_trivial_partition(self, eprb_scenario):
         t = eprb_scenario.theory(0, 0)
-        resid = check_partition_identity(
-            t.dcf, t.order, ("wa",), [t.space.full_event()], ("z",)
-        )
+        resid = partition_gap(t, ("wa",), [t.space.full_event()])
         assert resid == pytest.approx(0.0, abs=1e-12)
 
     def test_event_and_complement(self, eprb_scenario):
         t = eprb_scenario.theory(0, 0)
         e = t.beam_a[0]
-        resid = check_partition_identity(t.dcf, t.order, ("wa",), [e, ~e], ("z",))
+        resid = partition_gap(t, ("wa",), [e, ~e])
         assert resid < 1e-9
 
     def test_beam_partition(self, eprb_scenario):
         t = eprb_scenario.theory(0, 0)
-        resid = check_partition_identity(
-            t.dcf, t.order, ("wa",), list(t.beam_a), ("z",)
-        )
+        resid = partition_gap(t, ("wa",), t.beam_a)
         assert resid < 1e-9
-
-    def test_non_partition_rejected(self, eprb_scenario):
-        t = eprb_scenario.theory(0, 0)
-        with pytest.raises(ValueError):
-            check_partition_identity(
-                t.dcf, t.order, ("wa",), [t.beam_a[0], t.beam_a[0]], ("z",)
-            )
 
 
 def _product_theory(rng, nk=3, na=2, nb=2):

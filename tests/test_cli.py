@@ -430,6 +430,21 @@ class TestInputEdges:
         for command in ("chsh", "nosignalling", "feasibility"):
             assert main([command, "mixed.json"]) == 2
 
+    def test_empty_region_list_names_the_empty_region(self, workdir, capsys):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        code, out = run(capsys, "hilbert", "ds", "--region", "")
+        report = json.loads(out)
+        assert code == 0
+        assert (report["region"], report["atoms"], report["rank"]) == ([], 1, 1)
+
+    @pytest.mark.parametrize("command, key", [("poz", "region"), ("lon", "z")])
+    def test_empty_regions_list_checks_the_empty_region(self, workdir, capsys, command, key):
+        # the reversed slit fails PoZ exhaustively, but not on the empty region
+        run(capsys, "gen", "double-slit", "--time-reversed", "--out", "dsr")
+        code, out = run(capsys, command, "dsr", "--regions", "")
+        assert code == 0
+        assert [row[key] for row in json.loads(out)["results"]] == [[]]
+
     def test_poz_with_explicit_region_list(self, workdir, capsys):
         run(capsys, "gen", "double-slit", "--time-reversed", "--out", "dsr")
         code, out = run(capsys, "poz", "dsr", "--regions", "slit")
@@ -496,13 +511,12 @@ def correlated_classical_scenario():
 class TestCheckViolationExitCodes:
     """A physics check failing on well-formed input exits 3, not 2."""
 
-    def test_quantum_patch_without_lack_of_novelty(self, workdir, capsys):
-        from qmeasure import eprb_computational_basis_fixture
+    def test_quantum_patch_without_lack_of_novelty(
+        self, workdir, capsys, eprb_computational_basis
+    ):
         from qmeasure import serialization as io
 
-        io.dump_json(
-            io.scenario_to_json(eprb_computational_basis_fixture()), "cb.json"
-        )
+        io.dump_json(io.scenario_to_json(eprb_computational_basis), "cb.json")
         code = main(["patch", "quantum", "cb.json"])
         assert code == 3
         assert "fails lack of novelty" in capsys.readouterr().err
@@ -851,7 +865,7 @@ class TestCommaPointNames:
         es = build_event_space(dcf, ("0,0", "1,0"))
         eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
         assert report["region"] == ["0,0", "1,0"]
-        assert (report["atoms"], report["rank"]) == (len(es.atoms), es.rank)
+        assert (report["atoms"], report["rank"]) == (es.n_atoms, es.rank)
         assert report["universal_norm2"] == es.universal_norm2
         assert (report["min_eigenvalue"], report["max_eigenvalue"]) == (eig.min(), eig.max())
 

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +9,13 @@ from hypothesis import strategies as st
 from qmeasure import (
     Event,
     HistorySpace,
-    build_pr_event,
-    cylinder_event,
+    gen_ghz,
+    gen_pr_box,
     is_partition,
-    material_implication,
     region_algebra,
 )
 from qmeasure.histories import MAX_HISTORIES
+from qmeasure.patching import SETTING_KEYS
 
 
 @pytest.fixture
@@ -40,6 +43,13 @@ class TestBooleanOps:
         f = ev(four_space, 2, 3)
         assert (e & f).is_empty()
         assert (e ^ f) == (e | f)
+
+    def test_operators_by_index(self, four_space):
+        e = ev(four_space, 0, 1)
+        f = ev(four_space, 1, 2)
+        assert (e | f) == ev(four_space, 0, 1, 2)
+        assert (e & f) == ev(four_space, 1)
+        assert ~e == ev(four_space, 2, 3)
 
     def test_mismatched_spaces_rejected(self, four_space):
         other = HistorySpace(points=("p",), histories=((0,), (1,), (2,), (3,)))
@@ -78,20 +88,19 @@ class TestFlagVectors:
 
 
 class TestMaterialImplication:
+    """'e implies f' is the event ~e | f."""
+
     def test_full_antecedent_gives_consequent(self, four_space):
         f = ev(four_space, 1, 2)
-        assert material_implication(four_space.full_event(), f) == f
+        assert (~four_space.full_event() | f) == f
 
     def test_empty_antecedent_gives_full(self, four_space):
-        assert (
-            material_implication(four_space.empty_event(), ev(four_space, 1))
-            == four_space.full_event()
-        )
+        assert (~four_space.empty_event() | ev(four_space, 1)) == four_space.full_event()
 
     def test_direct_evaluation(self, four_space):
         e = ev(four_space, 0, 1)
         f = ev(four_space, 1, 2)
-        assert material_implication(e, f) == ev(four_space, 1, 2, 3)
+        assert (~e | f) == ev(four_space, 1, 2, 3)
 
 
 event_flags = st.lists(st.booleans(), min_size=8, max_size=8)
@@ -162,12 +171,15 @@ class TestRegionAlgebra:
 
 
 class TestCylinderEvents:
+    """The histories taking given values on a region: an intersection of
+    value events."""
+
     def test_double_slit_left(self, double_slit):
         space, _, _ = double_slit
-        assert cylinder_event(space, ("slit",), (0,)).indices() == (0, 1)
+        assert space.value_event("slit", 0).indices() == (0, 1)
 
     def test_empty_region_gives_full(self, four_space):
-        assert cylinder_event(four_space, (), ()) == four_space.full_event()
+        assert region_algebra(four_space, ()).atoms == (four_space.full_event(),)
 
     def test_unmatched_rep_gives_empty(self):
         space = HistorySpace(
@@ -175,17 +187,16 @@ class TestCylinderEvents:
             histories=((0, 0), (1, 1)),
             alphabets={"a": 2, "b": 2},
         )
-        assert cylinder_event(space, ("a", "b"), (0, 1)).is_empty()
+        assert (space.value_event("a", 0) & space.value_event("b", 1)).is_empty()
 
     def test_repeated_point_rejected(self, double_slit):
         space, _, _ = double_slit
         with pytest.raises(ValueError, match="'slit' is listed twice"):
-            cylinder_event(space, ("slit", "slit"), (0, 0))
+            region_algebra(space, ("slit", "slit"))
 
     def test_contains_own_restriction(self, four_space):
         for h in range(4):
-            rep = four_space.restrict_history(h, ("p",))
-            assert h in cylinder_event(four_space, ("p",), rep)
+            assert h in four_space.value_event("p", four_space.value_matrix[h, 0])
 
 
 class TestIsPartition:
@@ -277,45 +288,43 @@ class TestAtomGrouping:
             self.check(space, region)
 
 
+def implies(e, f):
+    return ~e | f
+
+
+def box_event_from_implications(model):
+    """The box event as eight setting and outcome events combine it:
+    correlated beams under three joint settings, anti-correlated under
+    the fourth."""
+    s00, s01, s10, s11 = (model.setting_event(*key) for key in SETTING_KEYS)
+    uu, ud, du, dd = (model.outcome_event(*key) for key in SETTING_KEYS)
+    return implies(s00 | s01 | s10, uu | dd) & implies(s11, ud | du)
+
+
+def parity_event_from_implications(model):
+    """The parity event as twelve setting and outcome events combine it:
+    the mixed settings force odd beam parity, the all-x setting even."""
+    words = {w: model.outcome_event(*w) for w in itertools.product((0, 1), repeat=3)}
+    odd = words[0, 0, 1] | words[0, 1, 0] | words[1, 0, 0] | words[1, 1, 1]
+    even = words[1, 1, 0] | words[1, 0, 1] | words[0, 1, 1] | words[0, 0, 0]
+    mixed = model.setting_event(0, 1, 1) | model.setting_event(1, 0, 1)
+    mixed = mixed | model.setting_event(1, 1, 0)
+    return implies(mixed, odd) & implies(model.setting_event(0, 0, 0), even)
+
+
 class TestPrEvent:
     def setup_method(self):
         # wing value = 2 * setting + outcome
-        self.space = HistorySpace(
-            points=("w1", "w2"),
-            histories=tuple((a, b) for a in range(4) for b in range(4)),
-        )
+        self.model, _ = gen_pr_box()
+        self.space = self.model.space
 
-    def joint_setting(self, s1, s2):
-        sp = self.space
-        e1 = sp.value_event("w1", 2 * s1) | sp.value_event("w1", 2 * s1 + 1)
-        e2 = sp.value_event("w2", 2 * s2) | sp.value_event("w2", 2 * s2 + 1)
-        return e1 & e2
-
-    def outcome(self, i, j):
-        sp = self.space
-        out = sp.empty_event()
-        for s1 in (0, 1):
-            for s2 in (0, 1):
-                out = out | (
-                    sp.value_event("w1", 2 * s1 + i) & sp.value_event("w2", 2 * s2 + j)
-                )
-        return out
-
-    def pr(self):
-        return build_pr_event(
-            self.joint_setting(0, 0),
-            self.joint_setting(0, 1),
-            self.joint_setting(1, 0),
-            self.joint_setting(1, 1),
-            self.outcome(0, 0),
-            self.outcome(0, 1),
-            self.outcome(1, 0),
-            self.outcome(1, 1),
-        )
+    def test_rule_matches_implications(self):
+        assert self.model.pr_event() == box_event_from_implications(self.model)
+        assert len(self.model.pr_event()) == 8
 
     def test_membership_by_enumeration(self):
         # independent oracle: walk all 16 histories and apply the rule
-        epr = self.pr()
+        epr = self.model.pr_event()
         for h, (a, b) in enumerate(self.space.value_matrix.tolist()):
             s1, i = divmod(a, 2)
             s2, j = divmod(b, 2)
@@ -327,15 +336,15 @@ class TestPrEvent:
 
     def test_s2s2_uu_excluded(self):
         h = self.space.value_matrix.tolist().index([2, 2])  # both primed setting, both up
-        assert h not in self.pr()
+        assert h not in self.model.pr_event()
 
     def test_s1s1_uu_included(self):
         h = self.space.value_matrix.tolist().index([0, 0])
-        assert h in self.pr()
+        assert h in self.model.pr_event()
 
     def test_pr_consistent_subspace_gives_full(self):
         # keep only the box-consistent histories: the event becomes the
-        # whole space
+        # whole space, by the rule and by the implications alike
         keep = []
         for a, b in self.space.value_matrix.tolist():
             s1, i = divmod(a, 2)
@@ -344,15 +353,18 @@ class TestPrEvent:
             if ok:
                 keep.append((a, b))
         sub = HistorySpace(points=("w1", "w2"), histories=tuple(keep))
-        small = TestPrEvent()
-        small.space = sub
-        assert small.pr() == sub.full_event()
+        small = dataclasses.replace(self.model, space=sub)
+        assert small.pr_event() == sub.full_event()
+        assert box_event_from_implications(small) == sub.full_event()
 
 
 class TestGhzEvent:
-    def test_membership(self):
-        from qmeasure import gen_ghz
+    def test_rule_matches_implications(self):
+        model, event = gen_ghz()
+        assert event == parity_event_from_implications(model)
+        assert len(event) == 48
 
+    def test_membership(self):
         model, event = gen_ghz()
         sp = model.space
 
@@ -368,21 +380,3 @@ class TestGhzEvent:
         assert hist_index((0, 1, 1), (0, 0, 0)) not in event
         # settings outside both antecedents are vacuously included
         assert hist_index((1, 1, 1), (0, 0, 0)) in event
-
-
-class TestModuleLevelOps:
-    def test_named_functions(self, four_space):
-        from qmeasure import complement, intersection, symmetric_difference, union
-
-        e = four_space.event_from_indices([0, 1])
-        f = four_space.event_from_indices([1, 2])
-        assert union(e, f) == (e | f)
-        assert intersection(e, f) == (e & f)
-        assert symmetric_difference(e, f) == (e ^ f)
-        assert complement(e) == ~e
-
-    def test_malformed_cylinder_rep(self, four_space):
-        with pytest.raises(ValueError):
-            cylinder_event(four_space, ("p",), (99,))
-        with pytest.raises(ValueError):
-            cylinder_event(four_space, ("p",), (0, 1))

@@ -18,7 +18,6 @@ from qmeasure import (
     converse_model,
     gen_pr_box,
     joint_feasibility,
-    marginalize_measure,
     patch_marginal_residual,
     quantum_patch,
     region_algebra,
@@ -239,20 +238,7 @@ class TestMarginalize:
         rng = np.random.default_rng(13)
         sc = random_factorizable_scenario(rng)
         jm = classical_patch(sc)
-        assert float(marginalize_measure(jm, ())) == pytest.approx(1.0, abs=1e-12)
-
-    def test_keep_all_is_identity(self):
-        rng = np.random.default_rng(13)
-        sc = random_factorizable_scenario(rng)
-        jm = classical_patch(sc)
-        kept = marginalize_measure(jm, ("i", "ip", "j", "jp", "k"))
-        assert np.array_equal(kept, jm.values)
-
-    def test_unknown_slot_rejected(self):
-        rng = np.random.default_rng(13)
-        jm = classical_patch(random_factorizable_scenario(rng))
-        with pytest.raises(ValueError):
-            marginalize_measure(jm, ("q",))
+        assert float(jm.values.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChsh:
@@ -300,11 +286,9 @@ class TestQuantumPatch:
         got = beam.sum(axis=(1, 3, 5, 7))
         assert np.abs(got - dcfs[(0, 0)]).max() < 1e-9
 
-    def test_lon_failure_refused(self):
-        from qmeasure import eprb_computational_basis_fixture
-
+    def test_lon_failure_refused(self, eprb_computational_basis):
         with pytest.raises(ValueError):
-            quantum_patch(eprb_computational_basis_fixture())
+            quantum_patch(eprb_computational_basis)
 
 
 class TestConverse:

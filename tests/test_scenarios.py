@@ -7,7 +7,6 @@ from qmeasure import (
     EprbConfig,
     chsh_value,
     check_no_signalling,
-    eprb_computational_basis_fixture,
     gen_double_slit,
     gen_eprb,
     gen_ghz,
@@ -147,9 +146,8 @@ class TestEprb:
         with pytest.raises(ValueError):
             gen_eprb(EprbConfig(resolution_basis=np.eye(4, dtype=complex)))
 
-    def test_named_failing_fixture_builds(self):
-        sc = eprb_computational_basis_fixture()
-        assert sc.validate().passed  # clauses hold; only novelty fails
+    def test_named_failing_fixture_builds(self, eprb_computational_basis):
+        assert eprb_computational_basis.validate().passed  # clauses hold; only novelty fails
 
     def test_bad_basis_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import full_width_factor
+from conftest import full_width_factor, span_rank
 
 from qmeasure import (
     CausalOrder,
@@ -14,12 +14,10 @@ from qmeasure import (
     check_quantum_factorizability,
     check_spacelike_commutation,
     check_truncation_independence,
-    cylinder_event,
     decoupled_demo_config,
     gen_sk_circuit,
     region_algebra,
     sk_factorizability_demo,
-    subspace_dim,
 )
 from qmeasure._linalg import scatter_columns
 from qmeasure.sk_model import CNOT, HADAMARD, bell_pair_gate
@@ -35,7 +33,7 @@ class TestGeneration:
         cfg = SkCircuitConfig(sites=1, steps=1, gates=(SkGate(1, (0,), HADAMARD),))
         model = gen_sk_circuit(cfg)
         for v in (0, 1):
-            ev = cylinder_event(model.space, ("0,1",), (v,))
+            ev = model.space.value_event("0,1", v)
             assert model.dcf.measure(ev) == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_wires_propagate_point_mass(self):
@@ -43,7 +41,7 @@ class TestGeneration:
         model = gen_sk_circuit(cfg)
         ev = model.space.full_event()
         for t in range(3):
-            ev = ev & cylinder_event(model.space, (f"0,{t}", f"1,{t}"), (0, 0))
+            ev = ev & model.space.value_event(f"0,{t}", 0) & model.space.value_event(f"1,{t}", 0)
         assert model.dcf.measure(ev) == pytest.approx(1.0, abs=1e-12)
 
     def test_axioms_sampled(self):
@@ -195,8 +193,8 @@ class TestCausalChecks:
         )
         a = model.order.region(["0,2"])
         b = model.order.region(["1,2"])
-        ea = cylinder_event(model.space, ("0,2",), (0,))
-        eb = cylinder_event(model.space, ("1,2",), (1,))
+        ea = model.space.value_event("0,2", 0)
+        eb = model.space.value_event("1,2", 1)
         rep = check_spacelike_commutation(model.dcf, model.order, z, a, b, ea, eb)
         assert rep.commutator_norm < 1e-9
         assert rep.action_residual < 1e-9
@@ -213,14 +211,14 @@ class TestRankBounds:
     def test_pure_state_rank_at_most_qL(self):
         cfg = decoupled_demo_config(steps=2)
         model = gen_sk_circuit(cfg)
-        assert subspace_dim(model.dcf, model.space.points) <= 2 ** 4
+        assert span_rank(model.dcf, model.space.points) <= 2 ** 4
 
     def test_mixed_state_rank_bound(self):
         rho = np.eye(4, dtype=complex) / 2.0
         cfg = SkCircuitConfig(sites=2, steps=1, psi=rho,
                               gates=(SkGate(1, (0, 1), bell_pair_gate()),))
         model = gen_sk_circuit(cfg)
-        assert subspace_dim(model.dcf, model.space.points) <= 4
+        assert span_rank(model.dcf, model.space.points) <= 4
 
 
 class TestMixedState:
@@ -237,7 +235,7 @@ class TestMixedState:
         rho[0, 0] = np.sqrt(0.7)
         rho[1, 3] = np.sqrt(0.3)
         model = gen_sk_circuit(SkCircuitConfig(sites=2, steps=1, psi=rho))
-        ev = cylinder_event(model.space, ("0,0", "1,0"), (0, 0))
+        ev = model.space.value_event("0,0", 0) & model.space.value_event("1,0", 0)
         assert model.dcf.measure(ev) == pytest.approx(0.7, abs=1e-12)
 
 
