@@ -37,12 +37,12 @@ from .patching import (
     JointMeasure,
     SettingScenario,
     SettingTheory,
-    check_no_signalling,
     chsh_value,
     classical_factorizability_residual,
     classical_patch,
     converse_model,
     joint_feasibility,
+    no_signalling_residual,
     patch_marginal_residual,
     quantum_patch,
 )

@@ -33,11 +33,11 @@ from .patching import (
     SETTING_KEYS,
     CorrelationTable,
     chsh_value,
-    check_no_signalling,
     classical_factorizability_residual,
     classical_marginal_residual,
     classical_patch,
     joint_feasibility,
+    no_signalling_residual,
     patch_marginal_residual,
     quantum_patch,
 )
@@ -242,7 +242,7 @@ def cmd_factorizability(args) -> int:
         _emit({"max_residual": resid, "passed": passed, "tolerance": tol.rel}, args)
         return OK if passed else VIOLATION
     dcf, order = _model(args)
-    if not (args.z and args.a and args.b):
+    if None in (args.z, args.a, args.b):
         raise InputError("quantum factorizability needs --z --a --b point lists")
     z, a, b = (
         order.region(_parse_points(spec, order.points)) for spec in (args.z, args.a, args.b)
@@ -261,37 +261,25 @@ def cmd_patch(args) -> int:
         doc = {
             "values": np.asarray(jm.values).tolist(),
             "slots": list(jm.values.shape),
-            "marginal_residual": resid,
             "total": jm.total(),
-            "tolerance": tol.rel,
         }
-        if args.out:
-            io.dump_json(doc, args.out)
-            _emit(
-                {"marginal_residual": resid, "total": jm.total(), "out": args.out},
-                args,
-                to_stdout=True,
-            )
-        else:
-            _emit(doc, args)
-        return OK
-    ordering = tuple(args.ordering.split(",")) if args.ordering else ("a", "ap", "b", "bp")
-    jdcf = quantum_patch(scenario, ordering=ordering)
-    resid = max(patch_marginal_residual(jdcf, scenario, *k) for k in SETTING_KEYS)
-    doc = io.joint_dcf_to_json(jdcf)
-    doc["marginal_residual"] = resid
-    doc["tolerance"] = tol.rel
-    doc["version"] = __version__
+        summary = {"marginal_residual": resid, "total": jm.total()}
+        code = OK
+    else:
+        ordering = tuple(args.ordering.split(",")) if args.ordering else ("a", "ap", "b", "bp")
+        jdcf = quantum_patch(scenario, ordering=ordering)
+        resid = max(patch_marginal_residual(jdcf, scenario, *k) for k in SETTING_KEYS)
+        doc = io.joint_dcf_to_json(jdcf)
+        summary = {"marginal_residual": resid, "tolerance": tol.rel}
+        code = OK if resid <= tol.rel else VIOLATION
+    doc.update(marginal_residual=resid, tolerance=tol.rel)
     if args.out:
-        io.dump_json(doc, args.out)
-        _emit(
-            {"marginal_residual": resid, "out": args.out, "tolerance": tol.rel},
-            args,
-            to_stdout=True,
-        )
+        # the document goes to --out as JSON whatever --format says
+        io.dump_json({**doc, "version": __version__}, args.out)
+        _emit({**summary, "out": args.out}, args, to_stdout=True)
     else:
         _emit(doc, args)
-    return OK if resid <= tol.rel else VIOLATION
+    return code
 
 
 def cmd_chsh(args) -> int:
@@ -302,7 +290,7 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_nosignalling(args) -> int:
-    resid = check_no_signalling(_beam_dcfs(args))
+    resid = no_signalling_residual(_beam_dcfs(args))
     passed = resid <= args.tol
     _emit({"max_residual": resid, "passed": passed, "tolerance": args.tol}, args)
     return OK if passed else VIOLATION

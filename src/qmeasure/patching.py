@@ -533,14 +533,6 @@ def no_signalling_residual(beam_dcfs: Mapping[tuple[int, int], np.ndarray]) -> f
     )
 
 
-def check_no_signalling(source) -> float:
-    """Accepts a scenario, a mapping of beam functionals, or a
-    CorrelationTable; returns the worst marginal-compatibility residual."""
-    if isinstance(source, (SettingScenario, CorrelationTable)):
-        source = source.beam_dcfs()
-    return no_signalling_residual(source)
-
-
 @dataclass(frozen=True, eq=False)
 class FarkasCertificate:
     """Proof that no PSD joint functional has the given marginals.

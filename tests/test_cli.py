@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmeasure import __version__
 from qmeasure.cli import main
 
 
@@ -269,8 +270,10 @@ class TestOrderingFlag:
             "--ordering", "ap,a,bp,b", "--out", "j2.json",
         )
         assert code == 0
-        d1 = json.load(open("j1.json"))
-        d2 = json.load(open("j2.json"))
+        with open("j1.json") as fh:
+            d1 = json.load(fh)
+        with open("j2.json") as fh:
+            d2 = json.load(fh)
         assert d1["marginal_residual"] < 1e-9
         assert d2["marginal_residual"] < 1e-9
         assert d1["matrix"] != d2["matrix"]
@@ -296,7 +299,9 @@ class TestClassicalPatchCli:
         code, _ = run(capsys, "patch", "classical", "classical.json",
                       "--out", "jm.json")
         assert code == 0
-        doc = json.load(open("jm.json"))
+        with open("jm.json") as fh:
+            doc = json.load(fh)
+        assert doc["version"] == __version__
         assert doc["marginal_residual"] < 1e-12
         assert abs(doc["total"] - 1.0) < 1e-12
         code, out = run(capsys, "factorizability", "classical", "classical.json")
@@ -520,6 +525,18 @@ class TestCheckViolationExitCodes:
         code = main(["patch", "quantum", "cb.json"])
         assert code == 3
         assert "fails lack of novelty" in capsys.readouterr().err
+
+    def test_non_hermitian_functional_fails_validation(self, workdir, capsys):
+        from qmeasure import DecoherenceFunctional, HistorySpace
+        from qmeasure import serialization as io
+
+        space = HistorySpace(points=("p",), histories=((0,), (1,)))
+        dcf = DecoherenceFunctional(space, matrix=np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+        io.dump_json(io.dcf_to_json(dcf), "dcf.json")
+        code, out = run(capsys, "validate", "dcf.json")
+        assert code == 3
+        assert '"hermitian": false' in out
+        assert json.loads(out)["passed"] is False
 
     def test_classical_patch_of_non_factorizable_theories(self, workdir, capsys):
         from qmeasure import serialization as io
@@ -853,6 +870,24 @@ class TestCommaPointNames:
         code_sk, out_sk = run(capsys, "sk", "factorizability", sk2)
         assert code == code_sk == 0
         assert out == out_sk
+
+    def test_empty_wing_list_is_the_empty_wing(self, sk2, capsys):
+        past = "0,0,0,1,1,0,1,1,2,0,2,1,3,0,3,1"
+        code, out = run(
+            capsys, "factorizability", "quantum", sk2,
+            "--z", past, "--a", "", "--b", "2,2,3,2",
+        )
+        report = json.loads(out)
+        assert code == 0
+        assert report["passed"] is True and report["exhaustive"] is True
+
+    @pytest.mark.parametrize("option", ["--z", "--a", "--b"])
+    def test_omitted_factorizability_list_refused(self, sk2, capsys, option):
+        lists = {"--z": "0,0,1,0", "--a": "0,2,1,2", "--b": "2,2,3,2"}
+        del lists[option]
+        argv = [arg for item in lists.items() for arg in item]
+        assert main(["factorizability", "quantum", sk2, *argv]) == 2
+        assert "needs --z --a --b point lists" in capsys.readouterr().err
 
     def test_hilbert_region(self, sk2, capsys):
         from qmeasure import build_event_space, gen_sk_circuit

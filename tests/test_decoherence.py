@@ -5,7 +5,14 @@ import pytest
 
 from conftest import full_width_factor, random_events, random_psd_dcf, random_space
 
-from qmeasure import DecoherenceFunctional, HistorySpace, check_agreement, region_algebra
+from qmeasure import (
+    DecoherenceFunctional,
+    HistorySpace,
+    check_agreement,
+    decoupled_demo_config,
+    gen_sk_circuit,
+    region_algebra,
+)
 from qmeasure._linalg import scatter_columns
 from qmeasure.decoherence import BranchRep
 
@@ -125,6 +132,14 @@ class TestAxioms:
         assert not rep.strongly_positive
         assert rep.min_eigenvalue < -0.1
 
+    def test_non_hermitian_matrix_gets_a_report(self):
+        # measure would refuse this matrix; the report must still say why
+        space = HistorySpace(points=("p",), histories=((0,), (1,)))
+        m = np.array([[0.5, 0.1j], [0.1j, 0.5]])
+        rep = DecoherenceFunctional(space, matrix=m).validate_axioms()
+        assert rep.hermitian is False and rep.passed is False
+        assert rep.hermiticity_residual == pytest.approx(0.2, abs=1e-12)
+
     def test_scaled_matrix_fails_normalization(self, double_slit):
         _, _, dcf = double_slit
         rep = DecoherenceFunctional(dcf.space, matrix=2 * dcf.matrix).validate_axioms()
@@ -132,18 +147,30 @@ class TestAxioms:
         assert rep.normalization_residual == pytest.approx(1.0, abs=1e-12)
 
 
+def sum_rule_residual(dcf, e, f, g):
+    """|mu(EFG) - mu(EF) - mu(FG) - mu(GE) + mu(E) + mu(F) + mu(G)| on a
+    pairwise disjoint triple, from seven `measure` calls."""
+    mu = dcf.measure
+    return abs(
+        mu(e | f | g) - mu(e | f) - mu(f | g) - mu(g | e) + mu(e) + mu(f) + mu(g)
+    )
+
+
 class TestSumRule:
+    """The quadratic sum rule holds identically, so the axiom report does
+    not check it; these tests pin the identity through `measure`."""
+
     def test_double_slit_triples(self, double_slit):
         space, _, dcf = double_slit
         e = space.event_from_indices([0])
         f = space.event_from_indices([1, 2])
         g = space.event_from_indices([3])
-        assert dcf.check_sum_rule(e, f, g) < 1e-12
+        assert sum_rule_residual(dcf, e, f, g) < 1e-12
 
     def test_empty_triple(self, double_slit):
         _, _, dcf = double_slit
         e = dcf.space.empty_event()
-        assert dcf.check_sum_rule(e, e, e) == 0.0
+        assert sum_rule_residual(dcf, e, e, e) == 0.0
 
     def test_random_psd_triples(self):
         rng = np.random.default_rng(3)
@@ -151,13 +178,15 @@ class TestSumRule:
             space = random_space(rng)
             dcf = random_psd_dcf(rng, space)
             e, f, g = random_events(rng, space, count=3, disjoint=True)
-            assert dcf.check_sum_rule(e, f, g) < 1e-12
+            assert sum_rule_residual(dcf, e, f, g) < 1e-12
 
-    def test_overlapping_rejected(self, double_slit):
-        space, _, dcf = double_slit
-        e = space.event_from_indices([0, 1])
-        with pytest.raises(ValueError):
-            dcf.check_sum_rule(e, e, space.empty_event())
+    def test_lazy_circuit_triples(self):
+        dcf = gen_sk_circuit(decoupled_demo_config(steps=2)).dcf
+        assert not dcf.is_dense
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            e, f, g = random_events(rng, dcf.space, count=3, disjoint=True)
+            assert sum_rule_residual(dcf, e, f, g) < 1e-12
 
 
 class TestClassical:

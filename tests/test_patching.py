@@ -11,13 +11,13 @@ from qmeasure import (
     SettingScenario,
     SettingTheory,
     Tolerance,
-    check_no_signalling,
     chsh_value,
     classical_factorizability_residual,
     classical_patch,
     converse_model,
     gen_pr_box,
     joint_feasibility,
+    no_signalling_residual,
     patch_marginal_residual,
     quantum_patch,
     region_algebra,
@@ -26,7 +26,6 @@ from qmeasure.patching import (
     SETTING_KEYS,
     JointDcf,
     classical_marginal_residual,
-    no_signalling_residual,
 )
 
 
@@ -409,16 +408,16 @@ class TestConverse:
 class TestNoSignalling:
     def test_pr_box_exact(self):
         _, table = gen_pr_box()
-        assert check_no_signalling(table) == 0.0
+        assert no_signalling_residual(table.beam_dcfs()) == 0.0
 
     def test_eprb_tiny(self, eprb_scenario):
-        assert check_no_signalling(eprb_scenario) < 1e-9
+        assert no_signalling_residual(eprb_scenario.beam_dcfs()) < 1e-9
 
     def test_signalling_table_flagged(self):
         tables = {k: np.full((2, 2), 0.25) for k in SETTING_KEYS}
         # wing A outcome distribution depends on wing B's setting
         tables[(0, 1)] = np.array([[0.5, 0.25], [0.0, 0.25]])
-        resid = check_no_signalling(CorrelationTable(tables))
+        resid = no_signalling_residual(CorrelationTable(tables).beam_dcfs())
         assert resid == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("key", SETTING_KEYS)
@@ -430,7 +429,6 @@ class TestNoSignalling:
         beam = {k: v.copy() for k, v in model.beam_dcfs.items()}
         beam[key][index] = np.nan
         assert np.isnan(no_signalling_residual(beam))
-        assert np.isnan(check_no_signalling(beam))
         with pytest.raises(ValueError, match="no-signalling"):
             joint_feasibility(beam)
 

@@ -6,11 +6,11 @@ import pytest
 from qmeasure import (
     EprbConfig,
     chsh_value,
-    check_no_signalling,
     gen_double_slit,
     gen_eprb,
     gen_ghz,
     gen_pr_box,
+    no_signalling_residual,
 )
 from qmeasure.scenarios import SINGLET, TSIRELSON_ANGLES
 
@@ -140,7 +140,7 @@ class TestEprb:
         assert eprb_scenario.validate().passed
 
     def test_no_signalling(self, eprb_scenario):
-        assert check_no_signalling(eprb_scenario) < 1e-9
+        assert no_signalling_residual(eprb_scenario.beam_dcfs()) < 1e-9
 
     def test_orthogonal_resolution_refused(self):
         with pytest.raises(ValueError):
@@ -165,8 +165,8 @@ class TestPrBox:
 
     def test_no_signalling_exact(self):
         model, table = gen_pr_box()
-        assert check_no_signalling(table) == 0.0
-        assert check_no_signalling(model.beam_dcfs) == 0.0
+        assert no_signalling_residual(table.beam_dcfs()) == 0.0
+        assert no_signalling_residual(model.beam_dcfs) == 0.0
 
     def test_beam_dcfs_diagonal(self):
         model, _ = gen_pr_box()
