@@ -158,7 +158,8 @@ class DecoherenceFunctional:
         ).reshape(b.dim, m)
 
     def _event_vector(self, flags: np.ndarray | None) -> np.ndarray:
-        return self.vectors(np.zeros(self.space.size, dtype=np.int64), 1, flags)[:, 0]
+        zeros = np.broadcast_to(np.int64(0), self.space.size)  # allocates nothing
+        return self.vectors(zeros, 1, flags)[:, 0]
 
     # -- evaluation ----------------------------------------------------------
 

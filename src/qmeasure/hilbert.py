@@ -20,9 +20,8 @@ from .histories import Event, RegionAlgebra, region_algebra
 
 
 def event_vector(dcf: DecoherenceFunctional, event: Event) -> np.ndarray:
-    if event.space is not dcf.space:
-        raise ValueError("event belongs to a different history space")
-    return dcf.vectors(np.zeros(dcf.space.size, dtype=np.int64), 1, event.flags)[:, 0]
+    dcf._own(event)
+    return dcf._event_vector(event.flags)
 
 
 def region_vectors(dcf: DecoherenceFunctional, points) -> tuple[RegionAlgebra, np.ndarray]:

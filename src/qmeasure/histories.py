@@ -4,8 +4,8 @@ A history space is a finite list of value assignments over named points;
 an event is a subset of histories, stored as one bool flag per history.
 The Boolean operations are the Event operators `|`, `&`, `^` and `~`.
 The full event algebra (2^n sets) is never materialized: a region algebra
-is an atom id per history, and only user-constructed events and atoms
-asked for by name exist as Event objects.
+is an atom id per history, and only user-constructed events exist as
+Event objects.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from ._linalg import flag_vector
 
 MAX_HISTORIES = 65536
 MAX_VALUE = 65535  # history values are stored as uint16
+KEY_TABLE_FLOOR = 1024  # row keys may reach this bound before rank compression
 
 
 def _as_point_names(space: "HistorySpace", points) -> tuple[str, ...]:
@@ -86,8 +87,7 @@ class HistorySpace:
         object.__setattr__(self, "alphabets", alphabets)
         object.__setattr__(self, "value_matrix", values)
         object.__setattr__(self, "_point_index", {p: i for i, p in enumerate(points)})
-        keys = np.sort(_row_keys(values, alphabets.values()))
-        if (keys[1:] == keys[:-1]).any():
+        if np.bincount(_row_keys(values, alphabets.values())[0]).max() > 1:
             raise ValueError("histories must be pairwise distinct")
 
     @property
@@ -194,7 +194,8 @@ class RegionAlgebra:
     Atoms are the fibers of the restriction map: two histories share an
     atom iff their value vectors agree on the region's points.  Atoms are
     ordered canonically by restricted value vector; `representatives`
-    holds those vectors, one uint16 row per atom.
+    holds those vectors, one uint16 row per atom, and `atom_index` the
+    atom id of each history.
     """
 
     space: HistorySpace
@@ -206,35 +207,35 @@ class RegionAlgebra:
     def n_atoms(self) -> int:
         return len(self.representatives)
 
-    @property
-    def atoms(self) -> tuple[Event, ...]:
-        """The atoms as Events, built on each request."""
-        return tuple(
-            Event(self.space, self.atom_index == a)
-            for a in range(self.n_atoms)
-        )
 
-
-def _row_keys(values: np.ndarray, radices) -> np.ndarray:
+def _row_keys(values: np.ndarray, radices) -> tuple[np.ndarray, int]:
     """One int64 key per row that orders and equates rows as their value
-    vectors do lexicographically: the mixed-radix number with digit j below
-    radices[j].  Where the next digit could overflow, the key is first
-    replaced by its rank among the distinct keys."""
+    vectors do lexicographically, and a bound all keys lie below: the
+    mixed-radix number with digit j below radices[j].  Whenever the bound
+    passes max(rows, KEY_TABLE_FLOOR), the key is replaced by its rank
+    among the distinct keys, so a table indexed by key stays O(rows)."""
+    cap = max(len(values), KEY_TABLE_FLOOR)
     key = np.zeros(len(values), dtype=np.int64)
-    bound = 1  # every key lies below bound
+    bound = 1
     for col, radix in zip(values.T, radices):
-        if bound * radix >= 1 << 63:  # beyond int64
+        key = key * radix + col  # below cap * radix <= 2**32: no overflow
+        bound *= radix
+        if bound > cap:
             distinct, key = np.unique(key, return_inverse=True)
             bound = len(distinct)
-        key = key * radix + col
-        bound *= radix
-    return key
+    return key, bound
 
 
 def region_algebra(space: HistorySpace, points) -> RegionAlgebra:
+    """Atoms by counting: a history's atom id is the number of present
+    keys below its own in a table of the key bound, which is the canonical
+    (lexicographic) order; each representative is one history's row."""
     names = _as_point_names(space, points)
     radices = [space.alphabets[p] for p in names]
     values = space.value_matrix[:, space.columns(names)]
-    keys = _row_keys(values, radices)
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return RegionAlgebra(space, names, values[first], index)
+    keys, bound = _row_keys(values, radices)
+    row = np.full(bound, -1)
+    row[keys] = np.arange(len(keys))  # some history per present key
+    present = row >= 0
+    index = (np.cumsum(present) - 1)[keys]
+    return RegionAlgebra(space, names, values[row[present]], index)

@@ -149,16 +149,15 @@ class SkCircuitModel:
         return self.order.region(cells)
 
 
-def _config_indices(values: np.ndarray, cols: Sequence[int], q: int) -> np.ndarray:
-    idx = np.zeros(values.shape[0], dtype=np.int64)
-    for c in cols:
-        idx = idx * q + values[:, c]
-    return idx
-
-
 def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
     """Build the lazy functional, the history space over lattice cells up
-    to the truncation slice, and the gate-induced causal order."""
+    to the truncation slice, and the gate-induced causal order.
+
+    History h is the C-order multi-index of the grid `alpha` (purification
+    label, then cells slice by slice, site by site).  Each amplitude
+    factor is broadcast onto that grid from an axis per cell it reads:
+    `psi`, each gate matrix as a (q,)*2k tensor and the identity on each
+    untouched wire, multiplied in circuit order."""
     q, L = cfg.q, cfg.sites
     t_f = cfg.t_f
     r = cfg.mixed_rank
@@ -173,18 +172,18 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
     if r > 1:
         points.append("rho")
     points += [cell_name(s, t) for t in range(t_f + 1) for s in range(L)]
-    # enumerate value vectors, purification label first when present
-    alpha = [r] * (1 if r > 1 else 0) + [q] * ncell
-    values = np.indices(alpha, dtype=np.uint16).reshape(len(alpha), nhist).T
     offset = 1 if r > 1 else 0
+    alpha = [r] * offset + [q] * ncell
+    values = np.indices(alpha, dtype=np.uint16).reshape(len(alpha), nhist).T
 
-    def cols_at(t: int) -> list[int]:
-        return [offset + t * L + s for s in range(L)]
+    def on_grid(factor: np.ndarray, cells: list[tuple[int, int]]) -> np.ndarray:
+        """`factor`, one axis per (site, slice) cell, on the grid's axes."""
+        axes = [offset + t * L + s for s, t in cells]
+        shape = [q if a in axes else 1 for a in range(len(alpha))]
+        return factor.reshape((q,) * len(axes)).transpose(np.argsort(axes)).reshape(shape)
 
-    amp = cfg.psi[
-        values[:, 0] if r > 1 else np.zeros(nhist, dtype=np.int64),
-        _config_indices(values, cols_at(0), q),
-    ].copy()
+    psi = cfg.psi.reshape(alpha[: offset + L] + [1] * (ncell - L))
+    amp = np.broadcast_to(psi, alpha).copy()
     covers = []
     if r > 1:
         covers += [("rho", cell_name(s, 0)) for s in range(L)]
@@ -194,9 +193,9 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
             if g.layer != t:
                 continue
             touched |= set(g.sites)
-            i_in = _config_indices(values, [offset + (t - 1) * L + s for s in g.sites], q)
-            i_out = _config_indices(values, [offset + t * L + s for s in g.sites], q)
-            amp *= g.matrix[i_out, i_in]
+            # row index: output sites at slice t; column: inputs at t - 1
+            cells = [(s, t) for s in g.sites] + [(s, t - 1) for s in g.sites]
+            amp *= on_grid(g.matrix, cells)
             covers += [
                 (cell_name(si, t - 1), cell_name(so, t))
                 for si in g.sites
@@ -204,8 +203,7 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
             ]
         for s in range(L):
             if s not in touched:
-                same = values[:, offset + (t - 1) * L + s] == values[:, offset + t * L + s]
-                amp *= same
+                amp *= on_grid(np.eye(q, dtype=bool), [(s, t - 1), (s, t)])
                 covers.append((cell_name(s, t - 1), cell_name(s, t)))
     space = HistorySpace(
         points=tuple(points),
@@ -213,8 +211,9 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
         alphabets={p: a for p, a in zip(points, alpha)},
     )
     order = CausalOrder.from_covers(tuple(points), covers)
+    final = on_grid(np.arange(q ** L), [(s, t_f) for s in range(L)])
     dcf = DecoherenceFunctional.from_amplitudes(
-        space, amp, _config_indices(values, cols_at(t_f), q), q ** L
+        space, amp.ravel(), np.broadcast_to(final, alpha).ravel(), q ** L
     )
     return SkCircuitModel(cfg, space, order, dcf)
 

@@ -7,6 +7,7 @@ import pytest
 from qmeasure import (
     CausalOrder,
     DecoherenceFunctional,
+    Event,
     HistorySpace,
     SettingScenario,
     SettingTheory,
@@ -56,6 +57,11 @@ def full_width_factor(dcf):
     fac = np.zeros((b.dim, dcf.space.size), dtype=complex)
     fac[b.final_index, np.arange(dcf.space.size)] = b.amplitudes
     return fac
+
+
+def atom_events(alg):
+    """The atoms of a region algebra as Events, in atom id order."""
+    return tuple(Event(alg.space, alg.atom_index == a) for a in range(alg.n_atoms))
 
 
 def span_rank(dcf, points, *extra):

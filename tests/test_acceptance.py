@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_factorizable_scenario
+from conftest import atom_events, random_factorizable_scenario
 
 from qmeasure import (
     DecoherenceFunctional,
@@ -255,6 +255,6 @@ def test_criterion_11_hilbert_bounds(eprb, sk_large):
         big_rank = span_rank(dcf, big_pts)
         ok = ok and span_rank(dcf, small_pts) <= big_rank
         # every coarse atom vector lies in the fine region's span
-        for atom in region_algebra(space, small_pts).atoms:
+        for atom in atom_events(region_algebra(space, small_pts)):
             ok = ok and span_rank(dcf, big_pts, event_vector(dcf, atom)) == big_rank
     report(11, "event Hilbert space rank bounds and monotonicity", ok)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import full_width_factor, partition_gap, random_psd_dcf, random_space
+from conftest import atom_events, full_width_factor, partition_gap, random_psd_dcf, random_space
 
 from qmeasure import (
     CheckViolation,
@@ -104,7 +104,7 @@ class TestPoz:
         # conjunction
         t = eprb_scenario.theory(0, 0)
         alg = region_algebra(t.space, ("z", "wb"))
-        for g in alg.atoms:
+        for g in atom_events(alg):
             if t.dcf.measure(g) < 1e-14:
                 for e in t.beam_a:
                     assert t.dcf.measure(e & g) < 1e-12

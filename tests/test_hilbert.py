@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import full_width_factor, random_events, random_psd_dcf, random_space, span_rank
+from conftest import atom_events, full_width_factor, random_events, random_psd_dcf, random_space, span_rank
 
 from qmeasure import build_event_space, region_algebra
 from qmeasure._linalg import scatter_columns
@@ -74,7 +74,7 @@ def in_span(dcf, vector, points):
 class TestInSubspace:
     def test_region_combination_is_member(self, double_slit):
         space, _, dcf = double_slit
-        atoms = region_algebra(space, ("slit",)).atoms
+        atoms = atom_events(region_algebra(space, ("slit",)))
         v = (0.3 + 0.1j) * event_vector(dcf, atoms[0]) - 2.0 * event_vector(dcf, atoms[1])
         assert in_span(dcf, v, ("slit",))
 
@@ -115,7 +115,7 @@ class TestEventSpace:
     def test_gram_matches_functional(self, double_slit):
         space, _, dcf = double_slit
         es = build_event_space(dcf, ("slit",))
-        atoms = region_algebra(space, ("slit",)).atoms
+        atoms = atom_events(region_algebra(space, ("slit",)))
         assert es.n_atoms == len(atoms)
         for p in range(len(atoms)):
             for q in range(len(atoms)):
@@ -149,7 +149,7 @@ class TestMonotonicity:
             small = space.points[:k]
             big = space.points[: k + 1]
             assert span_rank(dcf, small) <= span_rank(dcf, big)
-            for atom in region_algebra(space, small).atoms:
+            for atom in atom_events(region_algebra(space, small)):
                 assert in_span(dcf, event_vector(dcf, atom), big)
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import atom_events
+
 from qmeasure import (
     Event,
     HistorySpace,
@@ -136,17 +138,17 @@ class TestRegionAlgebra:
     def test_double_slit_slit_region(self, double_slit):
         space, _, _ = double_slit
         alg = region_algebra(space, ("slit",))
-        assert [a.indices() for a in alg.atoms] == [(0, 1), (2, 3)]
+        assert [a.indices() for a in atom_events(alg)] == [(0, 1), (2, 3)]
 
     def test_empty_region_single_atom(self, four_space):
         alg = region_algebra(four_space, ())
         assert alg.n_atoms == 1
-        assert alg.atoms[0] == four_space.full_event()
+        assert atom_events(alg)[0] == four_space.full_event()
 
     def test_full_region_singletons(self, four_space):
         alg = region_algebra(four_space, ("p",))
         assert alg.n_atoms == 4
-        assert all(len(a) == 1 for a in alg.atoms)
+        assert all(len(a) == 1 for a in atom_events(alg))
 
     def test_unknown_point_rejected(self, four_space):
         with pytest.raises(ValueError):
@@ -164,8 +166,8 @@ class TestRegionAlgebra:
         space = random_space(rng)
         coarse = region_algebra(space, space.points[:1])
         fine = region_algebra(space, space.points[:2])
-        for atom in fine.atoms:
-            parents = [c for c in coarse.atoms if not (atom & c).is_empty()]
+        for atom in atom_events(fine):
+            parents = [c for c in atom_events(coarse) if not (atom & c).is_empty()]
             assert len(parents) == 1
             assert (atom & parents[0]) == atom
 
@@ -179,7 +181,7 @@ class TestCylinderEvents:
         assert space.value_event("slit", 0).indices() == (0, 1)
 
     def test_empty_region_gives_full(self, four_space):
-        assert region_algebra(four_space, ()).atoms == (four_space.full_event(),)
+        assert atom_events(region_algebra(four_space, ())) == (four_space.full_event(),)
 
     def test_unmatched_rep_gives_empty(self):
         space = HistorySpace(
@@ -202,7 +204,7 @@ class TestCylinderEvents:
 class TestIsPartition:
     def test_region_atoms_partition(self, double_slit):
         space, _, _ = double_slit
-        assert is_partition(region_algebra(space, ("screen",)).atoms)
+        assert is_partition(atom_events(region_algebra(space, ("screen",))))
 
     def test_event_and_complement(self, four_space):
         e = ev(four_space, 0, 2)
@@ -256,9 +258,41 @@ class TestAtomGrouping:
         cols = [space.point_index(p) for p in points]
         index, reps = unique_rows(space.value_matrix[:, cols])
         assert np.array_equal(alg.atom_index, index)
+        assert alg.atom_index.dtype == index.dtype
         assert alg.representatives.dtype == np.uint16
         assert np.array_equal(alg.representatives, reps)
         assert alg.n_atoms == len(reps)
+
+    @staticmethod
+    def wide_space(rng, alphabets, n):
+        """n distinct random rows over the given alphabets, shuffled."""
+        rows = np.stack([rng.integers(0, a, size=2 * n) for a in alphabets], axis=1)
+        rows = rng.permutation(np.unique(rows, axis=0))[:n]
+        points = tuple(f"p{i}" for i in range(len(alphabets)))
+        return HistorySpace(
+            points=points, histories=rows, alphabets=dict(zip(points, alphabets))
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_wide_spaces(self, seed):
+        # 65536-letter columns among small ones: key tables past the row
+        # count force rank compression at varying depths
+        rng = np.random.default_rng(100 + seed)
+        alphabets = [int(rng.choice([2, 3, 40, 65536])) for _ in range(5)]
+        space = self.wide_space(rng, alphabets, int(rng.integers(2, 3000)))
+        for size in range(6):
+            region = tuple(rng.permutation(space.points)[:size])
+            self.check(space, region)
+            self.check(space, region[::-1])
+
+    @pytest.mark.parametrize("alphabets", [[65536, 65536, 2], [40, 40, 40], [2] * 16])
+    def test_duplicate_rows_refused(self, alphabets):
+        rng = np.random.default_rng(len(alphabets))
+        space = self.wide_space(rng, alphabets, 1500)
+        self.check(space, space.points)
+        rows = space.value_matrix[rng.permutation(np.r_[np.arange(space.size), 7])]
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            HistorySpace(points=space.points, histories=rows, alphabets=space.alphabets)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_spaces(self, seed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_factorizable_scenario
+from conftest import atom_events, random_factorizable_scenario
 
 from qmeasure import (
     CheckViolation,
@@ -107,7 +107,7 @@ class TestClassicalPatch:
 
 def past_atoms(sc, key):
     t = sc.theory(*key)
-    return region_algebra(t.space, sc.z_points).atoms
+    return atom_events(region_algebra(t.space, sc.z_points))
 
 
 def reference_beam_dcfs(sc):

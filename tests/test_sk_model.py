@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,102 @@ class TestGeneration:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
             SkCircuitConfig(sites=1, steps=1, psi=np.array([1.0, 1.0]))
+
+
+def gathered_branch(cfg):
+    """Reference amplitudes and final indices of `gen_sk_circuit`, built
+    by gathering each history's gate entries from its value vector, in
+    the same circuit order: (amplitudes, final_index, live)."""
+    q, L, r = cfg.q, cfg.sites, cfg.mixed_rank
+    offset = 1 if r > 1 else 0
+    alpha = [r] * offset + [q] * (L * (cfg.t_f + 1))
+    values = np.indices(alpha, dtype=np.uint16).reshape(len(alpha), -1).T
+
+    def config_index(cells):
+        idx = np.zeros(len(values), dtype=np.int64)
+        for s, t in cells:
+            idx = idx * q + values[:, offset + t * L + s]
+        return idx
+
+    rho = values[:, 0] if r > 1 else np.zeros(len(values), dtype=np.int64)
+    amp = cfg.psi[rho, config_index([(s, 0) for s in range(L)])].copy()
+    for t in range(1, cfg.t_f + 1):
+        touched = set()
+        for g in cfg.gates:
+            if g.layer == t:
+                touched |= set(g.sites)
+                i_in = config_index([(s, t - 1) for s in g.sites])
+                i_out = config_index([(s, t) for s in g.sites])
+                amp *= g.matrix[i_out, i_in]
+        for s in range(L):
+            if s not in touched:
+                amp *= values[:, offset + (t - 1) * L + s] == values[:, offset + t * L + s]
+    final = config_index([(s, cfg.t_f) for s in range(L)])
+    return amp, final, np.flatnonzero(amp)
+
+
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+class TestBroadcastAmplitudes:
+    """`gen_sk_circuit` broadcasts each factor onto the history grid; the
+    result must equal the per-history gather to the last bit."""
+
+    def check(self, cfg):
+        branch = gen_sk_circuit(cfg).dcf.branch
+        amp, final, live = gathered_branch(cfg)
+        assert branch.amplitudes.tobytes() == amp.tobytes()
+        assert np.array_equal(branch.final_index, final)
+        assert np.array_equal(branch.live, live)
+
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_stock_circuit(self, steps):
+        self.check(decoupled_demo_config(steps))
+
+    def test_truncated(self):
+        self.check(dataclasses.replace(decoupled_demo_config(3), t_f=1))
+
+    def test_mixed_rank_psi(self):
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        gates = (SkGate(1, (1, 0), random_unitary(rng, 4)), SkGate(2, (1,), HADAMARD))
+        self.check(SkCircuitConfig(
+            sites=2, steps=2, psi=psi / np.linalg.norm(psi), gates=gates
+        ))
+
+    def test_qutrits_unsorted_sites(self):
+        rng = np.random.default_rng(6)
+        psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+        gates = (
+            SkGate(1, (1, 0), random_unitary(rng, 9)),
+            SkGate(2, (0,), random_unitary(rng, 3)),
+        )
+        cfg = SkCircuitConfig(
+            sites=2, steps=3, q=3, psi=psi / np.linalg.norm(psi), gates=gates
+        )
+        self.check(cfg)
+        self.check(dataclasses.replace(cfg, t_f=2))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_circuits(self, seed):
+        # random gate layouts on three qubits, sites in random order
+        rng = np.random.default_rng(seed)
+        steps = int(rng.integers(1, 4))
+        gates = []
+        for t in range(1, steps + 1):
+            sites = [int(s) for s in rng.permutation(3)]
+            while sites:
+                k = int(rng.integers(1, len(sites) + 1))
+                if rng.random() < 0.8:
+                    gates.append(SkGate(t, tuple(sites[:k]), random_unitary(rng, 2 ** k)))
+                sites = sites[k:]
+        r = int(rng.integers(1, 3))
+        psi = rng.normal(size=(r, 8)) + 1j * rng.normal(size=(r, 8))
+        self.check(SkCircuitConfig(
+            sites=3, steps=steps, psi=psi / np.linalg.norm(psi), gates=tuple(gates),
+            t_f=int(rng.integers(0, steps + 1)),
+        ))
 
 
 class TestTruncation:
