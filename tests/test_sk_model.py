@@ -211,6 +211,128 @@ class TestTruncation:
         with pytest.raises(ValueError):
             check_truncation_independence(cfg, 1, 2, regions=[("0,2",)])
 
+    @pytest.mark.parametrize("slices", [(1, 3), (0, 3)])
+    def test_reversed_slices_equal_reports(self, slices):
+        cfg = decoupled_demo_config(steps=3)
+        lo, hi = slices
+        rep = check_truncation_independence(cfg, lo, hi, seed=5)
+        assert check_truncation_independence(cfg, hi, lo, seed=5) == rep
+        assert rep.t_f_low == lo and rep.passed
+
+    def test_purification_point_accepted(self):
+        rep = check_truncation_independence(
+            mixed_config(), 0, 2, regions=[("rho",), ("rho", "1,0")]
+        )
+        assert rep.passed and rep.regions_tested == 2
+
+    @pytest.mark.parametrize("name", ["rho", "bogus", "7,0"])
+    def test_unknown_point_named(self, name):
+        cfg = decoupled_demo_config(steps=2)
+        with pytest.raises(ValueError, match=f"unknown point '{name}'"):
+            check_truncation_independence(cfg, 1, 2, regions=[("0,0",), (name,)])
+
+    def test_cell_above_lower_slice_still_refused(self):
+        with pytest.raises(ValueError, match="lies above truncation slice 0"):
+            check_truncation_independence(
+                mixed_config(), 2, 0, regions=[("rho", "1,1")]
+            )
+
+    def test_empty_region_list_refused(self):
+        with pytest.raises(ValueError, match="certifies nothing"):
+            check_truncation_independence(decoupled_demo_config(steps=2), 1, 2, regions=[])
+
+    @pytest.mark.parametrize("slices", [(1, 3), (2, 3)])
+    def test_overflowing_sums_refused(self, slices):
+        """Finite amplitudes whose products overflow leave inf - inf = nan
+        in the difference, which no `max` comparison flags."""
+        gates = tuple(SkGate(t, (0,), HADAMARD * 1e80) for t in (1, 2, 3))
+        cfg = SkCircuitConfig(sites=1, steps=3, gates=gates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                check_truncation_independence(cfg, *slices)
+
+    def test_region_above_dense_cap_refused(self):
+        wide = tuple(f"{s},{t}" for t in (0, 1, 2) for s in range(4))[:11]
+        with pytest.raises(ValueError, match="2048 atoms, above the dense cap"):
+            check_truncation_independence(
+                decoupled_demo_config(steps=3), 2, 3, regions=[wide]
+            )
+
+
+def mixed_config():
+    """The two-step stock circuit from a rank-2 initial state."""
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    return dataclasses.replace(
+        decoupled_demo_config(steps=2), psi=psi / np.linalg.norm(psi)
+    )
+
+
+def restricted_check(cfg, t_f1, t_f2, regions=None, seed=0):
+    """The comparison by restricting both functionals to each region's
+    atoms, the high model's scanned once per region; returns the largest
+    entry difference and the number of regions."""
+    lo = min(t_f1, t_f2)
+    model1 = gen_sk_circuit(dataclasses.replace(cfg, t_f=t_f1))
+    model2 = gen_sk_circuit(dataclasses.replace(cfg, t_f=t_f2))
+    if regions is None:
+        cells = [f"{s},{t}" for t in range(lo + 1) for s in range(cfg.sites)]
+        regions = [(c,) for c in cells]
+        rng = np.random.default_rng(seed)
+        for _ in range(min(20, len(cells) ** 2)):
+            pair = rng.choice(len(cells), size=2, replace=False)
+            regions.append((cells[pair[0]], cells[pair[1]]))
+    worst = 0.0
+    for reg in regions:
+        r1 = model1.dcf.restrict(reg)
+        r2 = model2.dcf.restrict(reg)
+        assert np.array_equal(r1.space.value_matrix, r2.space.value_matrix)
+        worst = max(worst, float(np.abs(r1.matrix - r2.matrix).max()))
+    return worst, len(regions)
+
+
+class TestTruncationThroughFinestAlgebra:
+    """Reading each region's atoms on the high model through the finest
+    algebra below the lower slice gives the restricted comparison's
+    residual to the last bit."""
+
+    def check(self, cfg, t_f1, t_f2, regions=None, seed=0):
+        rep = check_truncation_independence(cfg, t_f1, t_f2, regions=regions, seed=seed)
+        assert (rep.max_residual, rep.regions_tested) == restricted_check(
+            cfg, t_f1, t_f2, regions, seed
+        )
+        return rep
+
+    @pytest.mark.parametrize("slices", [(2, 3), (1, 3), (0, 3), (2, 2)])
+    def test_stock_circuit(self, slices):
+        rep = self.check(decoupled_demo_config(steps=3), *slices, seed=3)
+        assert rep.passed
+
+    def test_scaled_last_gate(self):
+        cfg = decoupled_demo_config(steps=3)
+        last = cfg.gates[-1]
+        gates = cfg.gates[:-1] + (SkGate(last.layer, last.sites, last.matrix * 1.03),)
+        rep = self.check(dataclasses.replace(cfg, gates=gates), 2, 3, seed=1)
+        assert not rep.passed and rep.regions_tested == 32
+
+    @pytest.mark.parametrize("slices", [(1, 2), (2, 0)])
+    def test_qutrits_random_unitaries(self, slices):
+        rng = np.random.default_rng(17)
+        gates = []
+        for t in (1, 2):
+            gates += [SkGate(t, (2, 0), random_unitary(rng, 9)), SkGate(t, (1,), random_unitary(rng, 3))]
+        psi = rng.normal(size=27) + 1j * rng.normal(size=27)
+        cfg = SkCircuitConfig(
+            sites=3, steps=2, q=3, psi=psi / np.linalg.norm(psi), gates=tuple(gates)
+        )
+        self.check(cfg, *slices, seed=2)
+
+    @pytest.mark.parametrize("slices", [(1, 2), (0, 2)])
+    def test_mixed_rank_with_purification_region(self, slices):
+        regions = [("rho",), ("rho", "0,0"), ("1,0", "2,0"), ()]
+        rep = self.check(mixed_config(), *slices, regions=regions)
+        assert rep.regions_tested == 4
+
 
 class TestFactorizabilityDemo:
     def test_small_fixture_exact(self):
