@@ -58,28 +58,24 @@ from .sk_model import (
 OK, INPUT_ERROR, VIOLATION, BUDGET = 0, 2, 3, 4
 
 
-class InputError(Exception):
-    pass
-
-
 def _read(path: str, tol: Tolerance, kinds: tuple[str, ...]):
     """The input at `path` as (kind, object), refused unless its kind (a
     `serialization.read_input` kind) is one of `kinds`.  Where both model
     and skmodel are taken, a circuit config is read as the model it builds.
     The functional of a model, and of every scenario theory, carries `tol`."""
     if not os.path.exists(path):
-        raise InputError(f"no such input: {path}")
+        raise ValueError(f"no such input: {path}")
     try:
         kind, obj = io.read_input(path)
         if kind == "skmodel" and "model" in kinds:
             circuit = gen_sk_circuit(obj)
             kind, obj = "model", (circuit.dcf, circuit.order)
     except (TypeError, AttributeError) as exc:  # the mark of a malformed document
-        raise InputError(f"malformed input {path}: {exc}") from exc
+        raise ValueError(f"malformed input {path}: {exc}") from exc
     if kind not in kinds:
         if kind == "dcf" and "model" in kinds:
-            raise InputError("dcf document given; an order.json is also needed")
-        raise InputError(f"cannot interpret {path} as {' or '.join(kinds)}: its kind is {kind}")
+            raise ValueError("dcf document given; an order.json is also needed")
+        raise ValueError(f"cannot interpret {path} as {' or '.join(kinds)}: its kind is {kind}")
     if kind == "model":
         obj = dataclasses.replace(obj[0], tol=tol), obj[1]
     elif kind == "dcf":
@@ -141,10 +137,10 @@ def _parse_points(spec: str, names) -> tuple[str, ...]:
         if ends:
             name = ",".join(tokens[i:ends[0]])
             if name in points:
-                raise InputError(f"point {name!r} is listed twice")
+                raise ValueError(f"point {name!r} is listed twice")
             points.append(name)
         elif tokens[i]:
-            raise InputError(f"unknown point {tokens[i]!r}")
+            raise ValueError(f"unknown point {tokens[i]!r}")
         i = ends[0] if ends else i + 1
     return tuple(points)
 
@@ -243,7 +239,7 @@ def cmd_factorizability(args) -> int:
         return OK if passed else VIOLATION
     dcf, order = _model(args)
     if None in (args.z, args.a, args.b):
-        raise InputError("quantum factorizability needs --z --a --b point lists")
+        raise ValueError("quantum factorizability needs --z --a --b point lists")
     z, a, b = (
         order.region(_parse_points(spec, order.points)) for spec in (args.z, args.a, args.b)
     )
@@ -345,7 +341,7 @@ def cmd_sk(args) -> int:
         _emit({"generated": "decoupled-demo", "steps": args.steps}, args, to_stdout=True)
         return OK
     if not args.input:
-        raise InputError(f"sk {args.action} needs a circuit-model JSON input")
+        raise ValueError(f"sk {args.action} needs a circuit-model JSON input")
     cfg = _read(args.input, tol, ("skmodel",))[1]
     if args.action == "factorizability":
         report = sk_factorizability_demo(cfg, tol=tol)
@@ -357,7 +353,7 @@ def cmd_sk(args) -> int:
         )
         _emit(report.as_dict(), args)
         return OK if report.passed else VIOLATION
-    raise InputError(f"unknown sk action {args.action!r}")
+    raise ValueError(f"unknown sk action {args.action!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,9 +465,6 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return INPUT_ERROR
     except CheckViolation as exc:
         sys.stderr.write(f"violation: {exc}\n")
         return VIOLATION

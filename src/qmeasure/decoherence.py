@@ -257,7 +257,7 @@ class DecoherenceFunctional:
             and diag.real.min(initial=0.0) >= -floor
         )
 
-    # -- restriction and agreement -------------------------------------------
+    # -- values on a partition ------------------------------------------------
 
     def grouped(self, labels: np.ndarray, m: int) -> np.ndarray:
         """The m x m matrix of D(E_p, E_q), where E_p holds the histories
@@ -269,39 +269,27 @@ class DecoherenceFunctional:
         v = self.vectors(labels, m)
         return v.conj().T @ v
 
-    def restrict(self, points) -> "DecoherenceFunctional":
-        """The functional induced on the atoms of a region algebra.
-
-        The restricted space's histories are the restricted value vectors
-        in canonical order; the entry at (p, q) is D(atom_p, atom_q).
-        """
-        alg = region_algebra(self.space, points)
-        if alg.n_atoms > DENSE_ATOM_CAP:
-            raise ValueError(
-                f"restriction has {alg.n_atoms} atoms, above the dense cap"
-            )
-        sub = HistorySpace(
-            points=alg.points,
-            histories=alg.representatives,
-            alphabets={p: self.space.alphabets[p] for p in alg.points},
-        )
-        mat = self.grouped(alg.atom_index, alg.n_atoms)
-        return DecoherenceFunctional(sub, matrix=mat, tol=self.tol)
-
 
 def check_agreement(
     d1: DecoherenceFunctional, d2: DecoherenceFunctional, points
 ) -> bool:
     """Two theories agree in a region iff their restricted history sets are
-    equal and the restricted functionals coincide under that matching."""
-    r1 = d1.restrict(points)
-    r2 = d2.restrict(points)
-    if r1.space.points != r2.space.points:
+    equal and their values on the region's atoms coincide under that
+    matching, at the floor of the first side's values.
+
+    Each side's values are one `grouped` call on its region algebra.  A
+    region with more than DENSE_ATOM_CAP atoms is refused: a lazy
+    functional's atom count is bounded only by its history count."""
+    a1, a2 = region_algebra(d1.space, points), region_algebra(d2.space, points)
+    if not np.array_equal(a1.representatives, a2.representatives):
         return False
-    if not np.array_equal(r1.space.value_matrix, r2.space.value_matrix):
-        return False
-    floor = d1.tol.matrix_floor(r1.matrix)
-    return bool(np.abs(r1.matrix - r2.matrix).max(initial=0.0) <= floor)
+    m = a1.n_atoms
+    if m > DENSE_ATOM_CAP:
+        raise ValueError(f"restriction has {m} atoms, above the dense cap")
+    g1, g2 = d1.grouped(a1.atom_index, m), d2.grouped(a2.atom_index, m)
+    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
+        raise ValueError("matrix has a non-finite entry")
+    return bool(np.abs(g1 - g2).max(initial=0.0) <= d1.tol.matrix_floor(g1))
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,6 @@ class SettingScenario:
         pair of joint beam events, past summed out."""
         return {key: self.cell_values(*key).sum(axis=(2, 5)) for key in self.theories}
 
-    def correlation_table(self) -> "CorrelationTable":
-        """The beam measures, at the tolerance of theory (0, 0)."""
-        return CorrelationTable.from_beam_dcfs(self.beam_dcfs(), self.theory(0, 0).dcf.tol)
-
     def validate(self) -> "ScenarioReport":
         za = tuple(self.z_points) + tuple(self.a_points)
         zb = tuple(self.z_points) + tuple(self.b_points)
@@ -100,7 +96,7 @@ class SettingScenario:
                 check_agreement(
                     self.theory(0, 0).dcf, self.theory(*k).dcf, self.z_points
                 )
-                for k in SETTING_KEYS
+                for k in SETTING_KEYS[1:]
             ),
         }
         partitions = {}
@@ -261,11 +257,10 @@ class JointMeasure:
         drop = (1 if sa == 0 else 0, 3 if sb == 0 else 2)
         return self.values.sum(axis=drop)
 
-    def beam_table(self, sa: int, sb: int) -> np.ndarray:
-        return self.setting_marginal(sa, sb).sum(axis=2)
-
     def correlation_table(self) -> CorrelationTable:
-        return CorrelationTable({k: self.beam_table(*k) for k in SETTING_KEYS})
+        return CorrelationTable(
+            {k: self.setting_marginal(*k).sum(axis=2) for k in SETTING_KEYS}
+        )
 
 
 def classical_patch(scenario: SettingScenario) -> JointMeasure:
@@ -590,8 +585,10 @@ def _farkas(pencil, s, x, y, trace, tol, step) -> FarkasCertificate | None:
     correction A+(Ay - b) of the step that moved the PSD point y to x, or
     the dual direction of `joint_feasibility` against X0.  The slack,
     tol.rel max(1, |y|) (|x| + trace), is the scale of the rounded
-    products it absorbs: S comes from y or has unit norm, and value and
-    slack term weigh S against x and against C."""
+    products it absorbs, and value and slack term weigh S against x and
+    against C.  Both candidates have unit Frobenius norm: at its own size,
+    gap, the correction's value is of order gap^2 against a slack that
+    does not shrink with it, so near Tsirelson's line none would clear it."""
     value = float(np.vdot(s, x).real)
     delta = max(0.0, -float(np.linalg.eigvalsh(pencil.T @ s @ pencil).min()))
     slack = tol.rel * max(1.0, float(np.linalg.norm(y))) * (
@@ -724,7 +721,7 @@ def joint_feasibility(
     When no PSD joint exists, theta is unbounded below and z runs off to
     infinity along a direction whose S = -A*z / |A*z| is PSD on the span
     of the cells and has <S, X0> < 0, which is a Farkas certificate.  So
-    each step tries both corr (against x) and S (against X0) as a
+    each step tries both corr / gap (against x) and S (against X0) as a
     `FarkasCertificate`: a try is one `eigvalsh` on the cell span, small
     next to a Newton step, and waiting for later steps only lets |z|
     grow.  Exhausting the budget first is reported as
@@ -764,7 +761,8 @@ def joint_feasibility(
         gap = float(np.linalg.norm(corr))
         if gap <= tol.rel * (w[-1] - gap):
             return FeasibilityReport("feasible", gap, it, ns, tol, witness=x)
-        tries = [(corr, x)]
+        # gap > 0: at gap = 0, y = x is a PSD joint, which the test accepts
+        tries = [(corr / gap, x)]
         if z.any():
             tries.append((-(z @ flat).reshape(n, n) / np.linalg.norm(z), x0))
         for s, at in tries:

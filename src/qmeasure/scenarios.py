@@ -109,7 +109,7 @@ def _spin_projectors(angles) -> np.ndarray:
     return v[..., :, None] * v[..., None, :]
 
 
-def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> SettingScenario:
+def gen_eprb(cfg: EprbConfig | None = None) -> SettingScenario:
     """Four-theory scenario for the two-wing spin pair.
 
     Histories are (intermediate label, beam at A, beam at B); the value
@@ -118,13 +118,12 @@ def gen_eprb(cfg: EprbConfig | None = None, check_lon_prereq: bool = True) -> Se
     entries are inner products of the vectors (P_i x P_j) Q_k psi, hence
     Hermitian, normalized, and strongly positive by construction.
 
-    Refuses a resolution basis with a vector orthogonal to the state
-    (`check_lon_prereq=False` builds the model anyway; such models fail
-    the lack-of-novelty check and ship as a test fixture).
+    Refuses a resolution basis with a vector orthogonal to the state:
+    such a model fails the lack-of-novelty check.
     """
     cfg = cfg or EprbConfig()
     # refuses degenerate input, not a check: check_lon decides at `tol`
-    if check_lon_prereq and cfg.overlaps().min() < 1e-6:
+    if cfg.overlaps().min() < 1e-6:
         raise ValueError(
             "resolution basis has a vector orthogonal to the initial state; "
             "the past algebra cannot span the full event Hilbert space"
@@ -155,21 +154,6 @@ class RecordModel:
     order: CausalOrder
     dcf: DecoherenceFunctional
     wings: tuple[str, ...]
-
-    def _wing_event(self, wanted: tuple[int, ...], part) -> Event:
-        """The histories whose wing values v have part(v, 2) == wanted."""
-        if len(wanted) != len(self.wings):
-            raise ValueError(f"need one value per wing of {self.wings}, got {wanted}")
-        values = self.space.value_matrix[:, self.space.columns(self.wings)]
-        return Event(self.space, (part(values, 2) == wanted).all(axis=1))
-
-    def setting_event(self, *settings: int) -> Event:
-        """The histories whose wings ran these settings, one per wing."""
-        return self._wing_event(settings, np.floor_divide)
-
-    def outcome_event(self, *outcomes: int) -> Event:
-        """The histories whose wings saw these outcomes, one per wing."""
-        return self._wing_event(outcomes, np.mod)
 
 
 @dataclass(frozen=True, eq=False)

@@ -254,8 +254,8 @@ def check_truncation_independence(
 ) -> TruncationReport:
     """Compare the functional built with two truncation slices on the
     atoms of event regions below the lower slice: by default every
-    single-cell region plus 20 seeded two-cell regions, or the given
-    `regions`, each naming points of the lower-slice model.
+    single-cell region plus up to 20 seeded two-cell regions, or the
+    given `regions`, each naming points of the lower-slice model.
 
     The lower model's histories are the atoms of the finest algebra
     below its slice, `fine`, on the higher model, and every tested region
@@ -275,9 +275,10 @@ def check_truncation_independence(
     if regions is None:
         chosen: list[tuple[str, ...]] = [(c,) for c in cells]
         rng = np.random.default_rng(seed)
-        for _ in range(min(20, len(cells) ** 2)):
-            pair = rng.choice(len(cells), size=2, replace=False)
-            chosen.append((cells[pair[0]], cells[pair[1]]))
+        if len(cells) > 1:  # a lone cell makes no pair
+            for _ in range(min(20, len(cells) ** 2)):
+                pair = rng.choice(len(cells), size=2, replace=False)
+                chosen.append((cells[pair[0]], cells[pair[1]]))
     else:
         chosen = [tuple(r) for r in regions]
         if not chosen:

@@ -64,6 +64,28 @@ def atom_events(alg):
     return tuple(Event(alg.space, alg.atom_index == a) for a in range(alg.n_atoms))
 
 
+def _wing_event(model, wanted, part):
+    """The histories of a record model whose wing values v have
+    part(v, 2) == wanted; a wrong-length `wanted` would broadcast, so it
+    is refused."""
+    if len(wanted) != len(model.wings):
+        raise ValueError(f"need one value per wing of {model.wings}, got {wanted}")
+    values = model.space.value_matrix[:, model.space.columns(model.wings)]
+    return Event(model.space, (part(values, 2) == wanted).all(axis=1))
+
+
+def setting_event(model, *settings):
+    """The histories of a record model (wing value 2 * setting + outcome)
+    whose wings ran these settings, one per wing."""
+    return _wing_event(model, settings, np.floor_divide)
+
+
+def outcome_event(model, *outcomes):
+    """The histories of a record model whose wings saw these outcomes,
+    one per wing."""
+    return _wing_event(model, outcomes, np.mod)
+
+
 def span_rank(dcf, points, *extra):
     """Numerical rank of the region's atom vectors, with any `extra`
     factor-space vectors appended as columns: a vector lies in the
@@ -96,6 +118,14 @@ def random_events(rng, space, count=3, disjoint=False):
         space.event_from_indices(np.nonzero(rng.random(n) < 0.5)[0])
         for _ in range(count)
     ]
+
+
+def correlation_table(scenario):
+    """The beam measures of a scenario's four theories, as `qmeasure chsh`
+    reads them."""
+    from qmeasure import CorrelationTable, Tolerance
+
+    return CorrelationTable.from_beam_dcfs(scenario.beam_dcfs(), Tolerance())
 
 
 SCENARIO_POINTS = ("z", "wa", "wb")
@@ -153,10 +183,22 @@ def eprb_scenario():
 def eprb_computational_basis():
     """The spin pair resolved in the product basis: two intermediate
     branches die, so the past spans only half of the event Hilbert space
-    and lack of novelty fails."""
-    from qmeasure import EprbConfig, gen_eprb
+    and lack of novelty fails.  `gen_eprb` refuses this basis, so the
+    theories are built here, at the stock angles, from the vectors
+    (P_a,i x P_b,j) e_k psi_k of history (k, i, j)."""
+    from qmeasure.patching import SETTING_KEYS, two_wing_scenario
+    from qmeasure.scenarios import SINGLET, TSIRELSON_ANGLES
 
-    return gen_eprb(EprbConfig(resolution_basis=np.eye(4)), check_lon_prereq=False)
+    theta = np.array(TSIRELSON_ANGLES)[:, None] + np.array([0.0, np.pi / 2])
+    axes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)  # [a a' b b', outcome]
+    matrices = {}
+    for sa, sb in SETTING_KEYS:
+        # P_a,i x P_b,j = w w^T with w = u_a,i x u_b,j, so the vector is w w_k psi_k
+        w = np.einsum("ia,jb->ijab", axes[sa], axes[2 + sb]).reshape(2, 2, 4)
+        vectors = np.einsum("ijc,ijk,k->kijc", w, w, SINGLET).reshape(16, 4)
+        matrices[(sa, sb)] = vectors.conj() @ vectors.T
+    past, out_a, out_b = np.indices((4, 2, 2)).reshape(3, 16)
+    return two_wing_scenario(past, (out_a, out_a), (out_b, out_b), (2, 2), matrices)
 
 
 @pytest.fixture(scope="session")

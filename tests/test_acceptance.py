@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import atom_events, random_factorizable_scenario
+from conftest import atom_events, correlation_table, random_factorizable_scenario
 
 from qmeasure import (
     DecoherenceFunctional,
@@ -166,7 +166,7 @@ def test_criterion_5_quantum_patching(eprb, eprb_patch):
 
 
 def test_criterion_6_tsirelson_numbers(eprb):
-    value = chsh_value(eprb.correlation_table())
+    value = chsh_value(correlation_table(eprb))
     _, pr_table = gen_pr_box()
     ok = abs(value - 2 * np.sqrt(2)) < 1e-6 and chsh_value(pr_table) == 4.0
     report(6, "CHSH reaches 2*sqrt(2) quantum and 4 for the box", ok)

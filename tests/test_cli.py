@@ -137,19 +137,24 @@ class TestTablesAndFeasibility:
         assert code == 0 and json.loads(out)["verdict"] == "feasible"
 
     def test_feasibility_undecided_below_certifying_step(self, workdir, capsys):
-        # the noisy box just above Tsirelson's line, v = 0.7072
-        v = 0.7072
-        same, other = 0.25 + v / 4, 0.25 - v / 4
-        doc = {key: [[same, other], [other, same]] for key in ("ab", "ab'", "a'b")}
-        doc["a'b'"] = [[other, same], [same, other]]
-        with open("noisy.json", "w") as fh:
-            json.dump(doc, fh)
-        code, out = run(capsys, "feasibility", "noisy.json", "--budget", "8")
-        assert code == 4
-        report = json.loads(out)
-        assert report["verdict"] == "undecided-infeasible"
-        assert report["iterations"] == 8
-        assert "certificate" not in report
+        # the noisy box 1e-8 above Tsirelson's line is undecided at budget
+        # 8; at v = 0.7072 it is refuted at step 7
+        for v, code_wanted in ((2 ** -0.5 + 1e-8, 4), (0.7072, 3)):
+            same, other = 0.25 + v / 4, 0.25 - v / 4
+            doc = {key: [[same, other], [other, same]] for key in ("ab", "ab'", "a'b")}
+            doc["a'b'"] = [[other, same], [same, other]]
+            with open("noisy.json", "w") as fh:
+                json.dump(doc, fh)
+            code, out = run(capsys, "feasibility", "noisy.json", "--budget", "8")
+            assert code == code_wanted
+            report = json.loads(out)
+            if code == 4:
+                assert report["verdict"] == "undecided-infeasible"
+                assert report["iterations"] == 8
+                assert "certificate" not in report
+            else:
+                assert report["verdict"] == "infeasible"
+                assert report["iterations"] == report["certificate"]["step"] == 7
 
 
 class TestSkCommands:
@@ -163,6 +168,14 @@ class TestSkCommands:
             capsys, "sk", "truncation", "sk.json", "--tf1", "1", "--tf2", "2"
         )
         assert code == 0
+
+    def test_truncation_of_a_lone_cell(self, workdir, capsys):
+        doc = {"L": 1, "T": 1, "q": 2, "psi": [[1.0, 0.0], [0.0, 0.0]], "gates": []}
+        with open("one.json", "w") as fh:
+            json.dump(doc, fh)
+        code, out = run(capsys, "sk", "truncation", "one.json", "--tf1", "0", "--tf2", "1")
+        assert code == 0
+        assert json.loads(out)["regions_tested"] == 1
 
     def test_factorizability_full_support_circuit(self, workdir, capsys):
         # superposed initial state and a generic first-layer gate: every

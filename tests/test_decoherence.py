@@ -210,35 +210,46 @@ class TestClassical:
         )
 
 
+def region_values(dcf, points):
+    """The functional restricted to a region: its values on the region's
+    atoms, as `check_agreement` reads them."""
+    alg = region_algebra(dcf.space, points)
+    return dcf.grouped(alg.atom_index, alg.n_atoms)
+
+
 class TestRestrict:
     def test_full_region_is_identity(self, double_slit):
         space, _, dcf = double_slit
-        r = dcf.restrict(("slit", "screen"))
-        assert np.allclose(r.matrix, dcf.matrix)
+        assert np.allclose(region_values(dcf, ("slit", "screen")), dcf.matrix)
 
     def test_empty_region_is_scalar_one(self, double_slit):
         _, _, dcf = double_slit
-        r = dcf.restrict(())
-        assert r.matrix.shape == (1, 1)
-        assert r.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        r = region_values(dcf, ())
+        assert r.shape == (1, 1)
+        assert r[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_double_slit_screen(self, double_slit):
         _, _, dcf = double_slit
-        r = dcf.restrict(("screen",))
-        assert np.allclose(r.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        r = region_values(dcf, ("screen",))
+        assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_repeated_point_rejected(self, double_slit):
         _, _, dcf = double_slit
         with pytest.raises(ValueError, match="'slit' is listed twice"):
-            dcf.restrict(("slit", "slit"))
+            check_agreement(dcf, dcf, ("slit", "slit"))
 
     def test_tower_property(self):
+        # coarse-graining the middle region's values onto the small
+        # region's atoms gives the small region's values
         rng = np.random.default_rng(5)
         space = random_space(rng)
         dcf = random_psd_dcf(rng, space)
-        small = dcf.restrict(space.points[:1])
-        via_mid = dcf.restrict(space.points[:2]).restrict(space.points[:1])
-        assert np.allclose(small.matrix, via_mid.matrix, atol=1e-12)
+        small = region_algebra(space, space.points[:1])
+        mid = region_algebra(space, space.points[:2])
+        coarse = np.zeros((small.n_atoms, mid.n_atoms))
+        coarse[small.atom_index, mid.atom_index] = 1.0
+        via_mid = coarse @ region_values(dcf, space.points[:2]) @ coarse.T
+        assert np.allclose(region_values(dcf, space.points[:1]), via_mid, atol=1e-12)
 
 
 def random_lazy_dcf(rng, space, dim=3):
@@ -291,28 +302,6 @@ class TestGrouped:
                     ).reshape(m, b.dim)
                     expected = vecs.conj() @ vecs.T
                 assert np.array_equal(dcf.grouped(labels, m), expected)
-
-    def test_restrict_runs_the_two_formulas(self):
-        # the dense indicator product and the lazy scatter over
-        # atom * dim + final_index on live histories, bit for bit
-        rng = np.random.default_rng(43)
-        space = random_space(rng, n_points=3, max_alpha=3)
-        for dcf in (random_psd_dcf(rng, space), random_lazy_dcf(rng, space)):
-            for points in ((), space.points[:1], space.points[1:], space.points):
-                alg = region_algebra(space, points)
-                if dcf.is_dense:
-                    ind = np.zeros((alg.n_atoms, space.size))
-                    ind[alg.atom_index, np.arange(space.size)] = 1.0
-                    expected = ind @ dcf.matrix @ ind.T
-                else:
-                    b = dcf.branch
-                    vecs = scatter_columns(
-                        b.amplitudes[None, b.live],
-                        alg.atom_index[b.live] * b.dim + b.final_index[b.live],
-                        alg.n_atoms * b.dim,
-                    ).reshape(alg.n_atoms, b.dim)
-                    expected = vecs.conj() @ vecs.T
-                assert np.array_equal(dcf.restrict(points).matrix, expected)
 
 
 class TestVectors:
@@ -417,6 +406,32 @@ class TestAgreement:
         d1 = eprb_scenario.theory(0, 0).dcf
         d2 = eprb_scenario.theory(1, 0).dcf
         assert not check_agreement(d1, d2, ("z", "wa"))
+
+    def test_differing_history_sets(self, double_slit):
+        # without history Rd the slit-and-screen atoms differ, the screen's
+        # atoms do not
+        _, _, dcf = double_slit
+        space = HistorySpace(points=("slit", "screen"), histories=((0, 0), (0, 1), (1, 0)))
+        three = DecoherenceFunctional(space, matrix=np.diag([0.5, 0.0, 0.5]))
+        assert not check_agreement(dcf, three, ("slit", "screen"))
+        assert check_agreement(dcf, three, ("screen",))
+
+    @pytest.mark.parametrize("delta, agree", [(1e-12, True), (1e-6, False)])
+    def test_difference_against_the_floor(self, double_slit, delta, agree):
+        # D(Lb, Rb) moves by delta, and with it the slit atoms' cross value
+        space, _, dcf = double_slit
+        m = dcf.matrix.copy()
+        m[0, 2] += delta
+        m[2, 0] += delta
+        moved = DecoherenceFunctional(space, matrix=m)
+        assert check_agreement(dcf, moved, ("slit",)) is agree
+
+    def test_non_finite_values_refused(self):
+        # finite amplitudes whose products overflow
+        space = HistorySpace(points=("p",), histories=((0,), (1,)))
+        huge = DecoherenceFunctional.from_amplitudes(space, [1e200, 1e200], [0, 0], 1)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite entry"):
+            check_agreement(huge, huge, ("p",))
 
 
 class TestGramProperty:

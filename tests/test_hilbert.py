@@ -243,7 +243,8 @@ class TestLiveColumns:
                 b.amplitudes[None, :], alg.atom_index * b.dim + b.final_index,
                 alg.n_atoms * b.dim,
             ).reshape(alg.n_atoms, b.dim)
-            assert np.array_equal(dcf.restrict(points).matrix, vecs.conj() @ vecs.T)
+            got = dcf.grouped(alg.atom_index, alg.n_atoms)
+            assert np.array_equal(got, vecs.conj() @ vecs.T)
 
     def test_full_support(self):
         model = _full_support_model()

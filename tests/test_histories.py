@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import atom_events
+from conftest import atom_events, outcome_event, setting_event
 
 from qmeasure import (
     Event,
@@ -330,20 +330,20 @@ def box_event_from_implications(model):
     """The box event as eight setting and outcome events combine it:
     correlated beams under three joint settings, anti-correlated under
     the fourth."""
-    s00, s01, s10, s11 = (model.setting_event(*key) for key in SETTING_KEYS)
-    uu, ud, du, dd = (model.outcome_event(*key) for key in SETTING_KEYS)
+    s00, s01, s10, s11 = (setting_event(model, *key) for key in SETTING_KEYS)
+    uu, ud, du, dd = (outcome_event(model, *key) for key in SETTING_KEYS)
     return implies(s00 | s01 | s10, uu | dd) & implies(s11, ud | du)
 
 
 def parity_event_from_implications(model):
     """The parity event as twelve setting and outcome events combine it:
     the mixed settings force odd beam parity, the all-x setting even."""
-    words = {w: model.outcome_event(*w) for w in itertools.product((0, 1), repeat=3)}
+    words = {w: outcome_event(model, *w) for w in itertools.product((0, 1), repeat=3)}
     odd = words[0, 0, 1] | words[0, 1, 0] | words[1, 0, 0] | words[1, 1, 1]
     even = words[1, 1, 0] | words[1, 0, 1] | words[0, 1, 1] | words[0, 0, 0]
-    mixed = model.setting_event(0, 1, 1) | model.setting_event(1, 0, 1)
-    mixed = mixed | model.setting_event(1, 1, 0)
-    return implies(mixed, odd) & implies(model.setting_event(0, 0, 0), even)
+    mixed = setting_event(model, 0, 1, 1) | setting_event(model, 1, 0, 1)
+    mixed = mixed | setting_event(model, 1, 1, 0)
+    return implies(mixed, odd) & implies(setting_event(model, 0, 0, 0), even)
 
 
 class TestPrEvent:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import atom_events, random_factorizable_scenario
+from conftest import atom_events, correlation_table, random_factorizable_scenario
 
 from qmeasure import (
     CheckViolation,
@@ -186,7 +186,7 @@ class TestCellValues:
         ]
         for sc in scenarios:
             beams, ref_beams = sc.beam_dcfs(), reference_beam_dcfs(sc)
-            tables, ref_tables = sc.correlation_table().tables, reference_tables(sc)
+            tables, ref_tables = correlation_table(sc).tables, reference_tables(sc)
             for key in SETTING_KEYS:
                 assert np.abs(beams[key] - ref_beams[key]).max() <= 1e-14
                 assert np.abs(tables[key] - ref_tables[key]).max() <= 1e-14
@@ -246,7 +246,7 @@ class TestChsh:
         assert chsh_value(table) == 4.0
 
     def test_quantum_scenario_reaches_tsirelson(self, eprb_scenario):
-        value = chsh_value(eprb_scenario.correlation_table())
+        value = chsh_value(correlation_table(eprb_scenario))
         assert value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
 
     def test_malformed_table_rejected(self):
@@ -586,12 +586,28 @@ class TestFeasibility:
         assert np.abs(jac @ d - slope).max() < 1e-7 * np.abs(slope).max()
 
     def test_box_undecided_below_certifying_step(self):
-        # just above Tsirelson's line no certificate comes within 200 steps
-        report = joint_feasibility(_noisy_box(0.7072), budget=200)
+        # 1e-8 above Tsirelson's line the gap, 1.25e-9, is of the size of
+        # the tolerance, and no certificate comes within 200 steps
+        report = joint_feasibility(_noisy_box(2 ** -0.5 + 1e-8), budget=200)
         assert report.verdict == "undecided-infeasible"
         assert report.iterations == 200
         assert report.certificate is None
         assert "certificate" not in report.as_dict()
+
+    @pytest.mark.parametrize("budget", [8, 200, 1000])
+    def test_box_refuted_just_above_tsirelson(self, budget):
+        # the unit-norm correction certifies v = 0.7072 whatever the budget
+        beam = _noisy_box(0.7072)
+        report = joint_feasibility(beam, budget=budget)
+        assert (report.verdict, report.iterations) == ("infeasible", 7)
+        _check_certificate(beam, report)
+
+    def test_scaled_box_refuted_as_fast(self):
+        # the candidates' unit norm makes the certificate scale-free
+        beam = {k: 1e-3 * v for k, v in _noisy_box(0.71).items()}
+        report = joint_feasibility(beam)
+        assert report.verdict == "infeasible" and report.iterations <= 10
+        _check_certificate(beam, report)
 
     @pytest.mark.parametrize("p", [0.6, 0.7])
     def test_noisy_box_below_tsirelson_feasible(self, p):
@@ -803,7 +819,7 @@ class TestRandomStateScenarios:
         assert jd.min_eigenvalue() >= -1e-9
         for key in SETTING_KEYS:
             assert patch_marginal_residual(jd, sc, *key) < 1e-9
-        assert chsh_value(sc.correlation_table()) <= 2 * np.sqrt(2) + 1e-9
+        assert chsh_value(correlation_table(sc)) <= 2 * np.sqrt(2) + 1e-9
 
     def test_flipped_labels_patch_identically_well(self):
         from qmeasure import EprbConfig, gen_eprb
@@ -812,6 +828,6 @@ class TestRandomStateScenarios:
         jd = quantum_patch(sc)
         for key in SETTING_KEYS:
             assert patch_marginal_residual(jd, sc, *key) < 1e-9
-        assert chsh_value(sc.correlation_table()) == pytest.approx(
+        assert chsh_value(correlation_table(sc)) == pytest.approx(
             2 * np.sqrt(2), abs=1e-6
         )

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import correlation_table, outcome_event, setting_event
 from qmeasure import (
     EprbConfig,
     chsh_value,
@@ -88,7 +89,7 @@ class TestEprb:
     def test_matched_analyzers_anticorrelate(self):
         cfg = EprbConfig(angles=(0.3, 0.9, 0.3, 1.7))
         sc = gen_eprb(cfg)
-        table = sc.correlation_table().tables[(0, 0)]
+        table = correlation_table(sc).tables[(0, 0)]
         assert table[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert table[1, 1] == pytest.approx(0.0, abs=1e-12)
         assert table[0, 1] + table[1, 0] == pytest.approx(1.0, abs=1e-12)
@@ -109,12 +110,12 @@ class TestEprb:
     def test_flip_b_gives_correlation(self):
         cfg = EprbConfig(angles=(0.3, 0.9, 0.3, 1.7), flip_b=True)
         sc = gen_eprb(cfg)
-        table = sc.correlation_table().tables[(0, 0)]
+        table = correlation_table(sc).tables[(0, 0)]
         assert table[0, 0] + table[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_tables_match_state_vector_oracle(self, eprb_scenario):
         angles = TSIRELSON_ANGLES
-        tables = eprb_scenario.correlation_table().tables
+        tables = correlation_table(eprb_scenario).tables
         for sa in (0, 1):
             for sb in (0, 1):
                 for i in (0, 1):
@@ -127,7 +128,7 @@ class TestEprb:
                         )
 
     def test_chsh_at_stock_angles(self, eprb_scenario):
-        assert chsh_value(eprb_scenario.correlation_table()) == pytest.approx(
+        assert chsh_value(correlation_table(eprb_scenario)) == pytest.approx(
             2 * np.sqrt(2), abs=1e-6
         )
 
@@ -222,7 +223,7 @@ class TestGhz:
     def test_all_x_uuu_has_measure_one_thirtysecond(self):
         # oracle: |<+++|ghz>|^2 / 8 settings
         model, _ = gen_ghz()
-        ev = model.setting_event(0, 0, 0) & model.outcome_event(0, 0, 0)
+        ev = setting_event(model, 0, 0, 0) & outcome_event(model, 0, 0, 0)
         want = ghz_probability((0, 0, 0), (0, 0, 0)) / 8.0
         assert want == pytest.approx(1 / 32, abs=1e-12)
         assert model.dcf.measure(ev) == pytest.approx(want, abs=1e-12)
@@ -260,10 +261,10 @@ class TestRecordEvents:
         for word in itertools.product((0, 1), repeat=n):
             settings = [(2 * s, 2 * s + 1) for s in word]
             outcomes = [(o, 2 + o) for o in word]
-            assert model.setting_event(*word) == union_of_value_events(
+            assert setting_event(model, *word) == union_of_value_events(
                 model.space, model.wings, settings
             )
-            assert model.outcome_event(*word) == union_of_value_events(
+            assert outcome_event(model, *word) == union_of_value_events(
                 model.space, model.wings, outcomes
             )
 
@@ -272,9 +273,9 @@ class TestRecordEvents:
         n = len(model.wings)
         for bad in ((0,) * (n - 1), (0,) * (n + 1)):
             with pytest.raises(ValueError, match="one value per wing"):
-                model.setting_event(*bad)
+                setting_event(model, *bad)
             with pytest.raises(ValueError, match="one value per wing"):
-                model.outcome_event(*bad)
+                outcome_event(model, *bad)
 
 
 class TestDefaultResolutionBasis:

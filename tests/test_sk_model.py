@@ -11,6 +11,7 @@ from qmeasure import (
     HistorySpace,
     SkCircuitConfig,
     SkGate,
+    check_agreement,
     check_lon,
     check_poz,
     check_quantum_factorizability,
@@ -237,6 +238,11 @@ class TestTruncation:
                 mixed_config(), 2, 0, regions=[("rho", "1,1")]
             )
 
+    def test_lone_cell_below_the_slice(self):
+        # one site, lower slice 0: one single-cell region and no pairs
+        rep = check_truncation_independence(SkCircuitConfig(sites=1, steps=1), 0, 1)
+        assert rep.passed and rep.regions_tested == 1
+
     def test_empty_region_list_refused(self):
         with pytest.raises(ValueError, match="certifies nothing"):
             check_truncation_independence(decoupled_demo_config(steps=2), 1, 2, regions=[])
@@ -269,9 +275,10 @@ def mixed_config():
 
 
 def restricted_check(cfg, t_f1, t_f2, regions=None, seed=0):
-    """The comparison by restricting both functionals to each region's
-    atoms, the high model's scanned once per region; returns the largest
-    entry difference and the number of regions."""
+    """The comparison of both functionals on each region's atoms, each
+    model's region algebra built on its own histories, the high model's
+    scanned once per region; returns the largest entry difference and the
+    number of regions."""
     lo = min(t_f1, t_f2)
     model1 = gen_sk_circuit(dataclasses.replace(cfg, t_f=t_f1))
     model2 = gen_sk_circuit(dataclasses.replace(cfg, t_f=t_f2))
@@ -284,10 +291,11 @@ def restricted_check(cfg, t_f1, t_f2, regions=None, seed=0):
             regions.append((cells[pair[0]], cells[pair[1]]))
     worst = 0.0
     for reg in regions:
-        r1 = model1.dcf.restrict(reg)
-        r2 = model2.dcf.restrict(reg)
-        assert np.array_equal(r1.space.value_matrix, r2.space.value_matrix)
-        worst = max(worst, float(np.abs(r1.matrix - r2.matrix).max()))
+        a1, a2 = (region_algebra(m.space, reg) for m in (model1, model2))
+        assert np.array_equal(a1.representatives, a2.representatives)
+        g1 = model1.dcf.grouped(a1.atom_index, a1.n_atoms)
+        g2 = model2.dcf.grouped(a2.atom_index, a2.n_atoms)
+        worst = max(worst, float(np.abs(g1 - g2).max()))
     return worst, len(regions)
 
 
@@ -461,10 +469,11 @@ class TestMixedState:
 
 class TestCaps:
     def test_restriction_above_dense_cap_rejected(self):
+        # an 11-cell region of the lazy circuit has 2048 atoms
         model = gen_sk_circuit(decoupled_demo_config(steps=3))
         wide = [f"{s},{t}" for t in (0, 1, 2) for s in range(4)][:11]
         with pytest.raises(ValueError, match="dense cap"):
-            model.dcf.restrict(tuple(wide))
+            check_agreement(model.dcf, model.dcf, tuple(wide))
 
     def test_event_space_needs_region_for_large_lazy(self):
         from qmeasure import build_event_space
