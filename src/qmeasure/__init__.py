@@ -54,5 +54,4 @@ from .sk_model import (
     check_truncation_independence,
     decoupled_demo_config,
     gen_sk_circuit,
-    sk_factorizability_demo,
 )

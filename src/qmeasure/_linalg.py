@@ -1,4 +1,5 @@
-"""Shared numeric policy: tolerances, PSD factorization, numerical rank."""
+"""Shared numeric policy (tolerances, PSD factorization, numerical rank)
+and the flag-set algebra of events and regions."""
 
 from __future__ import annotations
 
@@ -121,12 +122,55 @@ def scatter_columns(fac: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     return sums.view(complex).reshape(d, m)
 
 
-def flag_vector(flags, n: int, owner: str) -> np.ndarray:
-    """A read-only copy of `flags`, which must be a bool vector of length n:
-    the one representation of a set of histories or of points."""
-    flags = np.asarray(flags)
-    if flags.dtype != bool or flags.shape != (n,):
-        raise ValueError(f"{owner} needs a bool vector of {n} flags")
-    flags = flags.copy()
-    flags.flags.writeable = False
-    return flags
+class FlagSet:
+    """A subset of a finite owner as a read-only bool vector, one flag per
+    member: the one set algebra of events and regions.  A subclass is a
+    frozen dataclass with fields (owner, flags); it names the owner through
+    `_owner` and its refusals through the class attributes `needs` and
+    `foreign`."""
+
+    def __post_init__(self):
+        n = self._owner.size
+        flags = np.asarray(self.flags)
+        if flags.dtype != bool or flags.shape != (n,):
+            raise ValueError(f"{self.needs} needs a bool vector of {n} flags")
+        flags = flags.copy()
+        flags.flags.writeable = False
+        object.__setattr__(self, "flags", flags)
+
+    def _check(self, other) -> None:
+        if self._owner is not other._owner:
+            raise ValueError(self.foreign)
+
+    def __eq__(self, other):
+        if not isinstance(other, FlagSet):
+            return NotImplemented
+        return self._owner is other._owner and bool((self.flags == other.flags).all())
+
+    def __hash__(self):
+        return hash((id(self._owner), self.flags.tobytes()))
+
+    def __or__(self, other):
+        self._check(other)
+        return type(self)(self._owner, self.flags | other.flags)
+
+    def __and__(self, other):
+        self._check(other)
+        return type(self)(self._owner, self.flags & other.flags)
+
+    def __xor__(self, other):
+        self._check(other)
+        return type(self)(self._owner, self.flags ^ other.flags)
+
+    def __invert__(self):
+        return type(self)(self._owner, ~self.flags)
+
+    def __le__(self, other) -> bool:
+        self._check(other)
+        return not (self.flags & ~other.flags).any()
+
+    def __len__(self) -> int:
+        return int(self.flags.sum())
+
+    def is_empty(self) -> bool:
+        return not self.flags.any()

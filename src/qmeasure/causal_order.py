@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import flag_vector
+from ._linalg import FlagSet
 
 DOWN_SET_LIMIT = 4096
 
@@ -89,47 +89,17 @@ class CausalOrder:
 
 
 @dataclass(frozen=True, eq=False)
-class Region:
+class Region(FlagSet):
     """A set of points of one causal order: one bool flag per point."""
 
     order: CausalOrder
     flags: np.ndarray
+    needs = "a region"
+    foreign = "regions belong to different causal orders"
 
-    def __post_init__(self):
-        object.__setattr__(self, "flags", flag_vector(self.flags, self.order.size, "a region"))
-
-    def _check(self, other: "Region") -> None:
-        if self.order is not other.order:
-            raise ValueError("regions belong to different causal orders")
-
-    def __eq__(self, other):
-        if not isinstance(other, Region):
-            return NotImplemented
-        return self.order is other.order and bool((self.flags == other.flags).all())
-
-    def __hash__(self):
-        return hash((id(self.order), self.flags.tobytes()))
-
-    def __or__(self, other: "Region") -> "Region":
-        self._check(other)
-        return Region(self.order, self.flags | other.flags)
-
-    def __and__(self, other: "Region") -> "Region":
-        self._check(other)
-        return Region(self.order, self.flags & other.flags)
-
-    def __invert__(self) -> "Region":
-        return Region(self.order, ~self.flags)
-
-    def __len__(self) -> int:
-        return int(self.flags.sum())
-
-    def __le__(self, other: "Region") -> bool:
-        self._check(other)
-        return not (self.flags & ~other.flags).any()
-
-    def is_empty(self) -> bool:
-        return not self.flags.any()
+    @property
+    def _owner(self) -> CausalOrder:
+        return self.order
 
     def point_names(self) -> tuple[str, ...]:
         return tuple(p for p, f in zip(self.order.points, self.flags) if f)
@@ -221,21 +191,19 @@ def validate_scenario_geometry(
 
 
 def down_sets(order: CausalOrder) -> list[Region]:
-    """All past sets of the order, smallest first; errors above
-    DOWN_SET_LIMIT."""
+    """All past sets of the order, smallest first and, among sets of one
+    size, in the order of their flags read as binary numbers with the
+    last point most significant; errors above DOWN_SET_LIMIT."""
     n = order.size
-    leq = order.leq
-    # iterate points in a topological order, extending down-sets
-    topo = sorted(range(n), key=lambda p: int(leq[:, p].sum()))
-    sets = [0]
-    for p in topo:
-        below = sum(1 << q for q in range(n) if leq[q, p] and q != p)
-        new = []
-        for m in sets:
-            if below & ~m == 0:
-                new.append(m | (1 << p))
-        sets.extend(new)
+    strict = order.leq & ~np.eye(n, dtype=bool)
+    sets = np.zeros((1, n), dtype=bool)
+    # visit points in a topological order; a set grows by a point once it
+    # holds the point's strict past
+    for p in np.argsort(order.leq.sum(axis=0), kind="stable"):
+        grown = sets[(sets | ~strict[:, p]).all(axis=1)]
+        grown[:, p] = True
+        sets = np.concatenate([sets, grown])
         if len(sets) > DOWN_SET_LIMIT:
             raise ValueError(f"more than {DOWN_SET_LIMIT} past sets; supply a region list")
-    sets = sorted(set(sets), key=lambda m: (m.bit_count(), m))
-    return [Region(order, np.array([m >> i & 1 for i in range(n)], dtype=bool)) for m in sets]
+    sets = sets[np.lexsort((*sets.T, sets.sum(axis=1)))]
+    return [Region(order, flags) for flags in sets]

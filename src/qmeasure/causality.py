@@ -475,9 +475,9 @@ def check_quantum_factorizability(
     local = []
     for region in (z, a, b):
         alg = region_algebra(dcf.space, region.point_names())
-        kept, index = np.unique(alg.atom_index[live], return_inverse=True)
+        n_live, index = live_atoms(dcf, alg)
         total *= alg.n_atoms
-        local.append((len(kept), index))
+        local.append((n_live, index[live]))
     total **= 2
     (n_z, iz), (n_a, ia), (n_b, ib) = local
     comp_a = _shared_row_components(fac, ia, n_a)

@@ -30,6 +30,7 @@ from .causality import (
 )
 from .hilbert import build_event_space
 from .patching import (
+    OPERATOR_ORDER,
     SETTING_KEYS,
     CorrelationTable,
     chsh_value,
@@ -52,7 +53,6 @@ from .sk_model import (
     check_truncation_independence,
     decoupled_demo_config,
     gen_sk_circuit,
-    sk_factorizability_demo,
 )
 
 OK, INPUT_ERROR, VIOLATION, BUDGET = 0, 2, 3, 4
@@ -262,7 +262,7 @@ def cmd_patch(args) -> int:
         summary = {"marginal_residual": resid, "total": jm.total()}
         code = OK
     else:
-        ordering = tuple(args.ordering.split(",")) if args.ordering else ("a", "ap", "b", "bp")
+        ordering = tuple(args.ordering.split(",")) if args.ordering else OPERATOR_ORDER
         jdcf = quantum_patch(scenario, ordering=ordering)
         resid = max(patch_marginal_residual(jdcf, scenario, *k) for k in SETTING_KEYS)
         doc = io.joint_dcf_to_json(jdcf)
@@ -344,7 +344,13 @@ def cmd_sk(args) -> int:
         raise ValueError(f"sk {args.action} needs a circuit-model JSON input")
     cfg = _read(args.input, tol, ("skmodel",))[1]
     if args.action == "factorizability":
-        report = sk_factorizability_demo(cfg, tol=tol)
+        model = gen_sk_circuit(cfg)
+        z, a, b = (model.region(tag) for tag in "ZAB")
+        if z.is_empty() or a.is_empty() or b.is_empty():
+            raise ValueError("region tagging must cover Z, A and B")
+        report = check_quantum_factorizability(
+            dataclasses.replace(model.dcf, tol=tol), model.order, z, a, b
+        )
         _emit(report.as_dict(), args)
         return OK if report.passed else VIOLATION
     if args.action == "truncation":

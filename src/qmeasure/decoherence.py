@@ -270,26 +270,33 @@ class DecoherenceFunctional:
         return v.conj().T @ v
 
 
+def grouped_gap(
+    d1: DecoherenceFunctional, l1: np.ndarray, d2: DecoherenceFunctional, l2: np.ndarray, m: int
+) -> tuple[float, np.ndarray]:
+    """The largest entry gap between two functionals' values on m events,
+    each side's given by its history labels (`grouped`), and the first
+    side's matrix.  More than DENSE_ATOM_CAP events are refused: a lazy
+    functional's atom count is bounded only by its history count."""
+    if m > DENSE_ATOM_CAP:
+        raise ValueError(f"restriction has {m} atoms, above the dense cap")
+    g1, g2 = d1.grouped(l1, m), d2.grouped(l2, m)
+    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
+        raise ValueError("matrix has a non-finite entry")
+    return float(np.abs(g1 - g2).max(initial=0.0)), g1
+
+
 def check_agreement(
     d1: DecoherenceFunctional, d2: DecoherenceFunctional, points
 ) -> bool:
     """Two theories agree in a region iff their restricted history sets are
     equal and their values on the region's atoms coincide under that
-    matching, at the floor of the first side's values.
-
-    Each side's values are one `grouped` call on its region algebra.  A
-    region with more than DENSE_ATOM_CAP atoms is refused: a lazy
-    functional's atom count is bounded only by its history count."""
+    matching (`grouped_gap` on their region algebras), at the floor of the
+    first side's values."""
     a1, a2 = region_algebra(d1.space, points), region_algebra(d2.space, points)
     if not np.array_equal(a1.representatives, a2.representatives):
         return False
-    m = a1.n_atoms
-    if m > DENSE_ATOM_CAP:
-        raise ValueError(f"restriction has {m} atoms, above the dense cap")
-    g1, g2 = d1.grouped(a1.atom_index, m), d2.grouped(a2.atom_index, m)
-    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
-        raise ValueError("matrix has a non-finite entry")
-    return bool(np.abs(g1 - g2).max(initial=0.0) <= d1.tol.matrix_floor(g1))
+    gap, g1 = grouped_gap(d1, a1.atom_index, d2, a2.atom_index, a1.n_atoms)
+    return gap <= d1.tol.matrix_floor(g1)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ def live_atoms(dcf: DecoherenceFunctional, alg: RegionAlgebra) -> tuple[int, np.
     Liveness goes by histories, not by nonzero columns, because live
     histories may cancel in an atom's vector but not in its splits.
     """
-    live = np.unique(alg.atom_index[dcf.factor[0]])
+    live = np.bincount(alg.atom_index[dcf.factor[0]], minlength=alg.n_atoms) > 0
     # a dead history's position is meaningless, but `vectors` reads none
-    return live.size, np.searchsorted(live, alg.atom_index)
+    return int(live.sum()), (np.cumsum(live) - live)[alg.atom_index]
 
 
 def live_region_vectors(

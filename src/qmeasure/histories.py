@@ -2,7 +2,8 @@
 
 A history space is a finite list of value assignments over named points;
 an event is a subset of histories, stored as one bool flag per history.
-The Boolean operations are the Event operators `|`, `&`, `^` and `~`.
+The Boolean operations are the Event operators `|`, `&`, `^`, `~` and
+`<=`, shared with regions through `_linalg.FlagSet`.
 The full event algebra (2^n sets) is never materialized: a region algebra
 is an atom id per history, and only user-constructed events exist as
 Event objects.
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import flag_vector
+from ._linalg import FlagSet
 
 MAX_HISTORIES = 65536
 MAX_VALUE = 65535  # history values are stored as uint16
@@ -127,50 +128,20 @@ class HistorySpace:
 
 
 @dataclass(frozen=True, eq=False)
-class Event:
+class Event(FlagSet):
     """A set of histories of one HistorySpace: one bool flag per history."""
 
     space: HistorySpace
     flags: np.ndarray
+    needs = "an event"
+    foreign = "events belong to different history spaces"
 
-    def __post_init__(self):
-        object.__setattr__(self, "flags", flag_vector(self.flags, self.space.size, "an event"))
-
-    def _check(self, other: "Event") -> None:
-        if self.space is not other.space:
-            raise ValueError("events belong to different history spaces")
-
-    def __eq__(self, other):
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.space is other.space and bool((self.flags == other.flags).all())
-
-    def __hash__(self):
-        return hash((id(self.space), self.flags.tobytes()))
-
-    def __or__(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.space, self.flags | other.flags)
-
-    def __and__(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.space, self.flags & other.flags)
-
-    def __xor__(self, other: "Event") -> "Event":
-        self._check(other)
-        return Event(self.space, self.flags ^ other.flags)
-
-    def __invert__(self) -> "Event":
-        return Event(self.space, ~self.flags)
-
-    def __len__(self) -> int:
-        return int(self.flags.sum())
+    @property
+    def _owner(self) -> HistorySpace:
+        return self.space
 
     def __contains__(self, index: int) -> bool:
         return 0 <= index < self.space.size and bool(self.flags[index])
-
-    def is_empty(self) -> bool:
-        return not self.flags.any()
 
     def indices(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.flags).tolist())

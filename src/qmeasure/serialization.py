@@ -18,6 +18,7 @@ from .causal_order import CausalOrder
 from .decoherence import DecoherenceFunctional
 from .histories import Event, HistorySpace
 from .patching import (
+    OPERATOR_ORDER,
     CorrelationTable,
     JointDcf,
     SettingScenario,
@@ -327,8 +328,7 @@ def joint_dcf_from_json(doc: dict) -> JointDcf:
     slots = _slots(doc["slots"], 5, "joint functional")
     flat = matrix_from_json(doc["matrix"])
     return JointDcf(
-        flat.reshape(slots + slots), tuple(doc.get("ordering", []) or
-                                           ("a", "ap", "b", "bp"))
+        flat.reshape(slots + slots), tuple(doc.get("ordering", []) or OPERATOR_ORDER)
     )
 
 

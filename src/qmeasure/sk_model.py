@@ -9,9 +9,10 @@ plus final-configuration indices: pairs of histories are never
 materialized.
 
 For unitary gates the functional does not depend on where the
-truncation surface sits (any slice at or above the tested events), and
-models whose wings decouple after some step satisfy the doubled
-screening-off identity exactly; both facts are checked numerically here.
+truncation surface sits (any slice at or above the tested events),
+which is checked numerically here; models whose wings decouple after
+some step satisfy the doubled screening-off identity exactly, which
+`causality.check_quantum_factorizability` checks on the tagged regions.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_RTOL, Tolerance
 from .causal_order import CausalOrder, Region
-from .causality import FactorizabilityReport, check_quantum_factorizability
-from .decoherence import DENSE_ATOM_CAP, DecoherenceFunctional
+from .decoherence import DecoherenceFunctional, grouped_gap
 from .histories import MAX_HISTORIES, HistorySpace, region_algebra
 
 REGION_TAGS = ("Z", "A", "B", "-")
@@ -294,52 +294,11 @@ def check_truncation_independence(
     worst = 0.0
     for reg in chosen:
         alg = region_algebra(low.space, reg)
-        n = alg.n_atoms
-        if n > DENSE_ATOM_CAP:
-            raise ValueError(f"restriction has {n} atoms, above the dense cap")
-        d_low = low.dcf.grouped(alg.atom_index, n)
-        d_high = high.dcf.grouped(alg.atom_index[fine.atom_index], n)
-        if not (np.isfinite(d_low).all() and np.isfinite(d_high).all()):
-            raise ValueError("matrix has a non-finite entry")
-        worst = max(worst, float(np.abs(d_low - d_high).max()))
+        gap, _ = grouped_gap(
+            low.dcf, alg.atom_index, high.dcf, alg.atom_index[fine.atom_index], alg.n_atoms
+        )
+        worst = max(worst, gap)
     return TruncationReport(lo, hi, worst, len(chosen), tol)
-
-
-# ---------------------------------------------------------------------------
-# Decoupled-wing factorizability demo
-
-def sk_factorizability_demo(
-    cfg: SkCircuitConfig, tol: Tolerance = Tolerance()
-) -> FactorizabilityReport:
-    """Check the doubled screening-off identity on a circuit whose gates
-    above the tagged past couple only within each wing's sites.
-
-    Refuses (naming the offending gate) when a late gate couples the two
-    wings, since the identity is then not expected to hold.
-    """
-    if cfg.regions is None:
-        raise ValueError("the configuration carries no region tagging")
-    z_cells = [c for c, t in cfg.regions.items() if t == "Z"]
-    a_cells = [c for c, t in cfg.regions.items() if t == "A"]
-    b_cells = [c for c, t in cfg.regions.items() if t == "B"]
-    if not z_cells or not a_cells or not b_cells:
-        raise ValueError("region tagging must cover Z, A and B")
-    t0 = max(parse_cell(c)[1] for c in z_cells)
-    a_sites = {parse_cell(c)[0] for c in a_cells}
-    b_sites = {parse_cell(c)[0] for c in b_cells}
-    for g in cfg.gates:
-        if g.layer > t0 and set(g.sites) & a_sites and set(g.sites) & b_sites:
-            raise ValueError(
-                f"gate at layer {g.layer} on sites {g.sites} couples the wings"
-            )
-    model = gen_sk_circuit(cfg)
-    return check_quantum_factorizability(
-        replace(model.dcf, tol=tol),
-        model.order,
-        model.region("Z"),
-        model.region("A"),
-        model.region("B"),
-    )
 
 
 # ---------------------------------------------------------------------------

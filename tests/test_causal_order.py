@@ -189,6 +189,56 @@ class TestEnumeration:
         assert all(is_past_set(diamond, r) for r in down_sets(diamond))
 
 
+def reference_down_sets(order):
+    """Every point subset closed under the order, by brute force over
+    bitmasks (point i is bit i), sorted by size and then by bitmask."""
+    n = order.size
+    below = [sum(1 << q for q in range(n) if order.leq[q, p]) for p in range(n)]
+    closed = [m for m in range(2 ** n) if all(below[p] & ~m == 0 for p in range(n) if m >> p & 1)]
+    closed.sort(key=lambda m: (bin(m).count("1"), m))
+    return [[bool(m >> i & 1) for i in range(n)] for m in closed]
+
+
+def seeded_order(seed):
+    """A random order on up to 8 points whose names do not follow it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    points = tuple(f"q{i}" for i in range(n))
+    rank = rng.permutation(n)  # point rank[i] is the i-th in a linear extension
+    covers = [
+        (points[rank[i]], points[rank[j]])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.3
+    ]
+    return CausalOrder.from_covers(points, covers)
+
+
+class TestPastSetOrder:
+    """`down_sets` lists past sets by size, then by the bitmask of their
+    flags, as a brute-force scan does."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_orders(self, seed):
+        order = seeded_order(seed)
+        assert [r.flags.tolist() for r in down_sets(order)] == reference_down_sets(order)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            CausalOrder.antichain(("only",)),
+            CausalOrder.antichain(tuple(f"n{i}" for i in range(6))),
+            CausalOrder.from_covers(
+                ("top", "left", "right", "bottom"),
+                [("bottom", "left"), ("bottom", "right"), ("left", "top"), ("right", "top")],
+            ),
+        ],
+        ids=["one-point", "antichain", "reversed-diamond"],
+    )
+    def test_small_orders(self, order):
+        assert [r.flags.tolist() for r in down_sets(order)] == reference_down_sets(order)
+
+
 @st.composite
 def random_orders(draw):
     n = draw(st.integers(min_value=1, max_value=6))

@@ -169,6 +169,19 @@ class TestSkCommands:
         )
         assert code == 0
 
+    def test_tagging_without_a_wing_refused(self, workdir, capsys):
+        """A tagging with no A cell is bad input: an empty wing would pass
+        the screening-off check vacuously."""
+        run(capsys, "sk", "fixture", "--steps", "2", "--out", "sk.json")
+        with open("sk.json") as fh:
+            doc = json.load(fh)
+        doc["regions"] = {c: "-" if t == "A" else t for c, t in doc["regions"].items()}
+        with open("noa.json", "w") as fh:
+            json.dump(doc, fh)
+        assert main(["sk", "factorizability", "noa.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must cover Z, A and B" in captured.err
+
     def test_truncation_of_a_lone_cell(self, workdir, capsys):
         doc = {"L": 1, "T": 1, "q": 2, "psi": [[1.0, 0.0], [0.0, 0.0]], "gates": []}
         with open("one.json", "w") as fh:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from conftest import atom_events, outcome_event, setting_event
 
 from qmeasure import (
+    CausalOrder,
     Event,
     HistorySpace,
+    Region,
     gen_ghz,
     gen_pr_box,
     is_partition,
@@ -31,58 +34,114 @@ def ev(space, *idx):
     return space.event_from_indices(idx)
 
 
+class FourSets:
+    """Subsets of one four-member owner, of one flag-set type, built from
+    member indices."""
+
+    def __init__(self, cls, owner):
+        self.cls, self.owner = cls, owner
+
+    def __call__(self, *idx):
+        flags = np.zeros(4, dtype=bool)
+        flags[list(idx)] = True
+        return self.cls(self.owner, flags)
+
+
+def four_member_sets():
+    """One maker per flag-set type, each on a fresh owner: events of a
+    four-history space and regions of a four-point antichain."""
+    return [
+        FourSets(Event, HistorySpace(points=("p",), histories=((0,), (1,), (2,), (3,)))),
+        FourSets(Region, CausalOrder.antichain(("p0", "p1", "p2", "p3"))),
+    ]
+
+
+NEEDS = {Event: "an event", Region: "a region"}
+FOREIGN = {
+    Event: "events belong to different history spaces",
+    Region: "regions belong to different causal orders",
+}
+
+
 class TestBooleanOps:
-    def test_symmetric_difference(self, four_space):
-        e = ev(four_space, 0, 1)
-        f = ev(four_space, 1, 2)
-        assert (e ^ f) == ev(four_space, 0, 2)
+    """Events and regions share one flag-set algebra; each test runs on
+    both types."""
 
-    def test_complement_of_full_is_empty(self, four_space):
-        assert (~four_space.full_event()).is_empty()
+    def test_symmetric_difference(self):
+        for s in four_member_sets():
+            assert (s(0, 1) ^ s(1, 2)) == s(0, 2)
 
-    def test_disjoint_sum_is_union(self, four_space):
-        e = ev(four_space, 0)
-        f = ev(four_space, 2, 3)
-        assert (e & f).is_empty()
-        assert (e ^ f) == (e | f)
+    def test_complement_of_full_is_empty(self):
+        for s in four_member_sets():
+            assert (~s(0, 1, 2, 3)).is_empty()
 
-    def test_operators_by_index(self, four_space):
-        e = ev(four_space, 0, 1)
-        f = ev(four_space, 1, 2)
-        assert (e | f) == ev(four_space, 0, 1, 2)
-        assert (e & f) == ev(four_space, 1)
-        assert ~e == ev(four_space, 2, 3)
+    def test_disjoint_sum_is_union(self):
+        for s in four_member_sets():
+            e, f = s(0), s(2, 3)
+            assert (e & f).is_empty()
+            assert (e ^ f) == (e | f)
 
-    def test_mismatched_spaces_rejected(self, four_space):
-        other = HistorySpace(points=("p",), histories=((0,), (1,), (2,), (3,)))
-        with pytest.raises(ValueError):
-            ev(four_space, 0) | ev(other, 1)
+    def test_operators_by_index(self):
+        for s in four_member_sets():
+            e, f = s(0, 1), s(1, 2)
+            assert (e | f) == s(0, 1, 2)
+            assert (e & f) == s(1)
+            assert ~e == s(2, 3)
+
+    def test_inclusion(self):
+        """`<=`, which events share with regions."""
+        for s in four_member_sets():
+            assert s(1) <= s(1, 2) and s() <= s(3) and s(0, 3) <= s(0, 3)
+            assert not s(1, 2) <= s(1) and not s(0) <= s(1)
+
+    def test_mismatched_spaces_rejected(self):
+        """Each binary operator refuses a set of another owner, with its
+        type's own message."""
+        for s, t in zip(four_member_sets(), four_member_sets()):
+            assert s(0) != t(0)
+            for op in (operator.or_, operator.and_, operator.xor, operator.le):
+                with pytest.raises(ValueError, match=FOREIGN[s.cls]):
+                    op(s(0), t(1))
+
+    def test_event_and_region_never_mix(self):
+        e, r = four_member_sets()
+        assert e(0) != r(0)
+        with pytest.raises(ValueError, match=FOREIGN[Event]):
+            e(0) | r(1)
+        with pytest.raises(ValueError, match=FOREIGN[Region]):
+            r(0) <= e(1)
 
 
 class TestFlagVectors:
-    def test_int_mask_refused(self, four_space):
-        with pytest.raises(ValueError):
-            Event(four_space, 5)
+    def test_int_mask_refused(self):
+        for s in four_member_sets():
+            with pytest.raises(ValueError, match=f"{NEEDS[s.cls]} needs a bool vector of 4"):
+                s.cls(s.owner, 5)
 
     @pytest.mark.parametrize(
         "flags", [[True, False, True], [1, 0, 1, 0], np.zeros((2, 2), dtype=bool)]
     )
-    def test_wrong_shape_or_dtype_refused(self, four_space, flags):
-        with pytest.raises(ValueError):
-            Event(four_space, np.asarray(flags))
+    def test_wrong_shape_or_dtype_refused(self, flags):
+        for s in four_member_sets():
+            with pytest.raises(ValueError, match=NEEDS[s.cls]):
+                s.cls(s.owner, np.asarray(flags))
 
-    def test_flags_are_a_read_only_copy(self, four_space):
-        flags = np.array([True, False, True, False])
-        e = Event(four_space, flags)
-        flags[1] = True
-        assert e.indices() == (0, 2)
-        with pytest.raises(ValueError):
-            e.flags[1] = True
+    def test_flags_are_a_read_only_copy(self):
+        for s in four_member_sets():
+            flags = np.array([True, False, True, False])
+            e = s.cls(s.owner, flags)
+            flags[1] = True
+            assert np.flatnonzero(e.flags).tolist() == [0, 2]
+            with pytest.raises(ValueError):
+                e.flags[1] = True
 
     def test_equal_events_hash_alike(self, four_space):
+        for s in four_member_sets():
+            e = s.cls(s.owner, np.array([False, True, True, False]))
+            assert e == s(1, 2) and hash(e) == hash(s(1, 2))
+            assert len(e) == 2 and len({e, s(2, 1), s(1)}) == 2
         e = Event(four_space, np.array([False, True, True, False]))
-        assert e == ev(four_space, 1, 2) and hash(e) == hash(ev(four_space, 1, 2))
-        assert len(e) == 2 and 1 in e and 0 not in e and 7 not in e
+        assert 1 in e and 0 not in e and 7 not in e and e.indices() == (1, 2)
 
     def test_out_of_range_index_refused(self, four_space):
         with pytest.raises(ValueError, match="out of range"):
@@ -110,8 +169,13 @@ event_flags = st.lists(st.booleans(), min_size=8, max_size=8)
 
 @st.composite
 def three_events(draw):
-    space = HistorySpace(points=("p",), histories=tuple((i,) for i in range(8)))
-    return tuple(Event(space, np.array(draw(event_flags))) for _ in range(3))
+    """Three events of an eight-history space, or three regions of an
+    eight-point antichain: the laws hold for both flag-set types."""
+    cls, owner = draw(st.sampled_from([
+        (Event, HistorySpace(points=("p",), histories=tuple((i,) for i in range(8)))),
+        (Region, CausalOrder.antichain(tuple(f"p{i}" for i in range(8)))),
+    ]))
+    return tuple(cls(owner, np.array(draw(event_flags))) for _ in range(3))
 
 
 class TestBooleanLaws:

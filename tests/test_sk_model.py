@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from qmeasure import (
     decoupled_demo_config,
     gen_sk_circuit,
     region_algebra,
-    sk_factorizability_demo,
 )
 from qmeasure._linalg import scatter_columns
 from qmeasure.sk_model import CNOT, HADAMARD, bell_pair_gate
@@ -342,22 +342,50 @@ class TestTruncationThroughFinestAlgebra:
         assert rep.regions_tested == 4
 
 
+def tagged_factorizability(cfg):
+    """The screening-off check on a circuit's tagged Z, A and B regions."""
+    model = gen_sk_circuit(cfg)
+    return check_quantum_factorizability(
+        model.dcf, model.order, *(model.region(tag) for tag in "ZAB")
+    )
+
+
 class TestFactorizabilityDemo:
     def test_small_fixture_exact(self):
-        rep = sk_factorizability_demo(decoupled_demo_config(steps=2))
+        rep = tagged_factorizability(decoupled_demo_config(steps=2))
         assert rep.exhaustive
         assert rep.max_residual < 1e-9
 
-    def test_coupling_gate_refused(self):
+    def test_coupling_gate_gets_its_verdict(self, tmp_path, capsys):
+        """A second Bell gate on the middle sites at the last layer couples
+        the wings but leaves them spacelike: well-formed input, so the
+        check runs exhaustively and reports the violation (exit 3)."""
+        from qmeasure.cli import main
+        from qmeasure.serialization import dump_json, sk_config_to_json
+
         regions = decoupled_demo_config(steps=2).regions
         gates = (
             SkGate(1, (1, 2), bell_pair_gate()),
             SkGate(2, (1, 2), bell_pair_gate()),  # straddles the wing split
         )
-        with pytest.raises(ValueError, match="couples the wings"):
-            sk_factorizability_demo(
-                SkCircuitConfig(sites=4, steps=2, gates=gates, regions=regions)
-            )
+        cfg = SkCircuitConfig(sites=4, steps=2, gates=gates, regions=regions)
+        rep = tagged_factorizability(cfg)
+        assert rep.exhaustive and rep.combinations_checked == 16777216
+        assert not rep.passed
+        assert rep.max_residual == pytest.approx(0.0625, abs=1e-12)
+        path = str(tmp_path / "coupled.json")
+        dump_json(sk_config_to_json(cfg), path)
+        assert main(["sk", "factorizability", path]) == 3
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    def test_coupling_gate_in_causal_contact_refused(self):
+        """One layer later the same gate puts an A cell below a B cell:
+        the wings are not spacelike, so the arrangement is bad input."""
+        cfg = decoupled_demo_config(steps=3)
+        gates = tuple(g for g in cfg.gates if g.layer < 3) + (SkGate(3, (1, 2), bell_pair_gate()),)
+        cfg = SkCircuitConfig(sites=4, steps=3, gates=gates, regions=cfg.regions)
+        with pytest.raises(ValueError, match="'wings_spacelike': False"):
+            tagged_factorizability(cfg)
 
     def test_non_finite_gate_refused(self):
         cfg = decoupled_demo_config(steps=2)
@@ -376,8 +404,8 @@ class TestFactorizabilityDemo:
 
     def test_missing_regions_rejected(self):
         cfg = SkCircuitConfig(sites=2, steps=1)
-        with pytest.raises(ValueError):
-            sk_factorizability_demo(cfg)
+        with pytest.raises(ValueError, match="no region tagging"):
+            tagged_factorizability(cfg)
 
 
 class TestCausalChecks:
