@@ -29,7 +29,6 @@ from .causality import (
     event_operator,
 )
 from .decoherence import AxiomReport, DecoherenceFunctional, check_agreement
-from .hilbert import EventHilbertSpace, build_event_space
 from .histories import Event, HistorySpace, RegionAlgebra, is_partition, region_algebra
 from .patching import (
     CorrelationTable,

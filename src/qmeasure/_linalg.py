@@ -43,10 +43,10 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def psd_factor(m: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Factor a PSD Hermitian matrix as L†L with L of shape r x n.
 
-    L has a row for each eigenvalue the rank rule of `numerical_rank`
-    keeps, so no row is zero; the rest are rounding dust of order
-    eps * scale, which would leak sqrt(eps)-sized spurious directions into
-    the factor.  Anything below the PSD floor raises: the matrix is then
+    L has a row for each eigenvalue the Gram-scale rank rule
+    (`Tolerance.rank_cut`) keeps, so no row is zero; the rest are rounding
+    dust of order eps * scale, which would leak sqrt(eps)-sized spurious
+    directions into the factor.  Anything below the PSD floor raises: the matrix is then
     not positive semi-definite at this tolerance.
     """
     w, v = np.linalg.eigh(hermitian_part(m))
@@ -60,17 +60,10 @@ def psd_factor(m: np.ndarray, tol: Tolerance) -> np.ndarray:
     return (v[:, keep] * np.sqrt(w[keep])).conj().T
 
 
-def numerical_rank(a: np.ndarray, tol: Tolerance) -> int:
-    """Rank of a vector family on the Gram scale: directions count when
-    their squared singular value clears rel times the largest."""
-    if a.size == 0:
-        return 0
-    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), tol)
-
-
 def rank_from_singular_values(s: np.ndarray, tol: Tolerance) -> int:
-    """The Gram-scale rank rule of `numerical_rank`, applied to singular
-    values already computed (descending)."""
+    """Rank of a vector family on the Gram scale, from its singular values
+    (descending): directions count when their squared singular value
+    clears rel times the largest."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int((s ** 2 > tol.rank_cut(float(s[0]) ** 2)).sum())

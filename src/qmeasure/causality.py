@@ -36,7 +36,7 @@ from .causal_order import (
     validate_scenario_geometry,
 )
 from .decoherence import DecoherenceFunctional
-from .hilbert import event_vector, live_atoms, live_region_vectors, region_vectors
+from .hilbert import live_atoms, live_region_vectors
 from .histories import Event, RegionAlgebra, region_algebra
 
 # residual evaluations one screening-off scan may run
@@ -209,17 +209,20 @@ def event_operator(
     persistence-of-zero prerequisite fails on this domain) or when an
     image sticks out of the domain span; `force=True` returns the best
     least-squares operator with the residuals recorded instead.
+
+    The span is read from the domain's live atoms (`live_region_vectors`):
+    a dead atom's vector and its conjunction with the event are exactly
+    zero, so its row and column of `frame_matrix` are zero too.
     """
     _check_alignment(dcf, order)
-    region_names = tuple(region.point_names()) if isinstance(region, Region) else tuple(region)
-    domain_names = tuple(domain.point_names()) if isinstance(domain, Region) else tuple(domain)
-    alg_r = region_algebra(dcf.space, region_names)
+    dcf._own(event)
+    alg_r = region_algebra(dcf.space, region)
     if not _event_in_algebra(event, alg_r):
         raise ValueError("event is not in the region's algebra")
-    alg_d, v = region_vectors(dcf, domain_names)
+    alg_d, index, v = live_region_vectors(dcf, domain)
     # everything is read off one truncated SVD v = basis diag(s) vh
     basis, s, vh = truncated_svd(v, dcf.tol)
-    w = dcf.vectors(alg_d.atom_index, alg_d.n_atoms, event.flags)
+    w = dcf.vectors(index, v.shape[1], event.flags)
     coords_w = basis.conj().T @ w
     codomain = float(np.linalg.norm(w - basis @ coords_w, axis=0).max(initial=0.0))
     # inconsistency = largest image norm over null combinations of the
@@ -238,16 +241,19 @@ def event_operator(
             )
     x = (coords_w @ vh.conj().T) / s  # coords_w pinv(basis† v)
     # universal vector = sum of domain atom vectors; its image must be the
-    # event's own vector
+    # event's own vector, the sum of its conjunctions with the atoms
     uni = v.sum(axis=1)
     image_uni = basis @ (x @ (basis.conj().T @ uni))
-    universal_residual = float(np.linalg.norm(image_uni - event_vector(dcf, event)))
+    universal_residual = float(np.linalg.norm(image_uni - w.sum(axis=1)))
+    live = np.unique(alg_d.atom_index[dcf.factor[0]])
+    frame = np.zeros((alg_d.n_atoms, alg_d.n_atoms), dtype=complex)
+    frame[np.ix_(live, live)] = vh.conj().T @ (coords_w / s[:, None])  # pinv(v) w
     return EventOperator(
         event=event,
-        region_points=region_names,
-        domain_points=domain_names,
+        region_points=alg_r.points,
+        domain_points=alg_d.points,
         matrix=x,
-        frame_matrix=vh.conj().T @ (coords_w / s[:, None]),  # pinv(v) w
+        frame_matrix=frame,
         basis=basis,
         consistency_residual=consistency,
         codomain_residual=codomain,
@@ -376,28 +382,37 @@ def check_spacelike_commutation(
     z: Region,
     a: Region,
     b: Region,
-    event_a: Event,
-    event_b: Event,
+    events_a,
+    events_b,
 ) -> CommutationReport:
     """Operators of spacelike events on the past's event Hilbert space
     must commute; also checks the composed action against the direct
-    conjunction vectors on every past atom."""
+    conjunction vectors on every past atom.  Runs over every pair of an
+    event of `events_a` (in `a`) and one of `events_b` (in `b`), building
+    each operator once, and reports the largest residuals."""
     _check_alignment(dcf, order)
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    op_a = event_operator(dcf, order, a, event_a, z, force=True)
-    op_b = event_operator(dcf, order, b, event_b, z, force=True)
-    comm = op_a.matrix @ op_b.matrix - op_b.matrix @ op_a.matrix
-    comm_norm = float(np.linalg.svd(comm, compute_uv=False).max(initial=0.0))
-    # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G
-    alg_z, vz = region_vectors(dcf, z.point_names())
-    basis = op_a.basis
-    composed = basis @ (op_b.matrix @ op_a.matrix @ (basis.conj().T @ vz))
-    direct = dcf.vectors(
-        alg_z.atom_index, alg_z.n_atoms, (event_a & event_b).flags
-    )
-    action = float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
+    ops_a = [event_operator(dcf, order, a, e, z, force=True) for e in events_a]
+    ops_b = [event_operator(dcf, order, b, e, z, force=True) for e in events_b]
+    # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G;
+    # dead past atoms are zero on both sides
+    _, index, vz = live_region_vectors(dcf, z)
+    comm_norm = action = 0.0
+    for op_a in ops_a:
+        basis = op_a.basis
+        coords = basis.conj().T @ vz
+        for op_b in ops_b:
+            comm = op_a.matrix @ op_b.matrix - op_b.matrix @ op_a.matrix
+            comm_norm = max(
+                comm_norm, float(np.linalg.svd(comm, compute_uv=False).max(initial=0.0))
+            )
+            composed = basis @ (op_b.matrix @ op_a.matrix @ coords)
+            direct = dcf.vectors(index, vz.shape[1], (op_a.event & op_b.event).flags)
+            action = max(
+                action, float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
+            )
     return CommutationReport(comm_norm, action, dcf.tol)
 
 

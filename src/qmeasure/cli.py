@@ -28,7 +28,8 @@ from .causality import (
     check_quantum_factorizability,
     check_spacelike_commutation,
 )
-from .hilbert import build_event_space
+from .decoherence import DENSE_ATOM_CAP
+from .histories import region_algebra
 from .patching import (
     OPERATOR_ORDER,
     SETTING_KEYS,
@@ -175,14 +176,29 @@ def cmd_validate(args) -> int:
 
 def cmd_hilbert(args) -> int:
     dcf, _ = _model(args, need_order=False)
-    points = None if args.region is None else _parse_points(args.region, dcf.space.points)
-    es = build_event_space(dcf, points)
-    eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
+    if args.region is None:
+        if dcf.space.size > DENSE_ATOM_CAP:
+            raise ValueError(
+                f"full event space needs at most {DENSE_ATOM_CAP} histories; "
+                "pass a region"
+            )
+        points, n_atoms, labels = None, dcf.space.size, np.arange(dcf.space.size)
+    else:
+        points = _parse_points(args.region, dcf.space.points)
+        alg = region_algebra(dcf.space, points)
+        if alg.n_atoms > DENSE_ATOM_CAP:
+            raise ValueError("region algebra exceeds the dense atom cap")
+        n_atoms, labels = alg.n_atoms, alg.atom_index
+    vecs = dcf.vectors(labels, n_atoms)
+    gram = vecs.conj().T @ vecs
+    eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    # the universal event's coefficient vector is all ones: atoms partition
+    universal = vecs @ np.ones(n_atoms, dtype=complex)
     _emit(
         {
-            "atoms": es.n_atoms,
-            "rank": es.rank,
-            "universal_norm2": es.universal_norm2,
+            "atoms": n_atoms,
+            "rank": int((eig > dcf.tol.rank_cut(float(eig.max()))).sum()),
+            "universal_norm2": float(np.vdot(universal, universal).real),
             "min_eigenvalue": float(eig.min()),
             "max_eigenvalue": float(eig.max()),
             "region": "all" if points is None else list(points),
@@ -215,11 +231,9 @@ def cmd_commute(args) -> int:
         z = t.order.region(scenario.z_points)
         a = t.order.region(scenario.a_points)
         b = t.order.region(scenario.b_points)
-        reports += [
-            check_spacelike_commutation(t.dcf, t.order, z, a, b, ea, eb)
-            for ea in t.beam_a
-            for eb in t.beam_b
-        ]
+        reports.append(
+            check_spacelike_commutation(t.dcf, t.order, z, a, b, t.beam_a, t.beam_b)
+        )
     report = CommutationReport(
         max([0.0] + [r.commutator_norm for r in reports]),
         max([0.0] + [r.action_residual for r in reports]),

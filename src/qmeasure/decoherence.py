@@ -157,7 +157,7 @@ class DecoherenceFunctional:
             b.amplitudes[None, live], b.final_index[live] * m + labels[live], b.dim * m
         ).reshape(b.dim, m)
 
-    def _event_vector(self, flags: np.ndarray | None) -> np.ndarray:
+    def _flags_vector(self, flags: np.ndarray | None) -> np.ndarray:
         zeros = np.broadcast_to(np.int64(0), self.space.size)  # allocates nothing
         return self.vectors(zeros, 1, flags)[:, 0]
 
@@ -174,7 +174,7 @@ class DecoherenceFunctional:
         self._own(f)
         if self.is_dense:
             return complex(self.matrix[np.ix_(e.flags, f.flags)].sum())
-        be, bf = (self._event_vector(x.flags) for x in (e, f))
+        be, bf = (self._flags_vector(x.flags) for x in (e, f))
         return complex(np.vdot(be, bf))
 
     def measure(self, e: Event) -> float:
@@ -185,7 +185,7 @@ class DecoherenceFunctional:
         if self.is_dense:
             val = complex(self.matrix[np.ix_(flags, flags)].sum())
         else:
-            be = self._event_vector(flags)
+            be = self._flags_vector(flags)
             val = complex(np.vdot(be, be))
         scale = 1.0 if not self.is_dense else float(max(1.0, np.abs(self.matrix).max()))
         if abs(val.imag) > self.tol.rel * scale:
@@ -203,7 +203,7 @@ class DecoherenceFunctional:
             norm = float(abs(m.sum() - 1.0))
         else:
             herm = 0.0  # inner-product form is Hermitian identically
-            bvec = self._event_vector(None)
+            bvec = self._flags_vector(None)
             norm = float(abs(np.vdot(bvec, bvec).real - 1.0))
             m = self._sampled_gram(seed)
         eig = np.linalg.eigvalsh(hermitian_part(m))
@@ -235,7 +235,7 @@ class DecoherenceFunctional:
             rng.random(self.space.size) < 0.5
             for _ in range(min(100, DENSE_ATOM_CAP - len(flags)))
         )
-        vecs = np.stack([self._event_vector(f) for f in flags])
+        vecs = np.stack([self._flags_vector(f) for f in flags])
         return vecs.conj() @ vecs.T
 
     def is_classical(self) -> bool:

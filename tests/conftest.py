@@ -86,15 +86,22 @@ def outcome_event(model, *outcomes):
     return _wing_event(model, outcomes, np.mod)
 
 
+def event_vector(dcf, event):
+    """The factor-space vector of one event: its histories summed as one
+    group."""
+    return dcf.vectors(np.zeros(dcf.space.size, dtype=int), 1, event.flags)[:, 0]
+
+
 def span_rank(dcf, points, *extra):
     """Numerical rank of the region's atom vectors, with any `extra`
     factor-space vectors appended as columns: a vector lies in the
     region's span when appending it leaves the rank unchanged."""
-    from qmeasure._linalg import numerical_rank
-    from qmeasure.hilbert import region_vectors
+    from qmeasure import region_algebra
+    from qmeasure._linalg import rank_from_singular_values
 
-    vecs = region_vectors(dcf, points)[1]
-    return numerical_rank(np.column_stack([vecs, *extra]), dcf.tol)
+    alg = region_algebra(dcf.space, points)
+    vecs = np.column_stack([dcf.vectors(alg.atom_index, alg.n_atoms), *extra])
+    return rank_from_singular_values(np.linalg.svd(vecs, compute_uv=False), dcf.tol)
 
 
 def partition_gap(t, region, events):

@@ -916,19 +916,22 @@ class TestCommaPointNames:
         assert "needs --z --a --b point lists" in capsys.readouterr().err
 
     def test_hilbert_region(self, sk2, capsys):
-        from qmeasure import build_event_space, gen_sk_circuit
+        from conftest import span_rank
+        from qmeasure import gen_sk_circuit, region_algebra
         from qmeasure.serialization import load_json, sk_config_from_json
 
         code, out = run(capsys, "hilbert", sk2, "--region", "0,0,1,0")
         assert code == 0
         report = json.loads(out)
         dcf = gen_sk_circuit(sk_config_from_json(load_json(sk2))).dcf
-        es = build_event_space(dcf, ("0,0", "1,0"))
-        eig = np.linalg.eigvalsh((es.gram + es.gram.conj().T) / 2)
+        alg = region_algebra(dcf.space, ("0,0", "1,0"))
+        eig = np.linalg.eigvalsh(dcf.grouped(alg.atom_index, alg.n_atoms))
         assert report["region"] == ["0,0", "1,0"]
-        assert (report["atoms"], report["rank"]) == (es.n_atoms, es.rank)
-        assert report["universal_norm2"] == es.universal_norm2
-        assert (report["min_eigenvalue"], report["max_eigenvalue"]) == (eig.min(), eig.max())
+        assert (report["atoms"], report["rank"]) == (alg.n_atoms, span_rank(dcf, alg.points))
+        universal = dcf.measure(dcf.space.full_event())
+        assert report["universal_norm2"] == pytest.approx(universal, abs=1e-12)
+        assert report["min_eigenvalue"] == pytest.approx(eig.min(), abs=1e-12)
+        assert report["max_eigenvalue"] == pytest.approx(eig.max(), abs=1e-12)
 
     def test_unreadable_list_names_the_first_unread_token(self, sk2, capsys):
         assert main(["poz", sk2, "--regions", "0,1;0,1,9,1,1"]) == 2

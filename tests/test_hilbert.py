@@ -1,13 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import atom_events, full_width_factor, random_events, random_psd_dcf, random_space, span_rank
+from conftest import (
+    atom_events,
+    event_vector,
+    full_width_factor,
+    random_events,
+    random_psd_dcf,
+    random_space,
+    span_rank,
+)
 
-from qmeasure import build_event_space, region_algebra
+from qmeasure import region_algebra
 from qmeasure._linalg import scatter_columns
 from qmeasure.causal_order import down_sets
+from qmeasure.cli import main
 from qmeasure.decoherence import DecoherenceFunctional
-from qmeasure.hilbert import event_vector, region_vectors
+from qmeasure.hilbert import live_region_vectors
 from qmeasure.sk_model import SkCircuitConfig, SkGate, decoupled_demo_config, gen_sk_circuit
 
 
@@ -96,32 +107,46 @@ class TestInSubspace:
         assert not in_span(dcf, left_dark, ("screen",))
 
 
+@pytest.fixture
+def ds_path(tmp_path, capsys):
+    """The stock double slit, written by `qmeasure gen`."""
+    assert main(["gen", "double-slit", "--out", str(tmp_path / "ds")]) == 0
+    capsys.readouterr()
+    return str(tmp_path / "ds")
+
+
+def hilbert_report(capsys, path, *argv):
+    assert main(["hilbert", path, *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestEventSpace:
-    def test_universal_vector_unit(self, double_slit):
-        _, _, dcf = double_slit
-        es = build_event_space(dcf)
-        assert es.universal_norm2 == pytest.approx(1.0, abs=1e-12)
+    """`qmeasure hilbert`: the atom count, rank and Gram spectrum of the
+    event Hilbert space of every history or of a region's atoms."""
 
-    def test_empty_region_spanned_by_universal(self, double_slit):
-        _, _, dcf = double_slit
-        es = build_event_space(dcf, ())
-        assert es.rank == 1
+    def test_universal_vector_unit(self, ds_path, capsys):
+        report = hilbert_report(capsys, ds_path)
+        assert report["universal_norm2"] == pytest.approx(1.0, abs=1e-12)
+        assert (report["atoms"], report["rank"], report["region"]) == (4, 2, "all")
 
-    def test_repeated_point_rejected(self, double_slit):
-        _, _, dcf = double_slit
-        with pytest.raises(ValueError, match="'slit' is listed twice"):
-            build_event_space(dcf, ("slit", "slit"))
+    def test_empty_region_spanned_by_universal(self, ds_path, capsys):
+        report = hilbert_report(capsys, ds_path, "--region", "")
+        assert (report["atoms"], report["rank"]) == (1, 1)
 
-    def test_gram_matches_functional(self, double_slit):
+    def test_repeated_point_rejected(self, ds_path, capsys):
+        assert main(["hilbert", ds_path, "--region", "slit,slit"]) == 2
+        assert "'slit' is listed twice" in capsys.readouterr().err
+
+    def test_gram_matches_functional(self, double_slit, ds_path, capsys):
         space, _, dcf = double_slit
-        es = build_event_space(dcf, ("slit",))
+        report = hilbert_report(capsys, ds_path, "--region", "slit")
         atoms = atom_events(region_algebra(space, ("slit",)))
-        assert es.n_atoms == len(atoms)
-        for p in range(len(atoms)):
-            for q in range(len(atoms)):
-                assert es.gram[p, q] == pytest.approx(
-                    dcf.evaluate(atoms[p], atoms[q]), abs=1e-12
-                )
+        gram = np.array([[dcf.evaluate(p, q) for q in atoms] for p in atoms])
+        eig = np.linalg.eigvalsh(gram)
+        assert report["atoms"] == len(atoms)
+        assert report["rank"] == span_rank(dcf, ("slit",))
+        assert report["min_eigenvalue"] == pytest.approx(eig.min(), abs=1e-12)
+        assert report["max_eigenvalue"] == pytest.approx(eig.max(), abs=1e-12)
 
 
 class TestPartitionSum:
@@ -180,8 +205,15 @@ class TestLiveColumns:
     def _assert_region_vectors_exact(dcf, regions):
         full = full_width_factor(dcf)
         for points in regions:
-            alg, vecs = region_vectors(dcf, points)
-            assert np.array_equal(vecs, scatter_columns(full, alg.atom_index, alg.n_atoms))
+            alg = region_algebra(dcf.space, points)
+            want = scatter_columns(full, alg.atom_index, alg.n_atoms)
+            assert np.array_equal(dcf.vectors(alg.atom_index, alg.n_atoms), want)
+            # the live columns are the atoms that hold a live history; the
+            # rest are exactly zero
+            _, _, live = live_region_vectors(dcf, points)
+            ids = np.unique(alg.atom_index[dcf.factor[0]])
+            assert np.array_equal(live, want[:, ids])
+            assert not np.delete(want, ids, axis=1).any()
 
     @staticmethod
     def _assert_event_vectors_exact(dcf, seed, count=12):
@@ -193,8 +225,9 @@ class TestLiveColumns:
                 flags = rng.random(n) < density
                 event = dcf.space.event_from_indices(np.flatnonzero(flags))
                 want = scatter_columns(full[:, flags], np.zeros(flags.sum(), dtype=int), 1)[:, 0]
-                assert np.array_equal(event_vector(dcf, event), want)
-                assert np.array_equal(dcf.vectors(np.zeros(n, dtype=int), 1, flags)[:, 0], want)
+                assert np.array_equal(dcf.vectors(flags.astype(int), 2)[:, 1], want)
+                one_group = np.zeros(n, dtype=int)
+                assert np.array_equal(dcf.vectors(one_group, 1, event.flags)[:, 0], want)
 
     @staticmethod
     def _small_regions(order):
@@ -277,7 +310,7 @@ class TestLiveColumns:
         assert np.array_equal(live, np.flatnonzero(full.any(axis=0)))
         assert 0 < live.size < space.size
         assert np.array_equal(fac, full[:, live])
-        es = build_event_space(dcf)
-        assert np.array_equal(es.factor[:, live], fac)
-        assert not np.delete(es.factor, live, axis=1).any()
+        vecs = dcf.vectors(np.arange(space.size), space.size)
+        assert np.array_equal(vecs[:, live], fac)
+        assert not np.delete(vecs, live, axis=1).any()
         self._assert_region_vectors_exact(dcf, [(), *self._small_regions(space), space.points])

@@ -451,7 +451,7 @@ class TestCausalChecks:
         b = model.order.region(["1,2"])
         ea = model.space.value_event("0,2", 0)
         eb = model.space.value_event("1,2", 1)
-        rep = check_spacelike_commutation(model.dcf, model.order, z, a, b, ea, eb)
+        rep = check_spacelike_commutation(model.dcf, model.order, z, a, b, [ea], [eb])
         assert rep.commutator_norm < 1e-9
         assert rep.action_residual < 1e-9
 
@@ -503,14 +503,17 @@ class TestCaps:
         with pytest.raises(ValueError, match="dense cap"):
             check_agreement(model.dcf, model.dcf, tuple(wide))
 
-    def test_event_space_needs_region_for_large_lazy(self):
-        from qmeasure import build_event_space
+    def test_event_space_needs_region_for_large_lazy(self, tmp_path, capsys):
+        from qmeasure.cli import main
 
-        model = gen_sk_circuit(decoupled_demo_config(steps=3))
-        with pytest.raises(ValueError):
-            build_event_space(model.dcf)
-        es = build_event_space(model.dcf, ("0,3", "1,3"))
-        assert es.rank >= 1
+        path = str(tmp_path / "sk.json")
+        assert main(["sk", "fixture", "--steps", "3", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["hilbert", path]) == 2
+        assert "pass a region" in capsys.readouterr().err
+        assert main(["hilbert", path, "--region", "0,3,1,3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["atoms"] == 4 and report["rank"] >= 1
 
 
 def _brute_force_residual(dcf, z, a, b):
