@@ -107,14 +107,15 @@ def _poz_region(dcf, order, region: Region) -> PozRegionResult | None:
     bar = shadow(order, region)
     if bar.is_empty():
         return None
-    alg_bar, bar_index, v = live_region_vectors(dcf, bar.point_names())
+    n_bar_atoms, _, bar_index, v = live_region_vectors(dcf, bar.point_names())
     n_bar = v.shape[1]
     _, s, vh = truncated_svd(v, dcf.tol)
     # dead shadow atoms are kernel directions that every split maps to zero
-    kernel_dim = alg_bar.n_atoms - len(s)
+    kernel_dim = n_bar_atoms - len(s)
     if len(s) == n_bar:
         return PozRegionResult(region.point_names(), bar.point_names(), kernel_dim, 0.0)
-    n_r, r_index = live_atoms(dcf, region_algebra(dcf.space, region.point_names()))
+    _, r_live, r_index = live_atoms(dcf, region.point_names())
+    n_r = r_live.size
     labels = r_index * n_bar + bar_index
     # live region atoms per block: the stacked (block, d, max(d, n_bar))
     # temporaries hold no more entries than a full-width factor
@@ -215,14 +216,27 @@ def event_operator(
     zero, so its row and column of `frame_matrix` are zero too.
     """
     _check_alignment(dcf, order)
-    dcf._own(event)
     alg_r = region_algebra(dcf.space, region)
+    return _event_operator(dcf, alg_r, event, _domain_span(dcf, domain), force)
+
+
+def _domain_span(dcf: DecoherenceFunctional, domain) -> tuple:
+    """What every operator on a domain reads, built once per domain: its
+    point names, `live_region_vectors` and the vectors' truncated SVD."""
+    names = tuple(domain.point_names() if isinstance(domain, Region) else domain)
+    n_atoms, live, index, v = live_region_vectors(dcf, names)
+    return names, n_atoms, live, index, v, truncated_svd(v, dcf.tol)
+
+
+def _event_operator(
+    dcf: DecoherenceFunctional, alg_r: RegionAlgebra, event: Event, span: tuple, force: bool
+) -> EventOperator:
+    dcf._own(event)
     if not _event_in_algebra(event, alg_r):
         raise ValueError("event is not in the region's algebra")
-    alg_d, index, v = live_region_vectors(dcf, domain)
+    domain_points, n_atoms, live, index, v, (basis, s, vh) = span
     # everything is read off one truncated SVD v = basis diag(s) vh
-    basis, s, vh = truncated_svd(v, dcf.tol)
-    w = dcf.vectors(index, v.shape[1], event.flags)
+    w = dcf.vectors(index, v.shape[1], event.flags[dcf.live])
     coords_w = basis.conj().T @ w
     codomain = float(np.linalg.norm(w - basis @ coords_w, axis=0).max(initial=0.0))
     # inconsistency = largest image norm over null combinations of the
@@ -245,13 +259,12 @@ def event_operator(
     uni = v.sum(axis=1)
     image_uni = basis @ (x @ (basis.conj().T @ uni))
     universal_residual = float(np.linalg.norm(image_uni - w.sum(axis=1)))
-    live = np.unique(alg_d.atom_index[dcf.factor[0]])
-    frame = np.zeros((alg_d.n_atoms, alg_d.n_atoms), dtype=complex)
+    frame = np.zeros((n_atoms, n_atoms), dtype=complex)
     frame[np.ix_(live, live)] = vh.conj().T @ (coords_w / s[:, None])  # pinv(v) w
     return EventOperator(
         event=event,
         region_points=alg_r.points,
-        domain_points=alg_d.points,
+        domain_points=domain_points,
         matrix=x,
         frame_matrix=frame,
         basis=basis,
@@ -327,11 +340,11 @@ def check_lon(
     def span(region):
         names = region.point_names()
         if names not in spans:
-            alg, _, v = live_region_vectors(dcf, names)
+            n_atoms, _, _, v = live_region_vectors(dcf, names)
             u, s, _ = np.linalg.svd(v, full_matrices=False)
             # the singular value cut of lstsq(rcond=None) on the full-width
             # atom matrix, whose dead columns are zero
-            cut = np.finfo(float).eps * max(v.shape[0], alg.n_atoms) * s.max(initial=0.0)
+            cut = np.finfo(float).eps * max(v.shape[0], n_atoms) * s.max(initial=0.0)
             spans[names] = v, u[:, s > cut], rank_from_singular_values(s, tol)
         return spans[names]
 
@@ -389,16 +402,19 @@ def check_spacelike_commutation(
     must commute; also checks the composed action against the direct
     conjunction vectors on every past atom.  Runs over every pair of an
     event of `events_a` (in `a`) and one of `events_b` (in `b`), building
-    each operator once, and reports the largest residuals."""
+    each operator once on one span of the past, and reports the largest
+    residuals."""
     _check_alignment(dcf, order)
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    ops_a = [event_operator(dcf, order, a, e, z, force=True) for e in events_a]
-    ops_b = [event_operator(dcf, order, b, e, z, force=True) for e in events_b]
+    span = _domain_span(dcf, z)
+    alg_a, alg_b = region_algebra(dcf.space, a), region_algebra(dcf.space, b)
+    ops_a = [_event_operator(dcf, alg_a, e, span, True) for e in events_a]
+    ops_b = [_event_operator(dcf, alg_b, e, span, True) for e in events_b]
     # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G;
     # dead past atoms are zero on both sides
-    _, index, vz = live_region_vectors(dcf, z)
+    _, _, _, index, vz, _ = span
     comm_norm = action = 0.0
     for op_a in ops_a:
         basis = op_a.basis
@@ -409,7 +425,9 @@ def check_spacelike_commutation(
                 comm_norm, float(np.linalg.svd(comm, compute_uv=False).max(initial=0.0))
             )
             composed = basis @ (op_b.matrix @ op_a.matrix @ coords)
-            direct = dcf.vectors(index, vz.shape[1], (op_a.event & op_b.event).flags)
+            direct = dcf.vectors(
+                index, vz.shape[1], (op_a.event & op_b.event).flags[dcf.live]
+            )
             action = max(
                 action, float(np.linalg.norm(composed - direct, axis=0).max(initial=0.0))
             )
@@ -484,15 +502,14 @@ def check_quantum_factorizability(
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    live, fac = dcf.factor
+    fac = dcf.factor[1]
     fac = fac[fac.any(axis=1)]
     total = 1
     local = []
     for region in (z, a, b):
-        alg = region_algebra(dcf.space, region.point_names())
-        n_live, index = live_atoms(dcf, alg)
-        total *= alg.n_atoms
-        local.append((n_live, index[live]))
+        n_atoms, live, index = live_atoms(dcf, region.point_names())
+        total *= n_atoms
+        local.append((live.size, index))
     total **= 2
     (n_z, iz), (n_a, ia), (n_b, ib) = local
     comp_a = _shared_row_components(fac, ia, n_a)

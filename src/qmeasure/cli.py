@@ -29,7 +29,7 @@ from .causality import (
     check_spacelike_commutation,
 )
 from .decoherence import DENSE_ATOM_CAP
-from .histories import region_algebra
+from .histories import atom_ids
 from .patching import (
     OPERATOR_ORDER,
     SETTING_KEYS,
@@ -182,13 +182,12 @@ def cmd_hilbert(args) -> int:
                 f"full event space needs at most {DENSE_ATOM_CAP} histories; "
                 "pass a region"
             )
-        points, n_atoms, labels = None, dcf.space.size, np.arange(dcf.space.size)
+        points, n_atoms, labels = None, dcf.space.size, dcf.live
     else:
         points = _parse_points(args.region, dcf.space.points)
-        alg = region_algebra(dcf.space, points)
-        if alg.n_atoms > DENSE_ATOM_CAP:
+        n_atoms, labels = atom_ids(dcf.space, points, dcf.live)
+        if n_atoms > DENSE_ATOM_CAP:
             raise ValueError("region algebra exceeds the dense atom cap")
-        n_atoms, labels = alg.n_atoms, alg.atom_index
     vecs = dcf.vectors(labels, n_atoms)
     gram = vecs.conj().T @ vecs
     eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)

@@ -108,58 +108,71 @@ class DecoherenceFunctional:
     # -- event vectors ---------------------------------------------------------
 
     @functools.cached_property
+    def live(self) -> np.ndarray:
+        """The histories, in order, whose vector is not identically zero.
+
+        A lazy history is live when its amplitude is not zero.  A dense one
+        is live when its matrix row or column is nonzero: a PSD matrix's
+        zero column has a zero vector, which `eigh` would leave as rounding
+        dust in the factor, and a dead history's entries are all zero, so
+        `grouped` skips none.
+        """
+        if self.is_dense:
+            return np.flatnonzero(self.matrix.any(axis=0) | self.matrix.any(axis=1))
+        return self.branch.live
+
+    @functools.cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
         """The live histories and the factor on them, built once.
 
-        Returns `(live, fac)`: `live` holds, in history order, the histories
-        whose vector is not identically zero, and column k of the
-        `d x len(live)` matrix `fac` is the vector of history `live[k]`.
-        A dense history is live when its matrix column is nonzero: a PSD
-        matrix's zero column has a zero vector, which `eigh` would leave
-        as rounding dust in the factor.
-        Inner products of the columns give the functional.  A dense
-        factor has one row per direction the rank rule keeps (d is the
-        numerical rank), a lazy one a row per final configuration.  Raises
-        when a dense matrix fails positive semi-definiteness at the
-        tolerance (a strong-positivity violation).
+        Returns `(live, fac)`: column k of the `d x len(live)` matrix `fac`
+        is the vector of history `live[k]`, and inner products of the
+        columns give the functional.  A dense factor has one row per
+        direction the rank rule keeps (d is the numerical rank), a lazy one
+        a row per final configuration.  Raises when a dense matrix fails
+        positive semi-definiteness at the tolerance (a strong-positivity
+        violation).
         """
+        live = self.live
         if self.is_dense:
-            fac = psd_factor(self.matrix, self.tol)
-            live = np.flatnonzero(self.matrix.any(axis=0))
-            return live, fac[:, live]
+            return live, psd_factor(self.matrix, self.tol)[:, live]
         b = self.branch
-        fac = np.zeros((b.dim, b.live.size), dtype=complex)
-        fac[b.final_index[b.live], np.arange(b.live.size)] = b.amplitudes[b.live]
-        return b.live, fac
+        fac = np.zeros((b.dim, live.size), dtype=complex)
+        fac[b.final_index[live], np.arange(live.size)] = b.amplitudes[live]
+        return live, fac
 
     def vectors(self, labels: np.ndarray, m: int, flags: np.ndarray | None = None) -> np.ndarray:
-        """The `d x m` vectors of the events "histories labelled p", for
-        per-history `labels` in 0..m-1, counting only the histories with
-        `flags` set when `flags` is given.
+        """The `d x m` vectors of the events "histories labelled p".
 
-        A history whose factor column is identically zero adds nothing, so
-        the sums run over the live histories alone.  A dense functional
-        scatters its factor's live columns; a lazy one has a single nonzero
-        per column, its amplitude at row `final_index`, so it sums the live
-        amplitudes into the bins `final_index * m + label`, which reshape
-        straight to `(d, m)`.  Either way each entry adds the same nonzero
-        terms in the same order as a sum over a full-width factor, so the
-        results are bit-identical to it.
+        `labels` holds one label in 0..m-1 per live history (`live`), and
+        `flags`, when given, one flag per live history: only the flagged
+        ones count.  A dead history's vector is identically zero, so no
+        other history is read.  A dense functional scatters its factor's
+        columns; a lazy one has a single nonzero per column, its amplitude
+        at row `final_index`, so it sums the live amplitudes into the bins
+        `final_index * m + label`, which reshape straight to `(d, m)`.
+        Either way each entry adds the same nonzero terms in the same order
+        as a sum over a full-width factor, so the results are bit-identical
+        to it.
         """
+        live = self.live
+        if len(labels) != live.size or (flags is not None and len(flags) != live.size):
+            raise ValueError("labels and flags need one entry per live history")
         if self.is_dense:
-            live, fac = self.factor
+            fac = self.factor[1]
             if flags is not None:
-                fac, live = fac[:, flags[live]], live[flags[live]]
-            return scatter_columns(fac, labels[live], m)
+                fac, labels = fac[:, flags], labels[flags]
+            return scatter_columns(fac, labels, m)
         b = self.branch
-        live = b.live if flags is None else b.live[flags[b.live]]
-        return scatter_columns(
-            b.amplitudes[None, live], b.final_index[live] * m + labels[live], b.dim * m
-        ).reshape(b.dim, m)
+        amps, final = b.amplitudes[live], b.final_index[live]
+        if flags is not None:
+            amps, final, labels = amps[flags], final[flags], labels[flags]
+        return scatter_columns(amps[None], final * m + labels, b.dim * m).reshape(b.dim, m)
 
     def _flags_vector(self, flags: np.ndarray | None) -> np.ndarray:
-        zeros = np.broadcast_to(np.int64(0), self.space.size)  # allocates nothing
-        return self.vectors(zeros, 1, flags)[:, 0]
+        """The vector of the event with these per-history flags."""
+        zeros = np.broadcast_to(np.int64(0), self.live.size)  # allocates nothing
+        return self.vectors(zeros, 1, None if flags is None else flags[self.live])[:, 0]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -261,10 +274,12 @@ class DecoherenceFunctional:
 
     def grouped(self, labels: np.ndarray, m: int) -> np.ndarray:
         """The m x m matrix of D(E_p, E_q), where E_p holds the histories
-        labelled p; `labels` gives each history one label in 0..m-1."""
+        labelled p; `labels` gives each live history one label in 0..m-1,
+        as in `vectors`.  A dead history's values are all zero, so it
+        belongs to no E_p."""
         if self.is_dense:
             ind = np.zeros((m, self.space.size))
-            ind[labels, np.arange(self.space.size)] = 1.0
+            ind[labels, self.live] = 1.0
             return ind @ self.matrix @ ind.T
         v = self.vectors(labels, m)
         return v.conj().T @ v
@@ -274,8 +289,8 @@ def grouped_gap(
     d1: DecoherenceFunctional, l1: np.ndarray, d2: DecoherenceFunctional, l2: np.ndarray, m: int
 ) -> tuple[float, np.ndarray]:
     """The largest entry gap between two functionals' values on m events,
-    each side's given by its history labels (`grouped`), and the first
-    side's matrix.  More than DENSE_ATOM_CAP events are refused: a lazy
+    each side's given by its live histories' labels (`grouped`), and the
+    first side's matrix.  More than DENSE_ATOM_CAP events are refused: a lazy
     functional's atom count is bounded only by its history count."""
     if m > DENSE_ATOM_CAP:
         raise ValueError(f"restriction has {m} atoms, above the dense cap")
@@ -295,7 +310,9 @@ def check_agreement(
     a1, a2 = region_algebra(d1.space, points), region_algebra(d2.space, points)
     if not np.array_equal(a1.representatives, a2.representatives):
         return False
-    gap, g1 = grouped_gap(d1, a1.atom_index, d2, a2.atom_index, a1.n_atoms)
+    gap, g1 = grouped_gap(
+        d1, a1.atom_index[d1.live], d2, a2.atom_index[d2.live], a1.n_atoms
+    )
     return gap <= d1.tol.matrix_floor(g1)
 
 

@@ -16,30 +16,29 @@ from __future__ import annotations
 import numpy as np
 
 from .decoherence import DecoherenceFunctional
-from .histories import RegionAlgebra, region_algebra
+from .histories import atom_ids
 
 
-def live_atoms(dcf: DecoherenceFunctional, alg: RegionAlgebra) -> tuple[int, np.ndarray]:
-    """The number of the algebra's live atoms and each history's position
-    among them.
+def live_atoms(dcf: DecoherenceFunctional, points) -> tuple[int, np.ndarray, np.ndarray]:
+    """The region's atom count, the ids of its live atoms, and each live
+    history's position among them, one entry per `dcf.live`.
 
-    An atom is live when it holds a live history (`dcf.factor[0]`).  Every
-    other atom's vector, and the vector of every event inside it, is
-    exactly zero: spans and ranks need only the live columns, and each
-    dead atom adds a kernel direction that every split maps to zero.
-    Liveness goes by histories, not by nonzero columns, because live
-    histories may cancel in an atom's vector but not in its splits.
+    An atom is live when it holds a live history.  Every other atom's
+    vector, and the vector of every event inside it, is exactly zero:
+    spans and ranks need only the live columns, and each dead atom adds a
+    kernel direction that every split maps to zero.  Liveness goes by
+    histories, not by nonzero columns, because live histories may cancel
+    in an atom's vector but not in its splits.  The ids come from
+    `atom_ids` at the live histories: on a grid only those rows are read.
     """
-    live = np.bincount(alg.atom_index[dcf.factor[0]], minlength=alg.n_atoms) > 0
-    # a dead history's position is meaningless, but `vectors` reads none
-    return int(live.sum()), (np.cumsum(live) - live)[alg.atom_index]
+    n_atoms, ids = atom_ids(dcf.space, points, dcf.live)
+    live, position = np.unique(ids, return_inverse=True)
+    return n_atoms, live, position
 
 
 def live_region_vectors(
     dcf: DecoherenceFunctional, points
-) -> tuple[RegionAlgebra, np.ndarray, np.ndarray]:
-    """The region algebra, each history's live-atom position (`live_atoms`)
-    and the live atom vectors, as factor-space columns."""
-    alg = region_algebra(dcf.space, points)
-    n_live, index = live_atoms(dcf, alg)
-    return alg, index, dcf.vectors(index, n_live)
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """`live_atoms` and the live atom vectors, as factor-space columns."""
+    n_atoms, live, position = live_atoms(dcf, points)
+    return n_atoms, live, position, dcf.vectors(position, live.size)

@@ -11,6 +11,7 @@ Event objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -44,6 +45,13 @@ class HistorySpace:
     `histories` is any (n_histories, n_points) integer array-like, stored
     only as the uint16 `value_matrix` (values lie in 0..65535).
     Alphabet sizes are declared (or inferred as max value + 1).  Immutable.
+
+    The rows are checked to be pairwise distinct, even where they are
+    distinct by construction (a circuit's grid): the check is what makes
+    `is_grid` sound.  Distinct rows as many as the product of the
+    alphabets are every value combination once, so a region's atoms are
+    its value combinations and an atom's id is its mixed-radix key, read
+    from any histories alone (`atom_ids`).
     """
 
     points: tuple[str, ...]
@@ -51,6 +59,7 @@ class HistorySpace:
     labels: tuple[str, ...] | None = None
     alphabets: Mapping[str, int] | None = None
     value_matrix: np.ndarray = field(init=False, repr=False)
+    is_grid: bool = field(init=False, repr=False)
 
     def __post_init__(self, histories):
         points = tuple(self.points)
@@ -90,6 +99,7 @@ class HistorySpace:
         object.__setattr__(self, "_point_index", {p: i for i, p in enumerate(points)})
         if np.bincount(_row_keys(values, alphabets.values())[0]).max() > 1:
             raise ValueError("histories must be pairwise distinct")
+        object.__setattr__(self, "is_grid", len(values) == math.prod(alphabets.values()))
 
     @property
     def size(self) -> int:
@@ -184,7 +194,8 @@ def _row_keys(values: np.ndarray, radices) -> tuple[np.ndarray, int]:
     vectors do lexicographically, and a bound all keys lie below: the
     mixed-radix number with digit j below radices[j].  Whenever the bound
     passes max(rows, KEY_TABLE_FLOOR), the key is replaced by its rank
-    among the distinct keys, so a table indexed by key stays O(rows)."""
+    among the distinct keys, so a table indexed by key stays O(rows).  On
+    a grid no region's bound passes the row count: keys stay mixed-radix."""
     cap = max(len(values), KEY_TABLE_FLOOR)
     key = np.zeros(len(values), dtype=np.int64)
     bound = 1
@@ -198,15 +209,38 @@ def _row_keys(values: np.ndarray, radices) -> tuple[np.ndarray, int]:
 
 
 def region_algebra(space: HistorySpace, points) -> RegionAlgebra:
-    """Atoms by counting: a history's atom id is the number of present
-    keys below its own in a table of the key bound, which is the canonical
-    (lexicographic) order; each representative is one history's row."""
+    """Atoms by counting, over every history.  On a grid
+    (`HistorySpace.is_grid`) every value combination is present, so a
+    history's atom id is its mixed-radix key and the representatives are
+    the combinations in C order.  Otherwise a history's atom id is the
+    number of present keys below its own in a table of the key bound,
+    which is the canonical (lexicographic) order, and each representative
+    is one history's row."""
     names = _as_point_names(space, points)
     radices = [space.alphabets[p] for p in names]
     values = space.value_matrix[:, space.columns(names)]
     keys, bound = _row_keys(values, radices)
+    if space.is_grid:
+        reps = np.indices(radices, dtype=np.uint16).reshape(len(names), bound).T
+        return RegionAlgebra(space, names, reps, keys)
     row = np.full(bound, -1)
     row[keys] = np.arange(len(keys))  # some history per present key
     present = row >= 0
     index = (np.cumsum(present) - 1)[keys]
     return RegionAlgebra(space, names, values[row[present]], index)
+
+
+def atom_ids(space: HistorySpace, points, rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """The region's atom count and the atom id (as in `region_algebra`) of
+    each history in `rows`.  On a grid the count is the product of the
+    region's radices and an id is a mixed-radix key, one dot product of a
+    history's values with the region's place values, so only `rows` are
+    read; any other space counts its atoms over every history."""
+    if not space.is_grid:
+        alg = region_algebra(space, points)
+        return alg.n_atoms, alg.atom_index[rows]
+    names = _as_point_names(space, points)
+    radices = [space.alphabets[p] for p in names]
+    place = np.zeros(len(space.points), dtype=np.int64)  # keys < size: no overflow
+    place[[space._point_index[p] for p in names]] = np.cumprod([1, *radices[::-1]])[-2::-1]
+    return math.prod(radices), space.value_matrix[rows] @ place

@@ -68,7 +68,7 @@ class SettingScenario:
         na, nb = len(t.beam_a), len(t.beam_b)
         z = region_algebra(t.space, self.z_points)
         nk = z.n_atoms
-        labels = (a * nb + b) * nk + z.atom_index
+        labels = ((a * nb + b) * nk + z.atom_index)[t.dcf.live]
         return t.dcf.grouped(labels, na * nb * nk).reshape(na, nb, nk, na, nb, nk)
 
     def beam_dcfs(self) -> dict[tuple[int, int], np.ndarray]:

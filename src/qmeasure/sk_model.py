@@ -25,7 +25,7 @@ import numpy as np
 from ._linalg import DEFAULT_RTOL, Tolerance
 from .causal_order import CausalOrder, Region
 from .decoherence import DecoherenceFunctional, grouped_gap
-from .histories import MAX_HISTORIES, HistorySpace, region_algebra
+from .histories import MAX_HISTORIES, HistorySpace, atom_ids, region_algebra
 
 REGION_TAGS = ("Z", "A", "B", "-")
 
@@ -261,10 +261,11 @@ def check_truncation_independence(
     below its slice, `fine`, on the higher model, and every tested region
     coarse-grains it: a high history's atom is the atom of the low history
     it restricts to.  So each region's atoms are found on the low model
-    alone and read on the high one through `fine.atom_index`, and the high
-    histories are scanned once, for `fine`, not once per region.  The
-    labels equal those of the high model's own region algebra, so the
-    residuals are those of restricting both functionals.
+    alone (`atom_ids`, at the low live histories and at the low history
+    below each high live one), and the high histories are scanned once,
+    for `fine`, not once per region.  The labels equal those of the high
+    model's own region algebra, so the residuals are those of restricting
+    both functionals.
     """
     lo, hi = min(t_f1, t_f2), max(t_f1, t_f2)
     low = gen_sk_circuit(replace(cfg, t_f=lo))
@@ -291,12 +292,13 @@ def check_truncation_independence(
     fine = region_algebra(high.space, low.space.points)
     if not np.array_equal(fine.representatives, low.space.value_matrix):
         raise RuntimeError("restricted history sets differ between truncations")
+    # the low live histories, then the low history below each high live one
+    rows = np.concatenate([low.dcf.live, fine.atom_index[high.dcf.live]])
+    split = low.dcf.live.size
     worst = 0.0
     for reg in chosen:
-        alg = region_algebra(low.space, reg)
-        gap, _ = grouped_gap(
-            low.dcf, alg.atom_index, high.dcf, alg.atom_index[fine.atom_index], alg.n_atoms
-        )
+        n_atoms, ids = atom_ids(low.space, reg, rows)
+        gap, _ = grouped_gap(low.dcf, ids[:split], high.dcf, ids[split:], n_atoms)
         worst = max(worst, gap)
     return TruncationReport(lo, hi, worst, len(chosen), tol)
 

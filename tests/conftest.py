@@ -89,7 +89,7 @@ def outcome_event(model, *outcomes):
 def event_vector(dcf, event):
     """The factor-space vector of one event: its histories summed as one
     group."""
-    return dcf.vectors(np.zeros(dcf.space.size, dtype=int), 1, event.flags)[:, 0]
+    return dcf.vectors(np.zeros(dcf.live.size, dtype=int), 1, event.flags[dcf.live])[:, 0]
 
 
 def span_rank(dcf, points, *extra):
@@ -100,7 +100,7 @@ def span_rank(dcf, points, *extra):
     from qmeasure._linalg import rank_from_singular_values
 
     alg = region_algebra(dcf.space, points)
-    vecs = np.column_stack([dcf.vectors(alg.atom_index, alg.n_atoms), *extra])
+    vecs = np.column_stack([dcf.vectors(alg.atom_index[dcf.live], alg.n_atoms), *extra])
     return rank_from_singular_values(np.linalg.svd(vecs, compute_uv=False), dcf.tol)
 
 
@@ -213,3 +213,49 @@ def double_slit():
     from qmeasure import gen_double_slit
 
     return gen_double_slit()
+
+
+@pytest.fixture(scope="session")
+def route_models():
+    """Functionals on which the grid route and the counting route of
+    `atom_ids` must agree with a full `region_algebra`, by name, each with
+    whether its space is a grid (one history per value combination)."""
+    import dataclasses
+
+    from qmeasure import gen_double_slit, gen_eprb, gen_ghz, gen_sk_circuit
+    from qmeasure.sk_model import SkCircuitConfig, SkGate, bell_pair_gate, decoupled_demo_config
+
+    rng = np.random.default_rng(23)
+    stock = decoupled_demo_config(steps=2)
+    psi = np.zeros((2, 4), dtype=complex)  # rank 2: a `rho` point
+    psi[0, 0], psi[1, 3] = np.sqrt(0.7), np.sqrt(0.3)
+    mixed = SkCircuitConfig(
+        sites=2, steps=2, psi=psi, gates=(SkGate(1, (0, 1), bell_pair_gate()),)
+    )
+    combos = np.indices((3, 2, 4)).reshape(3, -1).T
+    shuffled = HistorySpace(("a", "b", "c"), rng.permutation(combos))
+    amp = rng.normal(size=shuffled.size) + 1j * rng.normal(size=shuffled.size)
+    amp[rng.random(shuffled.size) < 0.4] = 0.0
+    amp /= np.linalg.norm(amp)
+    final = rng.integers(0, 3, size=shuffled.size)
+    # every combination of the values that occur, but `a` is declared with
+    # three letters where two occur: 4 histories against 3 x 2 combinations
+    wide = HistorySpace(
+        ("a", "b"), np.indices((2, 2)).reshape(2, -1).T, alphabets={"a": 3, "b": 2}
+    )
+    return {
+        "stock circuit": (gen_sk_circuit(stock).dcf, True),
+        "mixed rank": (gen_sk_circuit(mixed).dcf, True),
+        "truncated": (gen_sk_circuit(dataclasses.replace(stock, t_f=1)).dcf, True),
+        "shuffled grid": (DecoherenceFunctional.from_amplitudes(shuffled, amp, final, 3), True),
+        "eprb theory": (gen_eprb().theory(0, 1).dcf, False),
+        "double slit": (gen_double_slit()[2], True),
+        "ghz": (gen_ghz()[0].dcf, True),
+        "wide alphabet": (random_psd_dcf(rng, wide), False),
+    }
+
+
+ROUTE_MODELS = (
+    "stock circuit", "mixed rank", "truncated", "shuffled grid",
+    "eprb theory", "double slit", "ghz", "wide alphabet",
+)

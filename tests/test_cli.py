@@ -925,7 +925,7 @@ class TestCommaPointNames:
         report = json.loads(out)
         dcf = gen_sk_circuit(sk_config_from_json(load_json(sk2))).dcf
         alg = region_algebra(dcf.space, ("0,0", "1,0"))
-        eig = np.linalg.eigvalsh(dcf.grouped(alg.atom_index, alg.n_atoms))
+        eig = np.linalg.eigvalsh(dcf.grouped(alg.atom_index[dcf.live], alg.n_atoms))
         assert report["region"] == ["0,0", "1,0"]
         assert (report["atoms"], report["rank"]) == (alg.n_atoms, span_rank(dcf, alg.points))
         universal = dcf.measure(dcf.space.full_event())

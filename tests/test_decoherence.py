@@ -214,7 +214,7 @@ def region_values(dcf, points):
     """The functional restricted to a region: its values on the region's
     atoms, as `check_agreement` reads them."""
     alg = region_algebra(dcf.space, points)
-    return dcf.grouped(alg.atom_index, alg.n_atoms)
+    return dcf.grouped(alg.atom_index[dcf.live], alg.n_atoms)
 
 
 class TestRestrict:
@@ -275,7 +275,7 @@ class TestGrouped:
                 space.event_from_indices(np.flatnonzero(labels == p)) for p in range(m)
             ]
             expected = np.array([[dcf.evaluate(e, f) for f in events] for e in events])
-            got = dcf.grouped(labels, m)
+            got = dcf.grouped(labels[dcf.live], m)
             assert got.shape == (m, m)
             assert np.abs(got - expected).max() <= 1e-14
             assert not got[m - 1].any() and not got[:, m - 1].any()
@@ -301,7 +301,7 @@ class TestGrouped:
                         m * b.dim,
                     ).reshape(m, b.dim)
                     expected = vecs.conj() @ vecs.T
-                assert np.array_equal(dcf.grouped(labels, m), expected)
+                assert np.array_equal(dcf.grouped(labels[dcf.live], m), expected)
 
 
 class TestVectors:
@@ -331,7 +331,8 @@ class TestVectors:
                     labels = rng.integers(0, max(1, m - 1), size=space.size)
                     for flags in (None, rng.random(space.size) < 0.5,
                                   np.zeros(space.size, dtype=bool)):
-                        got = dcf.vectors(labels, m, flags)
+                        live_flags = None if flags is None else flags[dcf.live]
+                        got = dcf.vectors(labels[dcf.live], m, live_flags)
                         want = self._reference(dcf, labels, m, flags)
                         assert got.shape == want.shape
                         assert np.array_equal(got, want)
@@ -346,7 +347,7 @@ class TestVectors:
         )
         labels = rng.integers(0, 4, size=space.size)
         for flags in (None, rng.random(space.size) < 0.5):
-            got = dcf.vectors(labels, 4, flags)
+            got = dcf.vectors(labels[dcf.live], 4, None if flags is None else flags[dcf.live])
             assert got.shape == (3, 4) and not got.any()
             assert np.array_equal(got, self._reference(dcf, labels, 4, flags))
         assert dcf.factor[1].shape == (3, 0)
@@ -357,7 +358,7 @@ class TestVectors:
         dcf = random_lazy_dcf(rng, space, dim=4)
         labels = rng.integers(0, 5, size=space.size)
         for flags in (None, rng.random(space.size) < 0.5):
-            got = dcf.vectors(labels, 5, flags)
+            got = dcf.vectors(labels[dcf.live], 5, None if flags is None else flags[dcf.live])
             assert got.shape == (4, 5)
             assert got.flags.c_contiguous
 

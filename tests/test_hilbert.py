@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ROUTE_MODELS,
     atom_events,
     event_vector,
     full_width_factor,
@@ -18,7 +19,7 @@ from qmeasure._linalg import scatter_columns
 from qmeasure.causal_order import down_sets
 from qmeasure.cli import main
 from qmeasure.decoherence import DecoherenceFunctional
-from qmeasure.hilbert import live_region_vectors
+from qmeasure.hilbert import live_atoms, live_region_vectors
 from qmeasure.sk_model import SkCircuitConfig, SkGate, decoupled_demo_config, gen_sk_circuit
 
 
@@ -207,10 +208,10 @@ class TestLiveColumns:
         for points in regions:
             alg = region_algebra(dcf.space, points)
             want = scatter_columns(full, alg.atom_index, alg.n_atoms)
-            assert np.array_equal(dcf.vectors(alg.atom_index, alg.n_atoms), want)
+            assert np.array_equal(dcf.vectors(alg.atom_index[dcf.live], alg.n_atoms), want)
             # the live columns are the atoms that hold a live history; the
             # rest are exactly zero
-            _, _, live = live_region_vectors(dcf, points)
+            _, _, _, live = live_region_vectors(dcf, points)
             ids = np.unique(alg.atom_index[dcf.factor[0]])
             assert np.array_equal(live, want[:, ids])
             assert not np.delete(want, ids, axis=1).any()
@@ -225,9 +226,10 @@ class TestLiveColumns:
                 flags = rng.random(n) < density
                 event = dcf.space.event_from_indices(np.flatnonzero(flags))
                 want = scatter_columns(full[:, flags], np.zeros(flags.sum(), dtype=int), 1)[:, 0]
-                assert np.array_equal(dcf.vectors(flags.astype(int), 2)[:, 1], want)
-                one_group = np.zeros(n, dtype=int)
-                assert np.array_equal(dcf.vectors(one_group, 1, event.flags)[:, 0], want)
+                assert np.array_equal(dcf.vectors(flags[dcf.live].astype(int), 2)[:, 1], want)
+                one_group = np.zeros(dcf.live.size, dtype=int)
+                got = dcf.vectors(one_group, 1, event.flags[dcf.live])
+                assert np.array_equal(got[:, 0], want)
 
     @staticmethod
     def _small_regions(order):
@@ -276,7 +278,7 @@ class TestLiveColumns:
                 b.amplitudes[None, :], alg.atom_index * b.dim + b.final_index,
                 alg.n_atoms * b.dim,
             ).reshape(alg.n_atoms, b.dim)
-            got = dcf.grouped(alg.atom_index, alg.n_atoms)
+            got = dcf.grouped(alg.atom_index[dcf.live], alg.n_atoms)
             assert np.array_equal(got, vecs.conj() @ vecs.T)
 
     def test_full_support(self):
@@ -310,7 +312,79 @@ class TestLiveColumns:
         assert np.array_equal(live, np.flatnonzero(full.any(axis=0)))
         assert 0 < live.size < space.size
         assert np.array_equal(fac, full[:, live])
-        vecs = dcf.vectors(np.arange(space.size), space.size)
+        vecs = dcf.vectors(live, space.size)
         assert np.array_equal(vecs[:, live], fac)
         assert not np.delete(vecs, live, axis=1).any()
         self._assert_region_vectors_exact(dcf, [(), *self._small_regions(space), space.points])
+
+
+def old_live_positions(dcf, alg):
+    """The full-length position table the live-atom route replaces: which
+    atoms hold a live history, and every history's position among them."""
+    live = np.bincount(alg.atom_index[dcf.live], minlength=alg.n_atoms) > 0
+    return np.flatnonzero(live), (np.cumsum(live) - live)[alg.atom_index]
+
+
+class TestLiveAtomRoute:
+    """`live_atoms` reads positions at the live histories only, on grids
+    and on every other space, and gives what the full-length table gave."""
+
+    @staticmethod
+    def check(dcf, points):
+        alg = region_algebra(dcf.space, points)
+        want_live, table = old_live_positions(dcf, alg)
+        n_atoms, live, position = live_atoms(dcf, points)
+        assert n_atoms == alg.n_atoms
+        assert np.array_equal(live, want_live)
+        assert np.array_equal(position, table[dcf.live])
+        full = scatter_columns(full_width_factor(dcf), alg.atom_index, alg.n_atoms)
+        n, ids, index, vecs = live_region_vectors(dcf, points)
+        assert n == n_atoms and np.array_equal(ids, live) and np.array_equal(index, position)
+        assert np.array_equal(vecs, full[:, live])
+
+    @pytest.mark.parametrize("name", ROUTE_MODELS)
+    def test_matches_full_length_table(self, route_models, name):
+        dcf = route_models[name][0]
+        rng = np.random.default_rng(len(name) + 1)
+        names = dcf.space.points
+        regions = [(), names, *((p,) for p in names)]
+        regions += [tuple(rng.permutation(names)[: rng.integers(1, len(names) + 1)])
+                    for _ in range(10)]
+        for points in regions:
+            self.check(dcf, points)
+
+    def test_region_with_no_points(self, route_models):
+        for name in ROUTE_MODELS:
+            dcf = route_models[name][0]
+            n_atoms, live, position = live_atoms(dcf, ())
+            assert (n_atoms, live.tolist()) == (1, [0])
+            assert position.shape == dcf.live.shape and not position.any()
+
+    @pytest.mark.parametrize("name", ["stock circuit", "eprb theory"])
+    def test_one_live_history(self, route_models, name):
+        base = route_models[name][0]
+        space = base.space
+        pick = int(base.live[len(base.live) // 2])
+        if base.is_dense:
+            matrix = np.zeros((space.size, space.size), dtype=complex)
+            matrix[pick, pick] = 1.0
+            dcf = DecoherenceFunctional(space, matrix=matrix)
+        else:
+            b = base.branch
+            amp = np.zeros(space.size, dtype=complex)
+            amp[pick] = 1.0
+            dcf = DecoherenceFunctional.from_amplitudes(space, amp, b.final_index, b.dim)
+        assert dcf.live.tolist() == [pick]
+        for points in [(), *((p,) for p in space.points), space.points]:
+            self.check(dcf, points)
+            n_atoms, live, position = live_atoms(dcf, points)
+            assert position.tolist() == [0]
+            assert live.tolist() == [region_algebra(space, points).atom_index[pick]]
+
+    def test_vectors_refuse_full_length_input(self, route_models):
+        dcf = route_models["stock circuit"][0]
+        n = dcf.space.size
+        with pytest.raises(ValueError, match="one entry per live history"):
+            dcf.vectors(np.zeros(n, dtype=int), 1)
+        with pytest.raises(ValueError, match="one entry per live history"):
+            dcf.vectors(np.zeros(dcf.live.size, dtype=int), 1, np.ones(n, dtype=bool))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import atom_events, outcome_event, setting_event
+from conftest import ROUTE_MODELS, atom_events, outcome_event, setting_event
 
 from qmeasure import (
     CausalOrder,
@@ -19,7 +20,7 @@ from qmeasure import (
     is_partition,
     region_algebra,
 )
-from qmeasure.histories import MAX_HISTORIES
+from qmeasure.histories import MAX_HISTORIES, atom_ids
 from qmeasure.patching import SETTING_KEYS
 
 
@@ -384,6 +385,76 @@ class TestAtomGrouping:
         )
         for region in (points, points[::-1], points[2:], points[:2]):
             self.check(space, region)
+
+
+class TestAtomIds:
+    """`atom_ids` against a full `region_algebra`: on a grid it reads the
+    given rows alone, elsewhere it counts over every history."""
+
+    @staticmethod
+    def regions(space, rng, count=12):
+        names = space.points
+        chosen = [(), names, names[::-1], *((p,) for p in names)]
+        for _ in range(count):
+            size = int(rng.integers(1, len(names) + 1))
+            chosen.append(tuple(rng.permutation(names)[:size]))
+        return chosen
+
+    @pytest.mark.parametrize("name", ROUTE_MODELS)
+    def test_grid_decision(self, route_models, name):
+        dcf, grid = route_models[name]
+        space = dcf.space
+        assert space.is_grid == grid
+        assert space.is_grid == (space.size == math.prod(space.alphabets.values()))
+
+    @pytest.mark.parametrize("name", ROUTE_MODELS)
+    def test_ids_match_region_algebra(self, route_models, name):
+        space = route_models[name][0].space
+        rng = np.random.default_rng(len(name))
+        row_sets = [
+            np.arange(space.size),
+            rng.permutation(space.size)[: space.size // 3],
+            np.sort(rng.choice(space.size, size=1)),
+            np.zeros(0, dtype=np.int64),
+        ]
+        for points in self.regions(space, rng):
+            alg = region_algebra(space, points)
+            if space.is_grid:
+                # every combination is present, in C order
+                cols = [space.point_index(p) for p in points]
+                index, reps = unique_rows(space.value_matrix[:, cols])
+                radices = [space.alphabets[p] for p in points]
+                assert alg.n_atoms == math.prod(radices)
+                assert np.array_equal(alg.atom_index, index)
+                assert np.array_equal(alg.representatives, reps)
+                assert alg.representatives.dtype == np.uint16
+            for rows in row_sets:
+                n, ids = atom_ids(space, points, rows)
+                assert n == alg.n_atoms
+                assert ids.dtype == np.int64
+                assert np.array_equal(ids, alg.atom_index[rows])
+
+    def test_declared_alphabet_is_not_an_atom(self, route_models):
+        # the counting route counts the values that occur, not the letters
+        space = route_models["wide alphabet"][0].space
+        assert atom_ids(space, ("a",), np.arange(space.size))[0] == 2
+        assert atom_ids(space, ("a", "b"), np.arange(space.size))[0] == 4
+
+    def test_refusals_on_both_routes(self, route_models):
+        for name in ("stock circuit", "eprb theory"):
+            space = route_models[name][0].space
+            rows = np.arange(3)
+            with pytest.raises(ValueError, match="unknown point"):
+                atom_ids(space, ("nope",), rows)
+            p = space.points[1]
+            with pytest.raises(ValueError, match="listed twice"):
+                atom_ids(space, (p, p), rows)
+
+    def test_grid_size_with_a_repeated_row_is_refused(self):
+        # as many rows as combinations, but one repeated: not a grid, and
+        # the distinctness check is what tells
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            HistorySpace(points=("p", "q"), histories=((0, 0), (0, 1), (1, 0), (0, 0)))
 
 
 def implies(e, f):

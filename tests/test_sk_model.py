@@ -293,8 +293,8 @@ def restricted_check(cfg, t_f1, t_f2, regions=None, seed=0):
     for reg in regions:
         a1, a2 = (region_algebra(m.space, reg) for m in (model1, model2))
         assert np.array_equal(a1.representatives, a2.representatives)
-        g1 = model1.dcf.grouped(a1.atom_index, a1.n_atoms)
-        g2 = model2.dcf.grouped(a2.atom_index, a2.n_atoms)
+        g1 = model1.dcf.grouped(a1.atom_index[model1.dcf.live], a1.n_atoms)
+        g2 = model2.dcf.grouped(a2.atom_index[model2.dcf.live], a2.n_atoms)
         worst = max(worst, float(np.abs(g1 - g2).max()))
     return worst, len(regions)
 
