@@ -37,7 +37,7 @@ from .causal_order import (
 )
 from .decoherence import DecoherenceFunctional
 from .hilbert import live_atoms, live_region_vectors
-from .histories import Event, RegionAlgebra, region_algebra
+from .histories import Event, RegionAlgebra, _as_point_names, region_algebra
 
 # residual evaluations one screening-off scan may run
 FACTORIZABILITY_LIMIT = 1_000_000_000
@@ -217,13 +217,22 @@ def event_operator(
     """
     _check_alignment(dcf, order)
     alg_r = region_algebra(dcf.space, region)
+    _check_event(dcf, alg_r, event)
     return _event_operator(dcf, alg_r, event, _domain_span(dcf, domain), force)
+
+
+def _check_event(dcf: DecoherenceFunctional, alg_r: RegionAlgebra, event: Event) -> None:
+    """Refuse a foreign event, or one outside the region's algebra, before
+    any span is built."""
+    dcf._own(event)
+    if not _event_in_algebra(event, alg_r):
+        raise ValueError("event is not in the region's algebra")
 
 
 def _domain_span(dcf: DecoherenceFunctional, domain) -> tuple:
     """What every operator on a domain reads, built once per domain: its
     point names, `live_region_vectors` and the vectors' truncated SVD."""
-    names = tuple(domain.point_names() if isinstance(domain, Region) else domain)
+    names = _as_point_names(dcf.space, domain)
     n_atoms, live, index, v = live_region_vectors(dcf, names)
     return names, n_atoms, live, index, v, truncated_svd(v, dcf.tol)
 
@@ -231,9 +240,8 @@ def _domain_span(dcf: DecoherenceFunctional, domain) -> tuple:
 def _event_operator(
     dcf: DecoherenceFunctional, alg_r: RegionAlgebra, event: Event, span: tuple, force: bool
 ) -> EventOperator:
-    dcf._own(event)
-    if not _event_in_algebra(event, alg_r):
-        raise ValueError("event is not in the region's algebra")
+    """`event_operator` on a checked event (`_check_event`) and a built
+    domain span (`_domain_span`)."""
     domain_points, n_atoms, live, index, v, (basis, s, vh) = span
     # everything is read off one truncated SVD v = basis diag(s) vh
     w = dcf.vectors(index, v.shape[1], event.flags[dcf.live])
@@ -408,8 +416,11 @@ def check_spacelike_commutation(
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    span = _domain_span(dcf, z)
     alg_a, alg_b = region_algebra(dcf.space, a), region_algebra(dcf.space, b)
+    for alg, events in ((alg_a, events_a), (alg_b, events_b)):
+        for e in events:
+            _check_event(dcf, alg, e)
+    span = _domain_span(dcf, z)
     ops_a = [_event_operator(dcf, alg_a, e, span, True) for e in events_a]
     ops_b = [_event_operator(dcf, alg_b, e, span, True) for e in events_b]
     # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G;
@@ -502,7 +513,7 @@ def check_quantum_factorizability(
     geometry = validate_scenario_geometry(order, z, a, b)
     if not geometry.passed:
         raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
-    fac = dcf.factor[1]
+    fac = dcf.factor
     fac = fac[fac.any(axis=1)]
     total = 1
     local = []

@@ -122,24 +122,23 @@ class DecoherenceFunctional:
         return self.branch.live
 
     @functools.cached_property
-    def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live histories and the factor on them, built once.
+    def factor(self) -> np.ndarray:
+        """The factor on the live histories, built once.
 
-        Returns `(live, fac)`: column k of the `d x len(live)` matrix `fac`
-        is the vector of history `live[k]`, and inner products of the
-        columns give the functional.  A dense factor has one row per
-        direction the rank rule keeps (d is the numerical rank), a lazy one
-        a row per final configuration.  Raises when a dense matrix fails
-        positive semi-definiteness at the tolerance (a strong-positivity
-        violation).
+        Column k of the `d x len(live)` matrix is the vector of history
+        `live[k]`, and inner products of the columns give the functional.
+        A dense factor has one row per direction the rank rule keeps (d is
+        the numerical rank), a lazy one a row per final configuration.
+        Raises when a dense matrix fails positive semi-definiteness at the
+        tolerance (a strong-positivity violation).
         """
         live = self.live
         if self.is_dense:
-            return live, psd_factor(self.matrix, self.tol)[:, live]
+            return psd_factor(self.matrix, self.tol)[:, live]
         b = self.branch
         fac = np.zeros((b.dim, live.size), dtype=complex)
         fac[b.final_index[live], np.arange(live.size)] = b.amplitudes[live]
-        return live, fac
+        return fac
 
     def vectors(self, labels: np.ndarray, m: int, flags: np.ndarray | None = None) -> np.ndarray:
         """The `d x m` vectors of the events "histories labelled p".
@@ -155,19 +154,22 @@ class DecoherenceFunctional:
         as a sum over a full-width factor, so the results are bit-identical
         to it.
         """
-        live = self.live
-        if len(labels) != live.size or (flags is not None and len(flags) != live.size):
-            raise ValueError("labels and flags need one entry per live history")
+        self._check_live_length(labels, flags)
         if self.is_dense:
-            fac = self.factor[1]
+            fac = self.factor
             if flags is not None:
                 fac, labels = fac[:, flags], labels[flags]
             return scatter_columns(fac, labels, m)
         b = self.branch
-        amps, final = b.amplitudes[live], b.final_index[live]
+        amps, final = b.amplitudes[self.live], b.final_index[self.live]
         if flags is not None:
             amps, final, labels = amps[flags], final[flags], labels[flags]
         return scatter_columns(amps[None], final * m + labels, b.dim * m).reshape(b.dim, m)
+
+    def _check_live_length(self, labels: np.ndarray, flags: np.ndarray | None = None) -> None:
+        n = self.live.size
+        if len(labels) != n or (flags is not None and len(flags) != n):
+            raise ValueError("labels and flags need one entry per live history")
 
     def _flags_vector(self, flags: np.ndarray | None) -> np.ndarray:
         """The vector of the event with these per-history flags."""
@@ -277,6 +279,7 @@ class DecoherenceFunctional:
         labelled p; `labels` gives each live history one label in 0..m-1,
         as in `vectors`.  A dead history's values are all zero, so it
         belongs to no E_p."""
+        self._check_live_length(labels)
         if self.is_dense:
             ind = np.zeros((m, self.space.size))
             ind[labels, self.live] = 1.0

@@ -194,8 +194,7 @@ def _row_keys(values: np.ndarray, radices) -> tuple[np.ndarray, int]:
     vectors do lexicographically, and a bound all keys lie below: the
     mixed-radix number with digit j below radices[j].  Whenever the bound
     passes max(rows, KEY_TABLE_FLOOR), the key is replaced by its rank
-    among the distinct keys, so a table indexed by key stays O(rows).  On
-    a grid no region's bound passes the row count: keys stay mixed-radix."""
+    among the distinct keys, so a table indexed by key stays O(rows)."""
     cap = max(len(values), KEY_TABLE_FLOOR)
     key = np.zeros(len(values), dtype=np.int64)
     bound = 1
@@ -209,20 +208,15 @@ def _row_keys(values: np.ndarray, radices) -> tuple[np.ndarray, int]:
 
 
 def region_algebra(space: HistorySpace, points) -> RegionAlgebra:
-    """Atoms by counting, over every history.  On a grid
-    (`HistorySpace.is_grid`) every value combination is present, so a
-    history's atom id is its mixed-radix key and the representatives are
-    the combinations in C order.  Otherwise a history's atom id is the
-    number of present keys below its own in a table of the key bound,
-    which is the canonical (lexicographic) order, and each representative
-    is one history's row."""
+    """Atoms by counting, over every history, on every space: a history's
+    atom id is the number of present keys below its own in a table of the
+    key bound, which is the canonical (lexicographic) order; each
+    representative is one history's row.  `atom_ids` reads a grid's ids
+    at given histories alone."""
     names = _as_point_names(space, points)
     radices = [space.alphabets[p] for p in names]
     values = space.value_matrix[:, space.columns(names)]
     keys, bound = _row_keys(values, radices)
-    if space.is_grid:
-        reps = np.indices(radices, dtype=np.uint16).reshape(len(names), bound).T
-        return RegionAlgebra(space, names, reps, keys)
     row = np.full(bound, -1)
     row[keys] = np.arange(len(keys))  # some history per present key
     present = row >= 0

@@ -156,6 +156,23 @@ class TestEventOperator:
         with pytest.raises(ValueError, match="event belongs to a different history space"):
             event_operator(t01.dcf, t01.order, ("wa",), t00.beam_a[0], ("z",), force=True)
 
+    def test_bad_event_refused_before_the_span(self, eprb_scenario, monkeypatch):
+        import qmeasure.causality as causality
+
+        def no_span(*args):
+            raise AssertionError("the domain span was built")
+
+        monkeypatch.setattr(causality, "live_region_vectors", no_span)
+        t00, t01 = eprb_scenario.theory(0, 0), eprb_scenario.theory(0, 1)
+        bad = t01.space.event_from_indices([0])
+        z, a, b = (t01.order.region([p]) for p in ("z", "wa", "wb"))
+        with pytest.raises(ValueError, match="different history space"):
+            event_operator(t01.dcf, t01.order, ("wa",), t00.beam_a[0], ("z",))
+        with pytest.raises(ValueError, match="not in the region's algebra"):
+            event_operator(t01.dcf, t01.order, ("wa",), bad, ("z",))
+        with pytest.raises(ValueError, match="not in the region's algebra"):
+            check_spacelike_commutation(t01.dcf, t01.order, z, a, b, t01.beam_a, [bad])
+
     def test_refusal_without_zero_persistence(self):
         _, order, dcf = gen_double_slit(time_reversed=True)
         space = dcf.space
@@ -664,7 +681,7 @@ class TestOperatorMatchesNormalEquations:
         model = gen_sk_circuit(decoupled_demo_config(steps=2))
         z = model.region("Z")
         alg = region_algebra(model.space, z)
-        n_live = np.unique(alg.atom_index[model.dcf.factor[0]]).size
+        n_live = np.unique(alg.atom_index[model.dcf.live]).size
         assert (model.space.size, alg.n_atoms, n_live) == (4096, 256, 2)
         for cell in model.region("A").point_names():
             for value in range(2):

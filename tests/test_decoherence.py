@@ -350,7 +350,7 @@ class TestVectors:
             got = dcf.vectors(labels[dcf.live], 4, None if flags is None else flags[dcf.live])
             assert got.shape == (3, 4) and not got.any()
             assert np.array_equal(got, self._reference(dcf, labels, 4, flags))
-        assert dcf.factor[1].shape == (3, 0)
+        assert dcf.factor.shape == (3, 0)
 
     def test_lazy_result_is_c_contiguous(self):
         rng = np.random.default_rng(51)
@@ -377,7 +377,7 @@ class TestVectors:
         space = HistorySpace(("z", "wa", "wb"), np.stack([key, wa, wb], axis=1))
         matrix = np.where(np.outer(ok, ok), flat[np.ix_(key, key)], 0)
         dcf = DecoherenceFunctional(space, matrix=matrix)
-        live, fac = dcf.factor
+        live, fac = dcf.live, dcf.factor
         assert np.array_equal(live, np.flatnonzero(ok))
         assert fac.shape[1] == 16
 
@@ -385,7 +385,7 @@ class TestVectors:
         rng = np.random.default_rng(53)
         space = random_space(rng, n_points=3, max_alpha=3)
         for dcf in self._functionals(rng, space):
-            live, fac = dcf.factor
+            live, fac = dcf.live, dcf.factor
             assert dcf.factor is dcf.factor
             assert np.array_equal(fac, full_width_factor(dcf)[:, live])
             # a copy with another tolerance builds its own factor

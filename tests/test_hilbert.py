@@ -212,7 +212,7 @@ class TestLiveColumns:
             # the live columns are the atoms that hold a live history; the
             # rest are exactly zero
             _, _, _, live = live_region_vectors(dcf, points)
-            ids = np.unique(alg.atom_index[dcf.factor[0]])
+            ids = np.unique(alg.atom_index[dcf.live])
             assert np.array_equal(live, want[:, ids])
             assert not np.delete(want, ids, axis=1).any()
 
@@ -255,12 +255,12 @@ class TestLiveColumns:
 
     def test_live_columns_are_the_amplitude_carrying_histories(self, circuit):
         dcf = circuit.dcf
-        live, fac = dcf.factor
+        live, fac = dcf.live, dcf.factor
         assert np.array_equal(live, np.flatnonzero(dcf.branch.amplitudes))
         assert 0 < live.size < dcf.space.size
         assert fac.shape == (dcf.branch.dim, live.size)
         assert np.array_equal(fac, full_width_factor(dcf)[:, live])
-        assert dcf.factor[1] is fac  # cached
+        assert dcf.factor is fac  # cached
 
     def test_region_vectors_match_full_width_on_circuit(self, circuit):
         regions = [z.point_names() for z in down_sets(circuit.order)]
@@ -283,7 +283,7 @@ class TestLiveColumns:
 
     def test_full_support(self):
         model = _full_support_model()
-        live, _ = model.dcf.factor
+        live = model.dcf.live
         assert live.size == model.space.size
         regions = [z.point_names() for z in down_sets(model.order)]
         self._assert_region_vectors_exact(model.dcf, regions + self._small_regions(model.order))
@@ -294,7 +294,7 @@ class TestLiveColumns:
         dcf = DecoherenceFunctional.from_amplitudes(
             circuit.space, np.zeros(circuit.space.size), b.final_index, b.dim
         )
-        live, fac = dcf.factor
+        live, fac = dcf.live, dcf.factor
         assert live.size == 0 and fac.shape == (b.dim, 0)
         regions = [z.point_names() for z in down_sets(circuit.order)]
         self._assert_region_vectors_exact(dcf, regions + self._small_regions(circuit.order))
@@ -307,7 +307,7 @@ class TestLiveColumns:
         vecs = rng.normal(size=(space.size, 3)) + 1j * rng.normal(size=(space.size, 3))
         vecs[::3] = 0.0  # every third history carries nothing
         dcf = DecoherenceFunctional.from_history_vectors(space, vecs)
-        live, fac = dcf.factor
+        live, fac = dcf.live, dcf.factor
         full = full_width_factor(dcf)
         assert np.array_equal(live, np.flatnonzero(full.any(axis=0)))
         assert 0 < live.size < space.size
@@ -382,9 +382,18 @@ class TestLiveAtomRoute:
             assert live.tolist() == [region_algebra(space, points).atom_index[pick]]
 
     def test_vectors_refuse_full_length_input(self, route_models):
-        dcf = route_models["stock circuit"][0]
-        n = dcf.space.size
-        with pytest.raises(ValueError, match="one entry per live history"):
-            dcf.vectors(np.zeros(n, dtype=int), 1)
-        with pytest.raises(ValueError, match="one entry per live history"):
-            dcf.vectors(np.zeros(dcf.live.size, dtype=int), 1, np.ones(n, dtype=bool))
+        rng = np.random.default_rng(59)
+        space = random_space(rng, n_points=3)
+        vecs = rng.normal(size=(space.size, 2)) + 0j
+        vecs[::2] = 0.0  # dead histories in a dense functional
+        dense = DecoherenceFunctional.from_history_vectors(space, vecs)
+        lazy = route_models["stock circuit"][0]
+        for dcf in (lazy, dense):
+            n = dcf.space.size
+            assert dcf.live.size < n
+            with pytest.raises(ValueError, match="one entry per live history"):
+                dcf.vectors(np.zeros(n, dtype=int), 1)
+            with pytest.raises(ValueError, match="one entry per live history"):
+                dcf.vectors(np.zeros(dcf.live.size, dtype=int), 1, np.ones(n, dtype=bool))
+            with pytest.raises(ValueError, match="one entry per live history"):
+                dcf.grouped(np.zeros(n, dtype=int), 1)

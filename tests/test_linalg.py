@@ -73,4 +73,4 @@ class TestPsdFactor:
     def test_stock_converse_theory_factor_has_rank_rows(self):
         conv = converse_model(quantum_patch(gen_eprb()).beam_joint())
         for t in conv.theories.values():
-            assert t.dcf.factor[1].shape == (4, 16)
+            assert t.dcf.factor.shape == (4, 16)
