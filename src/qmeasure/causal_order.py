@@ -81,12 +81,6 @@ class CausalOrder:
             flags[self.point_index(p)] = True
         return Region(self, flags)
 
-    def empty_region(self) -> "Region":
-        return Region(self, np.zeros(self.size, dtype=bool))
-
-    def full_region(self) -> "Region":
-        return Region(self, np.ones(self.size, dtype=bool))
-
 
 @dataclass(frozen=True, eq=False)
 class Region(FlagSet):
@@ -126,22 +120,31 @@ def is_past_set(order: CausalOrder, region: Region) -> bool:
 
 
 def future_domain(order: CausalOrder, region: Region) -> Region:
-    """Future domain of dependence of a past set.
+    """Future domain of dependence of a past set (`future_domains`)."""
+    return future_domains(order, [region])[0]
+
+
+def future_domains(order: CausalOrder, regions: Sequence[Region]) -> list[Region]:
+    """Future domains of dependence of past sets, all in one pass.
 
     Convention for finite orders: a point belongs iff every minimal
     element of its causal past lies in the given past set.  Contains the
     past set itself.
     """
-    if not is_past_set(order, region):
-        raise ValueError("future domain of dependence requires a past set")
+    if any(r.order is not order for r in regions):
+        raise ValueError(Region.foreign)
     n = order.size
     leq = order.leq
+    z = np.array([r.flags for r in regions], dtype=bool).reshape(-1, n)
+    # a point below a member of z but outside it
+    if (z[:, None, :] & ~z[:, :, None] & leq[None]).any():
+        raise ValueError("future domain of dependence requires a past set")
     strict = leq & ~np.eye(n, dtype=bool)
     # by transitivity the minimal elements of J-(p) are exactly the
     # globally minimal points below p
     minimal_pts = ~strict.any(axis=0)
-    bad = minimal_pts & ~region.flags
-    return Region(order, ~leq[bad].any(axis=0) | region.flags)
+    bad = minimal_pts & ~z
+    return [Region(order, flags) for flags in ~(bad @ leq) | z]
 
 
 def are_spacelike(order: CausalOrder, r1: Region, r2: Region) -> bool:

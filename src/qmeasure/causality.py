@@ -31,7 +31,7 @@ from .causal_order import (
     CausalOrder,
     Region,
     down_sets,
-    future_domain,
+    future_domains,
     shadow,
     validate_scenario_geometry,
 )
@@ -343,10 +343,12 @@ def check_lon(
     tol = dcf.tol
     if past_sets == "exhaustive":
         past_sets = down_sets(order)
+    past_sets = list(past_sets)
+    if any(z.order is not order for z in past_sets):
+        raise ValueError("region belongs to a different causal order")
     spans = {}  # points -> (live vectors, lstsq basis, rank), for this call only
 
-    def span(region):
-        names = region.point_names()
+    def span(names):
         if names not in spans:
             n_atoms, _, _, v = live_region_vectors(dcf, names)
             u, s, _ = np.linalg.svd(v, full_matrices=False)
@@ -357,21 +359,17 @@ def check_lon(
         return spans[names]
 
     results = []
-    for z in past_sets:
-        if z.order is not order:
-            raise ValueError("region belongs to a different causal order")
-        dom = future_domain(order, z)
-        _, u, dim_z = span(z)
-        vd, _, dim_d = span(dom)
+    for z, dom in zip(past_sets, future_domains(order, past_sets)):
+        z_names, dom_names = z.point_names(), dom.point_names()
+        _, u, dim_z = span(z_names)
+        vd, _, dim_d = span(dom_names)
         max_resid = 0.0
-        if dom != z:
+        if dom_names != z_names:
             # residual of projecting vd onto the span of vz
             resid = np.linalg.norm(vd - u @ (u.conj().T @ vd), axis=0)
             scale = np.maximum(1.0, np.linalg.norm(vd, axis=0))
             max_resid = float((resid / scale).max(initial=0.0))
-        results.append(
-            LonRegionResult(z.point_names(), dom.point_names(), dim_z, dim_d, max_resid)
-        )
+        results.append(LonRegionResult(z_names, dom_names, dim_z, dim_d, max_resid))
     return LonReport(tuple(results), tol)
 
 

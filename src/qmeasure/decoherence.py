@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import Tolerance, hermitian_part, psd_factor, scatter_columns
-from .histories import Event, HistorySpace, region_algebra
+from .histories import Event, HistorySpace, atom_ids, region_algebra
 
 DENSE_ATOM_CAP = 1024
 
@@ -212,6 +212,14 @@ class DecoherenceFunctional:
     # -- axioms ---------------------------------------------------------------
 
     def validate_axioms(self, seed: int = 0) -> "AxiomReport":
+        """Residuals of hermiticity, normalization and strong positivity.
+
+        A dense functional is checked on its whole matrix.  A lazy one is
+        Hermitian by construction, its normalization is |F 1|^2 - 1, and
+        its positivity is sampled: the spectrum of the Gram of a seeded
+        event family read at the live histories (`_sampled_gram`), so
+        `seed` picks the random events and the report says `sampled`.
+        """
         if self.is_dense:
             m = self.matrix
             herm = float(np.abs(m - m.conj().T).max())
@@ -237,20 +245,29 @@ class DecoherenceFunctional:
         )
 
     def _sampled_gram(self, seed: int) -> np.ndarray:
-        """Gram of a seeded event family: all single-point atoms plus 100
-        random events.  Used for the lazy-mode positivity check."""
-        flags = []
+        """Gram of a seeded event family, read at the live histories alone:
+        every single-point atom, points taken in order until there are
+        DENSE_ATOM_CAP atoms, then up to 100 random events, each holding
+        every live history with probability 1/2 (a dead history adds
+        nothing to a vector, so none is drawn).  Each vector's entries add
+        the same terms in the same order as the event's own `vectors`
+        call.  Used for the lazy-mode positivity check."""
+        live, b = self.live, self.branch
+        blocks, atoms = [], 0
         for p in self.space.points:
-            alg = region_algebra(self.space, (p,))
-            flags.extend(alg.atom_index == a for a in range(alg.n_atoms))
-            if len(flags) >= DENSE_ATOM_CAP:
+            n_atoms, ids = atom_ids(self.space, (p,), live)
+            blocks.append(self.vectors(ids, n_atoms).T)
+            atoms += n_atoms
+            if atoms >= DENSE_ATOM_CAP:
                 break
-        rng = np.random.default_rng(seed)
-        flags.extend(
-            rng.random(self.space.size) < 0.5
-            for _ in range(min(100, DENSE_ATOM_CAP - len(flags)))
-        )
-        vecs = np.stack([self._flags_vector(f) for f in flags])
+        k = max(0, min(100, DENSE_ATOM_CAP - atoms))
+        member = np.random.default_rng(seed).random((k, live.size)) < 0.5
+        event, col = np.nonzero(member)  # event-major, history order within
+        rows = live[col]
+        amps, final = b.amplitudes[rows], b.final_index[rows]
+        events = scatter_columns(amps[None], final * k + event, b.dim * k)
+        blocks.append(events.reshape(b.dim, k).T)
+        vecs = np.concatenate(blocks)
         return vecs.conj() @ vecs.T
 
     def is_classical(self) -> bool:

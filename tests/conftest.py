@@ -9,6 +9,7 @@ from qmeasure import (
     DecoherenceFunctional,
     Event,
     HistorySpace,
+    Region,
     SettingScenario,
     SettingTheory,
 )
@@ -57,6 +58,16 @@ def full_width_factor(dcf):
     fac = np.zeros((b.dim, dcf.space.size), dtype=complex)
     fac[b.final_index, np.arange(dcf.space.size)] = b.amplitudes
     return fac
+
+
+def empty_region(order):
+    """The region of no point of the order."""
+    return Region(order, np.zeros(order.size, dtype=bool))
+
+
+def full_region(order):
+    """The region of every point of the order."""
+    return Region(order, np.ones(order.size, dtype=bool))
 
 
 def atom_events(alg):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_region, full_region
+
 from qmeasure import (
     CausalOrder,
     are_spacelike,
@@ -15,7 +17,7 @@ from qmeasure import (
     shadow,
     validate_scenario_geometry,
 )
-from qmeasure.causal_order import Region, past_set_of
+from qmeasure.causal_order import Region, future_domains, past_set_of
 
 
 @pytest.fixture
@@ -70,7 +72,7 @@ class TestFutureSet:
         assert future_set(chain, chain.region(["s"])).point_names() == ("s", "p")
 
     def test_empty(self, chain):
-        assert future_set(chain, chain.empty_region()).is_empty()
+        assert future_set(chain, empty_region(chain)).is_empty()
 
     def test_diamond_left(self, diamond):
         r = future_set(diamond, diamond.region(["left"]))
@@ -93,7 +95,7 @@ class TestShadow:
 
 class TestPastSet:
     def test_empty_is_past_set(self, chain):
-        assert is_past_set(chain, chain.empty_region())
+        assert is_past_set(chain, empty_region(chain))
 
     def test_top_alone_is_not(self, chain):
         assert not is_past_set(chain, chain.region(["p"]))
@@ -262,7 +264,7 @@ class TestOrderProperties:
         sh = shadow(order, r)
         fu = future_set(order, r)
         assert (sh & fu).is_empty()
-        assert (sh | fu) == order.full_region()
+        assert (sh | fu) == full_region(order)
 
     @given(random_orders())
     @settings(max_examples=60, deadline=None)
@@ -273,6 +275,64 @@ class TestOrderProperties:
         assert is_past_set(order, pz | z)
         if is_past_set(order, z):
             assert z <= future_domain(order, z)
+
+
+def reference_future_domain(order, z):
+    """Point by point: z's own points, and each point none of whose
+    minimal points below lies outside z."""
+    n, leq = order.size, order.leq
+    minimal = [not any(leq[q, p] for q in range(n) if q != p) for p in range(n)]
+    return [
+        bool(z.flags[p]) or all(z.flags[q] for q in range(n) if minimal[q] and leq[q, p])
+        for p in range(n)
+    ]
+
+
+@pytest.fixture(scope="module")
+def model_orders():
+    """The causal orders of the models in `conftest.route_models` that
+    have one."""
+    from qmeasure import gen_double_slit, gen_eprb, gen_ghz, gen_sk_circuit
+    from qmeasure.sk_model import decoupled_demo_config
+
+    stock = decoupled_demo_config(steps=2)
+    return [
+        gen_sk_circuit(stock).order,
+        gen_sk_circuit(dataclasses.replace(stock, t_f=1)).order,
+        gen_eprb().theory(0, 1).order,
+        gen_double_slit()[1],
+        gen_ghz()[0].order,
+    ]
+
+
+class TestFutureDomains:
+    def check(self, order):
+        zs = down_sets(order)
+        doms = future_domains(order, zs)
+        assert doms == [future_domain(order, z) for z in zs]
+        assert [d.flags.tolist() for d in doms] == [
+            reference_future_domain(order, z) for z in zs
+        ]
+
+    def test_model_orders(self, model_orders):
+        for order in model_orders:
+            self.check(order)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_orders(self, seed):
+        self.check(seeded_order(seed))
+
+    def test_no_regions(self, diamond):
+        assert future_domains(diamond, []) == []
+
+    def test_one_non_past_set_refuses_all(self, diamond):
+        regions = [diamond.region(["bottom"]), diamond.region(["top"])]
+        with pytest.raises(ValueError, match="requires a past set"):
+            future_domains(diamond, regions)
+
+    def test_foreign_region_refused(self, chain, diamond):
+        with pytest.raises(ValueError, match="different causal orders"):
+            future_domains(diamond, [chain.region(["s"])])
 
 
 class TestEnumerationCaps:

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import atom_events, full_width_factor, partition_gap, random_psd_dcf, random_space
+from conftest import (
+    atom_events,
+    full_region,
+    full_width_factor,
+    partition_gap,
+    random_psd_dcf,
+    random_space,
+)
 
 from qmeasure import (
     CheckViolation,
@@ -195,8 +202,13 @@ class TestLon:
 
     def test_full_region_trivial(self, eprb_scenario):
         t = eprb_scenario.theory(0, 0)
-        rep = check_lon(t.dcf, t.order, [t.order.full_region()])
+        rep = check_lon(t.dcf, t.order, [full_region(t.order)])
         assert rep.passed and rep.max_residual == 0.0
+
+    def test_non_past_set_refused(self, eprb_scenario):
+        t = eprb_scenario.theory(0, 0)
+        with pytest.raises(ValueError, match="^future domain of dependence requires a past set$"):
+            check_lon(t.dcf, t.order, [t.order.region(["z"]), t.order.region(["wa"])])
 
     def test_degenerate_resolution_fails(self, eprb_computational_basis):
         t = eprb_computational_basis.theory(0, 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qmeasure import (
     region_algebra,
 )
 from qmeasure._linalg import scatter_columns
-from qmeasure.decoherence import BranchRep
+from qmeasure.decoherence import DENSE_ATOM_CAP, BranchRep
 
 
 def two_path_oracle():
@@ -145,6 +146,69 @@ class TestAxioms:
         rep = DecoherenceFunctional(dcf.space, matrix=2 * dcf.matrix).validate_axioms()
         assert not rep.normalized
         assert rep.normalization_residual == pytest.approx(1.0, abs=1e-12)
+
+
+def full_width_sampled_gram(dcf, seed):
+    """The lazy positivity family built over every history: each
+    single-point atom's flags from `region_algebra`, then each random
+    event's full-width flags, whose live entries are `_sampled_gram`'s
+    draws and whose dead entries are random; each vector is the event's
+    own `_flags_vector`."""
+    flags = []
+    for p in dcf.space.points:
+        alg = region_algebra(dcf.space, (p,))
+        flags.extend(alg.atom_index == a for a in range(alg.n_atoms))
+        if len(flags) >= DENSE_ATOM_CAP:
+            break
+    k = max(0, min(100, DENSE_ATOM_CAP - len(flags)))
+    member = np.random.default_rng(seed).random((k, dcf.live.size)) < 0.5
+    events = np.random.default_rng(seed + 1).random((k, dcf.space.size)) < 0.5
+    events[:, dcf.live] = member
+    flags.extend(events)
+    vecs = np.stack([dcf._flags_vector(f) for f in flags])
+    return vecs.conj() @ vecs.T
+
+
+@pytest.fixture(scope="module")
+def sparse_lazy():
+    """A lazy functional on a space that is not a grid, some of whose
+    histories are dead: `atom_ids` takes its counting route."""
+    rng = np.random.default_rng(29)
+    dcf = random_lazy_dcf(rng, random_space(rng, n_points=4))
+    assert not dcf.space.is_grid and dcf.live.size < dcf.space.size
+    return dcf
+
+
+class TestSampledGram:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["stock circuit", "mixed rank", "truncated"])
+    def test_matches_full_width_family(self, route_models, name, seed):
+        dcf = route_models[name][0]
+        assert np.array_equal(dcf._sampled_gram(seed), full_width_sampled_gram(dcf, seed))
+
+    def test_matches_full_width_family_off_grid(self, sparse_lazy):
+        for seed in (0, 3):
+            gram = sparse_lazy._sampled_gram(seed)
+            assert np.array_equal(gram, full_width_sampled_gram(sparse_lazy, seed))
+
+    def test_wide_point_leaves_no_random_events(self):
+        # 1030 atoms from one point: past the cap, so no random event
+        rng = np.random.default_rng(31)
+        space = HistorySpace(("p",), np.arange(1030)[:, None])
+        dcf = random_lazy_dcf(rng, space)
+        gram = dcf._sampled_gram(0)
+        assert gram.shape == (1030, 1030)
+        assert np.array_equal(gram, full_width_sampled_gram(dcf, 0))
+        assert dcf.validate_axioms().strongly_positive
+
+    def test_seed_fixes_the_report(self, route_models):
+        dcf = route_models["stock circuit"][0]
+
+        def report(seed):
+            return json.dumps(dcf.validate_axioms(seed=seed).as_dict())
+
+        assert report(3) == report(3)
+        assert report(3) != report(4)
 
 
 def sum_rule_residual(dcf, e, f, g):
