@@ -1,9 +1,10 @@
-"""Shared numeric policy (tolerances, PSD factorization, numerical rank)
-and the flag-set algebra of events and regions."""
+"""Shared numeric policy (tolerances, PSD factorization, numerical rank),
+the flag-set algebra of events and regions, and the report protocol of
+the checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,31 @@ class Tolerance:
 
     def rank_cut(self, s_max: float) -> float:
         return self.rel * s_max
+
+
+class Report:
+    """The one report protocol of a check verdict, for a dataclass with a
+    `passed` property.
+
+    `as_dict` writes the fields in declaration order, skipping `tol`, then
+    `passed`, then `tolerance = tol.rel` when a `tol` field exists;
+    `require` refuses a report that did not pass.  A report whose JSON
+    keys are not its fields (renamed keys, result lists, derived booleans,
+    an omitted witness) keeps its own `as_dict`: the perfbench workloads
+    read those reports' field names, so the fields stay as they are.
+    """
+
+    def as_dict(self) -> dict:
+        names = [f.name for f in fields(self)]
+        out = {name: getattr(self, name) for name in names if name != "tol"}
+        out["passed"] = self.passed
+        if "tol" in names:
+            out["tolerance"] = self.tol.rel
+        return out
+
+    def require(self, what: str) -> None:
+        if not self.passed:
+            raise ValueError(f"{what}: {self.as_dict()}")
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

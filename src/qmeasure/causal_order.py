@@ -6,12 +6,12 @@ past sets, future domain of dependence) feed the causality checks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import FlagSet
+from ._linalg import FlagSet, Report
 
 DOWN_SET_LIMIT = 4096
 
@@ -155,7 +155,7 @@ def are_spacelike(order: CausalOrder, r1: Region, r2: Region) -> bool:
 
 
 @dataclass(frozen=True)
-class GeometryReport:
+class GeometryReport(Report):
     """Clause-by-clause verdict for the past-set / wings arrangement."""
 
     z_is_past_set: bool
@@ -169,9 +169,6 @@ class GeometryReport:
     @property
     def passed(self) -> bool:
         return all(astuple(self))
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
 
 
 def validate_scenario_geometry(

@@ -21,9 +21,9 @@ import numpy as np
 
 from ._linalg import (
     CheckViolation,
+    Report,
     Tolerance,
     rank_from_singular_values,
-    scatter_columns,
     selection_violation,
     truncated_svd,
 )
@@ -377,7 +377,7 @@ def check_lon(
 # Spacelike commutation and partition identities
 
 @dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(Report):
     commutator_norm: float
     action_residual: float
     tol: Tolerance
@@ -385,14 +385,6 @@ class CommutationReport:
     @property
     def passed(self) -> bool:
         return max(self.commutator_norm, self.action_residual) <= self.tol.rel
-
-    def as_dict(self) -> dict:
-        return {
-            "commutator_norm": self.commutator_norm,
-            "action_residual": self.action_residual,
-            "passed": self.passed,
-            "tolerance": self.tol.rel,
-        }
 
 
 def check_spacelike_commutation(
@@ -411,9 +403,7 @@ def check_spacelike_commutation(
     each operator once on one span of the past, and reports the largest
     residuals."""
     _check_alignment(dcf, order)
-    geometry = validate_scenario_geometry(order, z, a, b)
-    if not geometry.passed:
-        raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
+    validate_scenario_geometry(order, z, a, b).require("scenario geometry invalid")
     alg_a, alg_b = region_algebra(dcf.space, a), region_algebra(dcf.space, b)
     for alg, events in ((alg_a, events_a), (alg_b, events_b)):
         for e in events:
@@ -447,7 +437,7 @@ def check_spacelike_commutation(
 # Quantum factorizability
 
 @dataclass(frozen=True)
-class FactorizabilityReport:
+class FactorizabilityReport(Report):
     max_residual: float
     combinations_checked: int
     combinations_total: int
@@ -457,16 +447,6 @@ class FactorizabilityReport:
     @property
     def passed(self) -> bool:
         return self.exhaustive and self.max_residual <= self.tol.rel
-
-    def as_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "combinations_checked": self.combinations_checked,
-            "combinations_total": self.combinations_total,
-            "exhaustive": self.exhaustive,
-            "passed": self.passed,
-            "tolerance": self.tol.rel,
-        }
 
 
 def _shared_row_components(fac: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -508,11 +488,10 @@ def check_quantum_factorizability(
     FACTORIZABILITY_LIMIT residual evaluations.
     """
     _check_alignment(dcf, order)
-    geometry = validate_scenario_geometry(order, z, a, b)
-    if not geometry.passed:
-        raise ValueError(f"scenario geometry invalid: {geometry.as_dict()}")
+    validate_scenario_geometry(order, z, a, b).require("scenario geometry invalid")
     fac = dcf.factor
-    fac = fac[fac.any(axis=1)]
+    rows = fac.any(axis=1)  # the final configurations any live history reaches
+    fac = fac[rows]
     total = 1
     local = []
     for region in (z, a, b):
@@ -530,13 +509,13 @@ def check_quantum_factorizability(
             f"{evaluations} screening-off residuals exceed the factorizability "
             f"limit {FACTORIZABILITY_LIMIT}"
         )
-    zv = scatter_columns(fac, iz, n_z)
+    zv = dcf.vectors(iz, n_z)[rows]
     s_z = zv.conj().T @ zv
 
-    def vectors(sel, labels, n):
-        """Sums of the selected history columns into n vectors, on the
-        final configurations that any of them reaches."""
-        v = scatter_columns(fac[:, sel], labels, n)
+    def vectors(labels, n, sel):
+        """`dcf.vectors` of the selected live histories, on the final
+        configurations that any of them reaches."""
+        v = dcf.vectors(labels, n, sel)
         return v[v.any(axis=1)]
 
     def wing(comp, iw, c):
@@ -546,7 +525,7 @@ def check_quantum_factorizability(
         pos = np.cumsum(members) - 1
         sel = members[iw]
         n_c = int(members.sum())
-        return sel, pos, vectors(sel, iz[sel] * n_c + pos[iw[sel]], n_z * n_c)
+        return sel, pos, vectors(iz * n_c + pos[iw], n_z * n_c, sel)
 
     wings_b = [wing(comp_b, ib, c) for c in range(len(size_b))]
     worst = 0.0
@@ -555,9 +534,7 @@ def check_quantum_factorizability(
         for (sel_b, pos_b, bv), nb in zip(wings_b, size_b):
             sel = sel_a & sel_b
             m = na * nb
-            x = vectors(
-                sel, (iz[sel] * na + pos_a[ia[sel]]) * nb + pos_b[ib[sel]], n_z * m
-            )
+            x = vectors((iz * na + pos_a[ia]) * nb + pos_b[ib], n_z * m, sel)
             # rows i = (g, p, q) of the residual, in blocks; it is symmetric
             # under swapping the primed and unprimed slots, so each block
             # meets only the columns (h, r, s) with h at or after its first g

@@ -122,6 +122,12 @@ def _emit(report: dict, args, to_stdout: bool = False) -> None:
         sys.stdout.write(text)
 
 
+def _verdict(report, args) -> int:
+    """Emit a check report; exit on its verdict."""
+    _emit(report.as_dict(), args)
+    return OK if report.passed else VIOLATION
+
+
 def _tol(args) -> Tolerance:
     return Tolerance(rel=args.tol)
 
@@ -169,9 +175,7 @@ def _between(kind, lo, hi):
 
 def cmd_validate(args) -> int:
     dcf, _ = _model(args, need_order=False)
-    report = dcf.validate_axioms(seed=args.seed)
-    _emit(report.as_dict(), args)
-    return OK if report.passed else VIOLATION
+    return _verdict(dcf.validate_axioms(seed=args.seed), args)
 
 
 def cmd_hilbert(args) -> int:
@@ -210,16 +214,12 @@ def cmd_hilbert(args) -> int:
 
 def cmd_poz(args) -> int:
     dcf, order = _model(args)
-    report = check_poz(dcf, order, _regions(args.regions, order))
-    _emit(report.as_dict(), args)
-    return OK if report.passed else VIOLATION
+    return _verdict(check_poz(dcf, order, _regions(args.regions, order)), args)
 
 
 def cmd_lon(args) -> int:
     dcf, order = _model(args)
-    report = check_lon(dcf, order, _regions(args.regions, order))
-    _emit(report.as_dict(), args)
-    return OK if report.passed else VIOLATION
+    return _verdict(check_lon(dcf, order, _regions(args.regions, order)), args)
 
 
 def cmd_commute(args) -> int:
@@ -238,8 +238,7 @@ def cmd_commute(args) -> int:
         max([0.0] + [r.action_residual for r in reports]),
         _tol(args),
     )
-    _emit(report.as_dict(), args)
-    return OK if report.passed else VIOLATION
+    return _verdict(report, args)
 
 
 def cmd_factorizability(args) -> int:
@@ -256,9 +255,7 @@ def cmd_factorizability(args) -> int:
     z, a, b = (
         order.region(_parse_points(spec, order.points)) for spec in (args.z, args.a, args.b)
     )
-    report = check_quantum_factorizability(dcf, order, z, a, b)
-    _emit(report.as_dict(), args)
-    return OK if report.passed else VIOLATION
+    return _verdict(check_quantum_factorizability(dcf, order, z, a, b), args)
 
 
 def cmd_patch(args) -> int:
@@ -364,15 +361,11 @@ def cmd_sk(args) -> int:
         report = check_quantum_factorizability(
             dataclasses.replace(model.dcf, tol=tol), model.order, z, a, b
         )
-        _emit(report.as_dict(), args)
-        return OK if report.passed else VIOLATION
-    if args.action == "truncation":
+    else:  # truncation, the last of the parser's choices
         report = check_truncation_independence(
             cfg, args.tf1, args.tf2, seed=args.seed, tol=tol
         )
-        _emit(report.as_dict(), args)
-        return OK if report.passed else VIOLATION
-    raise ValueError(f"unknown sk action {args.action!r}")
+    return _verdict(report, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -193,15 +193,9 @@ class DecoherenceFunctional:
         return complex(np.vdot(be, bf))
 
     def measure(self, e: Event) -> float:
-        """The quantum measure mu(E) = D(E, E), with the event's branch
-        vector built once."""
-        self._own(e)
-        flags = e.flags
-        if self.is_dense:
-            val = complex(self.matrix[np.ix_(flags, flags)].sum())
-        else:
-            be = self._flags_vector(flags)
-            val = complex(np.vdot(be, be))
+        """The quantum measure mu(E) = D(E, E), refused when its imaginary
+        part clears the tolerance."""
+        val = self.evaluate(e, e)
         scale = 1.0 if not self.is_dense else float(max(1.0, np.abs(self.matrix).max()))
         if abs(val.imag) > self.tol.rel * scale:
             raise ValueError(

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import DEFAULT_RTOL, CheckViolation, Tolerance, hermitian_part
+from ._linalg import DEFAULT_RTOL, CheckViolation, Report, Tolerance, hermitian_part
 from .causal_order import CausalOrder, validate_scenario_geometry
 from .causality import check_lon, check_poz, event_operator
 from .decoherence import DecoherenceFunctional, check_agreement
@@ -29,6 +29,14 @@ from .histories import Event, HistorySpace, is_partition, region_algebra
 SETTING_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 ZERO_MASS = 1e-12  # guards a division; classical_marginal_residual checks the joint
 OPERATOR_ORDER = ("a", "ap", "b", "bp")
+
+
+def _operator_ordering(ordering: Sequence[str]) -> tuple[str, ...]:
+    """`ordering` as a tuple, refused unless it permutes OPERATOR_ORDER."""
+    ordering = tuple(ordering)
+    if sorted(ordering) != sorted(OPERATOR_ORDER):
+        raise ValueError(f"ordering must permute {OPERATOR_ORDER}")
+    return ordering
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +133,7 @@ def _beam_index(t: SettingTheory, events: Sequence[Event]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Report):
     agreement: dict
     partitions: dict
     geometry: dict
@@ -137,14 +145,6 @@ class ScenarioReport:
             and all(self.partitions.values())
             and all(self.geometry.values())
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "agreement": self.agreement,
-            "partitions": self.partitions,
-            "geometry": self.geometry,
-            "passed": self.passed,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +268,7 @@ def classical_patch(scenario: SettingScenario) -> JointMeasure:
     marginals: the product of the per-wing conditional masses divided by
     the cubed past mass, with zero-mass past events mapped to zero.  The
     factorizability gate reads the tolerance of theory (0, 0)."""
-    report = scenario.validate()
-    if not report.passed:
-        raise ValueError(f"scenario clauses fail: {report.as_dict()}")
+    scenario.validate().require("scenario clauses fail")
     resid = classical_factorizability_residual(scenario)
     if resid > scenario.theory(0, 0).dcf.tol.rel:
         raise CheckViolation(f"theories are not factorizable (residual {resid:.3e})")
@@ -300,7 +298,9 @@ def classical_marginal_residual(
 
 @dataclass(frozen=True, eq=False)
 class JointDcf:
-    """Joint decoherence functional over (i, i', j, j', k) on both sides."""
+    """Joint decoherence functional over (i, i', j, j', k) on both sides,
+    built with its wing operators in `ordering`, a permutation of
+    OPERATOR_ORDER."""
 
     values: np.ndarray  # ten axes: five slots, bra then ket
     ordering: tuple[str, ...] = OPERATOR_ORDER
@@ -310,6 +310,7 @@ class JointDcf:
         if v.ndim != 10:
             raise ValueError("joint functional must have ten axes")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "ordering", _operator_ordering(self.ordering))
 
     def flat(self) -> np.ndarray:
         n = int(np.prod(self.values.shape[:5]))
@@ -376,12 +377,8 @@ def quantum_patch(
     Each theory is checked at its own tolerance; the commutation gate
     reads that of theory (0, 0), scaled by each pair's largest entries.
     """
-    ordering = tuple(ordering)
-    if sorted(ordering) != sorted(OPERATOR_ORDER):
-        raise ValueError(f"ordering must permute {OPERATOR_ORDER}")
-    report = scenario.validate()
-    if not report.passed:
-        raise ValueError(f"scenario clauses fail: {report.as_dict()}")
+    ordering = _operator_ordering(ordering)
+    scenario.validate().require("scenario clauses fail")
     for key, t in scenario.theories.items():
         poz = check_poz(t.dcf, t.order)
         if not poz.passed:
@@ -422,7 +419,7 @@ def quantum_patch(
     values = np.einsum(
         "abcdpk,pq,ABCDqK->abcdkABCDK", cf.conj(), gz, cf, optimize=True
     )
-    return JointDcf(values, tuple(ordering))
+    return JointDcf(values, ordering)
 
 
 def patch_marginal_residual(

@@ -327,9 +327,7 @@ def _slots(value, count: int, owner: str) -> tuple[int, ...]:
 def joint_dcf_from_json(doc: dict) -> JointDcf:
     slots = _slots(doc["slots"], 5, "joint functional")
     flat = matrix_from_json(doc["matrix"])
-    return JointDcf(
-        flat.reshape(slots + slots), tuple(doc.get("ordering", []) or OPERATOR_ORDER)
-    )
+    return JointDcf(flat.reshape(slots + slots), doc.get("ordering") or OPERATOR_ORDER)
 
 
 def beam_dcfs_to_json(beam: dict) -> dict:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import DEFAULT_RTOL, Tolerance
+from ._linalg import DEFAULT_RTOL, Report, Tolerance
 from .causal_order import CausalOrder, Region
 from .decoherence import DecoherenceFunctional, grouped_gap
 from .histories import MAX_HISTORIES, HistorySpace, atom_ids, region_algebra
@@ -222,7 +222,7 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
 # Truncation independence
 
 @dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(Report):
     t_f_low: int
     t_f_high: int
     max_residual: float
@@ -232,16 +232,6 @@ class TruncationReport:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tol.rel
-
-    def as_dict(self) -> dict:
-        return {
-            "t_f_low": self.t_f_low,
-            "t_f_high": self.t_f_high,
-            "max_residual": self.max_residual,
-            "regions_tested": self.regions_tested,
-            "passed": self.passed,
-            "tolerance": self.tol.rel,
-        }
 
 
 def check_truncation_independence(

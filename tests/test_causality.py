@@ -180,6 +180,17 @@ class TestEventOperator:
         with pytest.raises(ValueError, match="not in the region's algebra"):
             check_spacelike_commutation(t01.dcf, t01.order, z, a, b, t01.beam_a, [bad])
 
+    def test_image_outside_the_domain_span_refused(self, eprb_computational_basis):
+        # two intermediate branches die, so the past span misses the beam images
+        sc = eprb_computational_basis
+        t = sc.theory(0, 0)
+        for e in t.beam_a:
+            with pytest.raises(
+                CheckViolation,
+                match=r"^event image leaves the domain span \(residual 3\.536e-01\)$",
+            ):
+                event_operator(t.dcf, t.order, sc.a_points, e, ("z",))
+
     def test_refusal_without_zero_persistence(self):
         _, order, dcf = gen_double_slit(time_reversed=True)
         space = dcf.space
@@ -190,6 +201,24 @@ class TestEventOperator:
             dcf, order, ("slit",), left, ("screen",), force=True
         )
         assert op.consistency_residual > 0.1
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("check", [check_poz, check_lon])
+    def test_region_of_another_order_refused(self, eprb_scenario, check):
+        t = eprb_scenario.theory(0, 0)
+        other = CausalOrder.from_covers(t.order.points, [("z", "wa"), ("z", "wb")])
+        with pytest.raises(ValueError, match="^region belongs to a different causal order$"):
+            check(t.dcf, t.order, [other.region(["z"])])
+
+    @pytest.mark.parametrize("check", [check_poz, check_lon])
+    def test_order_of_other_points_refused(self, eprb_scenario, check):
+        t = eprb_scenario.theory(0, 0)
+        other = CausalOrder.from_covers(("x", "y"), [("x", "y")])
+        with pytest.raises(
+            ValueError, match="^history space and causal order use different points$"
+        ):
+            check(t.dcf, other)
 
 
 class TestLon:

@@ -47,6 +47,14 @@ class TestGenerateAndValidate:
         code, out = run(capsys, "poz", "ds")
         assert code == 0
 
+    def test_report_to_out_file(self, workdir, capsys):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        _, printed = run(capsys, "poz", "ds")
+        code, out = run(capsys, "poz", "ds", "--out", "r.json")
+        assert (code, out) == (0, "")
+        with open("r.json") as fh:
+            assert fh.read() == printed
+
     def test_missing_input_is_input_error(self, workdir, capsys):
         code = main(["validate", "nope.json"])
         assert code == 2
@@ -66,6 +74,19 @@ class TestPatchPipeline:
         assert code == 0
         value = json.loads(out)["chsh"]
         assert value == pytest.approx(2 * np.sqrt(2), abs=1e-6)
+
+    def test_joint_with_a_bad_ordering_refused(self, workdir, capsys):
+        run(capsys, "gen", "eprb", "--out", "eprb")
+        run(capsys, "patch", "quantum", "eprb", "--out", "joint.json")
+        with open("joint.json") as fh:
+            doc = json.load(fh)
+        doc["ordering"] = ["zz"]
+        with open("bad.json", "w") as fh:
+            json.dump(doc, fh)
+        for command in ("chsh", "nosignalling", "feasibility"):
+            code = main([command, "bad.json"])
+            assert code == 2
+            assert capsys.readouterr().err == "error: ordering must permute ('a', 'ap', 'b', 'bp')\n"
 
     def test_chsh_from_scenario(self, workdir, capsys):
         run(capsys, "gen", "eprb", "--out", "eprb")

@@ -1,12 +1,17 @@
 """The rank rule and the two routines built on it: `truncated_svd`, the
 one source of a span's basis, kernel projector and pseudo-inverse, and
-`psd_factor`, the dense factor with one row per kept eigenvalue."""
+`psd_factor`, the dense factor with one row per kept eigenvalue; and the
+report protocol `Report`."""
 
 import numpy as np
 import pytest
 
 from qmeasure import Tolerance, converse_model, gen_eprb, quantum_patch
-from qmeasure._linalg import psd_factor, rank_from_singular_values, truncated_svd
+from qmeasure._linalg import Report, psd_factor, rank_from_singular_values, truncated_svd
+from qmeasure.causal_order import GeometryReport
+from qmeasure.causality import CommutationReport, FactorizabilityReport
+from qmeasure.patching import ScenarioReport
+from qmeasure.sk_model import TruncationReport
 
 
 def svd_rank(a, tol):
@@ -74,3 +79,73 @@ class TestPsdFactor:
         conv = converse_model(quantum_patch(gen_eprb()).beam_joint())
         for t in conv.theories.values():
             assert t.dcf.factor.shape == (4, 16)
+
+
+# each report and its JSON document: the fields in declaration order,
+# then passed, then the tolerance where the report holds one
+REPORT_DOCUMENTS = [
+    (
+        CommutationReport(2e-7, 3e-8, Tolerance(1e-6)),
+        {"commutator_norm": 2e-7, "action_residual": 3e-8, "passed": True, "tolerance": 1e-6},
+    ),
+    (
+        FactorizabilityReport(0.25, 16, 36, True, Tolerance()),
+        {
+            "max_residual": 0.25,
+            "combinations_checked": 16,
+            "combinations_total": 36,
+            "exhaustive": True,
+            "passed": False,
+            "tolerance": 1e-9,
+        },
+    ),
+    (
+        TruncationReport(1, 3, 0.0, 28, Tolerance(1e-7)),
+        {
+            "t_f_low": 1,
+            "t_f_high": 3,
+            "max_residual": 0.0,
+            "regions_tested": 28,
+            "passed": True,
+            "tolerance": 1e-7,
+        },
+    ),
+    (
+        ScenarioReport({"a_shared": True}, {"(0, 0)": True}, {"(0, 0)": False}),
+        {
+            "agreement": {"a_shared": True},
+            "partitions": {"(0, 0)": True},
+            "geometry": {"(0, 0)": False},
+            "passed": False,
+        },
+    ),
+    (
+        GeometryReport(True, True, True, True, True, True, True),
+        {
+            "z_is_past_set": True,
+            "a_in_future_domain": True,
+            "b_in_future_domain": True,
+            "a_disjoint_from_z": True,
+            "b_disjoint_from_z": True,
+            "wings_spacelike": True,
+            "union_is_past_set": True,
+            "passed": True,
+        },
+    ),
+]
+
+
+class TestReport:
+    @pytest.mark.parametrize("report, doc", REPORT_DOCUMENTS)
+    def test_document_keys_and_values(self, report, doc):
+        assert isinstance(report, Report)
+        assert list(report.as_dict().items()) == list(doc.items())
+
+    @pytest.mark.parametrize("report, doc", REPORT_DOCUMENTS)
+    def test_require(self, report, doc):
+        if doc["passed"]:
+            assert report.require("check fails") is None
+        else:
+            with pytest.raises(ValueError) as info:
+                report.require("check fails")
+            assert str(info.value) == f"check fails: {doc}"

@@ -231,6 +231,23 @@ class TestCellValues:
             with pytest.raises(ValueError, match="partition"):
                 patch_marginal_residual(quantum_patch(eprb_scenario), sc, 0, 1)
 
+    def test_beam_event_of_another_space_refused(self, eprb_scenario):
+        t, other = eprb_scenario.theory(0, 0), eprb_scenario.theory(0, 1)
+        sc = SettingScenario(
+            {**dict(eprb_scenario.theories),
+             (0, 0): SettingTheory(t.space, t.order, t.dcf, other.beam_a, t.beam_b)},
+            eprb_scenario.z_points, eprb_scenario.a_points, eprb_scenario.b_points,
+        )
+        with pytest.raises(ValueError, match="^beam event belongs to a different history space$"):
+            sc.cell_values(0, 0)
+
+    def test_missing_setting_refused(self, eprb_scenario):
+        theories = {k: t for k, t in eprb_scenario.theories.items() if k != (1, 1)}
+        with pytest.raises(ValueError, match=r"^scenario lacks settings \[\(1, 1\)\]$"):
+            SettingScenario(
+                theories, eprb_scenario.z_points, eprb_scenario.a_points, eprb_scenario.b_points
+            )
+
 
 class TestMarginalize:
     def test_sum_over_everything(self):
@@ -289,8 +306,40 @@ class TestQuantumPatch:
         with pytest.raises(ValueError):
             quantum_patch(eprb_computational_basis)
 
+    @pytest.mark.parametrize("ordering", [("zz",), ("a", "ap", "b"), ("a", "a", "b", "bp")])
+    def test_ordering_must_permute_the_operators(self, eprb_scenario, ordering):
+        values = quantum_patch(eprb_scenario).values
+        message = r"^ordering must permute \('a', 'ap', 'b', 'bp'\)$"
+        with pytest.raises(ValueError, match=message):
+            JointDcf(values, ordering)
+        with pytest.raises(ValueError, match=message):
+            quantum_patch(eprb_scenario, ordering)
+
 
 class TestConverse:
+    def test_stock_converse_fails_persistence_of_zero_in_quantum_patch(self, eprb_scenario):
+        conv = converse_model(quantum_patch(eprb_scenario).beam_joint())
+        with pytest.raises(
+            CheckViolation,
+            match=r"^theory \(0, 1\) fails persistence of zero \(violation 6\.250e-02\)$",
+        ):
+            quantum_patch(conv)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda flat: np.eye(15) / 15, r"flat beam joint must be \(n\^4, n\^4\)"),
+            (lambda flat: flat.reshape(4, 8, 8), "beam joint must have eight axes"),
+            (lambda flat: flat + 0.1 * (np.arange(256).reshape(16, 16) == 1),
+             "beam joint is not Hermitian"),
+            (lambda flat: 2 * flat, "beam joint is not normalized"),
+        ],
+    )
+    def test_malformed_joint_refused(self, eprb_scenario, mutate, message):
+        flat = quantum_patch(eprb_scenario).beam_joint().reshape(16, 16)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            converse_model(mutate(flat))
+
     def test_round_trip_marginals_exact(self, eprb_scenario):
         jd = quantum_patch(eprb_scenario)
         conv = converse_model(jd.beam_joint())
