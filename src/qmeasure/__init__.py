@@ -29,7 +29,7 @@ from .causality import (
     event_operator,
 )
 from .decoherence import AxiomReport, DecoherenceFunctional, check_agreement
-from .histories import Event, HistorySpace, RegionAlgebra, is_partition, region_algebra
+from .histories import Event, HistorySpace, RegionAlgebra, region_algebra
 from .patching import (
     CorrelationTable,
     JointDcf,

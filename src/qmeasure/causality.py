@@ -48,14 +48,6 @@ def _check_alignment(dcf: DecoherenceFunctional, order: CausalOrder) -> None:
         raise ValueError("history space and causal order use different points")
 
 
-def _event_in_algebra(event: Event, alg: RegionAlgebra) -> bool:
-    """True iff no atom of the algebra has histories on both sides of the event."""
-    flags = event.flags
-    inside = np.zeros(alg.n_atoms, dtype=bool)
-    inside[alg.atom_index[flags]] = True
-    return not inside[alg.atom_index[~flags]].any()
-
-
 # ---------------------------------------------------------------------------
 # Persistence of zero
 
@@ -215,33 +207,39 @@ def event_operator(
     a dead atom's vector and its conjunction with the event are exactly
     zero, so its row and column of `frame_matrix` are zero too.
     """
+    _, ((op,),) = _operator_families(dcf, order, domain, [(region, [event])], force)
+    return op
+
+
+def _operator_families(dcf, order, domain, families, force: bool) -> tuple:
+    """The span of `domain` (its point names, `live_region_vectors` and
+    their truncated SVD), built once, and the operators of each `(region,
+    events)` family on it.  A foreign event, or one outside its region's
+    algebra, is refused before the span is built."""
     _check_alignment(dcf, order)
-    alg_r = region_algebra(dcf.space, region)
-    _check_event(dcf, alg_r, event)
-    return _event_operator(dcf, alg_r, event, _domain_span(dcf, domain), force)
-
-
-def _check_event(dcf: DecoherenceFunctional, alg_r: RegionAlgebra, event: Event) -> None:
-    """Refuse a foreign event, or one outside the region's algebra, before
-    any span is built."""
-    dcf._own(event)
-    if not _event_in_algebra(event, alg_r):
-        raise ValueError("event is not in the region's algebra")
-
-
-def _domain_span(dcf: DecoherenceFunctional, domain) -> tuple:
-    """What every operator on a domain reads, built once per domain: its
-    point names, `live_region_vectors` and the vectors' truncated SVD."""
+    algebras = [region_algebra(dcf.space, region) for region, _ in families]
+    for alg, (_, events) in zip(algebras, families):
+        for e in events:
+            dcf._own(e)
+            # in the algebra iff no atom has histories on both sides of it
+            inside = np.zeros(alg.n_atoms, dtype=bool)
+            inside[alg.atom_index[e.flags]] = True
+            if inside[alg.atom_index[~e.flags]].any():
+                raise ValueError("event is not in the region's algebra")
     names = _as_point_names(dcf.space, domain)
     n_atoms, live, index, v = live_region_vectors(dcf, names)
-    return names, n_atoms, live, index, v, truncated_svd(v, dcf.tol)
+    span = names, n_atoms, live, index, v, truncated_svd(v, dcf.tol)
+    return span, [
+        [_event_operator(dcf, alg, e, span, force) for e in events]
+        for alg, (_, events) in zip(algebras, families)
+    ]
 
 
 def _event_operator(
     dcf: DecoherenceFunctional, alg_r: RegionAlgebra, event: Event, span: tuple, force: bool
 ) -> EventOperator:
-    """`event_operator` on a checked event (`_check_event`) and a built
-    domain span (`_domain_span`)."""
+    """`event_operator` on a checked event and a built domain span
+    (`_operator_families`)."""
     domain_points, n_atoms, live, index, v, (basis, s, vh) = span
     # everything is read off one truncated SVD v = basis diag(s) vh
     w = dcf.vectors(index, v.shape[1], event.flags[dcf.live])
@@ -404,13 +402,9 @@ def check_spacelike_commutation(
     residuals."""
     _check_alignment(dcf, order)
     validate_scenario_geometry(order, z, a, b).require("scenario geometry invalid")
-    alg_a, alg_b = region_algebra(dcf.space, a), region_algebra(dcf.space, b)
-    for alg, events in ((alg_a, events_a), (alg_b, events_b)):
-        for e in events:
-            _check_event(dcf, alg, e)
-    span = _domain_span(dcf, z)
-    ops_a = [_event_operator(dcf, alg_a, e, span, True) for e in events_a]
-    ops_b = [_event_operator(dcf, alg_b, e, span, True) for e in events_b]
+    span, (ops_a, ops_b) = _operator_families(
+        dcf, order, z, [(a, events_a), (b, events_b)], True
+    )
     # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G;
     # dead past atoms are zero on both sides
     _, _, _, index, vz, _ = span

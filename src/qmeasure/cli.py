@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -368,7 +369,10 @@ def cmd_sk(args) -> int:
     return _verdict(report, args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept: each
+    command's handler is the `cmd_*` function bound at that call."""
     parser = argparse.ArgumentParser(
         prog="qmeasure",
         description="Quantum measure theory on finite history spaces: "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -155,15 +155,6 @@ class Event(FlagSet):
 
     def indices(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.flags).tolist())
-
-
-def is_partition(events: Sequence[Event]) -> bool:
-    """True iff the events are pairwise disjoint and cover the space."""
-    if not events:
-        return False
-    for e in events:
-        e._check(events[0])
-    return bool((np.stack([e.flags for e in events]).sum(axis=0) == 1).all())
 
 
 # -- Region-restricted algebras --------------------------------------------

@@ -15,16 +15,16 @@ Farkas certificate proves "infeasible".
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._linalg import DEFAULT_RTOL, CheckViolation, Report, Tolerance, hermitian_part
 from .causal_order import CausalOrder, validate_scenario_geometry
-from .causality import check_lon, check_poz, event_operator
+from .causality import _operator_families, check_lon, check_poz
 from .decoherence import DecoherenceFunctional, check_agreement
-from .histories import Event, HistorySpace, is_partition, region_algebra
+from .histories import Event, HistorySpace, region_algebra
 
 SETTING_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 ZERO_MASS = 1e-12  # guards a division; classical_marginal_residual checks the joint
@@ -42,13 +42,24 @@ def _operator_ordering(ordering: Sequence[str]) -> tuple[str, ...]:
 @dataclass(frozen=True, eq=False)
 class SettingTheory:
     """One global setting: a history space, its causal order, the
-    decoherence functional, and the beam-outcome events per wing."""
+    decoherence functional over that space, and each wing's beam-outcome
+    events, a partition of the space.  `beam_pair` holds each history's
+    (beam A i, beam B j) pair index i * len(beam_b) + j."""
 
     space: HistorySpace
     order: CausalOrder
     dcf: DecoherenceFunctional
     beam_a: tuple[Event, ...]
     beam_b: tuple[Event, ...]
+    beam_pair: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.dcf.space is not self.space:
+            raise ValueError("the functional belongs to a different history space")
+        a, b = _beam_index(self.space, self.beam_a), _beam_index(self.space, self.beam_b)
+        pair = a * len(self.beam_b) + b
+        pair.flags.writeable = False
+        object.__setattr__(self, "beam_pair", pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +80,12 @@ class SettingScenario:
     def cell_values(self, sa: int, sb: int) -> np.ndarray:
         """The theory's values on pairs of cells A_i B_j Z_k, where A_i, B_j
         are beam events and Z_k the past atoms: entry [i, j, k, i2, j2, k2]
-        is D(A_i B_j Z_k, A_i2 B_j2 Z_k2), from one `grouped` call.  The
-        beam events of each wing must partition the history space."""
+        is D(A_i B_j Z_k, A_i2 B_j2 Z_k2), from one `grouped` call."""
         t = self.theory(sa, sb)
-        a, b = _beam_index(t, t.beam_a), _beam_index(t, t.beam_b)
         na, nb = len(t.beam_a), len(t.beam_b)
         z = region_algebra(t.space, self.z_points)
         nk = z.n_atoms
-        labels = ((a * nb + b) * nk + z.atom_index)[t.dcf.live]
+        labels = (t.beam_pair * nk + z.atom_index)[t.dcf.live]
         return t.dcf.grouped(labels, na * nb * nk).reshape(na, nb, nk, na, nb, nk)
 
     def beam_dcfs(self) -> dict[tuple[int, int], np.ndarray]:
@@ -107,26 +116,22 @@ class SettingScenario:
                 for k in SETTING_KEYS[1:]
             ),
         }
-        partitions = {}
         geometry = {}
         for key, t in self.theories.items():
-            partitions[str(key)] = bool(
-                is_partition(list(t.beam_a)) and is_partition(list(t.beam_b))
-            )
             geometry[str(key)] = validate_scenario_geometry(
                 t.order,
                 t.order.region(self.z_points),
                 t.order.region(self.a_points),
                 t.order.region(self.b_points),
             ).passed
-        return ScenarioReport(agreement, partitions, geometry)
+        return ScenarioReport(agreement, geometry)
 
 
-def _beam_index(t: SettingTheory, events: Sequence[Event]) -> np.ndarray:
-    """The index of the beam event holding each history of the theory."""
-    if any(e.space is not t.space for e in events):
+def _beam_index(space: HistorySpace, events: Sequence[Event]) -> np.ndarray:
+    """The index of the beam event holding each history of the space."""
+    if any(e.space is not space for e in events):
         raise ValueError("beam event belongs to a different history space")
-    flags = np.stack([e.flags for e in events])
+    flags = np.array([e.flags for e in events], dtype=bool).reshape(-1, space.size)
     if not (flags.sum(axis=0) == 1).all():
         raise ValueError("beam events must partition the history space")
     return flags.argmax(axis=0)
@@ -135,16 +140,11 @@ def _beam_index(t: SettingTheory, events: Sequence[Event]) -> np.ndarray:
 @dataclass(frozen=True)
 class ScenarioReport(Report):
     agreement: dict
-    partitions: dict
     geometry: dict
 
     @property
     def passed(self) -> bool:
-        return (
-            all(self.agreement.values())
-            and all(self.partitions.values())
-            and all(self.geometry.values())
-        )
+        return all(self.agreement.values()) and all(self.geometry.values())
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,8 @@ class JointDcf:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 10:
             raise ValueError("joint functional must have ten axes")
+        if v.shape[:5] != v.shape[5:]:
+            raise ValueError("joint functional's ket axes must match its bra axes")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "ordering", _operator_ordering(self.ordering))
 
@@ -348,18 +350,18 @@ def _wing_operators(scenario: SettingScenario):
 
     Each wing setting is read from one fixed theory containing it; by the
     agreement clauses any other choice gives the same operator within
-    rounding.
+    rounding.  Each theory builds its past span once, for all the wing
+    families it gives.
     """
     ops = {}
-    for sym, key in {"a": (0, 0), "ap": (1, 0), "b": (0, 0), "bp": (0, 1)}.items():
+    for key, syms in (((0, 0), ("a", "b")), ((1, 0), ("ap",)), ((0, 1), ("bp",))):
         t = scenario.theory(*key)
-        events, points = (
-            (t.beam_a, scenario.a_points) if sym[0] == "a" else (t.beam_b, scenario.b_points)
+        wings = {"a": (scenario.a_points, t.beam_a), "b": (scenario.b_points, t.beam_b)}
+        _, families = _operator_families(
+            t.dcf, t.order, scenario.z_points, [wings[sym[0]] for sym in syms], False
         )
-        ops[sym] = [
-            event_operator(t.dcf, t.order, points, e, scenario.z_points).frame_matrix
-            for e in events
-        ]
+        for sym, family in zip(syms, families):
+            ops[sym] = [op.frame_matrix for op in family]
     return ops
 
 

@@ -287,6 +287,24 @@ class TestCommute:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize(
+        "command",
+        [["commute"], ["chsh"], ["nosignalling"], ["feasibility"], ["patch", "quantum"],
+         ["factorizability", "classical"]],
+    )
+    def test_overlapping_beams_refused_when_read(self, workdir, capsys, command):
+        run(capsys, "gen", "eprb", "--out", "eprb")
+        with open("eprb/scenario.json") as fh:
+            doc = json.load(fh)
+        beam_a = doc["theories"]["ab'"]["beam_a"]
+        beam_a[0] = sorted(beam_a[0] + beam_a[1])
+        with open("eprb/scenario.json", "w") as fh:
+            json.dump(doc, fh)
+        assert main([*command, "eprb"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beam events must partition the history space\n"
+
 
 class TestFactorizabilityCommand:
     def test_quantum_detects_interference(self, workdir, capsys):
@@ -1057,6 +1075,12 @@ class TestOptionRanges:
         assert main(["poz", bad]) == 3
         assert "not positive semi-definite" in capsys.readouterr().err
         assert main(["hilbert", bad]) == 3
+
+    def test_tol_of_one_call_is_not_kept(self, workdir, capsys):
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        for argv, tol in ((["--tol", "1e-6"], 1e-6), ([], 1e-9)):
+            code, out = run(capsys, "poz", "ds", *argv)
+            assert code == 0 and json.loads(out)["tolerance"] == tol
 
     def test_hilbert_reports_its_tol(self, workdir, capsys):
         run(capsys, "gen", "double-slit", "--out", "ds")

@@ -17,7 +17,6 @@ from qmeasure import (
     Region,
     gen_ghz,
     gen_pr_box,
-    is_partition,
     region_algebra,
 )
 from qmeasure.histories import MAX_HISTORIES, atom_ids
@@ -264,20 +263,6 @@ class TestCylinderEvents:
     def test_contains_own_restriction(self, four_space):
         for h in range(4):
             assert h in four_space.value_event("p", four_space.value_matrix[h, 0])
-
-
-class TestIsPartition:
-    def test_region_atoms_partition(self, double_slit):
-        space, _, _ = double_slit
-        assert is_partition(atom_events(region_algebra(space, ("screen",))))
-
-    def test_event_and_complement(self, four_space):
-        e = ev(four_space, 0, 2)
-        assert is_partition([e, ~e])
-
-    def test_duplicate_fails(self, four_space):
-        e = ev(four_space, 0)
-        assert not is_partition([e, e])
 
 
 class TestCaps:

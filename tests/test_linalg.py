@@ -111,10 +111,9 @@ REPORT_DOCUMENTS = [
         },
     ),
     (
-        ScenarioReport({"a_shared": True}, {"(0, 0)": True}, {"(0, 0)": False}),
+        ScenarioReport({"a_shared": True}, {"(0, 0)": False}),
         {
             "agreement": {"a_shared": True},
-            "partitions": {"(0, 0)": True},
             "geometry": {"(0, 0)": False},
             "passed": False,
         },

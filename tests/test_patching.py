@@ -25,6 +25,7 @@ from qmeasure import (
 from qmeasure.patching import (
     SETTING_KEYS,
     JointDcf,
+    _wing_operators,
     classical_marginal_residual,
 )
 
@@ -219,27 +220,38 @@ class TestCellValues:
     def test_beam_events_must_partition(self, eprb_scenario, wing):
         t = eprb_scenario.theory(0, 1)
         events = t.beam_a if wing == "a" else t.beam_b
-        for broken in ((events[0] | events[1], events[1]), (events[0],)):
+        for broken in ((events[0] | events[1], events[1]), (events[0],), ()):
             beams = (broken, t.beam_b) if wing == "a" else (t.beam_a, broken)
-            bad = SettingTheory(t.space, t.order, t.dcf, *beams)
-            sc = SettingScenario(
-                {**dict(eprb_scenario.theories), (0, 1): bad},
-                eprb_scenario.z_points, eprb_scenario.a_points, eprb_scenario.b_points,
-            )
-            with pytest.raises(ValueError, match="partition"):
-                sc.beam_dcfs()
-            with pytest.raises(ValueError, match="partition"):
-                patch_marginal_residual(quantum_patch(eprb_scenario), sc, 0, 1)
+            with pytest.raises(
+                ValueError, match="^beam events must partition the history space$"
+            ):
+                SettingTheory(t.space, t.order, t.dcf, *beams)
 
     def test_beam_event_of_another_space_refused(self, eprb_scenario):
         t, other = eprb_scenario.theory(0, 0), eprb_scenario.theory(0, 1)
-        sc = SettingScenario(
-            {**dict(eprb_scenario.theories),
-             (0, 0): SettingTheory(t.space, t.order, t.dcf, other.beam_a, t.beam_b)},
-            eprb_scenario.z_points, eprb_scenario.a_points, eprb_scenario.b_points,
-        )
-        with pytest.raises(ValueError, match="^beam event belongs to a different history space$"):
-            sc.cell_values(0, 0)
+        for beams in ((other.beam_a, t.beam_b), (t.beam_a, other.beam_b)):
+            with pytest.raises(
+                ValueError, match="^beam event belongs to a different history space$"
+            ):
+                SettingTheory(t.space, t.order, t.dcf, *beams)
+
+    def test_functional_of_another_space_refused(self, eprb_scenario):
+        # theories (0, 0) and (0, 1) have equal-sized spaces, so the
+        # mixed theory would read one space's beams against the other's
+        # functional
+        t00, t01 = eprb_scenario.theory(0, 0), eprb_scenario.theory(0, 1)
+        with pytest.raises(
+            ValueError, match="^the functional belongs to a different history space$"
+        ):
+            SettingTheory(t01.space, t00.order, t00.dcf, t01.beam_a, t01.beam_b)
+
+    def test_beam_pair_is_each_histories_beam_cell(self, eprb_scenario):
+        for t in eprb_scenario.theories.values():
+            nb = len(t.beam_b)
+            for i, ea in enumerate(t.beam_a):
+                for j, eb in enumerate(t.beam_b):
+                    assert ((t.beam_pair == i * nb + j) == (ea & eb).flags).all()
+            assert not t.beam_pair.flags.writeable
 
     def test_missing_setting_refused(self, eprb_scenario):
         theories = {k: t for k, t in eprb_scenario.theories.items() if k != (1, 1)}
@@ -301,6 +313,49 @@ class TestQuantumPatch:
         # eg setting ab: sum over primed labels on both sides
         got = beam.sum(axis=(1, 3, 5, 7))
         assert np.abs(got - dcfs[(0, 0)]).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_wing_operators_match_per_event_operators(self, eprb_scenario, seed):
+        # one past span per theory gives the frames of one span per event
+        from qmeasure import EprbConfig, event_operator, gen_eprb
+
+        sc = eprb_scenario
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            angles = tuple(float(a) for a in rng.uniform(0.0, np.pi, size=4))
+            sc = gen_eprb(EprbConfig(angles=angles, resolution_basis=np.linalg.qr(raw)[0]))
+        ops = _wing_operators(sc)
+        for sym, key in {"a": (0, 0), "ap": (1, 0), "b": (0, 0), "bp": (0, 1)}.items():
+            t = sc.theory(*key)
+            points, events = (
+                (sc.a_points, t.beam_a) if sym[0] == "a" else (sc.b_points, t.beam_b)
+            )
+            frames = [
+                event_operator(t.dcf, t.order, points, e, sc.z_points).frame_matrix
+                for e in events
+            ]
+            assert len(ops[sym]) == len(frames) == 2
+            assert all(np.array_equal(x, y) for x, y in zip(ops[sym], frames))
+
+    def test_wing_operators_build_three_spans_and_four_algebras(
+        self, eprb_scenario, monkeypatch
+    ):
+        import qmeasure.causality as causality
+
+        calls = dict.fromkeys(("live_region_vectors", "region_algebra"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(causality, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(causality, name, counted)
+        _wing_operators(eprb_scenario)
+        assert calls == {"live_region_vectors": 3, "region_algebra": 4}
+
+    def test_ket_axes_must_match_bra_axes(self):
+        with pytest.raises(ValueError, match="^joint functional's ket axes must match"):
+            JointDcf(np.zeros((2, 2, 2, 2, 4, 2, 2, 2, 2, 3)))
 
     def test_lon_failure_refused(self, eprb_computational_basis):
         with pytest.raises(ValueError):
