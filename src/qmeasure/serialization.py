@@ -254,6 +254,8 @@ def scenario_to_json(scenario: SettingScenario) -> dict:
 def scenario_from_json(doc: dict, base_dir: str = ".") -> SettingScenario:
     theories = {}
     for name, key in SETTING_NAMES.items():
+        if name not in doc["theories"]:
+            continue  # SettingScenario names the settings missing
         tdoc, tdir = _resolve(doc["theories"][name], base_dir)
         order_doc, _ = _resolve(tdoc["order"], tdir)
         dcf = dcf_from_json(
@@ -266,11 +268,7 @@ def scenario_from_json(doc: dict, base_dir: str = ".") -> SettingScenario:
             beam_a=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_a"]),
             beam_b=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_b"]),
         )
-    regions = [tuple(doc[name]) for name in ("z", "a", "b")]
-    for t in theories.values():
-        for points in regions:
-            t.order.region(points)  # refuses a name that is not a point
-    return SettingScenario(theories, *regions)
+    return SettingScenario(theories, doc["z"], doc["a"], doc["b"])
 
 
 def eprb_config_from_json(doc: dict) -> EprbConfig:

@@ -280,6 +280,16 @@ class TestSchema:
             assert io.read_input(str(path))[0] == kind
 
 
+def edited_eprb(capsys, edit):
+    """`gen eprb` into eprb/, its scenario document passed through `edit`."""
+    run(capsys, "gen", "eprb", "--out", "eprb")
+    with open("eprb/scenario.json") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open("eprb/scenario.json", "w") as fh:
+        json.dump(doc, fh)
+
+
 class TestCommute:
     def test_eprb_commute(self, workdir, capsys):
         run(capsys, "gen", "eprb", "--out", "eprb")
@@ -293,17 +303,32 @@ class TestCommute:
          ["factorizability", "classical"]],
     )
     def test_overlapping_beams_refused_when_read(self, workdir, capsys, command):
-        run(capsys, "gen", "eprb", "--out", "eprb")
-        with open("eprb/scenario.json") as fh:
-            doc = json.load(fh)
-        beam_a = doc["theories"]["ab'"]["beam_a"]
-        beam_a[0] = sorted(beam_a[0] + beam_a[1])
-        with open("eprb/scenario.json", "w") as fh:
-            json.dump(doc, fh)
+        def overlap(doc):
+            beam_a = doc["theories"]["ab'"]["beam_a"]
+            beam_a[0] = sorted(beam_a[0] + beam_a[1])
+
+        edited_eprb(capsys, overlap)
         assert main([*command, "eprb"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: beam events must partition the history space\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["commute"], ["patch", "classical"], ["patch", "quantum"], ["chsh"],
+         ["nosignalling"], ["feasibility"], ["factorizability", "classical"]],
+    )
+    def test_past_swapped_with_a_wing_refused_when_read(self, workdir, capsys, command):
+        edited_eprb(capsys, lambda doc: doc.update(z=doc["a"], a=doc["z"]))
+        assert main([*command, "eprb"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scenario geometry invalid: {")
+
+    def test_missing_setting_named_when_read(self, workdir, capsys):
+        edited_eprb(capsys, lambda doc: doc["theories"].pop("a'b'"))
+        assert main(["chsh", "eprb"]) == 2
+        assert capsys.readouterr().err == "error: scenario lacks settings [(1, 1)]\n"
 
 
 class TestFactorizabilityCommand:

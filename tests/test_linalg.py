@@ -111,11 +111,10 @@ REPORT_DOCUMENTS = [
         },
     ),
     (
-        ScenarioReport({"a_shared": True}, {"(0, 0)": False}),
+        ScenarioReport({"a_shared": True}),
         {
             "agreement": {"a_shared": True},
-            "geometry": {"(0, 0)": False},
-            "passed": False,
+            "passed": True,
         },
     ),
     (

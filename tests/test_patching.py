@@ -4,6 +4,7 @@ import pytest
 from conftest import atom_events, correlation_table, random_factorizable_scenario
 
 from qmeasure import (
+    CausalOrder,
     CheckViolation,
     CorrelationTable,
     DecoherenceFunctional,
@@ -259,6 +260,70 @@ class TestCellValues:
             SettingScenario(
                 theories, eprb_scenario.z_points, eprb_scenario.a_points, eprb_scenario.b_points
             )
+
+
+class TestScenarioConstruction:
+    """A scenario's settings, point names and geometry are checked once,
+    when it is built, one geometry check per distinct causal order."""
+
+    @pytest.fixture
+    def geometry_calls(self, monkeypatch):
+        from qmeasure import patching
+
+        calls = []
+        check = patching.validate_scenario_geometry
+
+        def counted(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        monkeypatch.setattr(patching, "validate_scenario_geometry", counted)
+        return calls
+
+    def test_geometry_checked_once_per_order(self, geometry_calls):
+        from qmeasure import gen_eprb
+        from qmeasure import serialization as io
+
+        sc = gen_eprb()  # one order shared by the four theories
+        assert len(geometry_calls) == 1
+        back = io.scenario_from_json(io.scenario_to_json(sc))  # four orders
+        assert len(geometry_calls) == 5
+        assert len({id(order) for order in geometry_calls[1:]}) == 4
+        quantum_patch(back)
+        classical_patch(random_factorizable_scenario(np.random.default_rng(5)))
+        assert len(geometry_calls) == 6  # the classical scenario's build alone
+
+    def test_one_bad_order_refused(self, eprb_scenario):
+        # wings in causal contact under theory (1, 1)'s order alone
+        t = eprb_scenario.theory(1, 1)
+        chain = CausalOrder.from_covers(("z", "wa", "wb"), [("z", "wa"), ("wa", "wb")])
+        theories = {
+            **dict(eprb_scenario.theories),
+            (1, 1): SettingTheory(t.space, chain, t.dcf, t.beam_a, t.beam_b),
+        }
+        with pytest.raises(ValueError, match="^scenario geometry invalid: ") as refused:
+            SettingScenario(theories, ("z",), ("wa",), ("wb",))
+        assert "'wings_spacelike': False" in str(refused.value)
+
+    def test_past_swapped_with_a_wing_refused(self, eprb_scenario):
+        with pytest.raises(ValueError, match="^scenario geometry invalid: "):
+            SettingScenario(eprb_scenario.theories, ("wa",), ("z",), ("wb",))
+
+    def test_unknown_point_refused(self, eprb_scenario):
+        with pytest.raises(ValueError, match="^unknown point 'q'$"):
+            SettingScenario(eprb_scenario.theories, ("z",), ("wa",), ("q",))
+
+    def test_extra_setting_refused(self, eprb_scenario):
+        theories = {**dict(eprb_scenario.theories), (2, 0): eprb_scenario.theory(0, 0)}
+        with pytest.raises(ValueError, match=r"^scenario has settings \[\(2, 0\)\] beyond "):
+            SettingScenario(theories, ("z",), ("wa",), ("wb",))
+
+    def test_theories_read_only_and_names_tuples(self, eprb_scenario):
+        sc = SettingScenario(dict(eprb_scenario.theories), ["z"], ["wa"], ["wb"])
+        with pytest.raises(TypeError):
+            sc.theories[(0, 0)] = "junk"
+        assert sc.theory(0, 0) is eprb_scenario.theory(0, 0)
+        assert (sc.z_points, sc.a_points, sc.b_points) == (("z",), ("wa",), ("wb",))
 
 
 class TestMarginalize:
