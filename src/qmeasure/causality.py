@@ -25,7 +25,6 @@ from ._linalg import (
     Tolerance,
     rank_from_singular_values,
     selection_violation,
-    truncated_svd,
 )
 from .causal_order import (
     CausalOrder,
@@ -46,6 +45,23 @@ FACTORIZABILITY_LIMIT = 1_000_000_000
 def _check_alignment(dcf: DecoherenceFunctional, order: CausalOrder) -> None:
     if set(dcf.space.points) != set(order.points):
         raise ValueError("history space and causal order use different points")
+
+
+class _Spans(dict):
+    """One call's spans of a functional, built on first read: point names ->
+    `live_region_vectors`, the thin SVD (u, s, vh) of the vectors, and that
+    SVD cut by the rank rule.  Every reader reads the one SVD, so every read
+    gives the same numbers; the table is dropped when its call returns."""
+
+    def __init__(self, dcf: DecoherenceFunctional):
+        self.dcf = dcf
+
+    def __missing__(self, names: tuple[str, ...]) -> tuple:
+        n_atoms, live, index, v = live_region_vectors(self.dcf, names)
+        u, s, vh = np.linalg.svd(v, full_matrices=False)
+        r = rank_from_singular_values(s, self.dcf.tol)  # as `truncated_svd` cuts
+        self[names] = span = n_atoms, live, index, v, (u, s, vh), (u[:, :r], s[:r], vh[:r])
+        return span
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +111,12 @@ class PozReport:
         }
 
 
-def _poz_region(dcf, order, region: Region) -> PozRegionResult | None:
+def _poz_region(dcf, order, region: Region, spans: _Spans) -> PozRegionResult | None:
     bar = shadow(order, region)
     if bar.is_empty():
         return None
-    n_bar_atoms, _, bar_index, v = live_region_vectors(dcf, bar.point_names())
+    n_bar_atoms, _, bar_index, v, _, (_, s, vh) = spans[bar.point_names()]
     n_bar = v.shape[1]
-    _, s, vh = truncated_svd(v, dcf.tol)
     # dead shadow atoms are kernel directions that every split maps to zero
     kernel_dim = n_bar_atoms - len(s)
     if len(s) == n_bar:
@@ -142,8 +157,14 @@ def check_poz(
     in the up-set F, so every event of R's algebra lies in F's algebra.
     Hence PoZ on F implies PoZ on R, and each atom vector of R is a sum of
     at most k atom vectors of F, where k is the largest number of F-atoms
-    in one R-atom, so viol(R) <= k^2 viol(F).
+    in one R-atom, so viol(R) <= k^2 viol(F).  Each shadow span is built
+    once per call (`_Spans`); quantum patching shares one table with
+    `check_lon` and the wing operators.
     """
+    return _check_poz(dcf, order, regions, _Spans(dcf))
+
+
+def _check_poz(dcf, order, regions, spans: _Spans) -> PozReport:
     _check_alignment(dcf, order)
     if regions == "exhaustive":
         regions = [~z for z in down_sets(order)]
@@ -152,7 +173,7 @@ def check_poz(
     for region in regions:
         if region.order is not order:
             raise ValueError("region belongs to a different causal order")
-        res = _poz_region(dcf, order, region)
+        res = _poz_region(dcf, order, region, spans)
         if res is None:
             skipped += 1
         else:
@@ -207,15 +228,15 @@ def event_operator(
     a dead atom's vector and its conjunction with the event are exactly
     zero, so its row and column of `frame_matrix` are zero too.
     """
-    _, ((op,),) = _operator_families(dcf, order, domain, [(region, [event])], force)
+    _, ((op,),) = _operator_families(dcf, order, domain, [(region, [event])], force, _Spans(dcf))
     return op
 
 
-def _operator_families(dcf, order, domain, families, force: bool) -> tuple:
-    """The span of `domain` (its point names, `live_region_vectors` and
-    their truncated SVD), built once, and the operators of each `(region,
-    events)` family on it.  A foreign event, or one outside its region's
-    algebra, is refused before the span is built."""
+def _operator_families(dcf, order, domain, families, force: bool, spans: _Spans) -> tuple:
+    """The span of `domain` (its point names and its `spans` entry), read
+    once, and the operators of each `(region, events)` family on it.  A
+    foreign event, or one outside its region's algebra, is refused before
+    the span is read."""
     _check_alignment(dcf, order)
     algebras = [region_algebra(dcf.space, region) for region, _ in families]
     for alg, (_, events) in zip(algebras, families):
@@ -227,8 +248,7 @@ def _operator_families(dcf, order, domain, families, force: bool) -> tuple:
             if inside[alg.atom_index[~e.flags]].any():
                 raise ValueError("event is not in the region's algebra")
     names = _as_point_names(dcf.space, domain)
-    n_atoms, live, index, v = live_region_vectors(dcf, names)
-    span = names, n_atoms, live, index, v, truncated_svd(v, dcf.tol)
+    span = names, *spans[names]
     return span, [
         [_event_operator(dcf, alg, e, span, force) for e in events]
         for alg, (_, events) in zip(algebras, families)
@@ -240,7 +260,7 @@ def _event_operator(
 ) -> EventOperator:
     """`event_operator` on a checked event and a built domain span
     (`_operator_families`)."""
-    domain_points, n_atoms, live, index, v, (basis, s, vh) = span
+    domain_points, n_atoms, live, index, v, _, (basis, s, vh) = span
     # everything is read off one truncated SVD v = basis diag(s) vh
     w = dcf.vectors(index, v.shape[1], event.flags[dcf.live])
     coords_w = basis.conj().T @ w
@@ -336,25 +356,25 @@ def check_lon(
     The dimensions follow the rank rule, but the residual projects onto
     the past set's span with lstsq's eps cut: a direction below the rank
     cut still lies in that span, and dropping it would count the part of
-    a domain vector along it as novelty."""
+    a domain vector along it as novelty.  Each span is built once per call
+    (`_Spans`); quantum patching shares one table with `check_poz`."""
+    return _check_lon(dcf, order, past_sets, _Spans(dcf))
+
+
+def _check_lon(dcf, order, past_sets, spans: _Spans) -> LonReport:
     _check_alignment(dcf, order)
-    tol = dcf.tol
     if past_sets == "exhaustive":
         past_sets = down_sets(order)
     past_sets = list(past_sets)
     if any(z.order is not order for z in past_sets):
         raise ValueError("region belongs to a different causal order")
-    spans = {}  # points -> (live vectors, lstsq basis, rank), for this call only
 
     def span(names):
-        if names not in spans:
-            n_atoms, _, _, v = live_region_vectors(dcf, names)
-            u, s, _ = np.linalg.svd(v, full_matrices=False)
-            # the singular value cut of lstsq(rcond=None) on the full-width
-            # atom matrix, whose dead columns are zero
-            cut = np.finfo(float).eps * max(v.shape[0], n_atoms) * s.max(initial=0.0)
-            spans[names] = v, u[:, s > cut], rank_from_singular_values(s, tol)
-        return spans[names]
+        n_atoms, _, _, v, (u, s, _), (_, kept, _) = spans[names]
+        # the singular value cut of lstsq(rcond=None) on the full-width
+        # atom matrix, whose dead columns are zero
+        cut = np.finfo(float).eps * max(v.shape[0], n_atoms) * s.max(initial=0.0)
+        return v, u[:, s > cut], len(kept)
 
     results = []
     for z, dom in zip(past_sets, future_domains(order, past_sets)):
@@ -368,7 +388,7 @@ def check_lon(
             scale = np.maximum(1.0, np.linalg.norm(vd, axis=0))
             max_resid = float((resid / scale).max(initial=0.0))
         results.append(LonRegionResult(z_names, dom_names, dim_z, dim_d, max_resid))
-    return LonReport(tuple(results), tol)
+    return LonReport(tuple(results), dcf.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +423,11 @@ def check_spacelike_commutation(
     _check_alignment(dcf, order)
     validate_scenario_geometry(order, z, a, b).require("scenario geometry invalid")
     span, (ops_a, ops_b) = _operator_families(
-        dcf, order, z, [(a, events_a), (b, events_b)], True
+        dcf, order, z, [(a, events_a), (b, events_b)], True, _Spans(dcf)
     )
     # direct action: B-hat A-hat |G> = |E_B E_A G| for each past atom G;
     # dead past atoms are zero on both sides
-    _, _, _, index, vz, _ = span
+    _, _, _, index, vz, _, _ = span
     comm_norm = action = 0.0
     for op_a in ops_a:
         basis = op_a.basis

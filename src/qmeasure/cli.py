@@ -83,10 +83,7 @@ def _read(path: str, tol: Tolerance, kinds: tuple[str, ...]):
     elif kind == "dcf":
         obj = dataclasses.replace(obj, tol=tol)
     elif kind == "scenario":
-        obj = dataclasses.replace(obj, theories={
-            key: dataclasses.replace(t, dcf=dataclasses.replace(t.dcf, tol=tol))
-            for key, t in obj.theories.items()
-        })
+        obj = obj._with_tol(tol)
     return kind, obj
 
 

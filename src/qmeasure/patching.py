@@ -14,16 +14,17 @@ Farkas certificate proves "infeasible".
 
 from __future__ import annotations
 
+import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._linalg import DEFAULT_RTOL, CheckViolation, Report, Tolerance, hermitian_part
-from .causal_order import CausalOrder, validate_scenario_geometry
-from .causality import _operator_families, check_lon, check_poz
+from .causal_order import CausalOrder, down_sets, validate_scenario_geometry
+from .causality import _check_lon, _check_poz, _operator_families, _Spans
 from .decoherence import DecoherenceFunctional, check_agreement
 from .histories import Event, HistorySpace, region_algebra
 
@@ -90,6 +91,13 @@ class SettingScenario:
 
     def theory(self, sa: int, sb: int) -> SettingTheory:
         return self.theories[(sa, sb)]
+
+    def _with_tol(self, tol: Tolerance) -> "SettingScenario":
+        """A copy with every functional at `tol`; no check reruns, as tol moves no geometry."""
+        theories = {k: replace(t, dcf=replace(t.dcf, tol=tol)) for k, t in self.theories.items()}
+        new = copy.copy(self)
+        object.__setattr__(new, "theories", MappingProxyType(theories))
+        return new
 
     def cell_values(self, sa: int, sb: int) -> np.ndarray:
         """The theory's values on pairs of cells A_i B_j Z_k, where A_i, B_j
@@ -221,13 +229,17 @@ def classical_factorizability_residual(scenario: SettingScenario) -> float:
     Checking wing algebra atoms suffices: at fixed past event both sides
     are additive over disjoint unions in each wing slot.
     """
-    gaps = []
+    return _theory_masses(scenario)[1]
+
+
+def _theory_masses(scenario: SettingScenario) -> tuple[dict, float]:
+    """Each classical theory's `_cell_masses`, and the factorizability residual."""
+    masses = {}
     for key, t in scenario.theories.items():
         if not t.dcf.is_classical():
             raise ValueError(f"theory {key} is not classical")
-        mu_ab, mu_a, mu_b, mu_k = _cell_masses(scenario.cell_values(*key))
-        gaps.append((mu_ab * mu_k, mu_a[:, None] * mu_b[None]))
-    return _worst_gap(gaps)
+        masses[key] = _cell_masses(scenario.cell_values(*key))
+    return masses, _worst_gap([(ab * k, a[:, None] * b[None]) for ab, a, b, k in masses.values()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,14 +276,14 @@ def classical_patch(scenario: SettingScenario) -> JointMeasure:
     the cubed past mass, with zero-mass past events mapped to zero.  The
     factorizability gate reads the tolerance of theory (0, 0)."""
     scenario.validate().require("scenario clauses fail")
-    resid = classical_factorizability_residual(scenario)
+    masses, resid = _theory_masses(scenario)
     if resid > scenario.theory(0, 0).dcf.tol.rel:
         raise CheckViolation(f"theories are not factorizable (residual {resid:.3e})")
     # wing-setting masses come from a fixed theory containing that setting;
     # agreement makes the choice immaterial
-    mu_a = [_cell_masses(scenario.cell_values(sa, 0))[1] for sa in (0, 1)]
-    mu_b = [_cell_masses(scenario.cell_values(0, sb))[2] for sb in (0, 1)]
-    mu_k = _cell_masses(scenario.cell_values(0, 0))[3]
+    mu_a = [masses[sa, 0][1] for sa in (0, 1)]
+    mu_b = [masses[0, sb][2] for sb in (0, 1)]
+    mu_k = masses[0, 0][3]
     prod = np.einsum("ik,Ik,jk,Jk->iIjJk", mu_a[0], mu_a[1], mu_b[0], mu_b[1])
     out = np.divide(prod, mu_k ** 3, out=np.zeros_like(prod), where=mu_k > ZERO_MASS)
     return JointMeasure(out)
@@ -340,20 +352,21 @@ class JointDcf:
         return self.values.sum(axis=(4, 9))
 
 
-def _wing_operators(scenario: SettingScenario):
+def _wing_operators(scenario: SettingScenario, tables=None):
     """Frame-coordinate event operators on the shared past algebra.
 
     Each wing setting is read from one fixed theory containing it; by the
     agreement clauses any other choice gives the same operator within
-    rounding.  Each theory builds its past span once, for all the wing
-    families it gives.
+    rounding.  Each theory reads its past span once, for all the wing
+    families it gives, from its `tables` entry (a `_Spans`) or a fresh one.
     """
+    tables = tables or {key: _Spans(t.dcf) for key, t in scenario.theories.items()}
     ops = {}
     for key, syms in (((0, 0), ("a", "b")), ((1, 0), ("ap",)), ((0, 1), ("bp",))):
         t = scenario.theory(*key)
         wings = {"a": (scenario.a_points, t.beam_a), "b": (scenario.b_points, t.beam_b)}
         _, families = _operator_families(
-            t.dcf, t.order, scenario.z_points, [wings[sym[0]] for sym in syms], False
+            t.dcf, t.order, scenario.z_points, [wings[sym[0]] for sym in syms], False, tables[key]
         )
         for sym, family in zip(syms, families):
             ops[sym] = [op.frame_matrix for op in family]
@@ -373,23 +386,28 @@ def quantum_patch(
     marginals, because wing-A operators commute with wing-B operators.
     Each theory is checked at its own tolerance; the commutation gate
     reads that of theory (0, 0), scaled by each pair's largest entries.
+    PoZ, LoN and the wing operators of a theory share one span table
+    (`causality._Spans`), dropped on return; past sets are enumerated once
+    per distinct order.
     """
     ordering = _operator_ordering(ordering)
     scenario.validate().require("scenario clauses fail")
+    past, tables = functools.cache(down_sets), {}  # an order hashes by identity
     for key, t in scenario.theories.items():
-        poz = check_poz(t.dcf, t.order)
+        tables[key] = spans = _Spans(t.dcf)
+        poz = _check_poz(t.dcf, t.order, [~z for z in past(t.order)], spans)
         if not poz.passed:
             raise CheckViolation(
                 f"theory {key} fails persistence of zero "
                 f"(violation {poz.max_violation:.3e})"
             )
-        lon = check_lon(t.dcf, t.order)
+        lon = _check_lon(t.dcf, t.order, past(t.order), spans)
         if not lon.passed:
             raise CheckViolation(
                 f"theory {key} fails lack of novelty "
                 f"(residual {lon.max_residual:.3e})"
             )
-    ops = _wing_operators(scenario)
+    ops = _wing_operators(scenario, tables)
     # spacelike commutation of the frame operators, required for ordering
     # invariance of the marginals; each residual on the scale of x y
     comm_worst = max(

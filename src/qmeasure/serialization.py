@@ -252,18 +252,18 @@ def scenario_to_json(scenario: SettingScenario) -> dict:
 
 
 def scenario_from_json(doc: dict, base_dir: str = ".") -> SettingScenario:
-    theories = {}
+    theories, orders = {}, {}  # orders: equal order documents share one CausalOrder
     for name, key in SETTING_NAMES.items():
         if name not in doc["theories"]:
             continue  # SettingScenario names the settings missing
         tdoc, tdir = _resolve(doc["theories"][name], base_dir)
         order_doc, _ = _resolve(tdoc["order"], tdir)
-        dcf = dcf_from_json(
-            _resolve(tdoc["dcf"], tdir)[0], tdir
-        )
+        dcf = dcf_from_json(_resolve(tdoc["dcf"], tdir)[0], tdir)
+        text = json.dumps(order_doc, sort_keys=True)
+        orders[text] = orders.get(text) or order_from_json(order_doc)
         theories[key] = SettingTheory(
             space=dcf.space,
-            order=order_from_json(order_doc),
+            order=orders[text],
             dcf=dcf,
             beam_a=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_a"]),
             beam_b=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_b"]),

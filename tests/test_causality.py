@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ROUTE_MODELS,
     atom_events,
     full_region,
     full_width_factor,
@@ -12,9 +13,11 @@ from conftest import (
     random_space,
 )
 
+import qmeasure.causality as causality
 from qmeasure import (
     CheckViolation,
     DecoherenceFunctional,
+    EprbConfig,
     HistorySpace,
     Tolerance,
     check_lon,
@@ -24,6 +27,7 @@ from qmeasure import (
     event_operator,
     decoupled_demo_config,
     gen_double_slit,
+    gen_eprb,
     gen_sk_circuit,
     region_algebra,
     shadow,
@@ -760,3 +764,51 @@ class TestFunctionalTolerance:
             result = call(loose)
             if name != "operator":  # an operator carries no tolerance
                 assert result.tol.rel == 1e-6, name
+
+
+class TestSharedSpans:
+    """Quantum patching runs PoZ, LoN and the wing operators of a theory on
+    one span table; through it they give exactly what the standalone calls
+    give, each of which builds its own."""
+
+    def check(self, dcf, order, domain, families):
+        spans = causality._Spans(dcf)
+        past = down_sets(order)
+        poz = causality._check_poz(dcf, order, [~z for z in past], spans)
+        lon = causality._check_lon(dcf, order, past, spans)
+        assert poz.as_dict() == check_poz(dcf, order).as_dict()
+        assert lon.as_dict() == check_lon(dcf, order).as_dict()
+        built = len(spans)
+        assert domain.point_names() in spans  # the operators read a LoN span
+        _, shared = causality._operator_families(dcf, order, domain, families, True, spans)
+        assert len(spans) == built
+        for (region, events), ops in zip(families, shared):
+            for event, op in zip(events, ops):
+                alone = event_operator(dcf, order, region, event, domain, force=True)
+                for name in ("matrix", "frame_matrix", "basis"):
+                    assert np.array_equal(getattr(op, name), getattr(alone, name)), name
+                for name in ("consistency", "codomain", "universal"):
+                    name += "_residual"
+                    assert getattr(op, name) == getattr(alone, name), name
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_spin_pairs(self, eprb_scenario, seed):
+        sc = eprb_scenario
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            angles = tuple(float(a) for a in rng.uniform(0.0, np.pi, size=4))
+            sc = gen_eprb(EprbConfig(angles=angles, resolution_basis=np.linalg.qr(raw)[0]))
+        for t in sc.theories.values():
+            a, b, z = (t.order.region(p) for p in (sc.a_points, sc.b_points, sc.z_points))
+            self.check(t.dcf, t.order, z, [(a, t.beam_a), (b, t.beam_b)])
+
+    @pytest.mark.parametrize("name", ROUTE_MODELS)
+    def test_route_models(self, route_models, name):
+        # a chain through the space's points: its past sets are the prefixes
+        dcf = route_models[name][0]
+        points = dcf.space.points
+        order = CausalOrder.from_covers(points, list(zip(points, points[1:])))
+        last = order.region(points[-1:])
+        events = atom_events(region_algebra(dcf.space, last))[:2]
+        self.check(dcf, order, order.region(points[:1]), [(last, events)])

@@ -94,6 +94,25 @@ class TestPatchPipeline:
         assert code == 0
         assert json.loads(out)["chsh"] == pytest.approx(2 * np.sqrt(2), abs=1e-6)
 
+    def test_scenario_read_checks_its_geometry_once(self, workdir, capsys, monkeypatch):
+        # the four equal order documents give one order, and --tol keeps
+        # the scenario already built
+        from qmeasure import patching
+
+        calls = []
+        check = patching.validate_scenario_geometry
+
+        def counted(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        run(capsys, "gen", "eprb", "--out", "eprb")
+        monkeypatch.setattr(patching, "validate_scenario_geometry", counted)
+        for argv in (["eprb"], ["eprb/scenario.json"], ["eprb", "--tol", "1e-6"]):
+            calls.clear()
+            code, _ = run(capsys, "chsh", *argv)
+            assert (code, len(calls)) == (0, 1), argv
+
     def test_classical_patch_on_quantum_input_fails(self, workdir, capsys):
         run(capsys, "gen", "eprb", "--out", "eprb")
         code = main(["patch", "classical", "eprb"])

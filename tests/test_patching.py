@@ -103,6 +103,20 @@ class TestClassicalPatch:
         with pytest.raises(ValueError):
             classical_patch(eprb_scenario)
 
+    def test_cell_values_read_once_per_theory(self, monkeypatch):
+        # the factorizability gate and the masses share one read per theory
+        sc = random_factorizable_scenario(np.random.default_rng(13))
+        calls = []
+        read = SettingScenario.cell_values
+
+        def counted(self, *key):
+            calls.append(key)
+            return read(self, *key)
+
+        monkeypatch.setattr(SettingScenario, "cell_values", counted)
+        classical_patch(sc)
+        assert sorted(calls) == list(SETTING_KEYS)
+
 
 # Per-event references: every value is one evaluate or measure call on an
 # intersection of beam events and past atoms.
@@ -286,12 +300,17 @@ class TestScenarioConstruction:
 
         sc = gen_eprb()  # one order shared by the four theories
         assert len(geometry_calls) == 1
-        back = io.scenario_from_json(io.scenario_to_json(sc))  # four orders
-        assert len(geometry_calls) == 5
-        assert len({id(order) for order in geometry_calls[1:]}) == 4
+        doc = io.scenario_to_json(sc)
+        back = io.scenario_from_json(doc)  # four equal order documents, one order
+        assert len(geometry_calls) == 2
+        assert {t.order for t in back.theories.values()} == {geometry_calls[1]}
+        doc["theories"]["a'b'"]["order"]["covers"].reverse()  # the same order, spelt apart
+        apart = io.scenario_from_json(doc)
+        assert len(geometry_calls) == 4
+        assert apart.theory(1, 1).order is geometry_calls[3] is not geometry_calls[2]
         quantum_patch(back)
         classical_patch(random_factorizable_scenario(np.random.default_rng(5)))
-        assert len(geometry_calls) == 6  # the classical scenario's build alone
+        assert len(geometry_calls) == 5  # the classical scenario's build alone
 
     def test_one_bad_order_refused(self, eprb_scenario):
         # wings in causal contact under theory (1, 1)'s order alone
@@ -417,6 +436,32 @@ class TestQuantumPatch:
             monkeypatch.setattr(causality, name, counted)
         _wing_operators(eprb_scenario)
         assert calls == {"live_region_vectors": 3, "region_algebra": 4}
+
+    def test_one_span_table_per_theory_per_call(self, eprb_scenario, monkeypatch):
+        # five point sets per theory, shared by PoZ, LoN and the wing operators
+        import qmeasure.causality as causality
+        import qmeasure.patching as patching
+
+        calls = dict.fromkeys(("svd", "live_region_vectors", "down_sets"), 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        for module, name in ((causality, "live_region_vectors"), (patching, "down_sets")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        first = quantum_patch(eprb_scenario)
+        assert calls == {"svd": 20, "live_region_vectors": 20, "down_sets": 1}
+        # nothing outlives the call: the functionals keep only their own
+        # cached factor and live histories, and a second call builds every
+        # span again
+        fields = {k: set(vars(t.dcf)) for k, t in eprb_scenario.theories.items()}
+        assert np.array_equal(quantum_patch(eprb_scenario).values, first.values)
+        assert calls == {"svd": 40, "live_region_vectors": 40, "down_sets": 2}
+        assert fields == {k: set(vars(t.dcf)) for k, t in eprb_scenario.theories.items()}
 
     def test_ket_axes_must_match_bra_axes(self):
         with pytest.raises(ValueError, match="^joint functional's ket axes must match"):
