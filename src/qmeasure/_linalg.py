@@ -38,22 +38,33 @@ class Tolerance:
 
 
 class Report:
-    """The one report protocol of a check verdict, for a dataclass with a
-    `passed` property.
+    """The one report protocol of the checks, for a frozen dataclass.
 
-    `as_dict` writes the fields in declaration order, skipping `tol`, then
-    `passed`, then `tolerance = tol.rel` when a `tol` field exists;
-    `require` refuses a report that did not pass.  A report whose JSON
-    keys are not its fields (renamed keys, result lists, derived booleans,
-    an omitted witness) keeps its own `as_dict`: the perfbench workloads
-    read those reports' field names, so the fields stay as they are.
+    `as_dict` writes the report's JSON document: its fields in declaration
+    order, then the properties named in the class's `derived` tuple, then
+    `passed` where the class has it, then `tolerance = tol.rel` where it
+    has a `tol` field.  A field's metadata `key` renames its JSON key, or
+    leaves the field out when it is None; a None value is left out, and a
+    nested report or a tuple is written as a document or a list.  The
+    perfbench workloads read the reports' field names, so a key that
+    differs from its field is renamed here, never the field.  `require`
+    refuses a report that did not pass.
     """
 
+    derived: tuple[str, ...] = ()
+
     def as_dict(self) -> dict:
-        names = [f.name for f in fields(self)]
-        out = {name: getattr(self, name) for name in names if name != "tol"}
-        out["passed"] = self.passed
-        if "tol" in names:
+        out = {}
+        for f in fields(self):
+            key, value = f.metadata.get("key", f.name), getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = [v.as_dict() if isinstance(v, Report) else v for v in value]
+            if key is not None and f.name != "tol" and value is not None:
+                out[key] = value.as_dict() if isinstance(value, Report) else value
+        out.update((name, getattr(self, name)) for name in self.derived)
+        if hasattr(self, "passed"):
+            out["passed"] = self.passed
+        if hasattr(self, "tol"):
             out["tolerance"] = self.tol.rel
         return out
 

@@ -15,7 +15,7 @@ decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,26 +68,24 @@ class _Spans(dict):
 # Persistence of zero
 
 @dataclass(frozen=True)
-class PozRegionResult:
-    region_points: tuple[str, ...]
-    shadow_points: tuple[str, ...]
+class PozRegionResult(Report):
+    region_points: tuple[str, ...] = field(metadata={"key": "region"})
+    shadow_points: tuple[str, ...] = field(metadata={"key": "shadow"})
     kernel_dim: int
     violation: float  # largest squared norm of a conjuncted null combination
 
-    def as_dict(self) -> dict:
-        return {
-            "region": list(self.region_points),
-            "shadow": list(self.shadow_points),
-            "kernel_dim": self.kernel_dim,
-            "violation": self.violation,
-        }
-
 
 @dataclass(frozen=True)
-class PozReport:
+class PozReport(Report):
     results: tuple[PozRegionResult, ...]
     skipped_vacuous: int
     tol: Tolerance
+
+    derived = ("regions_tested", "max_violation")
+
+    @property
+    def regions_tested(self) -> int:
+        return len(self.results)
 
     @property
     def max_violation(self) -> float:
@@ -99,16 +97,6 @@ class PozReport:
 
     def worst(self) -> PozRegionResult | None:
         return max(self.results, key=lambda r: r.violation, default=None)
-
-    def as_dict(self) -> dict:
-        return {
-            "regions_tested": len(self.results),
-            "skipped_vacuous": self.skipped_vacuous,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-            "tolerance": self.tol.rel,
-            "results": [r.as_dict() for r in self.results],
-        }
 
 
 def _poz_region(dcf, order, region: Region, spans: _Spans) -> PozRegionResult | None:
@@ -304,27 +292,20 @@ def _event_operator(
 # Lack of novelty
 
 @dataclass(frozen=True)
-class LonRegionResult:
-    z_points: tuple[str, ...]
-    domain_points: tuple[str, ...]
+class LonRegionResult(Report):
+    z_points: tuple[str, ...] = field(metadata={"key": "z"})
+    domain_points: tuple[str, ...] = field(metadata={"key": "future_domain"})
     dim_z: int
-    dim_domain: int
+    dim_domain: int = field(metadata={"key": "dim_future_domain"})
     max_residual: float
-
-    def as_dict(self) -> dict:
-        return {
-            "z": list(self.z_points),
-            "future_domain": list(self.domain_points),
-            "dim_z": self.dim_z,
-            "dim_future_domain": self.dim_domain,
-            "max_residual": self.max_residual,
-        }
 
 
 @dataclass(frozen=True)
-class LonReport:
+class LonReport(Report):
     results: tuple[LonRegionResult, ...]
     tol: Tolerance
+
+    derived = ("max_residual",)
 
     @property
     def max_residual(self) -> float:
@@ -335,14 +316,6 @@ class LonReport:
         return self.max_residual <= self.tol.rel and all(
             r.dim_z == r.dim_domain for r in self.results
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "tolerance": self.tol.rel,
-            "results": [r.as_dict() for r in self.results],
-        }
 
 
 def check_lon(

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._linalg import CheckViolation, Tolerance
+from ._linalg import CheckViolation, Report, Tolerance, hermitian_part
 from . import serialization as io
 from .causality import (
     CommutationReport,
@@ -58,6 +58,19 @@ from .sk_model import (
 )
 
 OK, INPUT_ERROR, VIOLATION, BUDGET = 0, 2, 3, 4
+
+
+@dataclasses.dataclass(frozen=True)
+class ResidualReport(Report):
+    """The verdict of a residual check: passed iff the residual is at most
+    tol.rel."""
+
+    max_residual: float
+    tol: Tolerance
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol.rel
 
 
 def _read(path: str, tol: Tolerance, kinds: tuple[str, ...]):
@@ -192,7 +205,7 @@ def cmd_hilbert(args) -> int:
             raise ValueError("region algebra exceeds the dense atom cap")
     vecs = dcf.vectors(labels, n_atoms)
     gram = vecs.conj().T @ vecs
-    eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    eig = np.linalg.eigvalsh(hermitian_part(gram))
     # the universal event's coefficient vector is all ones: atoms partition
     universal = vecs @ np.ones(n_atoms, dtype=complex)
     _emit(
@@ -240,13 +253,9 @@ def cmd_commute(args) -> int:
 
 
 def cmd_factorizability(args) -> int:
-    tol = _tol(args)
     if args.kind == "classical":
-        scenario = _scenario(args)
-        resid = classical_factorizability_residual(scenario)
-        passed = resid <= tol.rel
-        _emit({"max_residual": resid, "passed": passed, "tolerance": tol.rel}, args)
-        return OK if passed else VIOLATION
+        resid = classical_factorizability_residual(_scenario(args))
+        return _verdict(ResidualReport(resid, _tol(args)), args)
     dcf, order = _model(args)
     if None in (args.z, args.a, args.b):
         raise ValueError("quantum factorizability needs --z --a --b point lists")
@@ -295,9 +304,7 @@ def cmd_chsh(args) -> int:
 
 def cmd_nosignalling(args) -> int:
     resid = no_signalling_residual(_beam_dcfs(args))
-    passed = resid <= args.tol
-    _emit({"max_residual": resid, "passed": passed, "tolerance": args.tol}, args)
-    return OK if passed else VIOLATION
+    return _verdict(ResidualReport(resid, _tol(args)), args)
 
 
 def cmd_feasibility(args) -> int:

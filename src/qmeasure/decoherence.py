@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import Tolerance, hermitian_part, psd_factor, scatter_columns
+from ._linalg import Report, Tolerance, hermitian_part, psd_factor, scatter_columns
 from .histories import Event, HistorySpace, atom_ids, region_algebra
 
 DENSE_ATOM_CAP = 1024
@@ -331,7 +331,7 @@ def check_agreement(
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Report):
     """Numeric residuals for the decoherence-functional axioms."""
 
     hermiticity_residual: float
@@ -340,7 +340,9 @@ class AxiomReport:
     eigenvalue_scale: float
     sampled: bool
     tol: Tolerance
-    residual_floor: float
+    residual_floor: float = field(metadata={"key": None})
+
+    derived = ("hermitian", "normalized", "strongly_positive")
 
     @property
     def hermitian(self) -> bool:
@@ -357,17 +359,3 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return self.hermitian and self.normalized and self.strongly_positive
-
-    def as_dict(self) -> dict:
-        return {
-            "hermiticity_residual": self.hermiticity_residual,
-            "normalization_residual": self.normalization_residual,
-            "min_eigenvalue": self.min_eigenvalue,
-            "eigenvalue_scale": self.eigenvalue_scale,
-            "sampled": self.sampled,
-            "hermitian": self.hermitian,
-            "normalized": self.normalized,
-            "strongly_positive": self.strongly_positive,
-            "passed": self.passed,
-            "tolerance": self.tol.rel,
-        }

@@ -541,7 +541,7 @@ def no_signalling_residual(beam_dcfs: Mapping[tuple[int, int], np.ndarray]) -> f
 
 
 @dataclass(frozen=True, eq=False)
-class FarkasCertificate:
+class FarkasCertificate(Report):
     """Proof that no PSD joint functional has the given marginals.
 
     `witness` S lies in the row space of the marginal map, so <S, X> is
@@ -554,41 +554,26 @@ class FarkasCertificate:
     because that sum is negative by more than the rounding slack.
     """
 
-    witness: np.ndarray
-    delta: float
+    witness: np.ndarray = field(metadata={"key": None})
+    delta: float = field(metadata={"key": None})
     value: float
     slack_term: float
     step: int
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "slack_term": self.slack_term, "step": self.step}
-
 
 @dataclass(frozen=True, eq=False)
-class FeasibilityReport:
+class FeasibilityReport(Report):
     verdict: str  # "feasible", "infeasible" or "undecided-infeasible"
     gap: float
     iterations: int
     no_signalling_residual: float
     tol: Tolerance
-    witness: np.ndarray | None = None  # proves "feasible"
+    witness: np.ndarray | None = field(default=None, metadata={"key": None})  # proves "feasible"
     certificate: FarkasCertificate | None = None  # proves "infeasible"
 
     @property
     def feasible(self) -> bool:
         return self.verdict == "feasible"
-
-    def as_dict(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "no_signalling_residual": self.no_signalling_residual,
-            "tolerance": self.tol.rel,
-        }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.as_dict()
-        return out
 
 
 def _farkas(pencil, s, x, y, trace, tol, step) -> FarkasCertificate | None:
