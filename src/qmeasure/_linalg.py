@@ -106,24 +106,12 @@ def rank_from_singular_values(s: np.ndarray, tol: Tolerance) -> int:
     return int((s ** 2 > tol.rank_cut(float(s[0]) ** 2)).sum())
 
 
-def truncated_svd(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD `(u, s, vh)` of a vector family (columns of a), cut to the
-    directions the rank rule keeps.
-
-    The one source of a span's numerics: `u` is an orthonormal basis of
-    the span, `vh` spans the row space (so I - vh† vh projects onto the
-    kernel), and vh† diag(1/s) u† is the pseudo-inverse of a.
-    """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = rank_from_singular_values(s, tol)
-    return u[:, :r], s[:r], vh[:r]
-
-
 def selection_violation(vh: np.ndarray, w: np.ndarray) -> float:
     """Largest squared norm that a kernel vector of `v` attains under `w`.
 
-    `vh` holds the kept right singular vectors of `v` (from
-    `truncated_svd`), and `w` one column vector per column of `v`.
+    `vh` holds the right singular vectors of `v` that the rank rule keeps
+    (`vh[:r]` of `hilbert.region_span`), and `w` one column vector per
+    column of `v`.
     Returns sigma_max(w restricted to ker v)^2, which is zero exactly when
     ker v is contained in ker w, i.e. when x -> w x is a consistent linear
     image of x -> v x.  `w` may also be a stack of such matrices, shape

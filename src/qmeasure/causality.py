@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (
-    CheckViolation,
-    Report,
-    Tolerance,
-    rank_from_singular_values,
-    selection_violation,
-)
+from ._linalg import CheckViolation, Report, Tolerance, selection_violation
 from .causal_order import (
     CausalOrder,
     Region,
@@ -35,7 +29,7 @@ from .causal_order import (
     validate_scenario_geometry,
 )
 from .decoherence import DecoherenceFunctional
-from .hilbert import live_atoms, live_region_vectors
+from .hilbert import live_atoms, region_span
 from .histories import Event, RegionAlgebra, _as_point_names, region_algebra
 
 # residual evaluations one screening-off scan may run
@@ -49,18 +43,14 @@ def _check_alignment(dcf: DecoherenceFunctional, order: CausalOrder) -> None:
 
 class _Spans(dict):
     """One call's spans of a functional, built on first read: point names ->
-    `live_region_vectors`, the thin SVD (u, s, vh) of the vectors, and that
-    SVD cut by the rank rule.  Every reader reads the one SVD, so every read
-    gives the same numbers; the table is dropped when its call returns."""
+    `region_span`.  Every reader reads the one SVD, so every read gives the
+    same numbers; the table is dropped when its call returns."""
 
     def __init__(self, dcf: DecoherenceFunctional):
         self.dcf = dcf
 
     def __missing__(self, names: tuple[str, ...]) -> tuple:
-        n_atoms, live, index, v = live_region_vectors(self.dcf, names)
-        u, s, vh = np.linalg.svd(v, full_matrices=False)
-        r = rank_from_singular_values(s, self.dcf.tol)  # as `truncated_svd` cuts
-        self[names] = span = n_atoms, live, index, v, (u, s, vh), (u[:, :r], s[:r], vh[:r])
+        self[names] = span = region_span(self.dcf, names)
         return span
 
 
@@ -103,11 +93,11 @@ def _poz_region(dcf, order, region: Region, spans: _Spans) -> PozRegionResult | 
     bar = shadow(order, region)
     if bar.is_empty():
         return None
-    n_bar_atoms, _, bar_index, v, _, (_, s, vh) = spans[bar.point_names()]
-    n_bar = v.shape[1]
+    n_bar_atoms, _, bar_index, v, (_, _, vh), r = spans[bar.point_names()]
+    n_bar, vh = v.shape[1], vh[:r]
     # dead shadow atoms are kernel directions that every split maps to zero
-    kernel_dim = n_bar_atoms - len(s)
-    if len(s) == n_bar:
+    kernel_dim = n_bar_atoms - r
+    if r == n_bar:
         return PozRegionResult(region.point_names(), bar.point_names(), kernel_dim, 0.0)
     _, r_live, r_index = live_atoms(dcf, region.point_names())
     n_r = r_live.size
@@ -212,7 +202,7 @@ def event_operator(
     image sticks out of the domain span; `force=True` returns the best
     least-squares operator with the residuals recorded instead.
 
-    The span is read from the domain's live atoms (`live_region_vectors`):
+    The span is read from the domain's live atoms (`region_span`):
     a dead atom's vector and its conjunction with the event are exactly
     zero, so its row and column of `frame_matrix` are zero too.
     """
@@ -248,8 +238,9 @@ def _event_operator(
 ) -> EventOperator:
     """`event_operator` on a checked event and a built domain span
     (`_operator_families`)."""
-    domain_points, n_atoms, live, index, v, _, (basis, s, vh) = span
-    # everything is read off one truncated SVD v = basis diag(s) vh
+    domain_points, n_atoms, live, index, v, (u, s, vh), r = span
+    # everything is read off one SVD cut at the rank r: v = basis diag(s) vh
+    basis, s, vh = u[:, :r], s[:r], vh[:r]
     w = dcf.vectors(index, v.shape[1], event.flags[dcf.live])
     coords_w = basis.conj().T @ w
     codomain = float(np.linalg.norm(w - basis @ coords_w, axis=0).max(initial=0.0))
@@ -343,11 +334,11 @@ def _check_lon(dcf, order, past_sets, spans: _Spans) -> LonReport:
         raise ValueError("region belongs to a different causal order")
 
     def span(names):
-        n_atoms, _, _, v, (u, s, _), (_, kept, _) = spans[names]
+        n_atoms, _, _, v, (u, s, _), r = spans[names]
         # the singular value cut of lstsq(rcond=None) on the full-width
         # atom matrix, whose dead columns are zero
         cut = np.finfo(float).eps * max(v.shape[0], n_atoms) * s.max(initial=0.0)
-        return v, u[:, s > cut], len(kept)
+        return v, u[:, s > cut], r
 
     results = []
     for z, dom in zip(past_sets, future_domains(order, past_sets)):

@@ -7,14 +7,15 @@ branch amplitudes.  Inner products of event vectors reproduce the
 functional, so span or membership questions become ordinary least squares
 in the factor coordinates.  Persistence of zero, lack of novelty, event
 operators and spacelike commutation all read a region's span from its
-live atom vectors (`live_region_vectors`): every other atom's vector is
-exactly zero.
+live atom vectors (`region_span`): every other atom's vector is exactly
+zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import rank_from_singular_values
 from .decoherence import DecoherenceFunctional
 from .histories import atom_ids
 
@@ -36,9 +37,17 @@ def live_atoms(dcf: DecoherenceFunctional, points) -> tuple[int, np.ndarray, np.
     return n_atoms, live, position
 
 
-def live_region_vectors(
-    dcf: DecoherenceFunctional, points
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """`live_atoms` and the live atom vectors, as factor-space columns."""
-    n_atoms, live, position = live_atoms(dcf, points)
-    return n_atoms, live, position, dcf.vectors(position, live.size)
+def region_span(dcf: DecoherenceFunctional, points) -> tuple:
+    """The span of a region's live atom vectors: `live_atoms`, the vectors
+    v as factor-space columns, one thin SVD (u, s, vh) of v, and the rank
+    r that the rank rule keeps.
+
+    The one place a span is decomposed and cut: u[:, :r] is an orthonormal
+    basis of the span, vh[:r] spans the row space (so I - vh[:r]† vh[:r]
+    projects onto the kernel), and vh[:r]† diag(1/s[:r]) u[:, :r]† is the
+    pseudo-inverse of v.  Each reader cuts at r itself.
+    """
+    n_atoms, live, index = live_atoms(dcf, points)
+    v = dcf.vectors(index, live.size)
+    u, s, vh = np.linalg.svd(v, full_matrices=False)
+    return n_atoms, live, index, v, (u, s, vh), rank_from_singular_values(s, dcf.tol)

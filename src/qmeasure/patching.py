@@ -24,7 +24,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_RTOL, CheckViolation, Report, Tolerance, hermitian_part
 from .causal_order import CausalOrder, down_sets, validate_scenario_geometry
-from .causality import _check_lon, _check_poz, _operator_families, _Spans
+from .causality import _check_alignment, _check_lon, _check_poz, _operator_families, _Spans
 from .decoherence import DecoherenceFunctional, check_agreement
 from .histories import Event, HistorySpace, region_algebra
 
@@ -43,10 +43,10 @@ def _operator_ordering(ordering: Sequence[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SettingTheory:
-    """One global setting: a history space, its causal order, the
-    decoherence functional over that space, and each wing's beam-outcome
-    events, a partition of the space.  `beam_pair` holds each history's
-    (beam A i, beam B j) pair index i * len(beam_b) + j."""
+    """One global setting: a history space, its causal order over the same
+    points, the decoherence functional over that space, and each wing's
+    beam-outcome events, a partition of the space.  `beam_pair` holds each
+    history's (beam A i, beam B j) pair index i * len(beam_b) + j."""
 
     space: HistorySpace
     order: CausalOrder
@@ -58,6 +58,7 @@ class SettingTheory:
     def __post_init__(self):
         if self.dcf.space is not self.space:
             raise ValueError("the functional belongs to a different history space")
+        _check_alignment(self.dcf, self.order)
         a, b = _beam_index(self.space, self.beam_a), _beam_index(self.space, self.beam_b)
         pair = a * len(self.beam_b) + b
         pair.flags.writeable = False
@@ -352,15 +353,14 @@ class JointDcf:
         return self.values.sum(axis=(4, 9))
 
 
-def _wing_operators(scenario: SettingScenario, tables=None):
+def _wing_operators(scenario: SettingScenario, tables):
     """Frame-coordinate event operators on the shared past algebra.
 
     Each wing setting is read from one fixed theory containing it; by the
     agreement clauses any other choice gives the same operator within
     rounding.  Each theory reads its past span once, for all the wing
-    families it gives, from its `tables` entry (a `_Spans`) or a fresh one.
+    families it gives, from its `tables` entry (a `_Spans`).
     """
-    tables = tables or {key: _Spans(t.dcf) for key, t in scenario.theories.items()}
     ops = {}
     for key, syms in (((0, 0), ("a", "b")), ((1, 0), ("ap",)), ((0, 1), ("bp",))):
         t = scenario.theory(*key)

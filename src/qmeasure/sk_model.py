@@ -245,7 +245,9 @@ def check_truncation_independence(
     """Compare the functional built with two truncation slices on the
     atoms of event regions below the lower slice: by default every
     single-cell region plus up to 20 seeded two-cell regions, or the
-    given `regions`, each naming points of the lower-slice model.
+    given `regions`, each naming points of the lower-slice model.  Equal
+    slices, like an empty region list, are refused: such a comparison
+    certifies nothing.
 
     The lower model's histories are the atoms of the finest algebra
     below its slice, `fine`, on the higher model, and every tested region
@@ -257,6 +259,11 @@ def check_truncation_independence(
     model's own region algebra, so the residuals are those of restricting
     both functionals.
     """
+    if t_f1 == t_f2:
+        raise ValueError(
+            f"equal truncation slices {t_f1}: comparing a functional with itself "
+            "certifies nothing"
+        )
     lo, hi = min(t_f1, t_f2), max(t_f1, t_f2)
     low = gen_sk_circuit(replace(cfg, t_f=lo))
     high = gen_sk_circuit(replace(cfg, t_f=hi))

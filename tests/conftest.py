@@ -270,3 +270,14 @@ ROUTE_MODELS = (
     "stock circuit", "mixed rank", "truncated", "shuffled grid",
     "eprb theory", "double slit", "ghz", "wide alphabet",
 )
+
+
+def route_regions(dcf, seed):
+    """Point tuples to read a route model through: no point, every point,
+    each single point and ten seeded random point sets."""
+    rng = np.random.default_rng(seed)
+    names = dcf.space.points
+    regions = [(), names, *((p,) for p in names)]
+    return regions + [
+        tuple(rng.permutation(names)[: rng.integers(1, len(names) + 1)]) for _ in range(10)
+    ]

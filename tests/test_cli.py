@@ -209,6 +209,12 @@ class TestSkCommands:
         )
         assert code == 0
 
+    def test_equal_truncation_slices_refused(self, workdir, capsys):
+        run(capsys, "sk", "fixture", "--steps", "3", "--out", "sk.json")
+        assert main(["sk", "truncation", "sk.json", "--tf1", "2", "--tf2", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "certifies nothing" in captured.err
+
     def test_tagging_without_a_wing_refused(self, workdir, capsys):
         """A tagging with no A cell is bad input: an empty wing would pass
         the screening-off check vacuously."""
@@ -620,6 +626,25 @@ def correlated_classical_scenario():
                 tuple(space.value_event("wb", 2 * sb + j) for j in (0, 1)),
             )
     return SettingScenario(theories, ("z",), ("wa",), ("wb",))
+
+
+@pytest.mark.parametrize(
+    "command", [["chsh"], ["nosignalling"], ["feasibility"], ["commute"], ["patch", "quantum"]]
+)
+def test_scenario_order_with_an_extra_point_refused(workdir, capsys, command):
+    """An order naming a point that its history space lacks is refused when
+    the theory is built, so every scenario command refuses it alike."""
+    from qmeasure import gen_eprb
+    from qmeasure import serialization as io
+
+    doc = io.scenario_to_json(gen_eprb())
+    for theory in doc["theories"].values():
+        theory["order"]["points"].append("extra")
+    io.dump_json(doc, "extra.json")
+    assert main([*command, "extra.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "history space and causal order use different points" in captured.err
 
 
 class TestCheckViolationExitCodes:

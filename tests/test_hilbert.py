@@ -11,6 +11,7 @@ from conftest import (
     random_events,
     random_psd_dcf,
     random_space,
+    route_regions,
     span_rank,
 )
 
@@ -19,7 +20,7 @@ from qmeasure._linalg import scatter_columns
 from qmeasure.causal_order import down_sets
 from qmeasure.cli import main
 from qmeasure.decoherence import DecoherenceFunctional
-from qmeasure.hilbert import live_atoms, live_region_vectors
+from qmeasure.hilbert import live_atoms, region_span
 from qmeasure.sk_model import SkCircuitConfig, SkGate, decoupled_demo_config, gen_sk_circuit
 
 
@@ -211,7 +212,7 @@ class TestLiveColumns:
             assert np.array_equal(dcf.vectors(alg.atom_index[dcf.live], alg.n_atoms), want)
             # the live columns are the atoms that hold a live history; the
             # rest are exactly zero
-            _, _, _, live = live_region_vectors(dcf, points)
+            live = region_span(dcf, points)[3]
             ids = np.unique(alg.atom_index[dcf.live])
             assert np.array_equal(live, want[:, ids])
             assert not np.delete(want, ids, axis=1).any()
@@ -337,20 +338,11 @@ class TestLiveAtomRoute:
         assert n_atoms == alg.n_atoms
         assert np.array_equal(live, want_live)
         assert np.array_equal(position, table[dcf.live])
-        full = scatter_columns(full_width_factor(dcf), alg.atom_index, alg.n_atoms)
-        n, ids, index, vecs = live_region_vectors(dcf, points)
-        assert n == n_atoms and np.array_equal(ids, live) and np.array_equal(index, position)
-        assert np.array_equal(vecs, full[:, live])
 
     @pytest.mark.parametrize("name", ROUTE_MODELS)
     def test_matches_full_length_table(self, route_models, name):
         dcf = route_models[name][0]
-        rng = np.random.default_rng(len(name) + 1)
-        names = dcf.space.points
-        regions = [(), names, *((p,) for p in names)]
-        regions += [tuple(rng.permutation(names)[: rng.integers(1, len(names) + 1)])
-                    for _ in range(10)]
-        for points in regions:
+        for points in route_regions(dcf, len(name) + 1):
             self.check(dcf, points)
 
     def test_region_with_no_points(self, route_models):

@@ -1,13 +1,17 @@
-"""The rank rule and the two routines built on it: `truncated_svd`, the
-one source of a span's basis, kernel projector and pseudo-inverse, and
+"""The rank rule and the two routines built on it: `hilbert.region_span`,
+the one source of a span's basis, kernel projector and pseudo-inverse, and
 `psd_factor`, the dense factor with one row per kept eigenvalue; and the
 report protocol `Report`."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from qmeasure import Tolerance, converse_model, gen_eprb, quantum_patch
-from qmeasure._linalg import Report, psd_factor, rank_from_singular_values, truncated_svd
+from conftest import ROUTE_MODELS, full_width_factor, route_regions
+
+from qmeasure import Tolerance, converse_model, gen_eprb, quantum_patch, region_algebra
+from qmeasure._linalg import Report, psd_factor, rank_from_singular_values, scatter_columns
 from qmeasure.causal_order import GeometryReport
 from qmeasure.causality import (
     CommutationReport,
@@ -19,6 +23,7 @@ from qmeasure.causality import (
 )
 from qmeasure.cli import ResidualReport
 from qmeasure.decoherence import AxiomReport
+from qmeasure.hilbert import region_span
 from qmeasure.patching import FarkasCertificate, FeasibilityReport, ScenarioReport
 from qmeasure.sk_model import TruncationReport
 
@@ -32,31 +37,31 @@ def cplx(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def vector_families(rng):
-    """Random complex families of column vectors: rank-deficient ones, an
-    all-zero one, a d x 0 one and one with zero rows."""
-    families = [cplx(rng, d, r) @ cplx(rng, r, n) for d, n, r in
-                ((6, 9, 3), (9, 6, 6), (5, 5, 2), (12, 4, 1), (3, 8, 3))]
-    families.append(np.zeros((4, 7), dtype=complex))
-    families.append(np.zeros((5, 0), dtype=complex))
-    zero_rows = cplx(rng, 8, 6)
-    zero_rows[[1, 4, 5]] = 0.0
-    families.append(zero_rows)
-    return families
+class TestRegionSpan:
+    """`hilbert.region_span` on the regions of every route model, at the
+    default tolerance and a coarse one."""
 
-
-class TestTruncatedSvd:
     @pytest.mark.parametrize("rel", [1e-9, 1e-6])
-    def test_rank_basis_and_row_projector(self, rel):
-        tol = Tolerance(rel)
-        for v in vector_families(np.random.default_rng(11)):
-            u, s, vh = truncated_svd(v, tol)
-            assert len(s) == svd_rank(v, tol)
-            assert u.shape == (v.shape[0], len(s)) and vh.shape == (len(s), v.shape[1])
-            assert np.abs(u.conj().T @ u - np.eye(len(s))).max(initial=0.0) <= 1e-12
-            # vh† vh projects onto the row space, as pinv(v) v does
+    @pytest.mark.parametrize("name", ROUTE_MODELS)
+    def test_rank_basis_and_row_projector(self, route_models, name, rel):
+        dcf = dataclasses.replace(route_models[name][0], tol=Tolerance(rel))
+        full = full_width_factor(dcf)
+        for points in route_regions(dcf, len(name) + 1):
+            n_atoms, live, _, v, (u, _, vh), r = region_span(dcf, points)
+            alg = region_algebra(dcf.space, points)
+            wide = scatter_columns(full, alg.atom_index, alg.n_atoms)
+            # the live columns of the full-width atom vectors; the rest are zero
+            assert n_atoms == alg.n_atoms and np.array_equal(v, wide[:, live])
+            assert r == svd_rank(wide, dcf.tol)
+            basis, rows = u[:, :r], vh[:r]
+            assert np.abs(basis.conj().T @ basis - np.eye(r)).max(initial=0.0) <= 1e-12
+            # vh[:r]† vh[:r] projects onto the row space, as pinv(v) v does
             ref = np.linalg.pinv(v, rcond=np.sqrt(rel)) @ v
-            assert np.abs(vh.conj().T @ vh - ref).max(initial=0.0) <= 1e-12
+            assert np.abs(rows.conj().T @ rows - ref).max(initial=0.0) <= 1e-12
+
+    def test_rank_rule_keeps_nothing_of_an_empty_or_zero_family(self):
+        for v in (np.zeros((5, 0), dtype=complex), np.zeros((4, 7), dtype=complex)):
+            assert svd_rank(v, Tolerance()) == 0
 
 
 class TestPsdFactor:

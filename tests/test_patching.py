@@ -23,12 +23,18 @@ from qmeasure import (
     quantum_patch,
     region_algebra,
 )
+from qmeasure.causality import _Spans
 from qmeasure.patching import (
     SETTING_KEYS,
     JointDcf,
     _wing_operators,
     classical_marginal_residual,
 )
+
+
+def span_tables(scenario):
+    """One fresh span table per theory, as `quantum_patch` makes them."""
+    return {key: _Spans(t.dcf) for key, t in scenario.theories.items()}
 
 
 class TestClassicalFactorizability:
@@ -260,6 +266,14 @@ class TestCellValues:
         ):
             SettingTheory(t01.space, t00.order, t00.dcf, t01.beam_a, t01.beam_b)
 
+    def test_order_with_other_points_refused(self, eprb_scenario):
+        t = eprb_scenario.theory(0, 0)
+        wider = CausalOrder.from_covers((*t.order.points, "extra"), [("z", "wa"), ("z", "wb")])
+        with pytest.raises(
+            ValueError, match="^history space and causal order use different points$"
+        ):
+            SettingTheory(t.space, wider, t.dcf, t.beam_a, t.beam_b)
+
     def test_beam_pair_is_each_histories_beam_cell(self, eprb_scenario):
         for t in eprb_scenario.theories.values():
             nb = len(t.beam_b)
@@ -409,7 +423,7 @@ class TestQuantumPatch:
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             angles = tuple(float(a) for a in rng.uniform(0.0, np.pi, size=4))
             sc = gen_eprb(EprbConfig(angles=angles, resolution_basis=np.linalg.qr(raw)[0]))
-        ops = _wing_operators(sc)
+        ops = _wing_operators(sc, span_tables(sc))
         for sym, key in {"a": (0, 0), "ap": (1, 0), "b": (0, 0), "bp": (0, 1)}.items():
             t = sc.theory(*key)
             points, events = (
@@ -427,22 +441,22 @@ class TestQuantumPatch:
     ):
         import qmeasure.causality as causality
 
-        calls = dict.fromkeys(("live_region_vectors", "region_algebra"), 0)
+        calls = dict.fromkeys(("region_span", "region_algebra"), 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(causality, name)):
                 calls[_name] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(causality, name, counted)
-        _wing_operators(eprb_scenario)
-        assert calls == {"live_region_vectors": 3, "region_algebra": 4}
+        _wing_operators(eprb_scenario, span_tables(eprb_scenario))
+        assert calls == {"region_span": 3, "region_algebra": 4}
 
     def test_one_span_table_per_theory_per_call(self, eprb_scenario, monkeypatch):
         # five point sets per theory, shared by PoZ, LoN and the wing operators
         import qmeasure.causality as causality
         import qmeasure.patching as patching
 
-        calls = dict.fromkeys(("svd", "live_region_vectors", "down_sets"), 0)
+        calls = dict.fromkeys(("svd", "region_span", "down_sets"), 0)
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -451,16 +465,16 @@ class TestQuantumPatch:
             return counted
 
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-        for module, name in ((causality, "live_region_vectors"), (patching, "down_sets")):
+        for module, name in ((causality, "region_span"), (patching, "down_sets")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         first = quantum_patch(eprb_scenario)
-        assert calls == {"svd": 20, "live_region_vectors": 20, "down_sets": 1}
+        assert calls == {"svd": 20, "region_span": 20, "down_sets": 1}
         # nothing outlives the call: the functionals keep only their own
         # cached factor and live histories, and a second call builds every
         # span again
         fields = {k: set(vars(t.dcf)) for k, t in eprb_scenario.theories.items()}
         assert np.array_equal(quantum_patch(eprb_scenario).values, first.values)
-        assert calls == {"svd": 40, "live_region_vectors": 40, "down_sets": 2}
+        assert calls == {"svd": 40, "region_span": 40, "down_sets": 2}
         assert fields == {k: set(vars(t.dcf)) for k, t in eprb_scenario.theories.items()}
 
     def test_ket_axes_must_match_bra_axes(self):

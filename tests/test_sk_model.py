@@ -311,10 +311,15 @@ class TestTruncationThroughFinestAlgebra:
         )
         return rep
 
-    @pytest.mark.parametrize("slices", [(2, 3), (1, 3), (0, 3), (2, 2)])
+    @pytest.mark.parametrize("slices", [(2, 3), (1, 3), (0, 3)])
     def test_stock_circuit(self, slices):
         rep = self.check(decoupled_demo_config(steps=3), *slices, seed=3)
         assert rep.passed
+
+    def test_equal_slices_refused(self):
+        # a functional compared with itself, like an empty region list
+        with pytest.raises(ValueError, match="certifies nothing"):
+            check_truncation_independence(decoupled_demo_config(steps=3), 2, 2, seed=3)
 
     def test_scaled_last_gate(self):
         cfg = decoupled_demo_config(steps=3)
