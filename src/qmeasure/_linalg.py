@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 DEFAULT_RTOL = 1e-9
+ROUNDING_FLOOR = 64 * 2.0 ** -52  # 64 float64 epsilons, about 1.42e-14
 
 
 class CheckViolation(ValueError):
@@ -23,9 +24,16 @@ class Tolerance:
     Residual thresholds scale with the matrix: hermiticity/normalization
     use rel * max(1, max|entry|), PSD uses -rel * largest eigenvalue and
     rank counts singular values above rel * largest singular value.
+
+    rel is at least ROUNDING_FLOOR, 64 eps, not NaN: stock rounding residuals reach
+    8 eps, which a lower rel would call violations; 64 eps keeps every stock verdict.
     """
 
     rel: float = DEFAULT_RTOL
+
+    def __post_init__(self):
+        if not self.rel >= ROUNDING_FLOOR:
+            raise ValueError(f"tol {self.rel} is below the rounding floor {ROUNDING_FLOOR:.3g}")
 
     def matrix_floor(self, m) -> float:
         return self.rel * max(1.0, float(np.abs(m).max()) if m.size else 1.0)

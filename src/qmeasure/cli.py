@@ -77,13 +77,13 @@ def _read(path: str, tol: Tolerance, kinds: tuple[str, ...]):
     """The input at `path` as (kind, object), refused unless its kind (a
     `serialization.read_input` kind) is one of `kinds`.  Where both model
     and skmodel are taken, a circuit config is read as the model it builds.
-    The functional of a model, and of every scenario theory, carries `tol`."""
+    Every functional is built once, at `tol`, as the input is read."""
     if not os.path.exists(path):
         raise ValueError(f"no such input: {path}")
     try:
-        kind, obj = io.read_input(path)
+        kind, obj = io.read_input(path, tol)
         if kind == "skmodel" and "model" in kinds:
-            circuit = gen_sk_circuit(obj)
+            circuit = gen_sk_circuit(obj, tol)
             kind, obj = "model", (circuit.dcf, circuit.order)
     except (TypeError, AttributeError) as exc:  # the mark of a malformed document
         raise ValueError(f"malformed input {path}: {exc}") from exc
@@ -91,12 +91,6 @@ def _read(path: str, tol: Tolerance, kinds: tuple[str, ...]):
         if kind == "dcf" and "model" in kinds:
             raise ValueError("dcf document given; an order.json is also needed")
         raise ValueError(f"cannot interpret {path} as {' or '.join(kinds)}: its kind is {kind}")
-    if kind == "model":
-        obj = dataclasses.replace(obj[0], tol=tol), obj[1]
-    elif kind == "dcf":
-        obj = dataclasses.replace(obj, tol=tol)
-    elif kind == "scenario":
-        obj = obj._with_tol(tol)
     return kind, obj
 
 
@@ -359,13 +353,11 @@ def cmd_sk(args) -> int:
         raise ValueError(f"sk {args.action} needs a circuit-model JSON input")
     cfg = _read(args.input, tol, ("skmodel",))[1]
     if args.action == "factorizability":
-        model = gen_sk_circuit(cfg)
+        model = gen_sk_circuit(cfg, tol)
         z, a, b = (model.region(tag) for tag in "ZAB")
         if z.is_empty() or a.is_empty() or b.is_empty():
             raise ValueError("region tagging must cover Z, A and B")
-        report = check_quantum_factorizability(
-            dataclasses.replace(model.dcf, tol=tol), model.order, z, a, b
-        )
+        report = check_quantum_factorizability(model.dcf, model.order, z, a, b)
     else:  # truncation, the last of the parser's choices
         report = check_truncation_independence(
             cfg, args.tf1, args.tf2, seed=args.seed, tol=tol

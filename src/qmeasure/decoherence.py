@@ -98,8 +98,8 @@ class DecoherenceFunctional:
         return cls(space, matrix=v.conj() @ v.T)
 
     @classmethod
-    def from_amplitudes(cls, space, amplitudes, final_index, dim):
-        return cls(space, branch=BranchRep(amplitudes, final_index, dim))
+    def from_amplitudes(cls, space, amplitudes, final_index, dim, tol=Tolerance()):
+        return cls(space, branch=BranchRep(amplitudes, final_index, dim), tol=tol)
 
     @property
     def is_dense(self) -> bool:

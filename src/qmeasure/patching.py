@@ -14,9 +14,8 @@ Farkas certificate proves "infeasible".
 
 from __future__ import annotations
 
-import copy
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -92,13 +91,6 @@ class SettingScenario:
 
     def theory(self, sa: int, sb: int) -> SettingTheory:
         return self.theories[(sa, sb)]
-
-    def _with_tol(self, tol: Tolerance) -> "SettingScenario":
-        """A copy with every functional at `tol`; no check reruns, as tol moves no geometry."""
-        theories = {k: replace(t, dcf=replace(t.dcf, tol=tol)) for k, t in self.theories.items()}
-        new = copy.copy(self)
-        object.__setattr__(new, "theories", MappingProxyType(theories))
-        return new
 
     def cell_values(self, sa: int, sb: int) -> np.ndarray:
         """The theory's values on pairs of cells A_i B_j Z_k, where A_i, B_j

@@ -14,6 +14,7 @@ from typing import Any
 
 import numpy as np
 
+from ._linalg import Tolerance
 from .causal_order import CausalOrder
 from .decoherence import DecoherenceFunctional
 from .histories import Event, HistorySpace
@@ -137,9 +138,9 @@ def space_to_json(space: HistorySpace) -> dict:
 
 def space_from_json(doc: dict) -> HistorySpace:
     return HistorySpace(
-        points=tuple(doc["points"]),
+        points=_names(doc["points"], "points"),
         histories=doc["histories"],
-        labels=tuple(doc["labels"]) if doc.get("labels") else None,
+        labels=_names(doc["labels"], "labels") if doc.get("labels") else None,
         alphabets=doc.get("alphabets"),
     )
 
@@ -167,7 +168,7 @@ def order_to_json(order: CausalOrder) -> dict:
 
 def order_from_json(doc: dict) -> CausalOrder:
     return CausalOrder.from_covers(
-        tuple(doc["points"]), [tuple(c) for c in doc["covers"]]
+        _names(doc["points"], "points"), [_names(c, "each cover", 2) for c in doc["covers"]]
     )
 
 
@@ -180,13 +181,13 @@ def dcf_to_json(dcf: DecoherenceFunctional) -> dict:
     return {"space": space_to_json(dcf.space), "matrix": matrix_to_json(dcf.matrix)}
 
 
-def dcf_from_json(doc: dict, base_dir: str = ".") -> DecoherenceFunctional:
+def dcf_from_json(doc: dict, base_dir: str = ".", tol=Tolerance()) -> DecoherenceFunctional:
     if "skmodel" in doc:
         sub, _ = _resolve(doc["skmodel"], base_dir)
-        return gen_sk_circuit(sk_config_from_json(sub)).dcf
+        return gen_sk_circuit(sk_config_from_json(sub), tol).dcf
     space_doc, _ = _resolve(doc["space"], base_dir)
     return DecoherenceFunctional(
-        space_from_json(space_doc), matrix=matrix_from_json(doc["matrix"])
+        space_from_json(space_doc), matrix=matrix_from_json(doc["matrix"]), tol=tol
     )
 
 
@@ -251,14 +252,14 @@ def scenario_to_json(scenario: SettingScenario) -> dict:
     }
 
 
-def scenario_from_json(doc: dict, base_dir: str = ".") -> SettingScenario:
+def scenario_from_json(doc: dict, base_dir: str = ".", tol=Tolerance()) -> SettingScenario:
     theories, orders = {}, {}  # orders: equal order documents share one CausalOrder
     for name, key in SETTING_NAMES.items():
         if name not in doc["theories"]:
             continue  # SettingScenario names the settings missing
         tdoc, tdir = _resolve(doc["theories"][name], base_dir)
         order_doc, _ = _resolve(tdoc["order"], tdir)
-        dcf = dcf_from_json(_resolve(tdoc["dcf"], tdir)[0], tdir)
+        dcf = dcf_from_json(_resolve(tdoc["dcf"], tdir)[0], tdir, tol)
         text = json.dumps(order_doc, sort_keys=True)
         orders[text] = orders.get(text) or order_from_json(order_doc)
         theories[key] = SettingTheory(
@@ -268,7 +269,7 @@ def scenario_from_json(doc: dict, base_dir: str = ".") -> SettingScenario:
             beam_a=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_a"]),
             beam_b=tuple(event_from_json(dcf.space, e) for e in tdoc["beam_b"]),
         )
-    return SettingScenario(theories, doc["z"], doc["a"], doc["b"])
+    return SettingScenario(theories, *(_names(doc[k], k) for k in "zab"))
 
 
 def eprb_config_from_json(doc: dict) -> EprbConfig:
@@ -309,17 +310,23 @@ def joint_dcf_to_json(jdcf: JointDcf) -> dict:
     }
 
 
+def _listed(value, count: int | None, item, refusal: str, error=ValueError) -> tuple:
+    """A JSON list of `count` items (any number if None) that pass `item`."""
+    if not (isinstance(value, list) and count in (None, len(value)) and all(map(item, value))):
+        raise error(f"{refusal}, got {value!r}")
+    return tuple(value)
+
+
 def _slots(value, count: int, owner: str) -> tuple[int, ...]:
     """Outcome counts: a list of `count` positive integers."""
-    if not (
-        isinstance(value, list)
-        and len(value) == count
-        and all(type(s) is int and s > 0 for s in value)
-    ):
-        raise ValueError(
-            f"{owner}: slots must be {count} positive integers, got {value!r}"
-        )
-    return tuple(value)
+    refusal = f"{owner}: slots must be {count} positive integers"
+    return _listed(value, count, lambda s: type(s) is int and s > 0, refusal)
+
+
+def _names(value, key: str, count: int | None = None) -> tuple[str, ...]:
+    """Point or label names: a list of strings, `count` of them where given."""
+    refusal = f"{key} must be a list of {count or 'string'} names"
+    return _listed(value, count, lambda v: isinstance(v, str), refusal, TypeError)
 
 
 def joint_dcf_from_json(doc: dict) -> JointDcf:
@@ -364,11 +371,11 @@ def beam_dcfs_from_json(doc: dict) -> dict:
 
 # -- inputs -------------------------------------------------------------------
 
-def read_input(path: str) -> tuple[str, Any]:
+def read_input(path: str, tol: Tolerance = Tolerance()) -> tuple[str, Any]:
     """The document at `path` as (kind, parsed object), the kind a key of
-    SCHEMAS.  A directory stands for its scenario.json, or else for its
-    dcf.json and order.json.  A document's keys decide its kind: the
-    first rule below that matches wins.  A model parses as (dcf, order)."""
+    SCHEMAS and every functional built at `tol`.  A directory stands for its
+    scenario.json, or else its dcf.json and order.json.  The first rule
+    below to match a document's keys names its kind; a model is (dcf, order)."""
     if os.path.isfile(os.path.join(path, "scenario.json")):
         path = os.path.join(path, "scenario.json")
     if os.path.isdir(path):
@@ -376,16 +383,16 @@ def read_input(path: str) -> tuple[str, Any]:
     else:
         doc, base = load_json(path), os.path.dirname(path)
     if "theories" in doc:
-        return "scenario", scenario_from_json(doc, base)
+        return "scenario", scenario_from_json(doc, base, tol)
     if "dcf" in doc and "order" in doc:
-        dcf = dcf_from_json(*_resolve(doc["dcf"], base))
+        dcf = dcf_from_json(*_resolve(doc["dcf"], base), tol)
         return "model", (dcf, order_from_json(_resolve(doc["order"], base)[0]))
     if "L" in doc and "T" in doc:
         return "skmodel", sk_config_from_json(doc)
     if "matrix" in doc and "slots" in doc:
         return "jointdcf", joint_dcf_from_json(doc)
     if "matrix" in doc or "skmodel" in doc:
-        return "dcf", dcf_from_json(doc, base)
+        return "dcf", dcf_from_json(doc, base, tol)
     if all(name in doc for name in SETTING_NAMES):
         functionals = [isinstance(doc[name], dict) for name in SETTING_NAMES]
         if all(functionals):

@@ -149,9 +149,9 @@ class SkCircuitModel:
         return self.order.region(cells)
 
 
-def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
-    """Build the lazy functional, the history space over lattice cells up
-    to the truncation slice, and the gate-induced causal order.
+def gen_sk_circuit(cfg: SkCircuitConfig, tol: Tolerance = Tolerance()) -> SkCircuitModel:
+    """Build the lazy functional at `tol`, the history space over lattice
+    cells up to the truncation slice, and the gate-induced causal order.
 
     History h is the C-order multi-index of the grid `alpha` (purification
     label, then cells slice by slice, site by site).  Each amplitude
@@ -213,7 +213,7 @@ def gen_sk_circuit(cfg: SkCircuitConfig) -> SkCircuitModel:
     order = CausalOrder.from_covers(tuple(points), covers)
     final = on_grid(np.arange(q ** L), [(s, t_f) for s in range(L)])
     dcf = DecoherenceFunctional.from_amplitudes(
-        space, amp.ravel(), np.broadcast_to(final, alpha).ravel(), q ** L
+        space, amp.ravel(), np.broadcast_to(final, alpha).ravel(), q ** L, tol
     )
     return SkCircuitModel(cfg, space, order, dcf)
 

@@ -113,6 +113,35 @@ class TestPatchPipeline:
             code, _ = run(capsys, "chsh", *argv)
             assert (code, len(calls)) == (0, 1), argv
 
+    def test_each_input_is_built_once(self, workdir, capsys, monkeypatch):
+        # every functional is built at --tol as it is read, never copied to it
+        from qmeasure import DecoherenceFunctional, patching
+
+        beams, functionals = [], []
+        beam_index, post_init = patching._beam_index, DecoherenceFunctional.__post_init__
+
+        def counted_beams(*args):
+            beams.append(args)
+            return beam_index(*args)
+
+        def counted_post_init(self):
+            functionals.append(self)
+            post_init(self)
+
+        run(capsys, "gen", "eprb", "--out", "eprb")
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        monkeypatch.setattr(patching, "_beam_index", counted_beams)
+        monkeypatch.setattr(DecoherenceFunctional, "__post_init__", counted_post_init)
+        for argv, counts in (
+            (["chsh", "eprb"], (8, 4)),
+            (["chsh", "eprb", "--tol", "1e-6"], (8, 4)),
+            (["poz", "ds", "--tol", "1e-6"], (0, 1)),
+        ):
+            beams.clear()
+            functionals.clear()
+            code, _ = run(capsys, *argv)
+            assert (code, len(beams), len(functionals)) == (0, *counts), argv
+
     def test_classical_patch_on_quantum_input_fails(self, workdir, capsys):
         run(capsys, "gen", "eprb", "--out", "eprb")
         code = main(["patch", "classical", "eprb"])
@@ -647,6 +676,49 @@ def test_scenario_order_with_an_extra_point_refused(workdir, capsys, command):
     assert "history space and causal order use different points" in captured.err
 
 
+def _two_point_documents():
+    """A dense functional, its order and a spin-pair scenario, as documents
+    that every command below takes."""
+    from qmeasure import gen_eprb
+    from qmeasure import serialization as io
+
+    space = {"points": ["a", "b"], "alphabets": {"a": 2, "b": 2}, "histories": [[0, 0], [1, 1]]}
+    matrix = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    order = {"points": ["a", "b"], "covers": [["a", "b"]]}
+    return {"space": space, "matrix": matrix}, order, io.scenario_to_json(gen_eprb())
+
+
+# each list of names a document holds: (command, mutation, the key refused)
+NAME_FIELDS = {
+    "space points": ("poz", lambda dcf, order, sc: dcf["space"].update(points="ab"), "points"),
+    "space labels": ("poz", lambda dcf, order, sc: dcf["space"].update(labels="xy"), "labels"),
+    "order points": ("poz", lambda dcf, order, sc: order.update(points="ab"), "points"),
+    "string cover": ("poz", lambda dcf, order, sc: order.update(covers=["ab"]), "each cover"),
+    "long cover": ("poz", lambda dcf, order, sc: order.update(covers=[["a", "b", "a"]]), "each cover"),
+    "scenario z": ("chsh", lambda dcf, order, sc: sc.update(z="z"), "z"),
+    "scenario a": ("chsh", lambda dcf, order, sc: sc.update(a="wa"), "a"),
+    "scenario b": ("chsh", lambda dcf, order, sc: sc.update(b="wb"), "b"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NAME_FIELDS))
+def test_a_string_is_not_read_as_a_list_of_names(workdir, capsys, field):
+    command, mutate, key = NAME_FIELDS[field]
+    dcf, order, scenario = _two_point_documents()
+    target = "model" if command == "poz" else "scenario.json"
+    for mutated in (False, True):
+        if mutated:
+            mutate(dcf, order, scenario)
+        os.makedirs("model", exist_ok=True)
+        for doc, path in ((dcf, "model/dcf.json"), (order, "model/order.json"), (scenario, "scenario.json")):
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        code = main([command, target])
+        err = capsys.readouterr().err
+        assert code == (2 if mutated else 0), err
+    assert f"{key} must be a list of" in err
+
+
 class TestCheckViolationExitCodes:
     """A physics check failing on well-formed input exits 3, not 2."""
 
@@ -1126,6 +1198,30 @@ class TestOptionRanges:
             main(argv)
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poz", "ds"],
+            ["validate", "ds"],
+            ["commute", "eprb"],
+            ["patch", "quantum", "eprb"],
+            ["chsh", "pr/table.json"],
+            ["sk", "factorizability", "sk.json"],
+        ],
+    )
+    def test_tol_below_the_rounding_floor_exits_2_naming_it(self, workdir, capsys, argv):
+        # at 1e-15, commute and patch quantum on eprb used to exit 3 on rounding
+        run(capsys, "gen", "double-slit", "--out", "ds")
+        run(capsys, "gen", "eprb", "--out", "eprb")
+        run(capsys, "gen", "pr", "--out", "pr")
+        run(capsys, "sk", "fixture", "--steps", "2", "--out", "sk.json")
+        assert main([*argv, "--tol", "1.4210854715202004e-14"]) in (0, 3)
+        capsys.readouterr()
+        assert main([*argv, "--tol", "1e-15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol 1e-15 is below the rounding floor 1.42e-14\n"
 
     def test_infinite_tol_cannot_pass_a_non_positive_functional(self, workdir, capsys):
         bad = not_strongly_positive(0.055)

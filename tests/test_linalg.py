@@ -11,7 +11,13 @@ import pytest
 from conftest import ROUTE_MODELS, full_width_factor, route_regions
 
 from qmeasure import Tolerance, converse_model, gen_eprb, quantum_patch, region_algebra
-from qmeasure._linalg import Report, psd_factor, rank_from_singular_values, scatter_columns
+from qmeasure._linalg import (
+    ROUNDING_FLOOR,
+    Report,
+    psd_factor,
+    rank_from_singular_values,
+    scatter_columns,
+)
 from qmeasure.causal_order import GeometryReport
 from qmeasure.causality import (
     CommutationReport,
@@ -62,6 +68,14 @@ class TestRegionSpan:
     def test_rank_rule_keeps_nothing_of_an_empty_or_zero_family(self):
         for v in (np.zeros((5, 0), dtype=complex), np.zeros((4, 7), dtype=complex)):
             assert svd_rank(v, Tolerance()) == 0
+
+
+def test_tolerance_refuses_a_rel_below_the_rounding_floor():
+    assert ROUNDING_FLOOR == 64 * np.finfo(float).eps
+    assert Tolerance(ROUNDING_FLOOR).rel == ROUNDING_FLOOR
+    for rel in (np.nextafter(ROUNDING_FLOOR, 0), 1e-15, 0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="below the rounding floor 1.42e-14"):
+            Tolerance(rel)
 
 
 class TestPsdFactor:

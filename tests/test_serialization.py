@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from qmeasure import serialization as io
-from qmeasure import HistorySpace, gen_pr_box, gen_sk_circuit, quantum_patch
+from qmeasure import (
+    HistorySpace,
+    SkCircuitConfig,
+    Tolerance,
+    gen_pr_box,
+    gen_sk_circuit,
+    quantum_patch,
+)
 from qmeasure.patching import SETTING_KEYS
 from qmeasure.sk_model import decoupled_demo_config
 
@@ -115,6 +122,54 @@ class TestScenarioRoundTrip:
             io.load_json(str(tmp_path / "scenario.json")), str(tmp_path)
         )
         assert back.validate().passed
+
+
+class TestReadInputTolerance:
+    """`read_input(path, tol)` builds every functional at `tol`, dense or
+    lazy, of a model, a lone functional or each scenario theory."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, double_slit, eprb_scenario):
+        _, order, dcf = double_slit
+        (tmp_path / "ds").mkdir()
+        io.dump_json(io.dcf_to_json(dcf), str(tmp_path / "ds" / "dcf.json"))
+        io.dump_json(io.order_to_json(order), str(tmp_path / "ds" / "order.json"))
+        io.dump_json({"dcf": "ds/dcf.json", "order": "ds/order.json"}, str(tmp_path / "model.json"))
+        cfg = decoupled_demo_config(steps=2)
+        io.dump_json(io.sk_config_to_json(cfg), str(tmp_path / "sk.json"))
+        io.dump_json({"skmodel": "sk.json"}, str(tmp_path / "lazy.json"))
+        (tmp_path / "eprb").mkdir()
+        io.dump_json(io.scenario_to_json(eprb_scenario), str(tmp_path / "eprb" / "scenario.json"))
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("ds", "model"),
+            ("model.json", "model"),
+            ("ds/dcf.json", "dcf"),
+            ("lazy.json", "dcf"),
+            ("eprb", "scenario"),
+            ("eprb/scenario.json", "scenario"),
+        ],
+    )
+    def test_every_functional_is_built_at_tol(self, inputs, name, kind):
+        got, obj = io.read_input(str(inputs / name), Tolerance(1e-6))
+        assert got == kind
+        if kind == "model":
+            functionals = [obj[0]]
+        elif kind == "dcf":
+            functionals = [obj]
+        else:
+            functionals = [obj.theory(*key).dcf for key in SETTING_KEYS]
+        assert len(functionals) == (4 if kind == "scenario" else 1)
+        assert all(f.tol.rel == 1e-6 for f in functionals)
+        assert name != "lazy.json" or not obj.is_dense
+
+    def test_circuit_document_is_still_its_config(self, inputs):
+        kind, cfg = io.read_input(str(inputs / "sk.json"), Tolerance(1e-6))
+        assert kind == "skmodel" and isinstance(cfg, SkCircuitConfig)
+        assert gen_sk_circuit(cfg, Tolerance(1e-6)).dcf.tol.rel == 1e-6
 
 
 class TestJointAndTables:
