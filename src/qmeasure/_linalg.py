@@ -27,6 +27,8 @@ class Tolerance:
 
     rel is at least ROUNDING_FLOOR, 64 eps, not NaN: stock rounding residuals reach
     8 eps, which a lower rel would call violations; 64 eps keeps every stock verdict.
+    rel is below 1: at 1 a PSD floor forgives an eigenvalue as negative as
+    the largest is positive, so no verdict is left to give.
     """
 
     rel: float = DEFAULT_RTOL
@@ -34,6 +36,8 @@ class Tolerance:
     def __post_init__(self):
         if not self.rel >= ROUNDING_FLOOR:
             raise ValueError(f"tol {self.rel} is below the rounding floor {ROUNDING_FLOOR:.3g}")
+        if not self.rel < 1.0:
+            raise ValueError(f"tol {self.rel} is not below 1")
 
     def matrix_floor(self, m) -> float:
         return self.rel * max(1.0, float(np.abs(m).max()) if m.size else 1.0)

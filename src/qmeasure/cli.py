@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._linalg import CheckViolation, Report, Tolerance, hermitian_part
+from ._linalg import CheckViolation, Report, Tolerance
 from . import serialization as io
 from .causality import (
     CommutationReport,
@@ -29,8 +29,7 @@ from .causality import (
     check_quantum_factorizability,
     check_spacelike_commutation,
 )
-from .decoherence import DENSE_ATOM_CAP
-from .histories import atom_ids
+from .hilbert import region_span
 from .patching import (
     OPERATOR_ORDER,
     SETTING_KEYS,
@@ -183,37 +182,30 @@ def cmd_validate(args) -> int:
     return _verdict(dcf.validate_axioms(seed=args.seed), args)
 
 
+def event_space_report(dcf, points=None) -> dict:
+    """The event Hilbert space of a region, every point if None, read from
+    its span (`region_span`): the atom vectors' Gram has the spectrum s**2,
+    padded with zeros to one eigenvalue per atom."""
+    n_atoms, _, _, v, (_, s, _), r = region_span(
+        dcf, dcf.space.points if points is None else points
+    )
+    # the universal event's vector is the sum of the atom vectors: atoms partition
+    universal = v @ np.ones(v.shape[1], dtype=complex)
+    return {
+        "atoms": n_atoms,
+        "rank": r,
+        "universal_norm2": float(np.vdot(universal, universal).real),
+        "min_eigenvalue": float(s[-1] ** 2) if s.size == n_atoms else 0.0,
+        "max_eigenvalue": float(s[0] ** 2) if s.size else 0.0,
+        "region": "all" if points is None else list(points),
+        "tolerance": dcf.tol.rel,
+    }
+
+
 def cmd_hilbert(args) -> int:
     dcf, _ = _model(args, need_order=False)
-    if args.region is None:
-        if dcf.space.size > DENSE_ATOM_CAP:
-            raise ValueError(
-                f"full event space needs at most {DENSE_ATOM_CAP} histories; "
-                "pass a region"
-            )
-        points, n_atoms, labels = None, dcf.space.size, dcf.live
-    else:
-        points = _parse_points(args.region, dcf.space.points)
-        n_atoms, labels = atom_ids(dcf.space, points, dcf.live)
-        if n_atoms > DENSE_ATOM_CAP:
-            raise ValueError("region algebra exceeds the dense atom cap")
-    vecs = dcf.vectors(labels, n_atoms)
-    gram = vecs.conj().T @ vecs
-    eig = np.linalg.eigvalsh(hermitian_part(gram))
-    # the universal event's coefficient vector is all ones: atoms partition
-    universal = vecs @ np.ones(n_atoms, dtype=complex)
-    _emit(
-        {
-            "atoms": n_atoms,
-            "rank": int((eig > dcf.tol.rank_cut(float(eig.max()))).sum()),
-            "universal_norm2": float(np.vdot(universal, universal).real),
-            "min_eigenvalue": float(eig.min()),
-            "max_eigenvalue": float(eig.max()),
-            "region": "all" if points is None else list(points),
-            "tolerance": dcf.tol.rel,
-        },
-        args,
-    )
+    points = None if args.region is None else _parse_points(args.region, dcf.space.points)
+    _emit(event_space_report(dcf, points), args)
     return OK
 
 

@@ -6,9 +6,9 @@ factorization of the atom matrix, for a lazy one directly through its
 branch amplitudes.  Inner products of event vectors reproduce the
 functional, so span or membership questions become ordinary least squares
 in the factor coordinates.  Persistence of zero, lack of novelty, event
-operators and spacelike commutation all read a region's span from its
-live atom vectors (`region_span`): every other atom's vector is exactly
-zero.
+operators, spacelike commutation and `qmeasure hilbert` all read a
+region's span from its live atom vectors (`region_span`): every other
+atom's vector is exactly zero.
 """
 
 from __future__ import annotations

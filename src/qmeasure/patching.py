@@ -719,6 +719,8 @@ def joint_feasibility(
     Newton steps.  Inputs must be no-signalling at `tol.matrix_floor`,
     else the plane is empty.
     """
+    if not budget >= 1:
+        raise ValueError(f"budget {budget} allows no Newton step; give at least 1")
     d = {k: np.asarray(v, dtype=complex) for k, v in beam_dcfs.items()}
     na, nb = d[(0, 0)].shape[:2]
     b = np.concatenate([d[key].ravel() for key in SETTING_KEYS])

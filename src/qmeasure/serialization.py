@@ -140,7 +140,7 @@ def space_from_json(doc: dict) -> HistorySpace:
     return HistorySpace(
         points=_names(doc["points"], "points"),
         histories=doc["histories"],
-        labels=_names(doc["labels"], "labels") if doc.get("labels") else None,
+        labels=_names(doc["labels"], "labels") if "labels" in doc else None,
         alphabets=doc.get("alphabets"),
     )
 

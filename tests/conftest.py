@@ -103,16 +103,22 @@ def event_vector(dcf, event):
     return dcf.vectors(np.zeros(dcf.live.size, dtype=int), 1, event.flags[dcf.live])[:, 0]
 
 
+def svd_rank(a, tol):
+    """The rank rule on a full SVD of the vector family a."""
+    from qmeasure._linalg import rank_from_singular_values
+
+    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), tol)
+
+
 def span_rank(dcf, points, *extra):
     """Numerical rank of the region's atom vectors, with any `extra`
     factor-space vectors appended as columns: a vector lies in the
     region's span when appending it leaves the rank unchanged."""
     from qmeasure import region_algebra
-    from qmeasure._linalg import rank_from_singular_values
 
     alg = region_algebra(dcf.space, points)
     vecs = np.column_stack([dcf.vectors(alg.atom_index[dcf.live], alg.n_atoms), *extra])
-    return rank_from_singular_values(np.linalg.svd(vecs, compute_uv=False), dcf.tol)
+    return svd_rank(vecs, dcf.tol)
 
 
 def partition_gap(t, region, events):

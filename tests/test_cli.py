@@ -491,7 +491,6 @@ COMMAND_KINDS = {
 # exit codes other than 0 on inputs of a kind the command takes, by
 # the command's words before the input
 EXIT_CODES = {
-    ("hilbert", "sk.json"): 2,  # 4096 histories: hilbert needs a region
     ("poz", "dsr"): 3,
     ("lon", "dsr"): 3,
     ("lon", "ghz"): 3,
@@ -692,6 +691,7 @@ def _two_point_documents():
 NAME_FIELDS = {
     "space points": ("poz", lambda dcf, order, sc: dcf["space"].update(points="ab"), "points"),
     "space labels": ("poz", lambda dcf, order, sc: dcf["space"].update(labels="xy"), "labels"),
+    "empty labels": ("poz", lambda dcf, order, sc: dcf["space"].update(labels=""), "labels"),
     "order points": ("poz", lambda dcf, order, sc: order.update(points="ab"), "points"),
     "string cover": ("poz", lambda dcf, order, sc: order.update(covers=["ab"]), "each cover"),
     "long cover": ("poz", lambda dcf, order, sc: order.update(covers=[["a", "b", "a"]]), "each cover"),

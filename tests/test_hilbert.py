@@ -13,12 +13,13 @@ from conftest import (
     random_space,
     route_regions,
     span_rank,
+    svd_rank,
 )
 
 from qmeasure import region_algebra
 from qmeasure._linalg import scatter_columns
 from qmeasure.causal_order import down_sets
-from qmeasure.cli import main
+from qmeasure.cli import event_space_report, main
 from qmeasure.decoherence import DecoherenceFunctional
 from qmeasure.hilbert import live_atoms, region_span
 from qmeasure.sk_model import SkCircuitConfig, SkGate, decoupled_demo_config, gen_sk_circuit
@@ -149,6 +150,33 @@ class TestEventSpace:
         assert report["rank"] == span_rank(dcf, ("slit",))
         assert report["min_eigenvalue"] == pytest.approx(eig.min(), abs=1e-12)
         assert report["max_eigenvalue"] == pytest.approx(eig.max(), abs=1e-12)
+
+
+class TestEventSpaceAgainstFullWidth:
+    """The `hilbert` report of every route model, on each route region and
+    the whole space, against the full-width atom vectors: `atoms` and
+    `rank` from the rank rule on their SVD, the spectrum from `eigvalsh`
+    of their Gram."""
+
+    @pytest.mark.parametrize("name", ROUTE_MODELS)
+    def test_report_matches_the_full_width_gram(self, route_models, name):
+        dcf = route_models[name][0]
+        full = full_width_factor(dcf)
+        for points in [None, *route_regions(dcf, len(name) + 1)]:
+            alg = region_algebra(dcf.space, dcf.space.points if points is None else points)
+            wide = scatter_columns(full, alg.atom_index, alg.n_atoms)
+            d, n = wide.shape
+            # the atoms x atoms Gram has the spectrum of the d x d one,
+            # padded with n - d zeros; eigvalsh reads the smaller of the two
+            small = wide @ wide.conj().T if n > d else wide.conj().T @ wide
+            eig = np.linalg.eigvalsh(small)
+            report = event_space_report(dcf, points)
+            assert report["region"] == ("all" if points is None else list(points))
+            assert (report["atoms"], report["rank"]) == (n, svd_rank(wide, dcf.tol))
+            assert report["universal_norm2"] == pytest.approx(norm2(wide.sum(axis=1)), abs=1e-12)
+            assert report["max_eigenvalue"] == pytest.approx(eig.max(initial=0.0), abs=1e-12)
+            want_min = eig.min() if n <= d else 0.0
+            assert report["min_eigenvalue"] == pytest.approx(want_min, abs=1e-12)
 
 
 class TestPartitionSum:

@@ -8,14 +8,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import ROUTE_MODELS, full_width_factor, route_regions
+from conftest import ROUTE_MODELS, full_width_factor, route_regions, svd_rank
 
 from qmeasure import Tolerance, converse_model, gen_eprb, quantum_patch, region_algebra
 from qmeasure._linalg import (
     ROUNDING_FLOOR,
     Report,
     psd_factor,
-    rank_from_singular_values,
     scatter_columns,
 )
 from qmeasure.causal_order import GeometryReport
@@ -32,11 +31,6 @@ from qmeasure.decoherence import AxiomReport
 from qmeasure.hilbert import region_span
 from qmeasure.patching import FarkasCertificate, FeasibilityReport, ScenarioReport
 from qmeasure.sk_model import TruncationReport
-
-
-def svd_rank(a, tol):
-    """The rank rule on a full SVD of the vector family a."""
-    return rank_from_singular_values(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def cplx(rng, *shape):
@@ -75,6 +69,13 @@ def test_tolerance_refuses_a_rel_below_the_rounding_floor():
     assert Tolerance(ROUNDING_FLOOR).rel == ROUNDING_FLOOR
     for rel in (np.nextafter(ROUNDING_FLOOR, 0), 1e-15, 0.0, -1e-9, float("nan")):
         with pytest.raises(ValueError, match="below the rounding floor 1.42e-14"):
+            Tolerance(rel)
+
+
+def test_tolerance_refuses_a_rel_of_one_or_more():
+    assert Tolerance(np.nextafter(1.0, 0)).rel < 1.0
+    for rel in (1.0, 1.5, 1e9, float("inf")):
+        with pytest.raises(ValueError, match=f"tol {rel} is not below 1"):
             Tolerance(rel)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -829,6 +831,17 @@ class TestFeasibility:
         report = joint_feasibility(beam, budget=budget)
         assert (report.verdict, report.iterations) == ("infeasible", 7)
         _check_certificate(beam, report)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_refused(self, budget):
+        with pytest.raises(ValueError, match=f"budget {budget} allows no Newton step"):
+            joint_feasibility(_noisy_box(0.7072), budget=budget)
+
+    def test_one_step_budget_writes_valid_json(self):
+        report = joint_feasibility(_noisy_box(0.7072), budget=1)
+        assert (report.verdict, report.iterations) == ("undecided-infeasible", 1)
+        assert np.isfinite(report.gap)
+        json.dumps(report.as_dict(), allow_nan=False)
 
     def test_scaled_box_refuted_as_fast(self):
         # the candidates' unit norm makes the certificate scale-free

@@ -34,6 +34,15 @@ class TestSpaceRoundTrip:
             assert back.labels == sp.labels
             assert back.alphabets == sp.alphabets
 
+    @pytest.mark.parametrize("labels", ["", 0, False, None, []])
+    def test_present_labels_must_name_every_history(self, double_slit, labels):
+        doc = io.space_to_json(double_slit[0])
+        doc["labels"] = labels
+        with pytest.raises((TypeError, ValueError), match="labels"):
+            io.space_from_json(doc)
+        del doc["labels"]
+        assert io.space_from_json(doc).labels is None
+
     def test_events(self, double_slit):
         space, _, _ = double_slit
         ev = space.event_from_indices([0, 2])

@@ -508,14 +508,19 @@ class TestCaps:
         with pytest.raises(ValueError, match="dense cap"):
             check_agreement(model.dcf, model.dcf, tuple(wide))
 
-    def test_event_space_needs_region_for_large_lazy(self, tmp_path, capsys):
+    def test_event_space_of_large_lazy_needs_no_region(self, tmp_path, capsys):
+        # the span is read from the live atom vectors, 16 x 512 here, never
+        # from a 65536 x 65536 Gram: the whole space needs no cap
         from qmeasure.cli import main
 
         path = str(tmp_path / "sk.json")
         assert main(["sk", "fixture", "--steps", "3", "--out", path]) == 0
         capsys.readouterr()
-        assert main(["hilbert", path]) == 2
-        assert "pass a region" in capsys.readouterr().err
+        assert main(["hilbert", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["atoms"], report["rank"], report["region"]) == (65536, 16, "all")
+        assert report["universal_norm2"] == pytest.approx(1.0, abs=1e-12)
+        assert report["min_eigenvalue"] == 0.0
         assert main(["hilbert", path, "--region", "0,3,1,3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["atoms"] == 4 and report["rank"] >= 1
