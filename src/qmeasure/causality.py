@@ -383,7 +383,10 @@ def check_spacelike_commutation(
     conjunction vectors on every past atom.  Runs over every pair of an
     event of `events_a` (in `a`) and one of `events_b` (in `b`), building
     each operator once on one span of the past, and reports the largest
-    residuals."""
+    residuals.  The action is checked in one order (B after A), so
+    commutator_norm can fail alone under a valid geometry: PoZ judges a
+    squared norm, and a functional that passes it by delta**2 can leave
+    spacelike operators that fail to commute by delta."""
     _check_alignment(dcf, order)
     validate_scenario_geometry(order, z, a, b).require("scenario geometry invalid")
     span, (ops_a, ops_b) = _operator_families(

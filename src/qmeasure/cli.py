@@ -4,7 +4,8 @@ Exit codes: 0 success or check passed, 2 input error, 3 check violation
 (including joint feasibility disproved by a Farkas certificate), 4
 feasibility undecided at its iteration budget.  Reports are deterministic
 given identical inputs, tolerances, and seeds, and always embed the
-tolerance and library version.
+tolerance and library version.  Every output is strict JSON: one that
+would hold a non-finite number is an input error and is not written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -111,24 +111,18 @@ def _beam_dcfs(args) -> dict:
     return obj if kind == "beamdcfs" else obj.beam_dcfs()
 
 
-def _emit(report: dict, args, to_stdout: bool = False) -> None:
-    report = dict(report)
-    report["version"] = __version__
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "format", "json") == "text":
-        lines = [f"{k}: {report[k]}" for k in sorted(report)]
-        text = "\n".join(lines) + "\n"
-    out = None if to_stdout else getattr(args, "out", None)
+def _emit(report: dict, out: str | None = None) -> None:
+    """Write a report, with the library version, to `out` or else stdout."""
+    report = {**report, "version": __version__}
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        io.dump_json(report, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.dumps(report))
 
 
 def _verdict(report, args) -> int:
     """Emit a check report; exit on its verdict."""
-    _emit(report.as_dict(), args)
+    _emit(report.as_dict(), args.out)
     return OK if report.passed else VIOLATION
 
 
@@ -205,7 +199,7 @@ def event_space_report(dcf, points=None) -> dict:
 def cmd_hilbert(args) -> int:
     dcf, _ = _model(args, need_order=False)
     points = None if args.region is None else _parse_points(args.region, dcf.space.points)
-    _emit(event_space_report(dcf, points), args)
+    _emit(event_space_report(dcf, points), args.out)
     return OK
 
 
@@ -272,19 +266,16 @@ def cmd_patch(args) -> int:
         summary = {"marginal_residual": resid, "tolerance": tol.rel}
         code = OK if resid <= tol.rel else VIOLATION
     doc.update(marginal_residual=resid, tolerance=tol.rel)
+    _emit(doc, args.out)
     if args.out:
-        # the document goes to --out as JSON whatever --format says
-        io.dump_json({**doc, "version": __version__}, args.out)
-        _emit({**summary, "out": args.out}, args, to_stdout=True)
-    else:
-        _emit(doc, args)
+        _emit({**summary, "out": args.out})
     return code
 
 
 def cmd_chsh(args) -> int:
     table = CorrelationTable.from_beam_dcfs(_beam_dcfs(args), _tol(args))
     value = chsh_value(table)
-    _emit({"chsh": value, "table": io.table_to_json(table)}, args)
+    _emit({"chsh": value, "table": io.table_to_json(table)}, args.out)
     return OK
 
 
@@ -299,7 +290,7 @@ def cmd_feasibility(args) -> int:
         budget=args.budget,
         tol=_tol(args),
     )
-    _emit(report.as_dict(), args)
+    _emit(report.as_dict(), args.out)
     if report.feasible:
         return OK
     return VIOLATION if report.verdict == "infeasible" else BUDGET
@@ -330,7 +321,7 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for name, doc in docs.items():
         io.dump_json(doc, os.path.join(args.out, name))
-    _emit({"generated": args.name, "out": args.out}, args, to_stdout=True)
+    _emit({"generated": args.name, "out": args.out})
     return OK
 
 
@@ -339,7 +330,7 @@ def cmd_sk(args) -> int:
     if args.action == "fixture":
         cfg = decoupled_demo_config(steps=args.steps)
         io.dump_json(io.sk_config_to_json(cfg), args.out or "skmodel.json")
-        _emit({"generated": "decoupled-demo", "steps": args.steps}, args, to_stdout=True)
+        _emit({"generated": "decoupled-demo", "steps": args.steps})
         return OK
     if not args.input:
         raise ValueError(f"sk {args.action} needs a circuit-model JSON input")
@@ -374,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol", type=_between(float, 0, 1), default=1e-9, help="relative tolerance"
         )
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("validate", help="decoherence-functional axiom report")
     p.add_argument("input")
@@ -442,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="generator configuration JSON")
     p.add_argument("--time-reversed", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sk", help="circuit-model checks")
@@ -462,7 +451,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.schema:
-        sys.stdout.write(json.dumps(io.SCHEMAS, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(io.dumps(io.SCHEMAS))
         return OK
     if not getattr(args, "command", None):
         parser.print_usage()
@@ -472,7 +461,7 @@ def main(argv=None) -> int:
     except CheckViolation as exc:
         sys.stderr.write(f"violation: {exc}\n")
         return VIOLATION
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
 

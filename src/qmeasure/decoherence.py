@@ -196,8 +196,8 @@ class DecoherenceFunctional:
         """The quantum measure mu(E) = D(E, E), refused when its imaginary
         part clears the tolerance."""
         val = self.evaluate(e, e)
-        scale = 1.0 if not self.is_dense else float(max(1.0, np.abs(self.matrix).max()))
-        if abs(val.imag) > self.tol.rel * scale:
+        floor = self.tol.matrix_floor(self.matrix) if self.is_dense else self.tol.rel
+        if abs(val.imag) > floor:
             raise ValueError(
                 f"mu(E) has imaginary part {val.imag:.3e}: hermiticity violated"
             )

@@ -172,7 +172,7 @@ class CorrelationTable:
         tables = {}
         for key, b in beam.items():
             tab = np.einsum("ijij->ij", b)
-            if np.abs(tab.imag).max() > tol.rel * max(1.0, float(np.abs(b).max())):
+            if np.abs(tab.imag).max() > tol.matrix_floor(b):
                 raise ValueError(f"setting {key} has complex measures: hermiticity violated")
             tables[key] = tab.real
         return cls(tables)

@@ -409,10 +409,16 @@ def read_input(path: str, tol: Tolerance = Tolerance()) -> tuple[str, Any]:
     raise ValueError(f"cannot interpret {path}: no document kind has the keys {sorted(doc)}")
 
 
+def dumps(doc: Any) -> str:
+    """The one output serializer: strict JSON, so a non-finite number is
+    refused with ValueError rather than written as NaN or Infinity."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def dump_json(doc: Any, path: str) -> None:
+    text = dumps(doc)  # before the open: a refused document leaves no file
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path: str) -> Any:

@@ -378,3 +378,17 @@ class TestGeometryClauseFalsifiability:
         )
         assert not rep.passed
         assert not (rep.union_is_past_set and rep.a_in_future_domain)
+
+
+@pytest.mark.parametrize(
+    "points, leq, message",
+    [
+        (("a", "a"), np.eye(2, dtype=bool), "duplicate point names"),
+        (("a", "b"), np.eye(3, dtype=bool), "relation matrix shape does not match points"),
+        (("a",), [[False]], "relation is not reflexive"),
+    ],
+    ids=["duplicate point", "shape", "irreflexive"],
+)
+def test_input_refusals(points, leq, message):
+    with pytest.raises(ValueError, match=message):
+        CausalOrder(points, leq)

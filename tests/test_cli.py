@@ -423,15 +423,6 @@ class TestOrderingFlag:
         assert d1["matrix"] != d2["matrix"]
 
 
-class TestTextFormat:
-    def test_text_report(self, workdir, capsys):
-        run(capsys, "gen", "double-slit", "--out", "ds")
-        code, out = run(capsys, "validate", "ds", "--format", "text")
-        assert code == 0
-        assert "passed: True" in out
-        assert "version:" in out
-
-
 class TestClassicalPatchCli:
     def test_classical_patch_on_factorizable_scenario(self, workdir, capsys):
         import numpy as np
@@ -622,38 +613,31 @@ class TestLoneDcfDocument:
         assert "an order.json is also needed" in capsys.readouterr().err
 
 
-def correlated_classical_scenario():
-    """Four diagonal theories whose outcomes are correlated (0.4 on equal
-    outcomes, 0.1 otherwise) under a one-valued past: the marginals agree
-    across settings, but no past event screens the correlation off."""
-    from qmeasure import (
-        CausalOrder,
-        DecoherenceFunctional,
-        HistorySpace,
-        SettingScenario,
-        SettingTheory,
+def two_wing_record(past, outcomes_a, outcomes_b, matrix):
+    """Four theories of one dense matrix: each history keeps its past value
+    and its outcomes under every setting."""
+    from qmeasure.patching import SETTING_KEYS, two_wing_scenario
+
+    return two_wing_scenario(
+        np.array(past), (np.array(outcomes_a),) * 2, (np.array(outcomes_b),) * 2, (2, 2),
+        dict.fromkeys(SETTING_KEYS, np.array(matrix, dtype=complex)),
     )
 
-    points = ("z", "wa", "wb")
-    order = CausalOrder.from_covers(points, [("z", "wa"), ("z", "wb")])
-    theories = {}
-    for sa in (0, 1):
-        for sb in (0, 1):
-            space = HistorySpace(
-                points=points,
-                histories=[(0, 2 * sa + i, 2 * sb + j) for i in (0, 1) for j in (0, 1)],
-                alphabets={"z": 1, "wa": 4, "wb": 4},
-            )
-            diag = [0.4 if i == j else 0.1 for i in (0, 1) for j in (0, 1)]
-            dcf = DecoherenceFunctional(space, matrix=np.diag(diag).astype(complex))
-            theories[(sa, sb)] = SettingTheory(
-                space,
-                order,
-                dcf,
-                tuple(space.value_event("wa", 2 * sa + i) for i in (0, 1)),
-                tuple(space.value_event("wb", 2 * sb + j) for j in (0, 1)),
-            )
-    return SettingScenario(theories, ("z",), ("wa",), ("wb",))
+
+def correlated_classical_scenario():
+    """Perfectly correlated outcomes, 1/2 each on (0, 0) and (1, 1), under a
+    one-valued past: the marginals agree across settings, but no past event
+    screens the correlation off."""
+    return two_wing_record([0] * 4, [0, 0, 1, 1], [0, 1, 0, 1], np.diag([0.5, 0, 0, 0.5]))
+
+
+def noncommuting_scenario(delta):
+    """Histories (z, a, b) = (0, 0, 0), (1, 1, 0), (1, 1, 1) with vectors
+    (1, 0), (delta, 1/2), (-delta, 1/2): the two past atoms span every
+    vector, so LoN holds.  PoZ's violation on the first wing is delta**2,
+    a squared norm, while the wing operators fail to commute by delta."""
+    v = np.array([[1.0, 0.0], [delta, 0.5], [-delta, 0.5]])
+    return two_wing_record([0, 1, 1], [0, 1, 1], [0, 0, 1], v @ v.T / 2)
 
 
 @pytest.mark.parametrize(
@@ -747,10 +731,64 @@ class TestCheckViolationExitCodes:
     def test_classical_patch_of_non_factorizable_theories(self, workdir, capsys):
         from qmeasure import serialization as io
 
-        io.dump_json(io.scenario_to_json(correlated_classical_scenario()), "c.json")
+        scenario = correlated_classical_scenario()
+        assert all(t.dcf.validate_axioms().passed for t in scenario.theories.values())
+        io.dump_json(io.scenario_to_json(scenario), "c.json")
+        code, out = run(capsys, "nosignalling", "c.json")
+        assert code == 0 and json.loads(out)["max_residual"] == 0.0
+        code, out = run(capsys, "factorizability", "classical", "c.json")
+        assert code == 3 and json.loads(out)["max_residual"] == pytest.approx(0.25, abs=1e-15)
         code = main(["patch", "classical", "c.json"])
         assert code == 3
-        assert "theories are not factorizable" in capsys.readouterr().err
+        assert "theories are not factorizable (residual 2.500e-01)" in capsys.readouterr().err
+
+    def test_commute_fails_on_the_converse_spin_pair(self, workdir, capsys):
+        """The converse scenario of the stock joint fails the composed action
+        on the theories whose operators the patch did not apply last."""
+        from qmeasure import converse_model, gen_eprb, quantum_patch
+        from qmeasure import serialization as io
+
+        scenario = converse_model(quantum_patch(gen_eprb()).beam_joint())
+        io.dump_json(io.scenario_to_json(scenario), "converse.json")
+        code, out = run(capsys, "commute", "converse.json")
+        report = json.loads(out)
+        assert code == 3 and report["passed"] is False
+        assert report["action_residual"] == pytest.approx(0.24498055591432052, abs=1e-12)
+        assert report["commutator_norm"] < 1e-12
+
+    def test_wing_operators_that_do_not_commute(self, workdir, capsys):
+        """PoZ's squared violation 1e-10 clears the default tolerance and LoN
+        holds, yet the commutator is 1e-5: `commute` fails on it alone, with
+        no action residual, and it is the gate that refuses `patch quantum`."""
+        from qmeasure import serialization as io
+
+        scenario = noncommuting_scenario(1e-5)
+        io.dump_json(io.scenario_to_json(scenario), "nc.json")
+        os.makedirs("model")
+        io.dump_json(io.dcf_to_json(scenario.theory(0, 0).dcf), "model/dcf.json")
+        io.dump_json(io.order_to_json(scenario.theory(0, 0).order), "model/order.json")
+        for command in ("poz", "lon"):
+            code, _ = run(capsys, command, "model")
+            assert code == 0, command
+        code, out = run(capsys, "commute", "nc.json")
+        report = json.loads(out)
+        assert code == 3 and report["passed"] is False
+        assert report["commutator_norm"] == pytest.approx(1e-5, rel=1e-9)
+        assert report["action_residual"] < 1e-12
+        assert main(["patch", "quantum", "nc.json"]) == 3
+        assert capsys.readouterr().err == (
+            "violation: wing operators do not commute (scaled residual 1.000e-05)\n"
+        )
+
+    def test_nosignalling_fails_on_a_signalling_table(self, workdir, capsys, pr_documents):
+        table = json.loads(json.dumps(pr_documents[1]))
+        table["a'b"] = [[0.5, 0], [0.5, 0]]
+        with open("signalling.json", "w") as fh:
+            json.dump(table, fh)
+        code, out = run(capsys, "nosignalling", "signalling.json")
+        report = json.loads(out)
+        assert code == 3 and report["passed"] is False
+        assert report["max_residual"] == pytest.approx(0.5, abs=1e-15)
 
     def test_poz_on_a_functional_that_is_not_strongly_positive(self, workdir, capsys):
         from qmeasure import DecoherenceFunctional, gen_double_slit
@@ -811,6 +849,22 @@ class TestLoaderFaults:
                 assert main([command, path]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == "" and "non-finite" in captured.err
+
+    def test_non_finite_report_exits_2_and_writes_nothing(self, workdir, capsys, pr_documents):
+        """Finite entries of 1e308 overflow to a NaN residual; a report is
+        strict JSON, so it is refused rather than printed or written."""
+        doc = json.loads(json.dumps(pr_documents[0]))
+        for name in ("ab", "ab'"):
+            for i in (0, 1):
+                doc[name]["matrix"][i][i] = [1e308, 0.0]
+        path = self._write(doc)
+        for out in ([], ["--out", "report.json"]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["nosignalling", path, *out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: Out of range float values")
+            assert not os.path.exists("report.json")
 
     def test_scalar_slots_is_input_error(self, workdir, capsys, pr_documents):
         doc = json.loads(json.dumps(pr_documents[0]))
@@ -1189,6 +1243,9 @@ class TestOptionRanges:
             (["feasibility", "pr/beamdcfs.json", "--tol", "nan"], "--tol"),
             (["feasibility", "pr/beamdcfs.json", "--budget", "0"], "--budget"),
             (["gen", "double-slit", "--out", "ds2", "--tol", "1e-9"], "--tol"),
+            # every output is JSON; there is no --format
+            (["validate", "ds", "--format", "text"], "--format"),
+            (["gen", "double-slit", "--out", "ds2", "--format", "json"], "--format"),
         ],
     )
     def test_out_of_range_exits_2_naming_the_option(self, workdir, capsys, argv, option):
@@ -1222,6 +1279,10 @@ class TestOptionRanges:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: tol 1e-15 is below the rounding floor 1.42e-14\n"
+
+    def test_no_command_prints_usage_and_exits_2(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().out.startswith("usage: qmeasure [-h] [--schema]")
 
     def test_infinite_tol_cannot_pass_a_non_positive_functional(self, workdir, capsys):
         bad = not_strongly_positive(0.055)

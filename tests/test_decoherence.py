@@ -518,3 +518,53 @@ class TestGramProperty:
             dcf = random_psd_dcf(rng, space)
             (e,) = random_events(rng, space, count=1)
             assert dcf.measure(e) >= -1e-9
+
+
+def _two_histories():
+    return HistorySpace(points=("p",), histories=[[0], [1]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: BranchRep([1.0, 0.0], [0], 1),
+            "amplitudes and final_index must be equal-length vectors",
+        ),
+        (lambda: BranchRep([1.0, 0.0], [0, 2], 2), "final_index out of range"),
+        (
+            lambda: DecoherenceFunctional(_two_histories()),
+            "exactly one of matrix / branch must be given",
+        ),
+        (
+            lambda: DecoherenceFunctional(
+                HistorySpace(points=("p",), histories=np.arange(DENSE_ATOM_CAP + 1)[:, None]),
+                matrix=np.zeros((1, 1)),
+            ),
+            f"dense mode capped at {DENSE_ATOM_CAP} histories",
+        ),
+        (
+            lambda: DecoherenceFunctional(
+                _two_histories(), branch=BranchRep([1.0, 0.0, 0.0], [0, 0, 0], 1)
+            ),
+            "branch data length does not match history count",
+        ),
+        (
+            lambda: DecoherenceFunctional.from_history_vectors(_two_histories(), np.ones((3, 1))),
+            "need one vector per history",
+        ),
+        (
+            lambda: DecoherenceFunctional(
+                _two_histories(), branch=BranchRep([1.0, 0.0], [0, 0], 1)
+            ).is_classical(),
+            "classicality check requires dense mode",
+        ),
+    ],
+    ids=[
+        "branch lengths", "final index", "no storage", "dense cap", "branch length",
+        "vector count", "lazy classicality",
+    ],
+)
+def test_input_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -534,3 +534,23 @@ class TestGhzEvent:
         assert hist_index((0, 1, 1), (0, 0, 0)) not in event
         # settings outside both antecedents are vacuously included
         assert hist_index((1, 1, 1), (0, 0, 0)) in event
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HistorySpace(points=("p", "p"), histories=[[0, 0]]), "duplicate point names"),
+        (
+            lambda: HistorySpace(points=("p",), histories=np.zeros((0, 1), dtype=int)),
+            "history space must contain at least one history",
+        ),
+        (
+            lambda: HistorySpace(points=("p",), histories=[[0]]).point_index("q"),
+            "unknown point 'q'",
+        ),
+    ],
+    ids=["duplicate point", "no history", "unknown point"],
+)
+def test_input_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -1072,3 +1072,25 @@ class TestRandomStateScenarios:
         assert chsh_value(correlation_table(sc)) == pytest.approx(
             2 * np.sqrt(2), abs=1e-6
         )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: CorrelationTable({(0, 0): np.full((2, 2), 0.25)}),
+            r"missing table for setting \(0, 1\)",
+        ),
+        (
+            lambda: chsh_value(
+                CorrelationTable(dict.fromkeys(SETTING_KEYS, np.full((3, 3), 1 / 9)))
+            ),
+            "CHSH needs 2x2 outcome tables",
+        ),
+        (lambda: JointDcf(np.ones((1,) * 8)), "joint functional must have ten axes"),
+    ],
+    ids=["missing setting", "3x3 tables", "eight axes"],
+)
+def test_input_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

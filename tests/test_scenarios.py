@@ -282,3 +282,16 @@ class TestDefaultResolutionBasis:
     def test_overlaps_comfortably_nonzero(self):
         cfg = EprbConfig()
         assert cfg.overlaps().min() >= 0.1
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"resolution_basis": np.eye(3)}, "resolution basis must be 4x4"),
+        ({"initial_state": [1.0, 0.0]}, "initial state must have four components"),
+    ],
+    ids=["basis shape", "state length"],
+)
+def test_input_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        EprbConfig(**kwargs)

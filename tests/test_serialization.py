@@ -266,3 +266,11 @@ class TestMalformedInput:
         doc["slots"] = 2
         with pytest.raises(ValueError, match="slots must be 5 positive integers"):
             io.joint_dcf_from_json(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dump_json_refuses_a_non_finite_number_and_writes_no_file(tmp_path, bad):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        io.dump_json({"rows": [[0.5, bad]]}, str(path))
+    assert not path.exists()

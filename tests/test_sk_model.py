@@ -664,3 +664,47 @@ class TestFactorizabilityBruteForce:
             check_quantum_factorizability(
                 dcf, model.order, *(model.region(r) for r in "ZAB")
             )
+
+
+def _gate_config(*gates, **kwargs):
+    return SkCircuitConfig(sites=2, steps=1, gates=gates, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SkGate(1, (0, 0), np.eye(4)), "gate sites must be distinct"),
+        (lambda: SkGate(1, (0,), np.ones((2, 3))), "gate matrix must be square"),
+        (
+            lambda: SkCircuitConfig(sites=0, steps=1),
+            "need at least one site and a nonnegative step count",
+        ),
+        (
+            lambda: SkCircuitConfig(sites=2, steps=1, psi=[1.0, 0.0]),
+            r"psi must have q\*\*sites amplitudes per branch",
+        ),
+        (lambda: _gate_config(SkGate(2, (0, 1), np.eye(4))), r"gate layer 2 outside 1\.\.1"),
+        (lambda: _gate_config(SkGate(1, (0, 2), np.eye(4))), "gate site out of range"),
+        (
+            lambda: _gate_config(SkGate(1, (0,), np.eye(4))),
+            "gate matrix size does not match its sites",
+        ),
+        (lambda: _gate_config(t_f=2), "truncation slice outside the lattice"),
+        (lambda: _gate_config(regions={"0,0": "Q"}), "unknown region tag 'Q'"),
+        (
+            lambda: gen_sk_circuit(
+                dataclasses.replace(decoupled_demo_config(2), t_f=1)
+            ).region("A"),
+            "region cell 0,2 lies beyond the truncation",
+        ),
+        (lambda: decoupled_demo_config(steps=1), "the stock fixture uses at least two steps"),
+    ],
+    ids=[
+        "repeated site", "non-square gate", "no site", "psi length", "gate layer",
+        "gate site", "gate size", "truncation slice", "region tag", "region beyond t_f",
+        "one-step fixture",
+    ],
+)
+def test_input_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
